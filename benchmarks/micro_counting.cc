@@ -81,21 +81,6 @@ void BM_ScanCountXY(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanCountXY)->Arg(20000)->Arg(100000)->Arg(500000);
 
-void BM_ScanCountXYThreads(benchmark::State& state) {
-  dd::MatchingRelation m = RandomMatching(4, 10, 500000, 1);
-  dd::ResolvedRule rule{{0, 1}, {2, 3}};
-  dd::ScanMeasureProvider provider(
-      m, rule, /*full_scan=*/true,
-      static_cast<std::size_t>(state.range(0)));
-  provider.SetLhs({5, 5});
-  int y = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(provider.CountXY({y % 11, (y + 3) % 11}));
-    ++y;
-  }
-}
-BENCHMARK(BM_ScanCountXYThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_GridCountXY(benchmark::State& state) {
   const std::size_t tuples = static_cast<std::size_t>(state.range(0));
   dd::MatchingRelation m = RandomMatching(4, 10, tuples, 1);

@@ -10,9 +10,8 @@
 // results at every T are bit-identical by construction — this harness
 // measures wall time only. host_cores stamps the machine's hardware
 // concurrency so tools/benchcmp can refuse wall-time comparisons
-// across differently-sized hosts (the committed baseline was captured
-// on a 1-core container); run_id (DD_BENCH_RUN_ID, default clock+pid)
-// correlates rows of one capture in BENCH_trajectory.json.
+// across differently-sized hosts; run_id (DD_BENCH_RUN_ID, default
+// clock+pid) correlates rows of one capture in BENCH_trajectory.json.
 //
 // Knobs: DD_BENCH_PAIRS (default 20000 matching tuples),
 // DD_BENCH_THREADS (default "1,2,4,8"), --threads N (pool default for

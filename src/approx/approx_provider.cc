@@ -14,30 +14,28 @@ namespace {
 // else the subset scan (both exact — the approximation lives entirely
 // in the stratum weights, never in the inner counts).
 Result<std::unique_ptr<MeasureProvider>> MakeInnerProvider(
-    const MatchingRelation& stratum, const ResolvedRule& resolved,
-    std::size_t threads) {
+    const MatchingRelation& stratum, const ResolvedRule& resolved) {
   Result<std::unique_ptr<MeasureProvider>> grid =
-      MakeMeasureProvider(stratum, resolved, "grid", threads);
+      MakeMeasureProvider(stratum, resolved, "grid");
   if (grid.ok()) return grid;
   DD_LOG(INFO) << "approx inner grid rejected (" << grid.status().message()
                << "); falling back to scan_subset";
-  return MakeMeasureProvider(stratum, resolved, "scan_subset", threads);
+  return MakeMeasureProvider(stratum, resolved, "scan_subset");
 }
 
 }  // namespace
 
 Result<std::unique_ptr<ApproxMeasureProvider>> ApproxMeasureProvider::Create(
-    const SampledMatchingBuilder& sample, const RuleSpec& rule, double z,
-    std::size_t threads) {
+    const SampledMatchingBuilder& sample, const RuleSpec& rule, double z) {
   // Both strata share one attribute list, so one resolution serves both.
   DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(sample.near(), rule));
 
   auto provider =
       std::unique_ptr<ApproxMeasureProvider>(new ApproxMeasureProvider());
   DD_ASSIGN_OR_RETURN(provider->near_,
-                      MakeInnerProvider(sample.near(), resolved, threads));
+                      MakeInnerProvider(sample.near(), resolved));
   DD_ASSIGN_OR_RETURN(provider->tail_,
-                      MakeInnerProvider(sample.tail(), resolved, threads));
+                      MakeInnerProvider(sample.tail(), resolved));
   provider->total_pairs_ = sample.total_pairs();
   provider->tail_population_ = sample.tail_population();
   provider->tail_sampled_ = sample.tail_sampled();
@@ -121,28 +119,12 @@ std::unique_ptr<MeasureProvider> ApproxMeasureProvider::CloneForThread() const {
   return clone;
 }
 
-bool ApproxMeasureProvider::SupportsConcurrentCountXY() const {
-  return near_->SupportsConcurrentCountXY() &&
-         tail_->SupportsConcurrentCountXY();
-}
-
-std::uint64_t ApproxMeasureProvider::CountXYConcurrent(
-    const Levels& rhs) const {
-  return Estimate(near_->CountXYConcurrent(rhs),
-                  tail_->CountXYConcurrent(rhs));
-}
-
-std::uint64_t ApproxMeasureProvider::RowsPerCountXY() const {
-  return near_->RowsPerCountXY() + tail_->RowsPerCountXY();
-}
-
 Interval ApproxMeasureProvider::LhsCountInterval() const {
   return CountInterval(near_lhs_, tail_lhs_);
 }
 
-Interval ApproxMeasureProvider::XyCountInterval(const Levels& rhs) const {
-  return CountInterval(near_->CountXYConcurrent(rhs),
-                       tail_->CountXYConcurrent(rhs));
+Interval ApproxMeasureProvider::XyCountInterval(const Levels& rhs) {
+  return CountInterval(near_->CountXY(rhs), tail_->CountXY(rhs));
 }
 
 std::size_t ApproxMeasureProvider::MemoryUsageBytes() const {

@@ -41,7 +41,7 @@ class ApproxMeasureProvider : public MeasureProvider {
   // provider per round).
   static Result<std::unique_ptr<ApproxMeasureProvider>> Create(
       const SampledMatchingBuilder& sample, const RuleSpec& rule,
-      double z, std::size_t threads);
+      double z);
 
   std::uint64_t total() const override { return total_pairs_; }
   void SetLhs(const Levels& lhs) override;
@@ -50,9 +50,6 @@ class ApproxMeasureProvider : public MeasureProvider {
   std::uint64_t CountXY(const Levels& rhs) override;
 
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
-  bool SupportsConcurrentCountXY() const override;
-  std::uint64_t CountXYConcurrent(const Levels& rhs) const override;
-  std::uint64_t RowsPerCountXY() const override;
 
   // ---- Estimation surface (beyond MeasureProvider) ----
 
@@ -63,10 +60,11 @@ class ApproxMeasureProvider : public MeasureProvider {
   // absolute pair counts over [0, total()]. Zero width when exhaustive.
   Interval LhsCountInterval() const;
 
-  // Same for count(b ⊨ ϕ[XY]) against the current ϕ[X]. Stats-free
-  // const counting (the refinement driver probes patterns it already
-  // holds counts for).
-  Interval XyCountInterval(const Levels& rhs) const;
+  // Same for count(b ⊨ ϕ[XY]) against the current ϕ[X]. Counts through
+  // the inner providers' CountXY, so it advances their stats but not
+  // this provider's (the refinement driver probes patterns it already
+  // holds counts for, outside the reported stats window).
+  Interval XyCountInterval(const Levels& rhs);
 
   std::size_t MemoryUsageBytes() const;
 

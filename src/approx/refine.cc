@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/expected_utility.h"
 #include "core/result_io.h"
@@ -73,12 +72,9 @@ Result<ApproxDetermineResult> RunRound(const SampledMatchingBuilder& sample,
                                        const RuleSpec& rule,
                                        const ApproxDetermineOptions& options,
                                        std::size_t search_l) {
-  const std::size_t threads = options.determine.threads == 0
-                                  ? DefaultThreads()
-                                  : options.determine.threads;
   DD_ASSIGN_OR_RETURN(
       std::unique_ptr<ApproxMeasureProvider> provider,
-      ApproxMeasureProvider::Create(sample, rule, options.approx.z, threads));
+      ApproxMeasureProvider::Create(sample, rule, options.approx.z));
 
   DetermineOptions determine = options.determine;
   determine.top_l = search_l;

@@ -133,7 +133,6 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
   TopPatterns top(options.top_l);
   PaOptions pa_options = options.pa;
   pa_options.top_l = options.top_l;
-  pa_options.threads = threads;
 
   std::size_t lhs_evaluated = 0;
   PaStats pa_stats;

@@ -38,14 +38,17 @@ struct DaOptions {
   std::size_t top_l = 1;
   UtilityOptions utility;
 
-  // Concurrency (0 = DefaultThreads()). Under DA the per-LHS searches
-  // are independent (every initial bound is 0), so C_X is partitioned
-  // across provider clones and the per-LHS answers are merged into the
-  // top-l heap in sequential LHS order — results and all stats are
-  // bit-identical to the sequential run. Under DAP only the ordering
-  // pass parallelizes; the main loop stays sequential because the
-  // Theorem-3 bound feeds back through the heap (a stale bound would
-  // change DaStats). EXPLAIN-recorded runs stay sequential end-to-end.
+  // Concurrency (0 = DefaultThreads()), the only level of determination
+  // parallelism: it splits C_X, never the search inside one LHS (PA/PAP
+  // and the provider counts are sequential). Under DA the per-LHS
+  // searches are independent (every initial bound is 0), so C_X is
+  // partitioned across provider clones and the per-LHS answers are
+  // merged into the top-l heap in sequential LHS order — results and
+  // all stats are bit-identical to the sequential run. Under DAP only
+  // the ordering pass parallelizes; the main loop stays sequential
+  // because the Theorem-3 bound feeds back through the heap (a stale
+  // bound would change DaStats). EXPLAIN-recorded runs stay sequential
+  // end-to-end.
   std::size_t threads = 0;
 };
 

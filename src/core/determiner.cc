@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/expected_utility.h"
@@ -55,9 +54,6 @@ Result<DetermineResult> DetermineWithProvider(
         RhsAlgorithmName(options.rhs_algorithm), provider_label.c_str(),
         ProcessingOrderName(options.order), options.top_l));
   }
-  const std::size_t threads =
-      options.threads == 0 ? DefaultThreads() : options.threads;
-
   DetermineResult result;
   UtilityOptions utility = options.utility;
   if (options.prior_sample_size > 0) {
@@ -79,7 +75,7 @@ Result<DetermineResult> DetermineWithProvider(
   da.pa.top_l = options.top_l;
   da.top_l = options.top_l;
   da.utility = utility;
-  da.threads = threads;
+  da.threads = options.threads;
 
   Stopwatch timer;
   {
@@ -107,14 +103,11 @@ Result<DetermineResult> DetermineThresholds(const MatchingRelation& matching,
     return Status::InvalidArgument("top_l must be >= 1");
   }
   DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(matching, rule));
-  const std::size_t threads =
-      options.threads == 0 ? DefaultThreads() : options.threads;
   std::unique_ptr<MeasureProvider> provider;
   {
     obs::TraceSpan span("provider_build");
-    DD_ASSIGN_OR_RETURN(provider,
-                        MakeMeasureProvider(matching, resolved,
-                                            options.provider, threads));
+    DD_ASSIGN_OR_RETURN(provider, MakeMeasureProvider(matching, resolved,
+                                                      options.provider));
   }
   return DetermineWithProvider(provider.get(), resolved.lhs.size(),
                                resolved.rhs.size(), matching.dmax(), options,

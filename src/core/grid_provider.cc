@@ -161,10 +161,6 @@ std::uint64_t GridMeasureProvider::CountXY(const Levels& rhs) {
   return (*joint_)[JointIndex(rhs)];
 }
 
-std::uint64_t GridMeasureProvider::CountXYConcurrent(const Levels& rhs) const {
-  return (*joint_)[JointIndex(rhs)];
-}
-
 std::unique_ptr<MeasureProvider> GridMeasureProvider::CloneForThread() const {
   auto clone = std::unique_ptr<GridMeasureProvider>(new GridMeasureProvider());
   clone->total_ = total_;
@@ -178,14 +174,14 @@ std::unique_ptr<MeasureProvider> GridMeasureProvider::CloneForThread() const {
 
 Result<std::unique_ptr<MeasureProvider>> MakeMeasureProvider(
     const MatchingRelation& matching, const ResolvedRule& rule,
-    std::string_view kind, std::size_t scan_threads) {
+    std::string_view kind, std::size_t /*ignored*/) {
   if (kind == "scan") {
-    return std::unique_ptr<MeasureProvider>(new ScanMeasureProvider(
-        matching, rule, /*full_scan=*/true, scan_threads));
+    return std::unique_ptr<MeasureProvider>(
+        new ScanMeasureProvider(matching, rule, /*full_scan=*/true));
   }
   if (kind == "scan_subset") {
-    return std::unique_ptr<MeasureProvider>(new ScanMeasureProvider(
-        matching, rule, /*full_scan=*/false, scan_threads));
+    return std::unique_ptr<MeasureProvider>(
+        new ScanMeasureProvider(matching, rule, /*full_scan=*/false));
   }
   if (kind == "grid") {
     DD_ASSIGN_OR_RETURN(auto grid, GridMeasureProvider::Create(matching, rule));

@@ -80,7 +80,7 @@ class MeasureProvider {
   // count(b ⊨ ϕ[XY]) for the current ϕ[X] and the given ϕ[Y].
   virtual std::uint64_t CountXY(const Levels& rhs) = 0;
 
-  // ---- Concurrency extensions (DESIGN.md §12) ----
+  // ---- Across-LHS parallelism (DESIGN.md §12) ----
 
   // Thread-private clone for across-LHS parallel determination: shares
   // the (immutable) counting structures with `this` but owns its LHS
@@ -90,33 +90,6 @@ class MeasureProvider {
   // deterministically with AddStats.
   virtual std::unique_ptr<MeasureProvider> CloneForThread() const {
     return nullptr;
-  }
-
-  // True when CountXYConcurrent() may be called from several threads at
-  // once (against one fixed ϕ[X]).
-  virtual bool SupportsConcurrentCountXY() const { return false; }
-
-  // Stats-free const counting against the current ϕ[X], used by the
-  // speculative window in parallel PA/PAP (core/pa.cc). Must return
-  // exactly what CountXY would. Callers account the committed subset of
-  // these calls via AccountCommittedXY so ProviderStats equal the
-  // sequential run's. Only valid when SupportsConcurrentCountXY().
-  virtual std::uint64_t CountXYConcurrent(const Levels& rhs) const {
-    (void)rhs;
-    return 0;
-  }
-
-  // Matching tuples one CountXY call touches right now (0 for the grid
-  // providers BY CONTRACT — see ProviderStats::rows_scanned). Used both
-  // to replay rows_scanned for committed speculative work and as the
-  // cost signal deciding whether within-LHS parallelism pays off.
-  virtual std::uint64_t RowsPerCountXY() const { return 0; }
-
-  // Accounts `calls` committed speculative evaluations exactly as if
-  // CountXY had been called `calls` times.
-  void AccountCommittedXY(std::uint64_t calls) {
-    stats_.xy_evaluations += calls;
-    stats_.rows_scanned += calls * RowsPerCountXY();
   }
 
   // Merges a clone's accumulated stats (field-wise sums, so the merge
@@ -146,10 +119,9 @@ class ScanMeasureProvider : public MeasureProvider {
   // `full_scan` selects between re-scanning all of M for every CountXY
   // (exactly the paper's cost model; default) and scanning only the
   // tuples already known to satisfy ϕ[X] (a natural optimization that
-  // preserves results). `threads` > 1 partitions every scan across that
-  // many worker threads (counts are exact either way).
+  // preserves results).
   ScanMeasureProvider(const MatchingRelation& matching, ResolvedRule rule,
-                      bool full_scan = true, std::size_t threads = 1);
+                      bool full_scan = true);
 
   std::uint64_t total() const override;
   void SetLhs(const Levels& lhs) override;
@@ -162,17 +134,11 @@ class ScanMeasureProvider : public MeasureProvider {
   std::uint64_t CountXY(const Levels& rhs) override;
 
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
-  bool SupportsConcurrentCountXY() const override { return true; }
-  std::uint64_t CountXYConcurrent(const Levels& rhs) const override;
-  std::uint64_t RowsPerCountXY() const override {
-    return full_scan_ ? matching_.num_tuples() : lhs_rows_.size();
-  }
 
  private:
   const MatchingRelation& matching_;
   ResolvedRule rule_;
   bool full_scan_;
-  std::size_t threads_;
   Levels current_lhs_;
   std::uint64_t lhs_count_ = 0;
   // Row indices satisfying the current ϕ[X]; used when !full_scan_.
@@ -210,8 +176,6 @@ class GridMeasureProvider : public MeasureProvider {
   // The grids are shared (immutable after Create), so a clone is a few
   // scalars — across-LHS parallel determination clones freely.
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
-  bool SupportsConcurrentCountXY() const override { return true; }
-  std::uint64_t CountXYConcurrent(const Levels& rhs) const override;
 
   // Heap bytes of the shared cumulative grids. Clones share the same
   // grids, so sum this once per provider family, not per clone. Feeds
@@ -245,11 +209,13 @@ class GridMeasureProvider : public MeasureProvider {
 };
 
 // Convenience: builds the provider requested by name ("scan",
-// "scan_subset", "grid"). `scan_threads` applies to the scan-based
-// kinds only.
+// "scan_subset", "grid"). The trailing size_t is ignored; it stays so
+// that callers passing a thread count keep compiling. Every count is
+// single-threaded: determination parallelism lives across LHS
+// candidates (core/da.cc).
 Result<std::unique_ptr<MeasureProvider>> MakeMeasureProvider(
     const MatchingRelation& matching, const ResolvedRule& rule,
-    std::string_view kind, std::size_t scan_threads = 1);
+    std::string_view kind, std::size_t /*ignored*/ = 1);
 
 }  // namespace dd
 

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "obs/explain/recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -12,11 +11,6 @@
 namespace dd {
 
 namespace {
-
-// Within-LHS parallelism only pays off when one CountXY is at least
-// this many row visits — grid providers (0 rows per count) and tiny
-// matchings stay sequential.
-constexpr std::uint64_t kMinRowsForParallelXY = 256;
 
 // Min-heap on cq keeping the l best candidates seen so far.
 struct TopL {
@@ -59,21 +53,17 @@ struct TopL {
   std::vector<RhsCandidate> heap_;
 };
 
-RhsCandidate MakeCandidate(std::uint64_t xy_count, std::uint64_t n, Levels rhs,
-                           int dmax) {
+RhsCandidate Evaluate(MeasureProvider* provider, Levels rhs, int dmax) {
   RhsCandidate c;
-  c.xy_count = xy_count;
-  c.confidence =
-      n > 0 ? static_cast<double>(xy_count) / static_cast<double>(n) : 0.0;
+  c.xy_count = provider->CountXY(rhs);
+  const std::uint64_t n = provider->lhs_count();
+  c.confidence = n > 0 ? static_cast<double>(c.xy_count) /
+                             static_cast<double>(n)
+                       : 0.0;
   c.quality = DependentQuality(rhs, dmax);
   c.cq = c.confidence * c.quality;
   c.rhs = std::move(rhs);
   return c;
-}
-
-RhsCandidate Evaluate(MeasureProvider* provider, Levels rhs, int dmax) {
-  const std::uint64_t xy = provider->CountXY(rhs);
-  return MakeCandidate(xy, provider->lhs_count(), std::move(rhs), dmax);
 }
 
 // Which bound governs decisions right now: once the heap is full the
@@ -112,108 +102,7 @@ std::vector<RhsCandidate> FindBestRhs(MeasureProvider* provider,
                             options.initial_bound_advanced);
   }
 
-  // Within-LHS parallelism (DESIGN.md §12): compute candidate xy-counts
-  // concurrently with the stats-free CountXYConcurrent, then replay
-  // offers and prunes in candidate order so the heap/lattice state —
-  // and therefore results, PaStats, and provider stats — are exactly
-  // the sequential run's. Disabled while EXPLAIN-recording: events
-  // carry sequential-state fields (rank, running bound, latency), so
-  // audit runs keep the sequential loop.
-  std::size_t threads = options.threads == 0 ? DefaultThreads()
-                                             : options.threads;
-  const bool parallel_xy =
-      threads > 1 && rec == nullptr && !InParallelChunk() &&
-      order.size() > 1 && provider->SupportsConcurrentCountXY() &&
-      provider->RowsPerCountXY() >= kMinRowsForParallelXY;
-
-  if (!options.prune && parallel_xy) {
-    // Algorithm 1 (PA), speculative-free: every candidate is evaluated
-    // regardless, so all xy-counts can be computed up front.
-    std::vector<std::uint64_t> xy(order.size());
-    ParallelFor("pa.xy_counts", order.size(), threads,
-                [&](std::size_t, std::size_t begin, std::size_t end) {
-                  for (std::size_t p = begin; p < end; ++p) {
-                    xy[p] = provider->CountXYConcurrent(
-                        lattice.LevelsOf(order[p]));
-                  }
-                });
-    provider->AccountCommittedXY(order.size());
-    const std::uint64_t n = provider->lhs_count();
-    for (std::size_t p = 0; p < order.size(); ++p) {
-      RhsCandidate c =
-          MakeCandidate(xy[p], n, lattice.LevelsOf(order[p]), dmax);
-      ++evaluated;
-      if (c.cq > top.Bound(initial_bound)) top.Offer(std::move(c));
-    }
-  } else if (options.prune && parallel_xy) {
-    // Algorithm 2 (PAP), windowed speculation with sequential commit:
-    // collect the next window of alive candidates (their aliveness at
-    // collection time equals the sequential state, since all prior
-    // windows committed), count them concurrently, then commit in
-    // candidate order re-checking aliveness — a candidate killed by an
-    // earlier commit inside the window is discarded as speculative
-    // waste. The committed decision sequence is exactly sequential for
-    // ANY window size, so the adaptive sizing below (grow while whole
-    // windows survive, shrink when commits invalidate most of one) only
-    // trades waste against parallel utilization, never results.
-    static obs::Counter& waste_counter =
-        obs::MetricsRegistry::Global().GetCounter("pa.speculative_waste");
-    const std::size_t max_window = threads * 4;
-    std::size_t window = threads;
-    const std::uint64_t n = provider->lhs_count();
-    std::vector<std::size_t> win;  // positions into `order`
-    std::vector<std::uint64_t> xy;
-    std::uint64_t waste = 0;
-    std::size_t pos = 0;
-    while (pos < order.size()) {
-      win.clear();
-      std::size_t scan = pos;
-      while (scan < order.size() && win.size() < window) {
-        if (lattice.IsAlive(order[scan])) win.push_back(scan);
-        ++scan;
-      }
-      if (win.empty()) break;
-      xy.assign(win.size(), 0);
-      ParallelFor("pap.speculate", win.size(), threads,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t t = begin; t < end; ++t) {
-                      xy[t] = provider->CountXYConcurrent(
-                          lattice.LevelsOf(order[win[t]]));
-                    }
-                  });
-      std::uint64_t win_waste = 0;
-      for (std::size_t t = 0; t < win.size(); ++t) {
-        const std::uint32_t idx = order[win[t]];
-        if (!lattice.IsAlive(idx)) {
-          ++win_waste;  // Killed by an earlier commit in this window.
-          continue;
-        }
-        RhsCandidate c = MakeCandidate(xy[t], n, lattice.LevelsOf(idx), dmax);
-        provider->AccountCommittedXY(1);
-        ++evaluated;
-        lattice.Kill(idx);
-        const double vmax_before = top.Bound(initial_bound);
-        if (c.cq > vmax_before) top.Offer(c);
-        const double vmax = top.Bound(initial_bound);
-        if (vmax > 0.0) {
-          lattice.Prune(all_dmax, vmax);
-          const double s1_quality =
-              c.confidence > 0.0 ? vmax / c.confidence : 1.0;
-          lattice.Prune(c.rhs, s1_quality);
-        } else if (c.confidence == 0.0) {
-          lattice.Prune(c.rhs, 1.0);
-        }
-      }
-      pos = scan;
-      waste += win_waste;
-      if (win_waste == 0) {
-        window = std::min(window * 2, max_window);
-      } else if (win_waste * 2 >= win.size()) {
-        window = std::max<std::size_t>(window / 2, 2);
-      }
-    }
-    if (waste > 0) waste_counter.Add(waste);
-  } else if (!options.prune) {
+  if (!options.prune) {
     // Algorithm 1 (PA): one pass over the entire C_Y.
     for (std::uint32_t idx : order) {
       const bool timed = rec != nullptr && rec->WillSampleNextEvent();

@@ -43,15 +43,6 @@ struct PaOptions {
   // the caller seeded it from DAP's Theorem-3 advanced bound (da.cc).
   // Observational only — does not change the search.
   bool initial_bound_advanced = false;
-
-  // Within-LHS concurrency (0 = DefaultThreads()). Candidate xy-counts
-  // are computed concurrently but offers/prunes replay in candidate
-  // order, so results, PaStats, and provider stats are bit-identical to
-  // the sequential search at any thread count. Engages only when the
-  // provider supports concurrent counting, each count is expensive
-  // enough to pay for dispatch, and no EXPLAIN recording is active
-  // (audit runs stay sequential so event order is reproducible).
-  std::size_t threads = 0;
 };
 
 struct PaStats {

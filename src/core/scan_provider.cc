@@ -1,7 +1,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/measure_provider.h"
 #include "core/simd_count.h"
@@ -62,12 +61,8 @@ struct CompiledPattern {
 }  // namespace
 
 ScanMeasureProvider::ScanMeasureProvider(const MatchingRelation& matching,
-                                         ResolvedRule rule, bool full_scan,
-                                         std::size_t threads)
-    : matching_(matching),
-      rule_(std::move(rule)),
-      full_scan_(full_scan),
-      threads_(threads == 0 ? 1 : threads) {}
+                                         ResolvedRule rule, bool full_scan)
+    : matching_(matching), rule_(std::move(rule)), full_scan_(full_scan) {}
 
 std::uint64_t ScanMeasureProvider::total() const {
   return matching_.num_tuples();
@@ -86,36 +81,19 @@ void ScanMeasureProvider::SetLhs(const Levels& lhs) {
   pattern.Append(matching_, rule_.lhs, lhs);
 
   Stopwatch scan_timer;
-  if (pattern.impossible) {
-    // No row can satisfy a negative bound; the count and row list stay
-    // empty without touching M.
-    ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
-    return;
-  }
-  const std::size_t chunks = EffectiveChunks(m, threads_);
-  std::vector<std::uint64_t> counts(chunks, 0);
-  std::vector<std::vector<std::uint32_t>> rows(full_scan_ ? 0 : chunks);
-  ParallelFor("provider.scan_lhs", m, threads_,
-              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+  // A negative bound matches no row; the count and row list stay empty
+  // without touching M.
+  if (!pattern.impossible) {
     if (full_scan_) {
-      counts[chunk] = simd::CountLeq(pattern.views.data(),
-                                     pattern.bounds.data(),
-                                     pattern.views.size(), begin, end);
+      lhs_count_ = simd::CountLeq(pattern.views.data(), pattern.bounds.data(),
+                                  pattern.views.size(), 0, m);
     } else {
       simd::CollectLeq(pattern.views.data(), pattern.bounds.data(),
-                       pattern.views.size(), begin, end, &rows[chunk]);
-      counts[chunk] = rows[chunk].size();
-    }
-  });
-  for (std::uint64_t c : counts) lhs_count_ += c;
-  ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
-  if (!full_scan_) {
-    // Chunks cover [0, m) in order and CollectLeq appends ascending, so
-    // concatenation keeps rows sorted.
-    for (auto& chunk_rows : rows) {
-      lhs_rows_.insert(lhs_rows_.end(), chunk_rows.begin(), chunk_rows.end());
+                       pattern.views.size(), 0, m, &lhs_rows_);
+      lhs_count_ = lhs_rows_.size();
     }
   }
+  ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
 }
 
 void ScanMeasureProvider::SetLhsWithKnownCount(const Levels& lhs,
@@ -146,55 +124,16 @@ std::uint64_t ScanMeasureProvider::CountXY(const Levels& rhs) {
     CompiledPattern pattern;
     pattern.Append(matching_, rule_.lhs, current_lhs_);
     if (!pattern.impossible) pattern.Append(matching_, rule_.rhs, rhs);
-    if (pattern.impossible) {
-      ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
-      return 0;
-    }
-    const std::size_t chunks = EffectiveChunks(m, threads_);
-    std::vector<std::uint64_t> counts(chunks, 0);
-    ParallelFor("provider.scan_xy_full", m, threads_,
-                [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-      counts[chunk] = simd::CountLeq(pattern.views.data(),
-                                     pattern.bounds.data(),
-                                     pattern.views.size(), begin, end);
-    });
-    std::uint64_t total_count = 0;
-    for (std::uint64_t c : counts) total_count += c;
+    const std::uint64_t count =
+        pattern.impossible
+            ? 0
+            : simd::CountLeq(pattern.views.data(), pattern.bounds.data(),
+                             pattern.views.size(), 0, m);
     ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
-    return total_count;
+    return count;
   }
 
   stats_.rows_scanned += lhs_rows_.size();
-  const std::size_t n = lhs_rows_.size();
-  const std::size_t chunks = EffectiveChunks(n, threads_);
-  std::vector<std::uint64_t> counts(chunks, 0);
-  ParallelFor("provider.scan_xy_subset", n, threads_,
-              [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    std::uint64_t count = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (Satisfies(matching_, rule_.rhs, rhs, lhs_rows_[i])) ++count;
-    }
-    counts[chunk] = count;
-  });
-  std::uint64_t total_count = 0;
-  for (std::uint64_t c : counts) total_count += c;
-  return total_count;
-}
-
-std::uint64_t ScanMeasureProvider::CountXYConcurrent(const Levels& rhs) const {
-  // One single-threaded pass: callers (the speculative window in
-  // core/pa.cc) run many of these concurrently, so the parallelism
-  // lives outside. No stats, no histogram — committed work is accounted
-  // afterwards via AccountCommittedXY.
-  DD_CHECK_EQ(rhs.size(), rule_.rhs.size());
-  if (full_scan_) {
-    CompiledPattern pattern;
-    pattern.Append(matching_, rule_.lhs, current_lhs_);
-    if (!pattern.impossible) pattern.Append(matching_, rule_.rhs, rhs);
-    if (pattern.impossible) return 0;
-    return simd::CountLeq(pattern.views.data(), pattern.bounds.data(),
-                          pattern.views.size(), 0, matching_.num_tuples());
-  }
   std::uint64_t count = 0;
   for (const std::uint32_t row : lhs_rows_) {
     if (Satisfies(matching_, rule_.rhs, rhs, row)) ++count;
@@ -203,10 +142,8 @@ std::uint64_t ScanMeasureProvider::CountXYConcurrent(const Levels& rhs) const {
 }
 
 std::unique_ptr<MeasureProvider> ScanMeasureProvider::CloneForThread() const {
-  // Clones scan single-threaded: the caller owns the concurrency, and
-  // nested ParallelFor would run inline anyway.
   return std::unique_ptr<MeasureProvider>(
-      new ScanMeasureProvider(matching_, rule_, full_scan_, /*threads=*/1));
+      new ScanMeasureProvider(matching_, rule_, full_scan_));
 }
 
 }  // namespace dd

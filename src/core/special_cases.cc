@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/candidate_lattice.h"
 #include "core/expected_utility.h"
@@ -28,14 +27,11 @@ Result<DetermineResult> DetermineWithPinnedSide(
     rec->SetRunLabel(pin_lhs ? "MFD determination" : "MD determination");
   }
   DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(matching, rule));
-  const std::size_t threads =
-      options.threads == 0 ? DefaultThreads() : options.threads;
   std::unique_ptr<MeasureProvider> provider;
   {
     obs::TraceSpan span("provider_build");
     DD_ASSIGN_OR_RETURN(provider, MakeMeasureProvider(matching, resolved,
-                                                      options.provider,
-                                                      threads));
+                                                      options.provider));
   }
   const int dmax = matching.dmax();
 
@@ -58,7 +54,6 @@ Result<DetermineResult> DetermineWithPinnedSide(
   pa.prune = options.prune;
   pa.order = options.order;
   pa.top_l = options.top_l;
-  pa.threads = threads;
 
   if (pin_lhs) {
     // MFD: ϕ[X] = equality; one PAP/PA pass over C_Y.

@@ -26,7 +26,8 @@ struct SpecialCaseOptions {
   ProcessingOrder order = ProcessingOrder::kMidFirst;
   std::size_t top_l = 1;
   std::string provider = "scan";
-  // Concurrency (0 = DefaultThreads()); see DetermineOptions::threads.
+  // Accepted for symmetry with DetermineOptions; ignored. MFD runs one
+  // PA/PAP search and MD one count per LHS, both sequentially.
   std::size_t threads = 0;
   std::size_t prior_sample_size = 200;
   std::uint64_t prior_seed = 99;

@@ -179,12 +179,6 @@ std::uint64_t DeltaGridProvider::CountXY(const Levels& rhs) {
   return static_cast<std::uint64_t>(count);
 }
 
-std::uint64_t DeltaGridProvider::CountXYConcurrent(const Levels& rhs) const {
-  const std::int64_t count = joint_[JointIndex(rhs)];
-  DD_CHECK_GE(count, 0);
-  return static_cast<std::uint64_t>(count);
-}
-
 std::unique_ptr<MeasureProvider> DeltaGridProvider::CloneForThread() const {
   auto clone = std::unique_ptr<DeltaGridProvider>(new DeltaGridProvider());
   clone->total_ = total_;

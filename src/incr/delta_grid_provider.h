@@ -44,13 +44,10 @@ class DeltaGridProvider : public MeasureProvider {
   const Levels& current_lhs() const override { return current_lhs_; }
   std::uint64_t CountXY(const Levels& rhs) override;
 
-  // Concurrency extensions (DESIGN.md §12). Clones snapshot the grids
+  // Across-LHS clone (DESIGN.md §12). Clones snapshot the grids
   // (they are (dmax+1)^dims cells — small for practical rules), so an
   // Apply on the original does not affect in-flight clones.
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
-  bool SupportsConcurrentCountXY() const override { return true; }
-  std::uint64_t CountXYConcurrent(const Levels& rhs) const override;
-  std::uint64_t RowsPerCountXY() const override { return 0; }
 
   // Heap bytes of the maintained grids plus the per-Apply scratch
   // histograms. Feeds the mem.delta_grid_bytes gauge (obs/resource.h).

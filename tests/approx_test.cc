@@ -415,7 +415,7 @@ TEST(ApproxCoverageTest, IntervalsCoverTrueCounts) {
           cora.relation, rule.AllAttributes(), matching, approx);
       ASSERT_TRUE(sample.ok());
       auto provider = ApproxMeasureProvider::Create(
-          **sample, rule, /*z=*/1.959963984540054, /*threads=*/1);
+          **sample, rule, /*z=*/1.959963984540054);
       ASSERT_TRUE(provider.ok());
       (*provider)->SetLhs(winner.lhs);
       const Interval lhs_iv = (*provider)->LhsCountInterval();

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "matching/builder.h"
 #include "matching/serialization.h"
 #include "obs/explain/recorder.h"
+#include "obs/pool_stats.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -61,34 +63,6 @@ TEST(ParallelForTest, ZeroCountDoesNotInvoke) {
   });
   EXPECT_FALSE(invoked);
 }
-
-class ParallelProviderTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelProviderTest, MatchesSerialCountsExactly) {
-  const std::size_t threads = GetParam();
-  MatchingRelation m = testutil::RandomMatching(3, 7, 1000, 99);
-  ResolvedRule rule{{0, 1}, {2}};
-  ScanMeasureProvider serial(m, rule, /*full_scan=*/true, 1);
-  ScanMeasureProvider parallel(m, rule, /*full_scan=*/true, threads);
-  ScanMeasureProvider parallel_subset(m, rule, /*full_scan=*/false, threads);
-  for (int x0 : {0, 3, 7}) {
-    for (int x1 : {1, 5}) {
-      serial.SetLhs({x0, x1});
-      parallel.SetLhs({x0, x1});
-      parallel_subset.SetLhs({x0, x1});
-      ASSERT_EQ(serial.lhs_count(), parallel.lhs_count());
-      ASSERT_EQ(serial.lhs_count(), parallel_subset.lhs_count());
-      for (int y = 0; y <= 7; ++y) {
-        const std::uint64_t expected = serial.CountXY({y});
-        ASSERT_EQ(parallel.CountXY({y}), expected);
-        ASSERT_EQ(parallel_subset.CountXY({y}), expected);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelProviderTest,
-                         ::testing::Values(2, 3, 4, 8));
 
 // ---------------------------------------------------------------------
 // Bit-identity at any thread count (DESIGN.md §12). The determinism
@@ -279,6 +253,47 @@ TEST(ParallelDeterminismTest, ExplainWaterfallIdenticalAcrossThreads) {
         << threads;
     EXPECT_EQ(snap.waterfall.offered, base.waterfall.offered) << threads;
     EXPECT_EQ(snap.events.size(), base.events.size()) << threads;
+  }
+}
+
+// Determination parallelism has one level (DESIGN.md §12): the pool
+// splits C_X across provider clones, never the search inside one LHS
+// nor a single count. A scan-provider run at threads=4 must therefore
+// record no pool phase besides DA's two, and still return the
+// sequential answer.
+TEST(ParallelProviderTest, PoolPhasesAreAcrossLhsOnly) {
+  MatchingRelation m = testutil::RandomMatching(3, 7, 1200, 99);
+  const RuleSpec rule{{"a0", "a1"}, {"a2"}};
+  const std::set<std::string> allowed = {"da.lhs_ordering", "da.lhs_search"};
+  obs::PoolStatsCollector& collector = obs::PoolStatsCollector::Global();
+  const std::pair<LhsAlgorithm, RhsAlgorithm> algos[] = {
+      {LhsAlgorithm::kDa, RhsAlgorithm::kPa},
+      {LhsAlgorithm::kDap, RhsAlgorithm::kPap}};
+  for (const auto& [lhs, rhs] : algos) {
+    DetermineOptions options;
+    options.lhs_algorithm = lhs;
+    options.rhs_algorithm = rhs;
+    options.provider = "scan";
+    options.top_l = 3;
+    options.threads = 1;
+    auto sequential = DetermineThresholds(m, rule, options);
+    ASSERT_TRUE(sequential.ok());
+
+    options.threads = 4;
+    collector.Enable();
+    collector.Reset();
+    auto parallel = DetermineThresholds(m, rule, options);
+    const obs::PoolStatsSnapshot snapshot = collector.Snapshot();
+    collector.Disable();
+    ASSERT_TRUE(parallel.ok());
+
+    const std::string label =
+        std::string(LhsAlgorithmName(lhs)) + "+" + RhsAlgorithmName(rhs);
+    EXPECT_FALSE(snapshot.empty()) << label;
+    for (const obs::PoolPhaseStats& phase : snapshot.phases) {
+      EXPECT_TRUE(allowed.count(phase.phase)) << label << ": " << phase.phase;
+    }
+    ExpectSameResult(*sequential, *parallel, label);
   }
 }
 

@@ -1337,9 +1337,9 @@ int main(int argc, char** argv) {
   }
   dd::ArgParser args(argc, argv, 2);
   // --threads applies to every subcommand: it sets the process-wide
-  // DefaultThreads() that the matching build, the providers, and the
-  // DA/PA searches inherit (0 restores the DD_THREADS/hardware
-  // default). Results are bit-identical at any value.
+  // DefaultThreads() that the matching build and the DA/DAP LHS sweep
+  // inherit (0 restores the DD_THREADS/hardware default). Results are
+  // bit-identical at any value.
   if (args.Has("threads")) {
     auto threads = args.GetInt("threads", 0);
     if (!threads.ok()) return Fail(threads.status());
