@@ -4,7 +4,7 @@
 // lattice prune cost.
 //
 // Before the google-benchmark suite, main() emits a SIMD-vs-scalar
-// kernel matrix (packing × dmax × rows for the fused CountLeq and the
+// kernel matrix (packing × dmax × rows for the fused MaskLeq and the
 // GridIndices kernels, DESIGN.md §17) as BENCH_JSON rows:
 //   BENCH_JSON {"bench": "micro_counting", "phase":
 //               "countxy_avx2_d4_r100000", "rows": N, "dmax": D,
@@ -12,7 +12,17 @@
 //               "speedup_vs_scalar": S, "host_cores": C,
 //               "run_id": "..."}
 // speedup_vs_scalar divides the scalar kernel's wall time for the same
-// shape by this row's (1.0 on scalar rows). AVX2 rows appear only on
+// shape by this row's (1.0 on scalar rows). Then a provider pair times
+// a full ϕ[Y] sweep (121 CountXY calls) of the "scan" and
+// "scan_subset" providers at a broad ϕ[X] {10,10} and a selective one
+// {2,2}, on the active kernels:
+//   BENCH_JSON {"bench": "micro_counting", "phase":
+//               "provider_scan_subset_x2_r100000", "rows": N,
+//               "lhs_count": L, "sweeps": K, "elapsed_s": W,
+//               "speedup_vs_scan": S, "host_cores": C, "run_id": "..."}
+// elapsed_s is the best-of-3 time of K back-to-back sweeps;
+// speedup_vs_scan divides the scan provider's time by this row's (1.0
+// on scan rows). AVX2 rows appear only on
 // hosts that pass the CPUID dispatch check; tools/benchcmp reports
 // unmatched keys without failing, so captures from AVX2 and non-AVX2
 // hosts stay comparable on the scalar rows. The matrix runs even when
@@ -220,6 +230,7 @@ void EmitKernelMatrix() {
       // noise floor by orders of magnitude.
       const int iters = rows >= 1000000 ? 8 : 40;
       std::vector<std::uint32_t> cells(rows);
+      std::vector<std::uint64_t> words(dd::simd::MaskWords(rows));
 
       struct Shape {
         const char* kernel;
@@ -231,16 +242,17 @@ void EmitKernelMatrix() {
           {"countxy",
            TimeBest(iters,
                     [&] {
-                      sink += kScalarKernels.count_leq(
-                          views.data(), bounds.data(), kAttrs, 0, rows);
+                      sink += kScalarKernels.mask_leq(
+                          views.data(), bounds.data(), kAttrs, rows,
+                          words.data());
                     }),
            avx2 == nullptr
                ? 0.0
                : TimeBest(iters,
                           [&] {
-                            sink += avx2->count_leq(views.data(),
-                                                    bounds.data(), kAttrs, 0,
-                                                    rows);
+                            sink += avx2->mask_leq(views.data(),
+                                                   bounds.data(), kAttrs,
+                                                   rows, words.data());
                           })},
           {"grid",
            TimeBest(iters,
@@ -283,10 +295,51 @@ void EmitKernelMatrix() {
   std::fflush(stdout);
 }
 
+// Does the scan_subset provider's random-access loop over the ϕ[X] rows
+// still beat the full scan's bitmap-masked pass? Both answer the same
+// counts; only the ϕ[Y] sweep after SetLhs is timed.
+void EmitProviderPair() {
+  const unsigned host_cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  const std::string run_id = BenchRunId();
+  const dd::ResolvedRule rule{{0, 1}, {2, 3}};
+  for (std::size_t rows : {std::size_t{100000}, std::size_t{500000}}) {
+    dd::MatchingRelation m = RandomMatching(4, 10, rows, 1);
+    for (int x : {10, 2}) {
+      double scan_s = 0.0;
+      for (bool full_scan : {true, false}) {
+        dd::ScanMeasureProvider provider(m, rule, full_scan);
+        provider.SetLhs({x, x});
+        std::uint64_t sink = 0;
+        const int sweeps = rows >= 500000 ? 2 : 10;
+        const double s = TimeBest(sweeps, [&] {
+          for (int y0 = 0; y0 <= 10; ++y0) {
+            for (int y1 = 0; y1 <= 10; ++y1) {
+              sink += provider.CountXY({y0, y1});
+            }
+          }
+        });
+        if (sink == 0xdeadbeef) std::fprintf(stderr, "impossible\n");
+        if (full_scan) scan_s = s;
+        std::printf(
+            "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+            "\"provider_%s_x%d_r%zu\", \"rows\": %zu, \"lhs_count\": %llu, "
+            "\"sweeps\": %d, \"elapsed_s\": %.6f, \"speedup_vs_scan\": %.3f, "
+            "\"host_cores\": %u, \"run_id\": \"%s\"}\n",
+            full_scan ? "scan" : "scan_subset", x, rows, rows,
+            static_cast<unsigned long long>(provider.lhs_count()), sweeps, s,
+            scan_s / s, host_cores, run_id.c_str());
+      }
+    }
+  }
+  std::fflush(stdout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   EmitKernelMatrix();
+  EmitProviderPair();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -6,7 +6,9 @@
 //
 // ScanMeasureProvider is the paper-faithful implementation: every count
 // is an O(M) pass over the matching tuples (the cost the pruning
-// techniques of §V are designed to avoid). GridMeasureProvider is an
+// techniques of §V are designed to avoid). In full-scan mode SetLhs
+// evaluates ϕ[X] once into a row bitmap and each CountXY ANDs the ϕ[Y]
+// column masks against it, but stats still charge M rows per count. GridMeasureProvider is an
 // extension: a prefix-sum grid over the (dmax+1)^c threshold lattice
 // that answers each count in O(1) after an O(M + d^c) build. Both
 // providers return identical counts (asserted by property tests).
@@ -119,14 +121,19 @@ class ScanMeasureProvider : public MeasureProvider {
   // `full_scan` selects between re-scanning all of M for every CountXY
   // (exactly the paper's cost model; default) and scanning only the
   // tuples already known to satisfy ϕ[X] (a natural optimization that
-  // preserves results).
+  // preserves results). The full scan reads the ϕ[Y] columns of all M
+  // rows against a ϕ[X] row bitmap built once per SetLhs, skipping the
+  // 64-row blocks no ϕ[X] row falls in; rows_scanned still adds M per
+  // SetLhs and per CountXY.
   ScanMeasureProvider(const MatchingRelation& matching, ResolvedRule rule,
                       bool full_scan = true);
 
   std::uint64_t total() const override;
   void SetLhs(const Levels& lhs) override;
-  // In full-scan mode the SetLhs scan only produces lhs_count, so a
-  // known count makes it free; subset mode still needs the row list.
+  // In full-scan mode a known count defers the ϕ[X] bitmap: the first
+  // CountXY after it rebuilds the bitmap (unaccounted in rows_scanned,
+  // as the scan this call saves is), so an LHS pruned before any ϕ[Y]
+  // costs no pass. Subset mode still needs the row list now.
   void SetLhsWithKnownCount(const Levels& lhs,
                             std::uint64_t known_count) override;
   std::uint64_t lhs_count() const override { return lhs_count_; }
@@ -136,11 +143,20 @@ class ScanMeasureProvider : public MeasureProvider {
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
 
  private:
+  // Evaluates current_lhs_ into lhs_mask_ (one MaskLeq pass) and
+  // returns its count.
+  std::uint64_t BuildLhsMask();
+
   const MatchingRelation& matching_;
   ResolvedRule rule_;
   bool full_scan_;
   Levels current_lhs_;
   std::uint64_t lhs_count_ = 0;
+  // Full-scan mode: the current ϕ[X] as a row bitmap (simd::MaskLeq
+  // layout, M/64 words, owned per clone). SetLhsWithKnownCount only
+  // marks it stale; the next CountXY rebuilds it.
+  std::vector<std::uint64_t> lhs_mask_;
+  bool lhs_mask_stale_ = true;  // No ϕ[X] evaluated yet.
   // Row indices satisfying the current ϕ[X]; used when !full_scan_.
   std::vector<std::uint32_t> lhs_rows_;
 };

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -71,27 +72,24 @@ std::uint64_t ScanMeasureProvider::total() const {
 void ScanMeasureProvider::SetLhs(const Levels& lhs) {
   DD_CHECK_EQ(lhs.size(), rule_.lhs.size());
   current_lhs_ = lhs;
-  lhs_count_ = 0;
   lhs_rows_.clear();
   const std::size_t m = matching_.num_tuples();
   ++stats_.lhs_evaluations;
   stats_.rows_scanned += m;
 
-  CompiledPattern pattern;
-  pattern.Append(matching_, rule_.lhs, lhs);
-
   Stopwatch scan_timer;
-  // A negative bound matches no row; the count and row list stay empty
-  // without touching M.
-  if (!pattern.impossible) {
-    if (full_scan_) {
-      lhs_count_ = simd::CountLeq(pattern.views.data(), pattern.bounds.data(),
-                                  pattern.views.size(), 0, m);
-    } else {
+  if (full_scan_) {
+    lhs_count_ = BuildLhsMask();
+  } else {
+    CompiledPattern pattern;
+    pattern.Append(matching_, rule_.lhs, lhs);
+    // A negative bound matches no row; the row list stays empty
+    // without touching M.
+    if (!pattern.impossible) {
       simd::CollectLeq(pattern.views.data(), pattern.bounds.data(),
                        pattern.views.size(), 0, m, &lhs_rows_);
-      lhs_count_ = lhs_rows_.size();
     }
+    lhs_count_ = lhs_rows_.size();
   }
   ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
 }
@@ -108,7 +106,23 @@ void ScanMeasureProvider::SetLhsWithKnownCount(const Levels& lhs,
   ++stats_.lhs_evaluations;
   current_lhs_ = lhs;
   lhs_count_ = known_count;
-  lhs_rows_.clear();
+  lhs_mask_stale_ = true;
+}
+
+std::uint64_t ScanMeasureProvider::BuildLhsMask() {
+  const std::size_t m = matching_.num_tuples();
+  lhs_mask_.resize(simd::MaskWords(m));
+  lhs_mask_stale_ = false;
+  CompiledPattern pattern;
+  pattern.Append(matching_, rule_.lhs, current_lhs_);
+  // A negative bound matches no row: an all-zero bitmap, without
+  // touching M.
+  if (pattern.impossible) {
+    std::fill(lhs_mask_.begin(), lhs_mask_.end(), std::uint64_t{0});
+    return 0;
+  }
+  return simd::MaskLeq(pattern.views.data(), pattern.bounds.data(),
+                       pattern.views.size(), m, lhs_mask_.data());
 }
 
 std::uint64_t ScanMeasureProvider::CountXY(const Levels& rhs) {
@@ -117,18 +131,20 @@ std::uint64_t ScanMeasureProvider::CountXY(const Levels& rhs) {
   ++stats_.xy_evaluations;
 
   if (full_scan_) {
+    // Accounted as one O(M) pass, the paper's cost model, although the
+    // kernel reads only the ϕ[Y] columns plus the ϕ[X] bitmap.
     const std::size_t m = matching_.num_tuples();
     stats_.rows_scanned += m;
     Stopwatch scan_timer;
-    // One fused kernel pass answers the whole ϕ[XY] conjunction.
+    if (lhs_mask_stale_) BuildLhsMask();
     CompiledPattern pattern;
-    pattern.Append(matching_, rule_.lhs, current_lhs_);
-    if (!pattern.impossible) pattern.Append(matching_, rule_.rhs, rhs);
+    pattern.Append(matching_, rule_.rhs, rhs);
     const std::uint64_t count =
         pattern.impossible
             ? 0
-            : simd::CountLeq(pattern.views.data(), pattern.bounds.data(),
-                             pattern.views.size(), 0, m);
+            : simd::CountLeqMasked(pattern.views.data(),
+                                   pattern.bounds.data(), pattern.views.size(),
+                                   lhs_mask_.data(), m);
     ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
     return count;
   }

@@ -1,6 +1,8 @@
 #include "core/simd_count.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 
@@ -22,12 +24,39 @@ inline bool RowSatisfies(const ColumnView* views, const std::uint8_t* bounds,
   return true;
 }
 
-std::uint64_t CountLeqScalar(const ColumnView* views,
-                             const std::uint8_t* bounds, std::size_t num_views,
-                             std::size_t begin, std::size_t end) {
+std::uint64_t MaskLeqScalar(const ColumnView* views,
+                            const std::uint8_t* bounds, std::size_t num_views,
+                            std::size_t end, std::uint64_t* words) {
   std::uint64_t count = 0;
-  for (std::size_t row = begin; row < end; ++row) {
-    if (RowSatisfies(views, bounds, num_views, row)) ++count;
+  for (std::size_t w = 0; w < MaskWords(end); ++w) {
+    const std::size_t first = w * 64;
+    const std::size_t last = std::min(end, first + 64);
+    std::uint64_t word = 0;
+    for (std::size_t row = first; row < last; ++row) {
+      if (RowSatisfies(views, bounds, num_views, row)) {
+        word |= std::uint64_t{1} << (row - first);
+      }
+    }
+    words[w] = word;
+    count += static_cast<std::uint64_t>(std::popcount(word));
+  }
+  return count;
+}
+
+std::uint64_t CountLeqMaskedScalar(const ColumnView* views,
+                                   const std::uint8_t* bounds,
+                                   std::size_t num_views,
+                                   const std::uint64_t* words,
+                                   std::size_t end) {
+  std::uint64_t count = 0;
+  for (std::size_t w = 0; w < MaskWords(end); ++w) {
+    std::uint64_t word = words[w];
+    if (end - w * 64 < 64) word &= (std::uint64_t{1} << (end - w * 64)) - 1;
+    for (; word != 0; word &= word - 1) {
+      const std::size_t row =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      if (RowSatisfies(views, bounds, num_views, row)) ++count;
+    }
   }
   return count;
 }
@@ -169,11 +198,19 @@ bool CpuSupportsAvx2() {
 #endif
 }
 
-std::uint64_t CountLeq(const ColumnView* views, const std::uint8_t* bounds,
-                       std::size_t num_views, std::size_t begin,
-                       std::size_t end) {
-  return internal::ActiveKernels().count_leq(views, bounds, num_views, begin,
-                                             end);
+std::uint64_t MaskLeq(const ColumnView* views, const std::uint8_t* bounds,
+                      std::size_t num_views, std::size_t end,
+                      std::uint64_t* words) {
+  return internal::ActiveKernels().mask_leq(views, bounds, num_views, end,
+                                            words);
+}
+
+std::uint64_t CountLeqMasked(const ColumnView* views,
+                             const std::uint8_t* bounds,
+                             std::size_t num_views,
+                             const std::uint64_t* words, std::size_t end) {
+  return internal::ActiveKernels().count_leq_masked(views, bounds, num_views,
+                                                    words, end);
 }
 
 void CollectLeq(const ColumnView* views, const std::uint8_t* bounds,
@@ -192,8 +229,8 @@ void GridIndices(const ColumnView* views, const std::uint32_t* strides,
 
 namespace internal {
 
-const KernelTable kScalarKernels = {CountLeqScalar, CollectLeqScalar,
-                                    GridIndicesScalar};
+const KernelTable kScalarKernels = {MaskLeqScalar, CountLeqMaskedScalar,
+                                    CollectLeqScalar, GridIndicesScalar};
 
 const KernelTable& ActiveKernels() {
   if (const KernelTable* table = g_active.load(std::memory_order_acquire);

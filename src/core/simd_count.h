@@ -1,23 +1,29 @@
 // SIMD counting kernels over packed level columns, with runtime dispatch.
 //
-// The determination hot loops reduce to three primitives over the
+// The determination hot loops reduce to four primitives over the
 // PackedColumn slabs of a MatchingRelation:
 //
-//   CountLeq     rows r in [begin, end) with level_i(r) <= bounds[i] for
-//                every column view i — one fused pass answers a whole
-//                ϕ[X] or ϕ[XY] pattern (ScanMeasureProvider);
-//   CollectLeq   the same predicate, but appending the satisfying row
-//                indices in ascending order (scan_subset SetLhs);
-//   GridIndices  per-row linearized grid cell sum_i level_i(r)*strides[i]
-//                (the histogram pass of GridMeasureProvider /
-//                DeltaGridProvider / the streaming exact build).
+//   MaskLeq         rows r in [0, end) with level_i(r) <= bounds[i] for
+//                   every column view i, written as a row bitmap (one
+//                   uint64 word per 64 rows, bit b of word w = row
+//                   64w + b) and counted — one fused pass evaluates a
+//                   whole ϕ[X] (ScanMeasureProvider SetLhs);
+//   CountLeqMasked  rows set in such a bitmap that also satisfy the
+//                   predicate on further views — a ϕ[XY] count that
+//                   reads only the ϕ[Y] columns (ScanMeasureProvider
+//                   CountXY);
+//   CollectLeq      the predicate again, appending the satisfying row
+//                   indices in ascending order (scan_subset SetLhs);
+//   GridIndices     per-row linearized grid cell sum_i level_i(r)*strides[i]
+//                   (the histogram pass of GridMeasureProvider /
+//                   DeltaGridProvider / the streaming exact build).
 //
 // Each primitive has a scalar implementation and an AVX2 one (compiled
 // in simd_count_avx2.cc with -mavx2 -mbmi2 -mpopcnt on that TU only);
-// both produce bit-identical results — the counts are exact integers
-// and CollectLeq/GridIndices outputs are order-preserving — so dispatch
-// never changes determination output, only speed. The active kernel
-// table is resolved once, lazily, from (in precedence order) the
+// both produce bit-identical results — the counts and bitmap words are
+// exact, and CollectLeq/GridIndices outputs are order-preserving — so
+// dispatch never changes determination output, only speed. The active
+// kernel table is resolved once, lazily, from (in precedence order) the
 // programmatic SetSimdMode (ddtool --simd), the DD_SIMD environment
 // variable, and CPUID: auto picks AVX2 when the CPU has avx2+bmi2+
 // popcnt, scalar otherwise; forcing avx2 on an unsupported CPU warns
@@ -67,15 +73,28 @@ inline Level ViewLevel(const ColumnView& view, std::size_t row) {
   return view.data[row];
 }
 
-// Number of rows r in [begin, end) with ViewLevel(views[i], r) <=
-// bounds[i] for every i in [0, num_views). num_views == 0 counts every
-// row.
-std::uint64_t CountLeq(const ColumnView* views, const std::uint8_t* bounds,
-                       std::size_t num_views, std::size_t begin,
-                       std::size_t end);
+// Number of 64-row words a row bitmap over `rows` rows occupies.
+inline std::size_t MaskWords(std::size_t rows) { return (rows + 63) / 64; }
 
-// Appends the satisfying row indices (same predicate as CountLeq) to
-// *out in ascending order.
+// Writes the bitmap of rows r in [0, end) with ViewLevel(views[i], r)
+// <= bounds[i] for every i in [0, num_views) to words[0,
+// MaskWords(end)) — bits at rows >= end are 0 — and returns the number
+// of set bits. num_views == 0 sets every row.
+std::uint64_t MaskLeq(const ColumnView* views, const std::uint8_t* bounds,
+                      std::size_t num_views, std::size_t end,
+                      std::uint64_t* words);
+
+// Number of rows r in [0, end) whose bit is set in `words` (a bitmap
+// laid out as MaskLeq writes it; bits at rows >= end are ignored) and
+// that satisfy ViewLevel(views[i], r) <= bounds[i] for every i. Blocks
+// whose word is 0 read no column. num_views == 0 counts the set bits.
+std::uint64_t CountLeqMasked(const ColumnView* views,
+                             const std::uint8_t* bounds,
+                             std::size_t num_views,
+                             const std::uint64_t* words, std::size_t end);
+
+// Appends the row indices in [begin, end) satisfying the MaskLeq
+// predicate to *out in ascending order.
 void CollectLeq(const ColumnView* views, const std::uint8_t* bounds,
                 std::size_t num_views, std::size_t begin, std::size_t end,
                 std::vector<std::uint32_t>* out);
@@ -119,8 +138,11 @@ namespace internal {
 
 // Function-pointer table the public entry points dispatch through.
 struct KernelTable {
-  std::uint64_t (*count_leq)(const ColumnView*, const std::uint8_t*,
-                             std::size_t, std::size_t, std::size_t);
+  std::uint64_t (*mask_leq)(const ColumnView*, const std::uint8_t*,
+                            std::size_t, std::size_t, std::uint64_t*);
+  std::uint64_t (*count_leq_masked)(const ColumnView*, const std::uint8_t*,
+                                    std::size_t, const std::uint64_t*,
+                                    std::size_t);
   void (*collect_leq)(const ColumnView*, const std::uint8_t*, std::size_t,
                       std::size_t, std::size_t, std::vector<std::uint32_t>*);
   void (*grid_indices)(const ColumnView*, const std::uint32_t*, std::size_t,

@@ -10,7 +10,9 @@
 // single 32-byte load whose even/odd nibble masks are interleaved with
 // PDEP, 8-bit columns from two loads — and the per-view masks AND
 // together so one popcount (or one bit-iteration for CollectLeq)
-// finishes the whole conjunction for 64 rows.
+// finishes the whole conjunction for 64 rows. MaskLeq stores that word
+// as the row bitmap; CountLeqMasked seeds the AND with a stored word
+// and skips the block's loads when the word is 0.
 
 #include "core/simd_count.h"
 
@@ -72,35 +74,72 @@ inline std::uint64_t BlockMask64(const ColumnView& view, std::uint8_t bound,
   return m0 | (m1 << 32);
 }
 
-// Fused conjunction mask across all views for rows [row, row + 64).
+// Fused conjunction mask across all views for rows [row, row + 64),
+// starting from `mask` (a bitmap word the result must stay within).
 inline std::uint64_t ConjunctionMask64(const ColumnView* views,
                                        const std::uint8_t* bounds,
                                        std::size_t num_views,
-                                       std::size_t row) {
-  std::uint64_t mask = ~std::uint64_t{0};
+                                       std::size_t row,
+                                       std::uint64_t mask = ~std::uint64_t{0}) {
   for (std::size_t i = 0; i < num_views && mask != 0; ++i) {
     mask &= BlockMask64(views[i], bounds[i], row);
   }
   return mask;
 }
 
-std::uint64_t CountLeqAvx2(const ColumnView* views, const std::uint8_t* bounds,
-                           std::size_t num_views, std::size_t begin,
-                           std::size_t end) {
-  if (num_views == 0) return end - begin;
+// Bitmap word for the partial block [row, end), end - row < 64, row by
+// row (a vector load there could read past the column).
+inline std::uint64_t TailMask(const ColumnView* views,
+                              const std::uint8_t* bounds,
+                              std::size_t num_views, std::size_t row,
+                              std::size_t end, std::uint64_t mask) {
+  std::uint64_t word = 0;
+  for (std::size_t r = row; r < end; ++r) {
+    const std::uint64_t bit = std::uint64_t{1} << (r - row);
+    if ((mask & bit) != 0 && RowSatisfies(views, bounds, num_views, r)) {
+      word |= bit;
+    }
+  }
+  return word;
+}
+
+// Blocks start at multiples of 64, so packed4 loads always start on a
+// byte.
+std::uint64_t MaskLeqAvx2(const ColumnView* views, const std::uint8_t* bounds,
+                          std::size_t num_views, std::size_t end,
+                          std::uint64_t* words) {
   std::uint64_t count = 0;
-  std::size_t row = begin;
-  // Align to an even row so packed4 block loads start on a byte.
-  if (AnyPacked4(views, num_views) && (row & 1) != 0 && row < end) {
-    if (RowSatisfies(views, bounds, num_views, row)) ++count;
-    ++row;
-  }
+  std::size_t row = 0;
   for (; row + 64 <= end; row += 64) {
-    count += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(ConjunctionMask64(views, bounds, num_views, row)));
+    const std::uint64_t word = ConjunctionMask64(views, bounds, num_views, row);
+    words[row / 64] = word;
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(word));
   }
-  for (; row < end; ++row) {
-    if (RowSatisfies(views, bounds, num_views, row)) ++count;
+  if (row < end) {
+    const std::uint64_t word =
+        TailMask(views, bounds, num_views, row, end, ~std::uint64_t{0});
+    words[row / 64] = word;
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(word));
+  }
+  return count;
+}
+
+std::uint64_t CountLeqMaskedAvx2(const ColumnView* views,
+                                 const std::uint8_t* bounds,
+                                 std::size_t num_views,
+                                 const std::uint64_t* words,
+                                 std::size_t end) {
+  std::uint64_t count = 0;
+  std::size_t row = 0;
+  for (; row + 64 <= end; row += 64) {
+    const std::uint64_t word = words[row / 64];
+    if (word == 0) continue;
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(
+        ConjunctionMask64(views, bounds, num_views, row, word)));
+  }
+  if (row < end) {
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(
+        TailMask(views, bounds, num_views, row, end, words[row / 64])));
   }
   return count;
 }
@@ -199,8 +238,8 @@ void GridIndicesAvx2(const ColumnView* views, const std::uint32_t* strides,
   }
 }
 
-const internal::KernelTable kAvx2Kernels = {CountLeqAvx2, CollectLeqAvx2,
-                                            GridIndicesAvx2};
+const internal::KernelTable kAvx2Kernels = {
+    MaskLeqAvx2, CountLeqMaskedAvx2, CollectLeqAvx2, GridIndicesAvx2};
 
 }  // namespace
 

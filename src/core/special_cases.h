@@ -26,9 +26,6 @@ struct SpecialCaseOptions {
   ProcessingOrder order = ProcessingOrder::kMidFirst;
   std::size_t top_l = 1;
   std::string provider = "scan";
-  // Accepted for symmetry with DetermineOptions; ignored. MFD runs one
-  // PA/PAP search and MD one count per LHS, both sequentially.
-  std::size_t threads = 0;
   std::size_t prior_sample_size = 200;
   std::uint64_t prior_seed = 99;
   UtilityOptions utility;

@@ -53,6 +53,31 @@ TEST(ScanProviderTest, SubsetModeAgreesWithFullScan) {
   }
 }
 
+TEST(ScanProviderTest, KnownCountRebuildsStaleLhsBitmap) {
+  // A known count only marks the ϕ[X] bitmap stale: the next CountXY
+  // must count against the new ϕ[X], never the previous one's bitmap.
+  MatchingRelation m = RandomMatching(3, 8, 500, 41);
+  ResolvedRule rule{{0, 1}, {2}};
+  ScanMeasureProvider reused(m, rule);
+  ScanMeasureProvider fresh(m, rule);
+  fresh.SetLhs({2, 3});
+  reused.SetLhs({7, 6});
+  reused.CountXY({4});
+  reused.SetLhsWithKnownCount({2, 3}, fresh.lhs_count());
+  for (int y = 0; y <= 8; ++y) {
+    EXPECT_EQ(reused.CountXY({y}), fresh.CountXY({y})) << y;
+  }
+  // An impossible ϕ[X] (negative bound) matches nothing, whether it
+  // arrives through SetLhs or as a known count after a broad ϕ[X].
+  reused.SetLhs({-1, 8});
+  EXPECT_EQ(reused.lhs_count(), 0u);
+  EXPECT_EQ(reused.CountXY({8}), 0u);
+  reused.SetLhs({8, 8});
+  reused.CountXY({8});
+  reused.SetLhsWithKnownCount({8, -1}, 0);
+  EXPECT_EQ(reused.CountXY({8}), 0u);
+}
+
 TEST(GridProviderTest, AgreesWithScanProviderExhaustively) {
   MatchingRelation m = RandomMatching(2, 6, 300, 23);
   ResolvedRule rule{{0}, {1}};
@@ -106,6 +131,14 @@ TEST(ProviderStatsTest, CountersTrackWork) {
   EXPECT_EQ(provider.stats().rows_scanned, 18u);  // 3 scans x 6 rows
   provider.ResetStats();
   EXPECT_EQ(provider.stats().xy_evaluations, 0u);
+  // A known count scans nothing; the CountXY after it still counts one
+  // full pass, although it also rebuilds the deferred ϕ[X] bitmap.
+  provider.SetLhsWithKnownCount({1}, 3);
+  EXPECT_EQ(provider.stats().rows_scanned, 0u);
+  EXPECT_EQ(provider.CountXY({1}), 2u);
+  EXPECT_EQ(provider.stats().rows_scanned, 6u);
+  EXPECT_EQ(provider.CountXY({4}), 3u);
+  EXPECT_EQ(provider.stats().rows_scanned, 12u);
 }
 
 TEST(ProviderStatsTest, KnownCountPathCountsLhsEvaluations) {

@@ -201,13 +201,14 @@ TEST(ParallelDeterminismTest, SpecialCasesBitIdenticalAcrossThreads) {
   const RuleSpec rule{{"a0", "a1"}, {"a2"}};
   SpecialCaseOptions options;
   options.top_l = 3;
-  options.threads = 1;
+  const std::vector<std::size_t> thread_counts = TestThreadCounts();
+  SetDefaultThreads(1);
   auto mfd_seq = DetermineMfdThresholds(m, rule, options);
   auto md_seq = DetermineMdThresholds(m, rule, options);
   ASSERT_TRUE(mfd_seq.ok());
   ASSERT_TRUE(md_seq.ok());
-  for (std::size_t threads : TestThreadCounts()) {
-    options.threads = threads;
+  for (std::size_t threads : thread_counts) {
+    SetDefaultThreads(threads);
     auto mfd = DetermineMfdThresholds(m, rule, options);
     auto md = DetermineMdThresholds(m, rule, options);
     ASSERT_TRUE(mfd.ok());
@@ -215,6 +216,7 @@ TEST(ParallelDeterminismTest, SpecialCasesBitIdenticalAcrossThreads) {
     ExpectSameResult(*mfd_seq, *mfd, "mfd threads=" + std::to_string(threads));
     ExpectSameResult(*md_seq, *md, "md threads=" + std::to_string(threads));
   }
+  SetDefaultThreads(0);
 }
 
 // EXPLAIN-instrumented runs: the waterfall totals (and the accounting

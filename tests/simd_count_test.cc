@@ -1,16 +1,17 @@
 // Equivalence and bit-identity tests for the SIMD counting kernels
 // (core/simd_count.h). The contract under test is absolute: the AVX2
 // kernels must produce exactly the scalar kernels' outputs — counts,
-// row lists (including order), grid indices — for every packing, bound
-// pattern, range alignment and length, and therefore full determination
-// runs must be bit-identical under DD_SIMD=scalar and auto at any
-// thread count.
+// row bitmaps, row lists (including order), grid indices — for every
+// packing, bound pattern, range alignment and length, and therefore
+// full determination runs must be bit-identical under DD_SIMD=scalar
+// and auto at any thread count.
 
 #include "core/simd_count.h"
 
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,17 +65,94 @@ Fixture MakeFixture(std::size_t num_views, std::size_t rows, int dmax,
 
 // Reference results straight from ViewLevel, independent of either
 // kernel implementation.
+bool BruteRow(const Fixture& f, std::size_t row) {
+  for (std::size_t i = 0; i < f.views.size(); ++i) {
+    if (simd::ViewLevel(f.views[i], row) > f.bounds[i]) return false;
+  }
+  return true;
+}
+
 std::uint64_t BruteCount(const Fixture& f, std::size_t begin,
                          std::size_t end) {
   std::uint64_t count = 0;
   for (std::size_t row = begin; row < end; ++row) {
-    bool ok = true;
-    for (std::size_t i = 0; i < f.views.size(); ++i) {
-      if (simd::ViewLevel(f.views[i], row) > f.bounds[i]) ok = false;
-    }
-    if (ok) ++count;
+    if (BruteRow(f, row)) ++count;
   }
   return count;
+}
+
+std::vector<std::uint64_t> BruteMask(const Fixture& f, std::size_t end) {
+  std::vector<std::uint64_t> words(simd::MaskWords(end), 0);
+  for (std::size_t row = 0; row < end; ++row) {
+    if (BruteRow(f, row)) words[row / 64] |= std::uint64_t{1} << (row % 64);
+  }
+  return words;
+}
+
+std::uint64_t BruteMaskedCount(const Fixture& f,
+                               const std::vector<std::uint64_t>& words,
+                               std::size_t end) {
+  std::uint64_t count = 0;
+  for (std::size_t row = 0; row < end; ++row) {
+    if (((words[row / 64] >> (row % 64)) & 1) != 0 && BruteRow(f, row)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// The kernel tables to check: scalar always, AVX2 when the CPU has it.
+std::vector<std::pair<const char*, const KernelTable*>> Tables() {
+  std::vector<std::pair<const char*, const KernelTable*>> tables = {
+      {"scalar", &kScalarKernels}};
+  if (simd::CpuSupportsAvx2()) {
+    EXPECT_NE(Avx2Kernels(), nullptr);
+    if (Avx2Kernels() != nullptr) tables.emplace_back("avx2", Avx2Kernels());
+  }
+  return tables;
+}
+
+// MaskLeq over rows [0, end): every word written (a poisoned buffer
+// must come back exactly as the brute bitmap, tail bits cleared) and
+// the returned count equal to its popcount.
+void CheckMaskLeq(const Fixture& f, std::size_t end, const std::string& label) {
+  const std::vector<std::uint64_t> expected = BruteMask(f, end);
+  const std::uint64_t expected_count = BruteCount(f, 0, end);
+  for (const auto& [name, table] : Tables()) {
+    std::vector<std::uint64_t> words(expected.size(), 0xA5A5A5A5A5A5A5A5ULL);
+    EXPECT_EQ(table->mask_leq(f.views.data(), f.bounds.data(), f.views.size(),
+                              end, words.data()),
+              expected_count)
+        << label << " " << name;
+    EXPECT_EQ(words, expected) << label << " " << name;
+  }
+}
+
+// CountLeqMasked over rows [0, end) against the fixture's own bitmap, a
+// random one, all-zero and all-ones (whose bits past `end` must be
+// ignored).
+void CheckCountLeqMasked(const Fixture& f, std::size_t end,
+                         std::uint64_t seed, const std::string& label) {
+  const std::size_t n = simd::MaskWords(end);
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> random(n);
+  for (std::size_t w = 0; w < n; ++w) {
+    // Every third word empty, the rest dense or sparse.
+    random[w] = w % 3 == 2 ? 0 : w % 3 == 1 ? rng() & rng() & rng() : rng();
+  }
+  const std::vector<std::vector<std::uint64_t>> masks = {
+      BruteMask(f, end), random, std::vector<std::uint64_t>(n, 0),
+      std::vector<std::uint64_t>(n, ~std::uint64_t{0})};
+  const char* kinds[] = {"self", "random", "zeros", "ones"};
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    const std::uint64_t expected = BruteMaskedCount(f, masks[k], end);
+    for (const auto& [name, table] : Tables()) {
+      EXPECT_EQ(table->count_leq_masked(f.views.data(), f.bounds.data(),
+                                        f.views.size(), masks[k].data(), end),
+                expected)
+          << label << " " << name << " mask=" << kinds[k];
+    }
+  }
 }
 
 void CheckAllKernels(const Fixture& f, std::size_t begin, std::size_t end,
@@ -84,21 +162,15 @@ void CheckAllKernels(const Fixture& f, std::size_t begin, std::size_t end,
   kScalarKernels.collect_leq(f.views.data(), f.bounds.data(), f.views.size(),
                              begin, end, &expected_rows);
   ASSERT_EQ(expected_rows.size(), expected) << label;
-  ASSERT_EQ(kScalarKernels.count_leq(f.views.data(), f.bounds.data(),
-                                     f.views.size(), begin, end),
-            expected)
-      << label;
   // The collected list must be ascending with no duplicates.
   for (std::size_t i = 1; i < expected_rows.size(); ++i) {
     ASSERT_LT(expected_rows[i - 1], expected_rows[i]) << label;
   }
+  CheckMaskLeq(f, end, label);
+  CheckCountLeqMasked(f, end, begin * 131 + end, label);
   if (!simd::CpuSupportsAvx2()) return;
   const KernelTable* avx2 = Avx2Kernels();
   ASSERT_NE(avx2, nullptr);
-  EXPECT_EQ(avx2->count_leq(f.views.data(), f.bounds.data(), f.views.size(),
-                            begin, end),
-            expected)
-      << label;
   std::vector<std::uint32_t> avx2_rows;
   avx2->collect_leq(f.views.data(), f.bounds.data(), f.views.size(), begin,
                     end, &avx2_rows);
@@ -106,10 +178,11 @@ void CheckAllKernels(const Fixture& f, std::size_t begin, std::size_t end,
 }
 
 TEST(SimdCountTest, RandomizedEquivalenceAcrossDmaxAndLengths) {
-  // dmax 1/4/14 exercise the 4-bit packing (14 is its edge), 200 the
-  // 8-bit path with bounds above 127 (signedness trap for cmpgt-based
-  // idioms).
-  const int dmaxes[] = {1, 4, 14, 200};
+  // dmax 1/4/14 exercise the 4-bit packing (14 is its edge, 15 the first
+  // 8-bit one), 200 the 8-bit path with bounds above 127 (signedness
+  // trap for cmpgt-based idioms). The inner and mid ranges give odd
+  // ends and ends that are not a multiple of 64.
+  const int dmaxes[] = {1, 4, 14, 15, 200};
   const std::size_t lengths[] = {0,  1,  2,  3,   31,   32,   33,  63,
                                  64, 65, 127, 129, 1000, 4097, 10000};
   std::uint32_t seed = 7;
@@ -132,7 +205,7 @@ TEST(SimdCountTest, RandomizedEquivalenceAcrossDmaxAndLengths) {
 }
 
 TEST(SimdCountTest, AllMatchAndNoMatchEdges) {
-  for (int dmax : {1, 14, 200}) {
+  for (int dmax : {1, 14, 15, 200}) {
     const std::size_t rows = 1337;
     // Every level at dmax: bound dmax-? decides everything at once.
     Fixture f;
@@ -149,10 +222,24 @@ TEST(SimdCountTest, AllMatchAndNoMatchEdges) {
 }
 
 TEST(SimdCountTest, ZeroViewsCountsEveryRow) {
-  Fixture f = MakeFixture(1, 100, 5, 3);
-  EXPECT_EQ(kScalarKernels.count_leq(nullptr, nullptr, 0, 10, 90), 80u);
-  if (simd::CpuSupportsAvx2()) {
-    EXPECT_EQ(Avx2Kernels()->count_leq(nullptr, nullptr, 0, 10, 90), 80u);
+  // No view: MaskLeq sets exactly rows [0, end) and CountLeqMasked
+  // counts the bitmap's set bits below `end`.
+  const Fixture none;
+  for (std::size_t end : {std::size_t{0}, std::size_t{64}, std::size_t{90},
+                          std::size_t{129}}) {
+    const std::string label = "zero views end=" + std::to_string(end);
+    CheckMaskLeq(none, end, label);
+    CheckCountLeqMasked(none, end, end, label);
+  }
+  for (const auto& [name, table] : Tables()) {
+    std::vector<std::uint64_t> words(2);
+    EXPECT_EQ(table->mask_leq(nullptr, nullptr, 0, 90, words.data()), 90u)
+        << name;
+    EXPECT_EQ(words[0], ~std::uint64_t{0}) << name;
+    EXPECT_EQ(words[1], (std::uint64_t{1} << 26) - 1) << name;
+    EXPECT_EQ(table->count_leq_masked(nullptr, nullptr, 0, words.data(), 70),
+              70u)
+        << name;
   }
 }
 
