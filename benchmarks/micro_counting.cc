@@ -4,25 +4,28 @@
 // lattice prune cost.
 //
 // Before the google-benchmark suite, main() emits a SIMD-vs-scalar
-// kernel matrix (packing × dmax × rows for the fused MaskLeq and the
-// GridIndices kernels, DESIGN.md §17) as BENCH_JSON rows:
+// kernel matrix (DESIGN.md §17) as BENCH_JSON rows: packing × dmax ×
+// rows for the fused MaskLeq and the GridIndices kernels,
 //   BENCH_JSON {"bench": "micro_counting", "phase":
 //               "countxy_avx2_d4_r100000", "rows": N, "dmax": D,
 //               "packing": "4bit", "elapsed_s": W,
 //               "speedup_vs_scalar": S, "host_cores": C,
 //               "run_id": "..."}
-// speedup_vs_scalar divides the scalar kernel's wall time for the same
-// shape by this row's (1.0 on scalar rows). Then a provider pair times
-// a full ϕ[Y] sweep (121 CountXY calls) of the "scan" and
-// "scan_subset" providers at a broad ϕ[X] {10,10} and a selective one
-// {2,2}, on the active kernels:
+// and AndCount over n = 2 and 3 row bitmaps (the CountXY shapes of a
+// one- and a two-attribute ϕ[Y]),
 //   BENCH_JSON {"bench": "micro_counting", "phase":
-//               "provider_scan_subset_x2_r100000", "rows": N,
+//               "andcount_avx2_n2_r100000", "rows": N, "bitmaps": n,
+//               "elapsed_s": W, "speedup_vs_scalar": S, ...}
+// speedup_vs_scalar divides the scalar kernel's wall time for the same
+// shape by this row's (1.0 on scalar rows). Then the scan provider
+// times a full ϕ[Y] sweep (121 CountXY calls) at a broad ϕ[X] {10,10}
+// and a selective one {2,2}, on the active kernels:
+//   BENCH_JSON {"bench": "micro_counting", "phase":
+//               "provider_scan_x2_r100000", "rows": N,
 //               "lhs_count": L, "sweeps": K, "elapsed_s": W,
-//               "speedup_vs_scan": S, "host_cores": C, "run_id": "..."}
-// elapsed_s is the best-of-3 time of K back-to-back sweeps;
-// speedup_vs_scan divides the scan provider's time by this row's (1.0
-// on scan rows). AVX2 rows appear only on
+//               "host_cores": C, "run_id": "..."}
+// elapsed_s is the best-of-3 time of K back-to-back sweeps (or kernel
+// passes). AVX2 rows appear only on
 // hosts that pass the CPUID dispatch check; tools/benchcmp reports
 // unmatched keys without failing, so captures from AVX2 and non-AVX2
 // hosts stay comparable on the scalar rows. The matrix runs even when
@@ -292,44 +295,83 @@ void EmitKernelMatrix() {
       }
     }
   }
+
+  // AndCount over bitmaps of "level <= 7" at dmax 10 (8/11 of the rows
+  // set), with no output store, as CountXY calls it.
+  for (std::size_t rows : {std::size_t{100000}, std::size_t{1000000}}) {
+    dd::MatchingRelation m = RandomMatching(3, 10, rows, 1);
+    const std::size_t words = dd::simd::MaskWords(rows);
+    std::vector<std::vector<std::uint64_t>> bitmaps(
+        3, std::vector<std::uint64_t>(words));
+    std::vector<const std::uint64_t*> inputs;
+    for (std::size_t a = 0; a < bitmaps.size(); ++a) {
+      const dd::simd::ColumnView view = dd::simd::View(m.column(a));
+      const std::uint8_t bound = 7;
+      dd::simd::MaskLeq(&view, &bound, 1, rows, bitmaps[a].data());
+      inputs.push_back(bitmaps[a].data());
+    }
+    // About 10M words per timed repetition.
+    const int iters = static_cast<int>(10000000 / words);
+    for (std::size_t n : {std::size_t{2}, std::size_t{3}}) {
+      std::uint64_t sink = 0;
+      const double scalar_s = TimeBest(iters, [&] {
+        sink += kScalarKernels.and_count(inputs.data(), n, words, nullptr);
+      });
+      const double avx2_s =
+          avx2 == nullptr ? 0.0 : TimeBest(iters, [&] {
+            sink += avx2->and_count(inputs.data(), n, words, nullptr);
+          });
+      if (sink == 0xdeadbeef) std::fprintf(stderr, "impossible\n");
+      std::printf(
+          "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+          "\"andcount_scalar_n%zu_r%zu\", \"rows\": %zu, \"bitmaps\": %zu, "
+          "\"elapsed_s\": %.6f, \"speedup_vs_scalar\": 1.000, "
+          "\"host_cores\": %u, \"run_id\": \"%s\"}\n",
+          n, rows, rows, n, scalar_s, host_cores, run_id.c_str());
+      if (avx2_s > 0.0) {
+        std::printf(
+            "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+            "\"andcount_avx2_n%zu_r%zu\", \"rows\": %zu, \"bitmaps\": %zu, "
+            "\"elapsed_s\": %.6f, \"speedup_vs_scalar\": %.3f, "
+            "\"host_cores\": %u, \"run_id\": \"%s\"}\n",
+            n, rows, rows, n, avx2_s, scalar_s / avx2_s, host_cores,
+            run_id.c_str());
+      }
+    }
+  }
   std::fflush(stdout);
 }
 
-// Does the scan_subset provider's random-access loop over the ϕ[X] rows
-// still beat the full scan's bitmap-masked pass? Both answer the same
-// counts; only the ϕ[Y] sweep after SetLhs is timed.
-void EmitProviderPair() {
+// One ϕ[Y] sweep of the scan provider after SetLhs, at a broad and a
+// selective ϕ[X]; the index build and SetLhs are not timed.
+void EmitProviderSweep() {
   const unsigned host_cores =
       std::max(1u, std::thread::hardware_concurrency());
   const std::string run_id = BenchRunId();
   const dd::ResolvedRule rule{{0, 1}, {2, 3}};
   for (std::size_t rows : {std::size_t{100000}, std::size_t{500000}}) {
     dd::MatchingRelation m = RandomMatching(4, 10, rows, 1);
+    dd::ScanMeasureProvider provider(m, rule);
     for (int x : {10, 2}) {
-      double scan_s = 0.0;
-      for (bool full_scan : {true, false}) {
-        dd::ScanMeasureProvider provider(m, rule, full_scan);
-        provider.SetLhs({x, x});
-        std::uint64_t sink = 0;
-        const int sweeps = rows >= 500000 ? 2 : 10;
-        const double s = TimeBest(sweeps, [&] {
-          for (int y0 = 0; y0 <= 10; ++y0) {
-            for (int y1 = 0; y1 <= 10; ++y1) {
-              sink += provider.CountXY({y0, y1});
-            }
+      provider.SetLhs({x, x});
+      std::uint64_t sink = 0;
+      const int sweeps = rows >= 500000 ? 2 : 10;
+      const double s = TimeBest(sweeps, [&] {
+        for (int y0 = 0; y0 <= 10; ++y0) {
+          for (int y1 = 0; y1 <= 10; ++y1) {
+            sink += provider.CountXY({y0, y1});
           }
-        });
-        if (sink == 0xdeadbeef) std::fprintf(stderr, "impossible\n");
-        if (full_scan) scan_s = s;
-        std::printf(
-            "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
-            "\"provider_%s_x%d_r%zu\", \"rows\": %zu, \"lhs_count\": %llu, "
-            "\"sweeps\": %d, \"elapsed_s\": %.6f, \"speedup_vs_scan\": %.3f, "
-            "\"host_cores\": %u, \"run_id\": \"%s\"}\n",
-            full_scan ? "scan" : "scan_subset", x, rows, rows,
-            static_cast<unsigned long long>(provider.lhs_count()), sweeps, s,
-            scan_s / s, host_cores, run_id.c_str());
-      }
+        }
+      });
+      if (sink == 0xdeadbeef) std::fprintf(stderr, "impossible\n");
+      std::printf(
+          "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+          "\"provider_scan_x%d_r%zu\", \"rows\": %zu, \"lhs_count\": %llu, "
+          "\"sweeps\": %d, \"elapsed_s\": %.6f, \"host_cores\": %u, "
+          "\"run_id\": \"%s\"}\n",
+          x, rows, rows,
+          static_cast<unsigned long long>(provider.lhs_count()), sweeps, s,
+          host_cores, run_id.c_str());
     }
   }
   std::fflush(stdout);
@@ -339,7 +381,7 @@ void EmitProviderPair() {
 
 int main(int argc, char** argv) {
   EmitKernelMatrix();
-  EmitProviderPair();
+  EmitProviderSweep();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -11,7 +11,7 @@ namespace dd::approx {
 namespace {
 
 // Inner provider over one stratum: O(1) grid when the lattice fits,
-// else the subset scan (both exact — the approximation lives entirely
+// else the bitmap-index scan (both exact — the approximation lives entirely
 // in the stratum weights, never in the inner counts).
 Result<std::unique_ptr<MeasureProvider>> MakeInnerProvider(
     const MatchingRelation& stratum, const ResolvedRule& resolved) {
@@ -19,8 +19,8 @@ Result<std::unique_ptr<MeasureProvider>> MakeInnerProvider(
       MakeMeasureProvider(stratum, resolved, "grid");
   if (grid.ok()) return grid;
   DD_LOG(INFO) << "approx inner grid rejected (" << grid.status().message()
-               << "); falling back to scan_subset";
-  return MakeMeasureProvider(stratum, resolved, "scan_subset");
+               << "); falling back to scan";
+  return MakeMeasureProvider(stratum, resolved, "scan");
 }
 
 }  // namespace

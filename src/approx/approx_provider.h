@@ -35,7 +35,7 @@ namespace dd::approx {
 class ApproxMeasureProvider : public MeasureProvider {
  public:
   // Builds the per-stratum inner providers ("grid", falling back to
-  // "scan_subset" when the lattice exceeds the grid cell bound) for
+  // "scan" when the lattice exceeds the grid cell bound) for
   // `rule` over the sample's two strata. The sample must outlive the
   // provider and not grow while it is alive (refine.h builds a fresh
   // provider per round).

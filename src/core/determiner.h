@@ -32,7 +32,7 @@ struct DetermineOptions {
   ProcessingOrder order = ProcessingOrder::kTopFirst;
   // Number of answers (l-th largest expected utility extension).
   std::size_t top_l = 1;
-  // Measure provider: "scan" (paper-faithful), "scan_subset", "grid".
+  // Measure provider: "scan" (paper-faithful) or "grid".
   std::string provider = "scan";
   // Concurrency of the search (0 = DefaultThreads(), i.e. the --threads
   // flag / DD_THREADS env). Parallelism is across LHS candidates only

@@ -177,11 +177,7 @@ Result<std::unique_ptr<MeasureProvider>> MakeMeasureProvider(
     std::string_view kind, std::size_t /*ignored*/) {
   if (kind == "scan") {
     return std::unique_ptr<MeasureProvider>(
-        new ScanMeasureProvider(matching, rule, /*full_scan=*/true));
-  }
-  if (kind == "scan_subset") {
-    return std::unique_ptr<MeasureProvider>(
-        new ScanMeasureProvider(matching, rule, /*full_scan=*/false));
+        new ScanMeasureProvider(matching, rule));
   }
   if (kind == "grid") {
     DD_ASSIGN_OR_RETURN(auto grid, GridMeasureProvider::Create(matching, rule));

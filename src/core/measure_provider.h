@@ -6,9 +6,11 @@
 //
 // ScanMeasureProvider is the paper-faithful implementation: every count
 // is an O(M) pass over the matching tuples (the cost the pruning
-// techniques of §V are designed to avoid). In full-scan mode SetLhs
-// evaluates ϕ[X] once into a row bitmap and each CountXY ANDs the ϕ[Y]
-// column masks against it, but stats still charge M rows per count. GridMeasureProvider is an
+// techniques of §V are designed to avoid). It answers each pass from a
+// range-encoded level-bitmap index — one "level <= t" row bitmap per
+// rule attribute and level — so SetLhs ANDs the ϕ[X] bitmaps into a
+// row mask and each CountXY is one AND + popcount of that mask with
+// the ϕ[Y] bitmaps, M/64 words long. GridMeasureProvider is an
 // extension: a prefix-sum grid over the (dmax+1)^c threshold lattice
 // that answers each count in O(1) after an O(M + d^c) build. Both
 // providers return identical counts (asserted by property tests).
@@ -37,11 +39,14 @@ struct ProviderStats {
   // Number of CountXY calls (one per evaluated ϕ[Y] candidate).
   std::uint64_t xy_evaluations = 0;
   // Matching tuples touched by QUERY-TIME scans (SetLhs / CountXY)
-  // only. The grid providers answer queries from their prefix-sum grids
-  // without touching M, so this stays 0 for them BY CONTRACT even
-  // though their construction makes one O(M) histogram pass — build
-  // cost is reported through the "grid_build" trace span and the
-  // provider.grid_cells gauge instead, keeping this field the
+  // only, in the paper's cost model: the scan provider adds M per
+  // SetLhs and per CountXY although it reads its bitmap index rather
+  // than the level columns, and 0 for SetLhsWithKnownCount; its index
+  // build is not counted. The grid providers answer queries from their
+  // prefix-sum grids without touching M, so this stays 0 for them BY
+  // CONTRACT even though their construction makes one O(M) histogram
+  // pass — build cost is reported through the "grid_build" trace span
+  // and the provider.grid_cells gauge instead, keeping this field the
   // per-query scan work that the paper's pruning experiments plot.
   std::uint64_t rows_scanned = 0;
 };
@@ -115,25 +120,25 @@ class MeasureProvider {
   ProviderStats stats_;
 };
 
-// Paper-faithful O(M)-per-count provider.
+// Paper-faithful O(M)-per-count provider over a range-encoded
+// level-bitmap index (Chan & Ioannidis, SIGMOD 1998), built at
+// construction: for each slot (rule.lhs then rule.rhs) and each level
+// t in [0, dmax), one row bitmap (simd::MaskLeq layout, MaskWords(M)
+// words) of the tuples whose level is <= t. A bound >= dmax needs no
+// bitmap (every tuple passes) and a bound < 0 matches no tuple. The
+// index takes (|X|+|Y|)·dmax·⌈M/64⌉·8 bytes, is shared by clones and is
+// freed with the provider family.
 class ScanMeasureProvider : public MeasureProvider {
  public:
-  // `full_scan` selects between re-scanning all of M for every CountXY
-  // (exactly the paper's cost model; default) and scanning only the
-  // tuples already known to satisfy ϕ[X] (a natural optimization that
-  // preserves results). The full scan reads the ϕ[Y] columns of all M
-  // rows against a ϕ[X] row bitmap built once per SetLhs, skipping the
-  // 64-row blocks no ϕ[X] row falls in; rows_scanned still adds M per
-  // SetLhs and per CountXY.
-  ScanMeasureProvider(const MatchingRelation& matching, ResolvedRule rule,
-                      bool full_scan = true);
+  // Builds the index (trace span "scan_index_build", gauge
+  // mem.scan_index_bytes). `matching` is not referenced afterwards.
+  ScanMeasureProvider(const MatchingRelation& matching,
+                      const ResolvedRule& rule);
 
-  std::uint64_t total() const override;
+  std::uint64_t total() const override { return total_; }
   void SetLhs(const Levels& lhs) override;
-  // In full-scan mode a known count defers the ϕ[X] bitmap: the first
-  // CountXY after it rebuilds the bitmap (unaccounted in rows_scanned,
-  // as the scan this call saves is), so an LHS pruned before any ϕ[Y]
-  // costs no pass. Subset mode still needs the row list now.
+  // Builds the same ϕ[X] mask as SetLhs, charging no rows, and checks
+  // its popcount against `known_count`.
   void SetLhsWithKnownCount(const Levels& lhs,
                             std::uint64_t known_count) override;
   std::uint64_t lhs_count() const override { return lhs_count_; }
@@ -142,23 +147,35 @@ class ScanMeasureProvider : public MeasureProvider {
 
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
 
- private:
-  // Evaluates current_lhs_ into lhs_mask_ (one MaskLeq pass) and
-  // returns its count.
-  std::uint64_t BuildLhsMask();
+  // Heap bytes of the shared index. Clones share it, so sum this once
+  // per provider family. Feeds the mem.scan_index_bytes gauge.
+  std::size_t MemoryUsageBytes() const {
+    return index_->capacity() * sizeof(std::uint64_t);
+  }
 
-  const MatchingRelation& matching_;
-  ResolvedRule rule_;
-  bool full_scan_;
+ private:
+  ScanMeasureProvider() = default;
+
+  // Appends to inputs_ the index bitmaps for `levels` over the slots
+  // starting at `first_slot`, skipping bounds >= dmax. Returns false
+  // when a bound is negative (no tuple can match).
+  bool AppendBitmaps(std::size_t first_slot, const Levels& levels);
+  // Evaluates `lhs` into lhs_mask_ and returns its count.
+  std::uint64_t BuildLhsMask(const Levels& lhs);
+
+  std::uint64_t total_ = 0;
+  int dmax_ = 0;
+  std::size_t words_ = 0;  // MaskWords(total_), the words per bitmap.
+  std::size_t lhs_dims_ = 0;
+  std::size_t rhs_dims_ = 0;
+  // Layout [slot][t][word]; immutable after construction.
+  std::shared_ptr<const std::vector<std::uint64_t>> index_;
   Levels current_lhs_;
   std::uint64_t lhs_count_ = 0;
-  // Full-scan mode: the current ϕ[X] as a row bitmap (simd::MaskLeq
-  // layout, M/64 words, owned per clone). SetLhsWithKnownCount only
-  // marks it stale; the next CountXY rebuilds it.
+  // The current ϕ[X] as a row bitmap, owned per clone.
   std::vector<std::uint64_t> lhs_mask_;
-  bool lhs_mask_stale_ = true;  // No ϕ[X] evaluated yet.
-  // Row indices satisfying the current ϕ[X]; used when !full_scan_.
-  std::vector<std::uint32_t> lhs_rows_;
+  // AndCount inputs of the current call (reused to avoid allocation).
+  std::vector<const std::uint64_t*> inputs_;
 };
 
 // O(1)-per-count provider over an inclusive prefix-sum grid.
@@ -224,8 +241,8 @@ class GridMeasureProvider : public MeasureProvider {
   std::uint64_t lhs_count_ = 0;
 };
 
-// Convenience: builds the provider requested by name ("scan",
-// "scan_subset", "grid"). The trailing size_t is ignored; it stays so
+// Convenience: builds the provider requested by name ("scan" or
+// "grid"). The trailing size_t is ignored; it stays so
 // that callers passing a thread count keep compiling. Every count is
 // single-threaded: determination parallelism lives across LHS
 // candidates (core/da.cc).

@@ -13,9 +13,9 @@ namespace dd::simd {
 
 namespace {
 
-// The predicate all scalar kernels share. Early exit mirrors the seed's
-// Satisfies(); the result is order-independent, so the vector kernels
-// (no early exit) count identically.
+// The row predicate of the scalar MaskLeq. The result is
+// order-independent, so the vector kernel (no early exit) masks
+// identically.
 inline bool RowSatisfies(const ColumnView* views, const std::uint8_t* bounds,
                          std::size_t num_views, std::size_t row) {
   for (std::size_t i = 0; i < num_views; ++i) {
@@ -43,32 +43,17 @@ std::uint64_t MaskLeqScalar(const ColumnView* views,
   return count;
 }
 
-std::uint64_t CountLeqMaskedScalar(const ColumnView* views,
-                                   const std::uint8_t* bounds,
-                                   std::size_t num_views,
-                                   const std::uint64_t* words,
-                                   std::size_t end) {
+std::uint64_t AndCountScalar(const std::uint64_t* const* inputs,
+                             std::size_t n, std::size_t words,
+                             std::uint64_t* out) {
   std::uint64_t count = 0;
-  for (std::size_t w = 0; w < MaskWords(end); ++w) {
-    std::uint64_t word = words[w];
-    if (end - w * 64 < 64) word &= (std::uint64_t{1} << (end - w * 64)) - 1;
-    for (; word != 0; word &= word - 1) {
-      const std::size_t row =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-      if (RowSatisfies(views, bounds, num_views, row)) ++count;
-    }
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = inputs[0][w];
+    for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
+    if (out != nullptr) out[w] = word;
+    count += static_cast<std::uint64_t>(std::popcount(word));
   }
   return count;
-}
-
-void CollectLeqScalar(const ColumnView* views, const std::uint8_t* bounds,
-                      std::size_t num_views, std::size_t begin, std::size_t end,
-                      std::vector<std::uint32_t>* out) {
-  for (std::size_t row = begin; row < end; ++row) {
-    if (RowSatisfies(views, bounds, num_views, row)) {
-      out->push_back(static_cast<std::uint32_t>(row));
-    }
-  }
 }
 
 void GridIndicesScalar(const ColumnView* views, const std::uint32_t* strides,
@@ -205,19 +190,9 @@ std::uint64_t MaskLeq(const ColumnView* views, const std::uint8_t* bounds,
                                             words);
 }
 
-std::uint64_t CountLeqMasked(const ColumnView* views,
-                             const std::uint8_t* bounds,
-                             std::size_t num_views,
-                             const std::uint64_t* words, std::size_t end) {
-  return internal::ActiveKernels().count_leq_masked(views, bounds, num_views,
-                                                    words, end);
-}
-
-void CollectLeq(const ColumnView* views, const std::uint8_t* bounds,
-                std::size_t num_views, std::size_t begin, std::size_t end,
-                std::vector<std::uint32_t>* out) {
-  internal::ActiveKernels().collect_leq(views, bounds, num_views, begin, end,
-                                        out);
+std::uint64_t AndCount(const std::uint64_t* const* inputs, std::size_t n,
+                       std::size_t words, std::uint64_t* out) {
+  return internal::ActiveKernels().and_count(inputs, n, words, out);
 }
 
 void GridIndices(const ColumnView* views, const std::uint32_t* strides,
@@ -229,8 +204,8 @@ void GridIndices(const ColumnView* views, const std::uint32_t* strides,
 
 namespace internal {
 
-const KernelTable kScalarKernels = {MaskLeqScalar, CountLeqMaskedScalar,
-                                    CollectLeqScalar, GridIndicesScalar};
+const KernelTable kScalarKernels = {MaskLeqScalar, AndCountScalar,
+                                    GridIndicesScalar};
 
 const KernelTable& ActiveKernels() {
   if (const KernelTable* table = g_active.load(std::memory_order_acquire);

@@ -1,29 +1,27 @@
-// SIMD counting kernels over packed level columns, with runtime dispatch.
+// SIMD counting kernels over packed level columns and row bitmaps, with
+// runtime dispatch.
 //
-// The determination hot loops reduce to four primitives over the
-// PackedColumn slabs of a MatchingRelation:
+// The determination hot loops reduce to three primitives:
 //
-//   MaskLeq         rows r in [0, end) with level_i(r) <= bounds[i] for
-//                   every column view i, written as a row bitmap (one
-//                   uint64 word per 64 rows, bit b of word w = row
-//                   64w + b) and counted — one fused pass evaluates a
-//                   whole ϕ[X] (ScanMeasureProvider SetLhs);
-//   CountLeqMasked  rows set in such a bitmap that also satisfy the
-//                   predicate on further views — a ϕ[XY] count that
-//                   reads only the ϕ[Y] columns (ScanMeasureProvider
-//                   CountXY);
-//   CollectLeq      the predicate again, appending the satisfying row
-//                   indices in ascending order (scan_subset SetLhs);
-//   GridIndices     per-row linearized grid cell sum_i level_i(r)*strides[i]
-//                   (the histogram pass of GridMeasureProvider /
-//                   DeltaGridProvider / the streaming exact build).
+//   MaskLeq      rows r in [0, end) with level_i(r) <= bounds[i] for
+//                every column view i, written as a row bitmap (one
+//                uint64 word per 64 rows, bit b of word w = row 64w + b)
+//                and counted — ScanMeasureProvider builds its level
+//                bitmap index with it, one view and one bound per
+//                bitmap;
+//   AndCount     the popcount of the AND of n row bitmaps, optionally
+//                stored — a ϕ[X] mask (ScanMeasureProvider SetLhs) or a
+//                ϕ[XY] count (CountXY) straight from that index;
+//   GridIndices  per-row linearized grid cell sum_i level_i(r)*strides[i]
+//                (the histogram pass of GridMeasureProvider /
+//                DeltaGridProvider / the streaming exact build).
 //
 // Each primitive has a scalar implementation and an AVX2 one (compiled
 // in simd_count_avx2.cc with -mavx2 -mbmi2 -mpopcnt on that TU only);
 // both produce bit-identical results — the counts and bitmap words are
-// exact, and CollectLeq/GridIndices outputs are order-preserving — so
-// dispatch never changes determination output, only speed. The active
-// kernel table is resolved once, lazily, from (in precedence order) the
+// exact, and GridIndices outputs are order-preserving — so dispatch
+// never changes determination output, only speed. The active kernel
+// table is resolved once, lazily, from (in precedence order) the
 // programmatic SetSimdMode (ddtool --simd), the DD_SIMD environment
 // variable, and CPUID: auto picks AVX2 when the CPU has avx2+bmi2+
 // popcnt, scalar otherwise; forcing avx2 on an unsupported CPU warns
@@ -31,11 +29,10 @@
 // `simd.dispatch` info metric (obs/metrics.h), so /metrics and the JSON
 // run report record which kernels actually ran.
 //
-// Bounds are uint8 (callers clamp the int Levels first: a negative
-// bound matches nothing and is the caller's fast path; a bound > 255
-// clamps to 255 and matches everything, since levels are <= dmax <=
-// 255). Views must stay valid for the call; begin/end are row indices
-// into columns of at least `end` rows.
+// Bounds are uint8: levels are <= dmax <= 255, and callers resolve
+// negative bounds (no row) and bounds >= dmax (every row) before
+// calling. Views must stay valid for the call; begin/end are row
+// indices into columns of at least `end` rows.
 
 #ifndef DD_CORE_SIMD_COUNT_H_
 #define DD_CORE_SIMD_COUNT_H_
@@ -43,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "matching/packed_column.h"
 
@@ -84,20 +80,12 @@ std::uint64_t MaskLeq(const ColumnView* views, const std::uint8_t* bounds,
                       std::size_t num_views, std::size_t end,
                       std::uint64_t* words);
 
-// Number of rows r in [0, end) whose bit is set in `words` (a bitmap
-// laid out as MaskLeq writes it; bits at rows >= end are ignored) and
-// that satisfy ViewLevel(views[i], r) <= bounds[i] for every i. Blocks
-// whose word is 0 read no column. num_views == 0 counts the set bits.
-std::uint64_t CountLeqMasked(const ColumnView* views,
-                             const std::uint8_t* bounds,
-                             std::size_t num_views,
-                             const std::uint64_t* words, std::size_t end);
-
-// Appends the row indices in [begin, end) satisfying the MaskLeq
-// predicate to *out in ascending order.
-void CollectLeq(const ColumnView* views, const std::uint8_t* bounds,
-                std::size_t num_views, std::size_t begin, std::size_t end,
-                std::vector<std::uint32_t>* out);
+// Returns the number of set bits in the AND of the n >= 1 bitmaps
+// inputs[0..n), each `words` words long, and stores that AND to
+// out[0, words) when `out` is non-null; `out` must not overlap an
+// input.
+std::uint64_t AndCount(const std::uint64_t* const* inputs, std::size_t n,
+                       std::size_t words, std::uint64_t* out);
 
 // out[r - begin] = sum_i ViewLevel(views[i], r) * strides[i] for r in
 // [begin, end). Strides are uint32 — grid cell counts are capped well
@@ -140,11 +128,8 @@ namespace internal {
 struct KernelTable {
   std::uint64_t (*mask_leq)(const ColumnView*, const std::uint8_t*,
                             std::size_t, std::size_t, std::uint64_t*);
-  std::uint64_t (*count_leq_masked)(const ColumnView*, const std::uint8_t*,
-                                    std::size_t, const std::uint64_t*,
-                                    std::size_t);
-  void (*collect_leq)(const ColumnView*, const std::uint8_t*, std::size_t,
-                      std::size_t, std::size_t, std::vector<std::uint32_t>*);
+  std::uint64_t (*and_count)(const std::uint64_t* const*, std::size_t,
+                             std::size_t, std::uint64_t*);
   void (*grid_indices)(const ColumnView*, const std::uint32_t*, std::size_t,
                        std::size_t, std::size_t, std::uint32_t*);
 };

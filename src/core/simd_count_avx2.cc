@@ -9,10 +9,11 @@
 // becomes one 64-bit row mask per column view — packed4 columns from a
 // single 32-byte load whose even/odd nibble masks are interleaved with
 // PDEP, 8-bit columns from two loads — and the per-view masks AND
-// together so one popcount (or one bit-iteration for CollectLeq)
-// finishes the whole conjunction for 64 rows. MaskLeq stores that word
-// as the row bitmap; CountLeqMasked seeds the AND with a stored word
-// and skips the block's loads when the word is 0.
+// together so one popcount finishes the whole conjunction for 64 rows.
+// MaskLeq stores that word as the row bitmap. AndCount works on such
+// bitmaps directly: 256 bits per step, ANDed across the inputs and
+// counted with the nibble-lookup popcount (Muła, Kurz and Lemire,
+// "Faster Population Counts Using AVX2 Instructions").
 
 #include "core/simd_count.h"
 
@@ -74,13 +75,12 @@ inline std::uint64_t BlockMask64(const ColumnView& view, std::uint8_t bound,
   return m0 | (m1 << 32);
 }
 
-// Fused conjunction mask across all views for rows [row, row + 64),
-// starting from `mask` (a bitmap word the result must stay within).
+// Fused conjunction mask across all views for rows [row, row + 64).
 inline std::uint64_t ConjunctionMask64(const ColumnView* views,
                                        const std::uint8_t* bounds,
                                        std::size_t num_views,
-                                       std::size_t row,
-                                       std::uint64_t mask = ~std::uint64_t{0}) {
+                                       std::size_t row) {
+  std::uint64_t mask = ~std::uint64_t{0};
   for (std::size_t i = 0; i < num_views && mask != 0; ++i) {
     mask &= BlockMask64(views[i], bounds[i], row);
   }
@@ -92,12 +92,11 @@ inline std::uint64_t ConjunctionMask64(const ColumnView* views,
 inline std::uint64_t TailMask(const ColumnView* views,
                               const std::uint8_t* bounds,
                               std::size_t num_views, std::size_t row,
-                              std::size_t end, std::uint64_t mask) {
+                              std::size_t end) {
   std::uint64_t word = 0;
   for (std::size_t r = row; r < end; ++r) {
-    const std::uint64_t bit = std::uint64_t{1} << (r - row);
-    if ((mask & bit) != 0 && RowSatisfies(views, bounds, num_views, r)) {
-      word |= bit;
+    if (RowSatisfies(views, bounds, num_views, r)) {
+      word |= std::uint64_t{1} << (r - row);
     }
   }
   return word;
@@ -117,60 +116,57 @@ std::uint64_t MaskLeqAvx2(const ColumnView* views, const std::uint8_t* bounds,
   }
   if (row < end) {
     const std::uint64_t word =
-        TailMask(views, bounds, num_views, row, end, ~std::uint64_t{0});
+        TailMask(views, bounds, num_views, row, end);
     words[row / 64] = word;
     count += static_cast<std::uint64_t>(_mm_popcnt_u64(word));
   }
   return count;
 }
 
-std::uint64_t CountLeqMaskedAvx2(const ColumnView* views,
-                                 const std::uint8_t* bounds,
-                                 std::size_t num_views,
-                                 const std::uint64_t* words,
-                                 std::size_t end) {
-  std::uint64_t count = 0;
-  std::size_t row = 0;
-  for (; row + 64 <= end; row += 64) {
-    const std::uint64_t word = words[row / 64];
-    if (word == 0) continue;
-    count += static_cast<std::uint64_t>(_mm_popcnt_u64(
-        ConjunctionMask64(views, bounds, num_views, row, word)));
-  }
-  if (row < end) {
-    count += static_cast<std::uint64_t>(_mm_popcnt_u64(
-        TailMask(views, bounds, num_views, row, end, words[row / 64])));
-  }
-  return count;
+// Per-byte popcount of a 256-bit vector: a 16-entry nibble lookup
+// through vpshufb, applied to the low and the high nibble of each byte.
+inline __m256i PopcountBytes(__m256i v) {
+  const __m256i lookup =
+      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+                       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0F);
+  const __m256i lo = _mm256_and_si256(v, nibble);
+  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
+  return _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
+                         _mm256_shuffle_epi8(lookup, hi));
 }
 
-void CollectLeqAvx2(const ColumnView* views, const std::uint8_t* bounds,
-                    std::size_t num_views, std::size_t begin, std::size_t end,
-                    std::vector<std::uint32_t>* out) {
-  std::size_t row = begin;
-  if (num_views > 0 && AnyPacked4(views, num_views) && (row & 1) != 0 &&
-      row < end) {
-    if (RowSatisfies(views, bounds, num_views, row)) {
-      out->push_back(static_cast<std::uint32_t>(row));
+std::uint64_t AndCountAvx2(const std::uint64_t* const* inputs, std::size_t n,
+                           std::size_t words, std::uint64_t* out) {
+  // Byte counts sum into four 64-bit lanes (vpsadbw against zero).
+  __m256i lanes = _mm256_setzero_si256();
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    __m256i v = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(inputs[0] + w));
+    for (std::size_t i = 1; i < n; ++i) {
+      const __m256i next = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(inputs[i] + w));
+      v = _mm256_and_si256(v, next);
     }
-    ++row;
-  }
-  for (; row + 64 <= end; row += 64) {
-    std::uint64_t mask = ConjunctionMask64(views, bounds, num_views, row);
-    // Ascending bit iteration keeps the row list sorted, matching the
-    // scalar kernel exactly.
-    while (mask != 0) {
-      const int bit = __builtin_ctzll(mask);
-      out->push_back(static_cast<std::uint32_t>(row) +
-                     static_cast<std::uint32_t>(bit));
-      mask &= mask - 1;
+    if (out != nullptr) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), v);
     }
+    lanes = _mm256_add_epi64(
+        lanes, _mm256_sad_epu8(PopcountBytes(v), _mm256_setzero_si256()));
   }
-  for (; row < end; ++row) {
-    if (RowSatisfies(views, bounds, num_views, row)) {
-      out->push_back(static_cast<std::uint32_t>(row));
-    }
+  std::uint64_t count =
+      static_cast<std::uint64_t>(_mm256_extract_epi64(lanes, 0)) +
+      static_cast<std::uint64_t>(_mm256_extract_epi64(lanes, 1)) +
+      static_cast<std::uint64_t>(_mm256_extract_epi64(lanes, 2)) +
+      static_cast<std::uint64_t>(_mm256_extract_epi64(lanes, 3));
+  for (; w < words; ++w) {
+    std::uint64_t word = inputs[0][w];
+    for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
+    if (out != nullptr) out[w] = word;
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(word));
   }
+  return count;
 }
 
 // 32 levels of one view as bytes in row order (rows [row, row + 32));
@@ -238,8 +234,8 @@ void GridIndicesAvx2(const ColumnView* views, const std::uint32_t* strides,
   }
 }
 
-const internal::KernelTable kAvx2Kernels = {
-    MaskLeqAvx2, CountLeqMaskedAvx2, CollectLeqAvx2, GridIndicesAvx2};
+const internal::KernelTable kAvx2Kernels = {MaskLeqAvx2, AndCountAvx2,
+                                            GridIndicesAvx2};
 
 }  // namespace
 

@@ -1,14 +1,15 @@
 // Process memory accounting: RSS sampling plus the `mem.*` byte-size
 // gauges that the core data structures (matching relation, value-pair
-// cache, grid providers, tuple store) publish through their
-// MemoryUsageBytes() hooks.
+// cache, grid providers, scan-provider bitmap index, tuple store)
+// publish through their MemoryUsageBytes() hooks.
 //
 // Gauge naming: every structure gauge is `mem.<structure>_bytes`
 // (mem.matching_bytes, mem.value_cache_bytes, mem.grid_bytes,
-// mem.delta_grid_bytes, mem.tuple_store_bytes); the process-level pair
-// is mem.rss_bytes / mem.rss_peak_bytes. UpdateRssGauges() is called
-// by the FTDC sampler on every tick and by the /metrics handler before
-// rendering, so scrapes always carry a fresh RSS reading.
+// mem.delta_grid_bytes, mem.scan_index_bytes, mem.tuple_store_bytes);
+// the process-level pair is mem.rss_bytes / mem.rss_peak_bytes.
+// UpdateRssGauges() is called by the FTDC sampler on every tick and by
+// the /metrics handler before rendering, so scrapes always carry a
+// fresh RSS reading.
 
 #ifndef DD_OBS_RESOURCE_H_
 #define DD_OBS_RESOURCE_H_

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/measures.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -35,24 +36,6 @@ TEST(ScanProviderTest, CountsMatchManualEnumeration) {
   EXPECT_EQ(provider.CountXY({3}), 4u);
 }
 
-TEST(ScanProviderTest, SubsetModeAgreesWithFullScan) {
-  MatchingRelation m = RandomMatching(3, 8, 500, 17);
-  ResolvedRule rule{{0, 1}, {2}};
-  ScanMeasureProvider full(m, rule, /*full_scan=*/true);
-  ScanMeasureProvider subset(m, rule, /*full_scan=*/false);
-  for (int x0 = 0; x0 <= 8; x0 += 2) {
-    for (int x1 = 0; x1 <= 8; x1 += 3) {
-      full.SetLhs({x0, x1});
-      subset.SetLhs({x0, x1});
-      EXPECT_EQ(full.lhs_count(), subset.lhs_count());
-      for (int y = 0; y <= 8; ++y) {
-        EXPECT_EQ(full.CountXY({y}), subset.CountXY({y}))
-            << x0 << "," << x1 << "," << y;
-      }
-    }
-  }
-}
-
 TEST(ScanProviderTest, KnownCountRebuildsStaleLhsBitmap) {
   // A known count only marks the ϕ[X] bitmap stale: the next CountXY
   // must count against the new ϕ[X], never the previous one's bitmap.
@@ -76,6 +59,80 @@ TEST(ScanProviderTest, KnownCountRebuildsStaleLhsBitmap) {
   reused.CountXY({8});
   reused.SetLhsWithKnownCount({8, -1}, 0);
   EXPECT_EQ(reused.CountXY({8}), 0u);
+}
+
+// count(b ⊨ ϕ) straight from the level columns, over the attributes
+// `attrs` at bounds `levels` (plus an optional second attribute list).
+std::uint64_t NaiveCount(const MatchingRelation& m,
+                         const std::vector<std::size_t>& attrs,
+                         const Levels& levels,
+                         const std::vector<std::size_t>& more_attrs = {},
+                         const Levels& more_levels = {}) {
+  std::uint64_t count = 0;
+  for (std::size_t row = 0; row < m.num_tuples(); ++row) {
+    bool ok = true;
+    for (std::size_t a = 0; a < attrs.size() && ok; ++a) {
+      ok = static_cast<int>(m.level(row, attrs[a])) <= levels[a];
+    }
+    for (std::size_t a = 0; a < more_attrs.size() && ok; ++a) {
+      ok = static_cast<int>(m.level(row, more_attrs[a])) <= more_levels[a];
+    }
+    if (ok) ++count;
+  }
+  return count;
+}
+
+TEST(ScanProviderTest, IndexMatchesNaiveCount) {
+  // dmax 14/15 straddle the 4-/8-bit packing boundary; the tuple counts
+  // cover an empty relation, one partial word, exact words and a tail.
+  // Bounds -1 (no tuple), dmax and beyond (every tuple, no bitmap) and
+  // 300 (past any uint8) go through both SetLhs paths.
+  std::uint64_t seed = 90;
+  for (int dmax : {1, 10, 14, 15, 30}) {
+    for (std::size_t tuples : {std::size_t{0}, std::size_t{1},
+                               std::size_t{63}, std::size_t{64},
+                               std::size_t{65}, std::size_t{1000}}) {
+      MatchingRelation m = RandomMatching(4, dmax, tuples, ++seed);
+      const ResolvedRule rule{{0, 2}, {1, 3}};
+      ScanMeasureProvider provider(m, rule);
+      ScanMeasureProvider known(m, rule);
+      ASSERT_EQ(provider.total(), tuples);
+      const std::string label =
+          "dmax=" + std::to_string(dmax) + " M=" + std::to_string(tuples);
+      const std::vector<int> bounds = {-1,       0,        dmax / 2, dmax - 1,
+                                       dmax,     dmax + 1, 300};
+      for (std::size_t i = 0; i < bounds.size(); ++i) {
+        // Each bound meets the one three places on, so every bound
+        // appears in both ϕ[X] slots.
+        const Levels lhs = {bounds[i], bounds[(i + 3) % bounds.size()]};
+        const std::uint64_t lhs_count = NaiveCount(m, rule.lhs, lhs);
+        provider.SetLhs(lhs);
+        ASSERT_EQ(provider.lhs_count(), lhs_count) << label;
+        known.SetLhsWithKnownCount(lhs, lhs_count);
+        ASSERT_EQ(known.lhs_count(), lhs_count) << label;
+        for (int y0 : bounds) {
+          for (int y1 : {-1, 0, dmax - 1, dmax, 300}) {
+            const Levels rhs = {y0, y1};
+            const std::uint64_t expected =
+                NaiveCount(m, rule.lhs, lhs, rule.rhs, rhs);
+            ASSERT_EQ(provider.CountXY(rhs), expected)
+                << label << " lhs " << lhs[0] << "," << lhs[1] << " rhs "
+                << y0 << "," << y1;
+            ASSERT_EQ(known.CountXY(rhs), expected) << label;
+          }
+        }
+      }
+      // The index gauge reports (|X|+|Y|)·dmax·⌈M/64⌉·8 bytes.
+      const std::uint64_t index_bytes =
+          4 * static_cast<std::uint64_t>(dmax) * ((tuples + 63) / 64) * 8;
+      EXPECT_EQ(provider.MemoryUsageBytes(), index_bytes) << label;
+      EXPECT_EQ(obs::MetricsRegistry::Global()
+                    .GetGauge("mem.scan_index_bytes")
+                    .value(),
+                static_cast<double>(index_bytes))
+          << label;
+    }
+  }
 }
 
 TEST(GridProviderTest, AgreesWithScanProviderExhaustively) {
@@ -143,17 +200,16 @@ TEST(ProviderStatsTest, CountersTrackWork) {
 
 TEST(ProviderStatsTest, KnownCountPathCountsLhsEvaluations) {
   // SetLhsWithKnownCount must be counted in lhs_evaluations on every
-  // provider — full-scan, subset, and grid — exactly like SetLhs, so
+  // provider — scan and grid — exactly like SetLhs, so
   // the counter always means "LHS candidates processed" (DAP hands the
   // provider precomputed D(ϕ) counts through this path, and stats must
   // not depend on which entry point the search used).
   MatchingRelation m = TinyMatching();
   ResolvedRule rule = XyRule();
-  ScanMeasureProvider full(m, rule, /*full_scan=*/true);
-  ScanMeasureProvider subset(m, rule, /*full_scan=*/false);
+  ScanMeasureProvider scan(m, rule);
   auto grid = GridMeasureProvider::Create(m, rule);
   ASSERT_TRUE(grid.ok());
-  MeasureProvider* providers[] = {&full, &subset, grid.value().get()};
+  MeasureProvider* providers[] = {&scan, grid.value().get()};
   for (MeasureProvider* provider : providers) {
     provider->SetLhs({2});
     const std::uint64_t known_count = provider->lhs_count();
@@ -188,8 +244,8 @@ TEST(MakeMeasureProviderTest, FactoryKinds) {
   MatchingRelation m = TinyMatching();
   ResolvedRule rule = XyRule();
   EXPECT_TRUE(MakeMeasureProvider(m, rule, "scan").ok());
-  EXPECT_TRUE(MakeMeasureProvider(m, rule, "scan_subset").ok());
   EXPECT_TRUE(MakeMeasureProvider(m, rule, "grid").ok());
+  EXPECT_FALSE(MakeMeasureProvider(m, rule, "scan_subset").ok());
   EXPECT_FALSE(MakeMeasureProvider(m, rule, "bogus").ok());
 }
 

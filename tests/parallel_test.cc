@@ -170,7 +170,7 @@ TEST(ParallelDeterminismTest, DeterminationBitIdenticalAcrossThreads) {
   for (const Workload& w : workloads) {
     for (LhsAlgorithm lhs : lhs_algos) {
       for (RhsAlgorithm rhs : rhs_algos) {
-        for (const char* provider : {"scan", "scan_subset", "grid"}) {
+        for (const char* provider : {"scan", "grid"}) {
           DetermineOptions options;
           options.lhs_algorithm = lhs;
           options.rhs_algorithm = rhs;

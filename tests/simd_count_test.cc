@@ -1,8 +1,8 @@
 // Equivalence and bit-identity tests for the SIMD counting kernels
 // (core/simd_count.h). The contract under test is absolute: the AVX2
 // kernels must produce exactly the scalar kernels' outputs — counts,
-// row bitmaps, row lists (including order), grid indices — for every
-// packing, bound pattern, range alignment and length, and therefore
+// row bitmaps, grid indices — for every packing, bound pattern, range
+// alignment, length and bitmap word count, and therefore
 // full determination runs must be bit-identical under DD_SIMD=scalar
 // and auto at any thread count.
 
@@ -128,10 +128,12 @@ void CheckMaskLeq(const Fixture& f, std::size_t end, const std::string& label) {
   }
 }
 
-// CountLeqMasked over rows [0, end) against the fixture's own bitmap, a
-// random one, all-zero and all-ones (whose bits past `end` must be
-// ignored).
-void CheckCountLeqMasked(const Fixture& f, std::size_t end,
+// The fixture's predicate as a bitmap (each table's own MaskLeq),
+// ANDed by AndCount with the fixture's own bitmap, a random one,
+// all-zero and all-ones (whose bits past `end` the MaskLeq bitmap
+// clears): the count of rows set in the mask that satisfy the
+// predicate.
+void CheckMaskedAndCount(const Fixture& f, std::size_t end,
                          std::uint64_t seed, const std::string& label) {
   const std::size_t n = simd::MaskWords(end);
   std::mt19937_64 rng(seed);
@@ -144,37 +146,83 @@ void CheckCountLeqMasked(const Fixture& f, std::size_t end,
       BruteMask(f, end), random, std::vector<std::uint64_t>(n, 0),
       std::vector<std::uint64_t>(n, ~std::uint64_t{0})};
   const char* kinds[] = {"self", "random", "zeros", "ones"};
-  for (std::size_t k = 0; k < masks.size(); ++k) {
-    const std::uint64_t expected = BruteMaskedCount(f, masks[k], end);
-    for (const auto& [name, table] : Tables()) {
-      EXPECT_EQ(table->count_leq_masked(f.views.data(), f.bounds.data(),
-                                        f.views.size(), masks[k].data(), end),
-                expected)
+  for (const auto& [name, table] : Tables()) {
+    std::vector<std::uint64_t> predicate(n);
+    table->mask_leq(f.views.data(), f.bounds.data(), f.views.size(), end,
+                    predicate.data());
+    for (std::size_t k = 0; k < masks.size(); ++k) {
+      const std::uint64_t* inputs[] = {predicate.data(), masks[k].data()};
+      EXPECT_EQ(table->and_count(inputs, 2, n, nullptr),
+                BruteMaskedCount(f, masks[k], end))
           << label << " " << name << " mask=" << kinds[k];
     }
   }
 }
 
-void CheckAllKernels(const Fixture& f, std::size_t begin, std::size_t end,
+void CheckAllKernels(const Fixture& f, std::size_t end,
                      const std::string& label) {
-  const std::uint64_t expected = BruteCount(f, begin, end);
-  std::vector<std::uint32_t> expected_rows;
-  kScalarKernels.collect_leq(f.views.data(), f.bounds.data(), f.views.size(),
-                             begin, end, &expected_rows);
-  ASSERT_EQ(expected_rows.size(), expected) << label;
-  // The collected list must be ascending with no duplicates.
-  for (std::size_t i = 1; i < expected_rows.size(); ++i) {
-    ASSERT_LT(expected_rows[i - 1], expected_rows[i]) << label;
-  }
   CheckMaskLeq(f, end, label);
-  CheckCountLeqMasked(f, end, begin * 131 + end, label);
-  if (!simd::CpuSupportsAvx2()) return;
-  const KernelTable* avx2 = Avx2Kernels();
-  ASSERT_NE(avx2, nullptr);
-  std::vector<std::uint32_t> avx2_rows;
-  avx2->collect_leq(f.views.data(), f.bounds.data(), f.views.size(), begin,
-                    end, &avx2_rows);
-  EXPECT_EQ(avx2_rows, expected_rows) << label;
+  CheckMaskedAndCount(f, end, end, label);
+}
+
+// AndCount of `bitmaps` over their first `words` words against a brute
+// AND: the count with a null `out`, and with a poisoned `out` the count
+// plus every stored word (and nothing stored past `words`).
+void CheckAndCount(const std::vector<std::vector<std::uint64_t>>& bitmaps,
+                   std::size_t words, const std::string& label) {
+  std::vector<const std::uint64_t*> inputs;
+  for (const auto& bitmap : bitmaps) inputs.push_back(bitmap.data());
+  std::vector<std::uint64_t> expected(words, ~std::uint64_t{0});
+  std::uint64_t expected_count = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (const auto& bitmap : bitmaps) expected[w] &= bitmap[w];
+    for (std::uint64_t word = expected[w]; word != 0; word &= word - 1) {
+      ++expected_count;
+    }
+  }
+  constexpr std::uint64_t kPoison = 0xA5A5A5A5A5A5A5A5ULL;
+  for (const auto& [name, table] : Tables()) {
+    EXPECT_EQ(table->and_count(inputs.data(), inputs.size(), words, nullptr),
+              expected_count)
+        << label << " " << name << " null out";
+    std::vector<std::uint64_t> out(words + 1, kPoison);
+    EXPECT_EQ(
+        table->and_count(inputs.data(), inputs.size(), words, out.data()),
+        expected_count)
+        << label << " " << name;
+    EXPECT_EQ(out.back(), kPoison) << label << " " << name;
+    out.pop_back();
+    EXPECT_EQ(out, expected) << label << " " << name;
+  }
+}
+
+TEST(SimdCountTest, AndCountMatchesBruteForce) {
+  // Word counts around the AVX2 kernel's 4-word step: empty, tail only,
+  // one full step, a step plus a tail, and the 64-word neighbourhood.
+  const std::size_t word_counts[] = {0, 1, 3, 4, 5, 63, 64, 65};
+  std::mt19937_64 rng(11);
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for (std::size_t words : word_counts) {
+      const std::string label =
+          "n=" + std::to_string(n) + " words=" + std::to_string(words);
+      // Dense random words keep some bits alive through five ANDs.
+      std::vector<std::vector<std::uint64_t>> random(
+          n, std::vector<std::uint64_t>(words));
+      for (auto& bitmap : random) {
+        for (auto& word : bitmap) word = rng() | rng();
+      }
+      CheckAndCount(random, words, label + " random");
+      CheckAndCount(std::vector<std::vector<std::uint64_t>>(
+                        n, std::vector<std::uint64_t>(words, 0)),
+                    words, label + " zeros");
+      std::vector<std::vector<std::uint64_t>> ones(
+          n, std::vector<std::uint64_t>(words, ~std::uint64_t{0}));
+      CheckAndCount(ones, words, label + " ones");
+      // One all-zero input empties the AND of otherwise full bitmaps.
+      ones[n - 1].assign(words, 0);
+      CheckAndCount(ones, words, label + " ones+zero");
+    }
+  }
 }
 
 TEST(SimdCountTest, RandomizedEquivalenceAcrossDmaxAndLengths) {
@@ -193,11 +241,11 @@ TEST(SimdCountTest, RandomizedEquivalenceAcrossDmaxAndLengths) {
         const std::string label = "dmax=" + std::to_string(dmax) +
                                   " rows=" + std::to_string(rows) +
                                   " views=" + std::to_string(num_views);
-        CheckAllKernels(f, 0, rows, label + " full");
+        CheckAllKernels(f, rows, label + " full");
         if (rows >= 3) {
-          // Unaligned head (odd begin) and tail.
-          CheckAllKernels(f, 1, rows - 1, label + " inner");
-          CheckAllKernels(f, rows / 3, rows - rows / 4, label + " mid");
+          // Ends that are odd and not a multiple of 64.
+          CheckAllKernels(f, rows - 1, label + " short");
+          CheckAllKernels(f, rows - rows / 4, label + " mid");
         }
       }
     }
@@ -213,23 +261,23 @@ TEST(SimdCountTest, AllMatchAndNoMatchEdges) {
         MakeColumn(dmax, std::vector<Level>(rows, static_cast<Level>(dmax))));
     f.views.push_back(simd::View(f.columns[0]));
     f.bounds.push_back(static_cast<std::uint8_t>(dmax));
-    CheckAllKernels(f, 0, rows, "all-match dmax=" + std::to_string(dmax));
+    CheckAllKernels(f, rows, "all-match dmax=" + std::to_string(dmax));
     ASSERT_EQ(BruteCount(f, 0, rows), rows);
     f.bounds[0] = static_cast<std::uint8_t>(dmax - 1);
-    CheckAllKernels(f, 0, rows, "no-match dmax=" + std::to_string(dmax));
+    CheckAllKernels(f, rows, "no-match dmax=" + std::to_string(dmax));
     ASSERT_EQ(BruteCount(f, 0, rows), 0u);
   }
 }
 
 TEST(SimdCountTest, ZeroViewsCountsEveryRow) {
-  // No view: MaskLeq sets exactly rows [0, end) and CountLeqMasked
-  // counts the bitmap's set bits below `end`.
+  // No view: MaskLeq sets exactly rows [0, end), and AndCount of that
+  // bitmap counts them.
   const Fixture none;
   for (std::size_t end : {std::size_t{0}, std::size_t{64}, std::size_t{90},
                           std::size_t{129}}) {
     const std::string label = "zero views end=" + std::to_string(end);
     CheckMaskLeq(none, end, label);
-    CheckCountLeqMasked(none, end, end, label);
+    CheckMaskedAndCount(none, end, end, label);
   }
   for (const auto& [name, table] : Tables()) {
     std::vector<std::uint64_t> words(2);
@@ -237,8 +285,8 @@ TEST(SimdCountTest, ZeroViewsCountsEveryRow) {
         << name;
     EXPECT_EQ(words[0], ~std::uint64_t{0}) << name;
     EXPECT_EQ(words[1], (std::uint64_t{1} << 26) - 1) << name;
-    EXPECT_EQ(table->count_leq_masked(nullptr, nullptr, 0, words.data(), 70),
-              70u)
+    const std::uint64_t* inputs[] = {words.data()};
+    EXPECT_EQ(table->and_count(inputs, 1, words.size(), nullptr), 90u)
         << name;
   }
 }
@@ -374,7 +422,7 @@ TEST(SimdCountTest, DeterminationBitIdenticalAcrossDispatchAndThreads) {
   const RuleSpec rule{{"a0", "a1"}, {"a2"}};
   std::vector<std::size_t> thread_counts = {1, 2, 7};
   if (DefaultThreads() > 1) thread_counts.push_back(DefaultThreads());
-  for (const char* provider : {"scan", "scan_subset", "grid"}) {
+  for (const char* provider : {"scan", "grid"}) {
     for (std::size_t threads : thread_counts) {
       DetermineOptions options;
       options.provider = provider;
