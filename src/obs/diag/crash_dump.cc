@@ -150,23 +150,19 @@ void SinkHeartbeats(DumpSink& sink) {
   }
 }
 
-// Raw, lock-free ring walk — the handler path. Normal-context dumps go
-// through FlightRecorder::Snapshot() for torn-slot filtering, but both
-// emit identical line grammar.
+// Lock-free ring walk through Ring::Read — the handler path. Live
+// dumps go through FlightRecorder::Snapshot(), which reads the same
+// way, so both emit identical line grammar.
 void SinkFlightRingsRaw(DumpSink& sink) {
-  const internal::ThreadRing* rings[512];
-  const std::size_t n = FlightRecorder::RawRings(rings, 512);
+  const internal::FlightRingTable& rings = internal::g_flight_rings;
+  const std::size_t n = rings.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const internal::ThreadRing* ring = rings[i];
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    const Ring<FlightEvent>& ring = *rings[i];
     SinkStr(sink, "--- flightrec tid ");
-    SinkDec(sink, static_cast<std::uint64_t>(ring->tid));
+    SinkDec(sink, static_cast<std::uint64_t>(ring.tid()));
     SinkChar(sink, '\n');
-    const std::uint64_t start =
-        head > ring->capacity ? head - ring->capacity : 0;
-    for (std::uint64_t s = start; s < head; ++s) {
-      SinkEventLine(sink, ring->events[s & ring->mask]);
-    }
+    ring.ForEach(0, ring.head(),
+                 [&](const FlightEvent& ev) { SinkEventLine(sink, ev); });
   }
 }
 

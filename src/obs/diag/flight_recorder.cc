@@ -1,7 +1,8 @@
 #include "obs/diag/flight_recorder.h"
 
-#include <cstring>
-#include <mutex>
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 
 #include "obs/diag/sigsafe.h"
 
@@ -45,87 +46,65 @@ EventType EventTypeFromName(const std::string& name) {
 namespace internal {
 
 std::atomic<bool> g_flight_enabled{false};
+FlightRingTable g_flight_rings;
 
 namespace {
 
-constexpr std::size_t kMaxRings = 512;
-
-// Registry of every ring ever created. Slots are claimed with a single
-// fetch_add and published with a release store so the crash handler can
-// iterate [0, g_ring_count) without locks.
-ThreadRing* g_ring_slots[kMaxRings] = {nullptr};
-std::atomic<std::size_t> g_ring_count{0};
-
 std::atomic<std::size_t> g_ring_capacity{1024};
 
-// Serializes ring creation only (first record per thread) — never on
-// the steady-state record path.
-std::mutex g_create_mutex;
-
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 16;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-ThreadRing* CreateRing() {
-  const std::size_t cap =
-      RoundUpPow2(g_ring_capacity.load(std::memory_order_relaxed));
-  auto* ring = new ThreadRing();
-  ring->capacity = static_cast<std::uint32_t>(cap);
-  ring->mask = static_cast<std::uint32_t>(cap - 1);
-  ring->tid = SigsafeTid();
-  ring->events = new FlightEvent[cap]();
-
-  std::lock_guard<std::mutex> lock(g_create_mutex);
-  const std::size_t idx = g_ring_count.load(std::memory_order_relaxed);
-  if (idx >= kMaxRings) {
-    // Registry full: the ring still records for its own thread but will
-    // not appear in dumps. 512 threads is far beyond the pool sizes the
-    // system runs with, so this is a safety valve, not a real path.
-    return ring;
+Ring<FlightEvent>* LocalRing() {
+  static thread_local Ring<FlightEvent>* t_ring = nullptr;
+  if (t_ring == nullptr) {
+    t_ring = g_flight_rings.Add(
+        g_ring_capacity.load(std::memory_order_relaxed), SigsafeTid());
   }
-  g_ring_slots[idx] = ring;
-  g_ring_count.store(idx + 1, std::memory_order_release);
-  return ring;
-}
-
-ThreadRing* ThisThreadRing() {
-  static thread_local ThreadRing* t_ring = nullptr;
-  if (t_ring == nullptr) t_ring = CreateRing();
   return t_ring;
 }
 
 }  // namespace
 
+// FlightEvent's payload words, in order: t_ns, seq, arg0, arg1, two
+// name words, then type with its zero padding. RecordSlow builds them
+// in registers and hands them to Ring::PushWords.
+static_assert(offsetof(FlightEvent, name) == 4 * sizeof(std::uint64_t) &&
+                  offsetof(FlightEvent, type) == 6 * sizeof(std::uint64_t),
+              "RecordSlow's word order follows FlightEvent's layout");
+
+struct TypeWord {
+  EventType type;
+  std::uint16_t pad;
+  std::uint32_t pad2;
+};
+
+// Byte `c` placed at byte offset `i` of a word in memory order.
+constexpr std::uint64_t ByteAt(char c, std::size_t i) {
+  const std::size_t shift = std::endian::native == std::endian::little
+                                ? 8 * i
+                                : 8 * (sizeof(std::uint64_t) - 1 - i);
+  return std::uint64_t{static_cast<unsigned char>(c)} << shift;
+}
+
 void RecordSlow(EventType type, const char* name, std::uint64_t arg0,
                 std::uint64_t arg1) {
-  ThreadRing* ring = ThisThreadRing();
-  const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  FlightEvent& slot = ring->events[seq & ring->mask];
-  slot.t_ns = SigsafeNowNs();
-  slot.seq = seq;
-  slot.arg0 = arg0;
-  slot.arg1 = arg1;
-  slot.type = type;
+  Ring<FlightEvent>* ring = LocalRing();
+  // The first 15 chars of name; the rest of the 16 bytes stay NUL.
+  std::uint64_t name_words[2] = {0, 0};
   if (name != nullptr) {
-    std::size_t i = 0;
-    for (; i < sizeof(slot.name) - 1 && name[i] != '\0'; ++i) {
-      slot.name[i] = name[i];
+    for (std::size_t i = 0; i < sizeof(FlightEvent::name) - 1 && name[i] != '\0';
+         ++i) {
+      name_words[i / 8] |= ByteAt(name[i], i % 8);
     }
-    slot.name[i] = '\0';
-  } else {
-    slot.name[0] = '\0';
   }
-  // Publish: a reader that observes head > seq sees the full slot.
-  ring->head.store(seq + 1, std::memory_order_release);
+  ring->PushWords({SigsafeNowNs(), ring->head(), arg0, arg1, name_words[0],
+                   name_words[1], std::bit_cast<std::uint64_t>(
+                                      TypeWord{type, 0, 0})});
 }
 
 }  // namespace internal
 
 void FlightRecorder::Enable(std::size_t ring_capacity) {
-  if (ring_capacity < 16) ring_capacity = 16;
-  internal::g_ring_capacity.store(ring_capacity, std::memory_order_relaxed);
+  internal::g_ring_capacity.store(std::min(ring_capacity, kMaxRingCapacity),
+                                  std::memory_order_relaxed);
   internal::g_flight_enabled.store(true, std::memory_order_release);
 }
 
@@ -134,70 +113,34 @@ void FlightRecorder::Disable() {
 }
 
 void FlightRecorder::ResetForTest() {
-  std::lock_guard<std::mutex> lock(internal::g_create_mutex);
-  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    internal::ThreadRing* ring = internal::g_ring_slots[i];
-    std::memset(static_cast<void*>(ring->events), 0,
-                sizeof(FlightEvent) * ring->capacity);
-    ring->head.store(0, std::memory_order_release);
-  }
+  const internal::FlightRingTable& rings = internal::g_flight_rings;
+  for (std::size_t i = 0; i < rings.size(); ++i) rings[i]->Clear();
 }
 
 std::uint64_t FlightRecorder::TotalRecorded() {
+  const internal::FlightRingTable& rings = internal::g_flight_rings;
   std::uint64_t total = 0;
-  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    total += internal::g_ring_slots[i]->head.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    const std::uint64_t base = rings[i]->base();
+    total += rings[i]->head() - base;
   }
   return total;
 }
 
 std::vector<FlightRecorder::ThreadEvents> FlightRecorder::Snapshot() {
-  std::vector<ThreadEvents> out;
-  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const internal::ThreadRing* ring = internal::g_ring_slots[i];
-    ThreadEvents te;
-    te.tid = ring->tid;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    te.recorded = head;
-    if (head == 0) {
-      out.push_back(std::move(te));
-      continue;
-    }
-    // The slot at `head` may be mid-write by its owner; everything in
-    // [start, head) was published with release stores before we read
-    // head with acquire, so those slots are stable (the owner only
-    // rewrites a slot after advancing head past it by `capacity`, and
-    // we re-check head afterwards to drop any such overwrites).
-    std::uint64_t start = head > ring->capacity ? head - ring->capacity : 0;
-    std::vector<FlightEvent> events;
-    events.reserve(static_cast<std::size_t>(head - start));
-    for (std::uint64_t s = start; s < head; ++s) {
-      events.push_back(ring->events[s & ring->mask]);
-    }
-    // Slots overwritten while we copied belong to sequences >= head2 -
-    // capacity; drop copies whose recorded seq no longer matches.
-    const std::uint64_t head2 = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t valid_from =
-        head2 > ring->capacity ? head2 - ring->capacity : 0;
-    for (std::uint64_t s = start; s < head; ++s) {
-      FlightEvent& ev = events[static_cast<std::size_t>(s - start)];
-      if (s >= valid_from && ev.seq == s) te.events.push_back(ev);
-    }
-    out.push_back(std::move(te));
+  const internal::FlightRingTable& rings = internal::g_flight_rings;
+  std::vector<ThreadEvents> out(rings.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Ring<FlightEvent>& ring = *rings[i];
+    ThreadEvents& te = out[i];
+    te.tid = ring.tid();
+    const std::uint64_t base = ring.base();
+    const std::uint64_t head = ring.head();
+    te.recorded = head - base;
+    ring.ForEach(base, head,
+                 [&](const FlightEvent& ev) { te.events.push_back(ev); });
   }
   return out;
-}
-
-std::size_t FlightRecorder::RawRings(const internal::ThreadRing** out,
-                                     std::size_t max) {
-  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
-  const std::size_t count = n < max ? n : max;
-  for (std::size_t i = 0; i < count; ++i) out[i] = internal::g_ring_slots[i];
-  return count;
 }
 
 }  // namespace dd::obs::diag

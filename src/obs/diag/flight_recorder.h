@@ -1,17 +1,17 @@
 // Always-on flight recorder: a bounded per-thread ring of recent
 // structured events, cheap enough to leave recording on the hot paths
-// of a production daemon (DESIGN.md §15). The record path is lock-free
-// and wait-free — one relaxed enabled check, one clock read, a 56-byte
-// slot write, one release store — and the disabled path is a single
-// relaxed atomic load, so instrumented call sites cost ~nothing until
-// diagnostics are enabled.
+// of a production daemon (DESIGN.md §15). Each thread records into its
+// own obs::Ring (DESIGN.md §8.1): one relaxed enabled check, one clock
+// read and one seqlock slot write, lock-free and wait-free. The
+// disabled path is a single relaxed atomic load, so instrumented call
+// sites cost ~nothing until diagnostics are enabled.
 //
 // Readers never block writers. The in-process Snapshot() copies every
 // ring for live dumps and tests; the crash handler walks the same rings
-// through RawRings(), which touches only preallocated memory and
-// atomics (async-signal-safe). Event names are captured by value (15
-// chars + NUL) rather than by pointer so a corrupted heap cannot turn
-// the crash dump into a second crash.
+// through the same Ring::Read, which touches only preallocated memory
+// and atomics (async-signal-safe). Event names are captured by value
+// (15 chars + NUL) rather than by pointer so a corrupted heap cannot
+// turn the crash dump into a second crash.
 //
 // Rings are allocated lazily on each thread's first record and are
 // intentionally never freed: a thread that exited hours ago still has
@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace dd::obs::diag {
 
@@ -60,16 +62,10 @@ static_assert(sizeof(FlightEvent) == 56, "keep the record path compact");
 
 namespace internal {
 
-// Per-thread ring. head counts events ever recorded by the thread; the
-// valid window is [head - min(head, capacity), head). The slot for
-// sequence s is events[s & mask].
-struct ThreadRing {
-  std::atomic<std::uint64_t> head{0};
-  std::uint32_t capacity = 0;  // power of two
-  std::uint32_t mask = 0;
-  int tid = 0;
-  FlightEvent* events = nullptr;  // heap, never freed
-};
+// Every thread's ring, listed on its first record. The crash handler
+// walks it lock-free.
+using FlightRingTable = RingTable<Ring<FlightEvent>, 512>;
+extern FlightRingTable g_flight_rings;
 
 extern std::atomic<bool> g_flight_enabled;
 
@@ -94,14 +90,13 @@ inline void FlightRecord(EventType type, const char* name,
 class FlightRecorder {
  public:
   // Turns recording on. `ring_capacity` (rounded up to a power of two,
-  // min 16) applies to rings allocated after the call; existing rings
-  // keep their size. Idempotent.
+  // min 16, max kMaxRingCapacity) applies to rings allocated after the
+  // call; existing rings keep their size. Idempotent.
   static void Enable(std::size_t ring_capacity = 1024);
   static void Disable();
 
-  // Drops every ring's events (capacity and registration survive).
-  // Only meaningful with no concurrent writers racing assertions —
-  // tests and run boundaries.
+  // Hides every ring's events recorded so far (base = head; capacity
+  // and registration survive). Safe while threads record.
   static void ResetForTest();
 
   // Events recorded process-wide since the last ResetForTest (includes
@@ -110,17 +105,12 @@ class FlightRecorder {
 
   struct ThreadEvents {
     int tid = 0;
-    std::uint64_t recorded = 0;          // head: events ever recorded
+    std::uint64_t recorded = 0;          // events since the last reset
     std::vector<FlightEvent> events;     // oldest first, newest last
   };
-  // Copies every ring. Events being written concurrently may be torn;
-  // the newest slot per ring is dropped when a writer is mid-record.
+  // Copies every ring. A slot its owner rewrites mid-copy (the
+  // oldest one, once the ring has wrapped) is torn and left out.
   static std::vector<ThreadEvents> Snapshot();
-
-  // Async-signal-safe view of the raw rings for the crash handler:
-  // fills `out` with up to `max` ring pointers, returns the count.
-  static std::size_t RawRings(const internal::ThreadRing** out,
-                              std::size_t max);
 };
 
 }  // namespace dd::obs::diag

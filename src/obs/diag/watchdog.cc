@@ -1,5 +1,6 @@
 #include "obs/diag/watchdog.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -12,8 +13,13 @@
 #include "obs/diag/sigsafe.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
 namespace dd::obs::diag {
+
+Heartbeat::Heartbeat(const char* heartbeat_name) {
+  std::strncpy(name, heartbeat_name, sizeof(name) - 1);
+}
 
 void Heartbeat::Beat() {
   last_beat_ns.store(SigsafeNowNs(), std::memory_order_relaxed);
@@ -33,13 +39,9 @@ void Heartbeat::Disarm() {
 
 namespace {
 
-constexpr std::size_t kMaxHeartbeats = 64;
-
-// Registry mirrors the flight-recorder ring registry: slots published
-// with a release store so dump writers iterate without locks.
-Heartbeat* g_beat_slots[kMaxHeartbeats] = {nullptr};
-std::atomic<std::size_t> g_beat_count{0};
-std::mutex g_register_mutex;
+// A full table (64 names; a handful are used) still hands out working
+// heartbeats, invisible to the watchdog and dumps.
+RingTable<Heartbeat, 64> g_heartbeats;
 
 // Set from the SIGUSR2 handler; serviced (and cleared) by the watchdog.
 std::atomic<bool> g_dump_requested{false};
@@ -64,9 +66,9 @@ void CheckHeartbeats(WatchdogState& state) {
   const std::uint64_t now = SigsafeNowNs();
   const std::uint64_t timeout_ns =
       static_cast<std::uint64_t>(state.stall_timeout_ms) * 1000000ULL;
-  const std::size_t n = g_beat_count.load(std::memory_order_acquire);
+  const std::size_t n = g_heartbeats.size();
   for (std::size_t i = 0; i < n; ++i) {
-    Heartbeat* hb = g_beat_slots[i];
+    Heartbeat* hb = g_heartbeats[i];
     if (hb->armed.load(std::memory_order_acquire) <= 0) continue;
     if (hb->in_stall.load(std::memory_order_relaxed)) continue;
     const std::uint64_t last = hb->last_beat_ns.load(std::memory_order_relaxed);
@@ -110,31 +112,16 @@ void WatchdogLoop() {
 }  // namespace
 
 Heartbeat* RegisterHeartbeat(const char* name) {
-  std::lock_guard<std::mutex> lock(g_register_mutex);
-  const std::size_t n = g_beat_count.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::strncmp(g_beat_slots[i]->name, name,
-                     sizeof(g_beat_slots[i]->name)) == 0) {
-      return g_beat_slots[i];
-    }
-  }
-  auto* hb = new Heartbeat();
-  std::strncpy(hb->name, name, sizeof(hb->name) - 1);
-  hb->name[sizeof(hb->name) - 1] = '\0';
-  if (n < kMaxHeartbeats) {
-    g_beat_slots[n] = hb;
-    g_beat_count.store(n + 1, std::memory_order_release);
-  }
-  // Registry overflow: the heartbeat works but is invisible to the
-  // watchdog/dumps; with 64 slots and a handful of fixed names this
-  // does not happen in practice.
-  return hb;
+  return g_heartbeats.FindOrAdd(
+      [name](const Heartbeat& hb) {
+        return std::strncmp(hb.name, name, sizeof(hb.name) - 1) == 0;
+      },
+      name);
 }
 
 std::size_t RawHeartbeats(const Heartbeat** out, std::size_t max) {
-  const std::size_t n = g_beat_count.load(std::memory_order_acquire);
-  const std::size_t count = n < max ? n : max;
-  for (std::size_t i = 0; i < count; ++i) out[i] = g_beat_slots[i];
+  const std::size_t count = std::min(g_heartbeats.size(), max);
+  for (std::size_t i = 0; i < count; ++i) out[i] = g_heartbeats[i];
   return count;
 }
 

@@ -5,10 +5,11 @@
 // timeout, captures all-thread stacks and writes a stall dump next to
 // where a crash dump would go (DESIGN.md §15).
 //
-// Heartbeats are preallocated, registered once per name, and never
-// freed, so the fatal-signal handler can walk them lock-free just like
-// the flight-recorder rings. Beating is two relaxed atomic stores —
-// cheap enough for per-batch / per-chunk granularity.
+// Heartbeats are registered once per name in an obs::RingTable
+// (DESIGN.md §8.1) and never freed, so the fatal-signal handler can
+// walk them lock-free just like the flight-recorder rings. Beating is
+// two relaxed atomic stores — cheap enough for per-batch / per-chunk
+// granularity.
 
 #ifndef DD_OBS_DIAG_WATCHDOG_H_
 #define DD_OBS_DIAG_WATCHDOG_H_
@@ -19,6 +20,8 @@
 namespace dd::obs::diag {
 
 struct Heartbeat {
+  explicit Heartbeat(const char* heartbeat_name);
+
   char name[32] = {0};
   // > 0 while some scope expects progress; nestable so re-entrant use
   // (pool chunk inside a served batch) keeps the outer arm alive.

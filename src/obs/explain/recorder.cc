@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "obs/diag/sigsafe.h"
 #include "obs/metrics.h"
 
 namespace dd::obs {
@@ -46,23 +47,22 @@ const char* ExplainBoundName(ExplainBound bound) {
   return "unknown";
 }
 
-// Per-thread event storage. Only the owning thread writes; the mutex
-// guards just the ring (the 1-in-sample_every slow path plus forced
-// keeps), so the per-event fast path is a handful of relaxed atomics.
-// Snapshot() reads counters relaxed and the ring under the mutex.
-// Buffers are registered once and reused across runs via the epoch
-// check.
+// Per-thread event storage. Only the owning thread writes; Snapshot()
+// reads the counters relaxed and the ring through Ring::ForEach, so
+// the per-event path takes no lock. Buffers are registered once and
+// reused across runs via the epoch check.
 struct ExplainRecorder::ThreadBuffer {
-  std::mutex mu;  // guards ring + write_pos only
   std::atomic<std::uint64_t> epoch{~std::uint64_t{0}};
-  std::vector<ExplainEvent> ring;
-  std::size_t write_pos = 0;
+  // Replaced (never freed, so readers stay safe) when a recording asks
+  // for a larger ring_capacity; cleared with base = head otherwise.
+  // Snapshot() keeps only the newest ring_capacity events, so a larger
+  // ring gives the same answers.
+  std::atomic<Ring<ExplainEvent>*> ring{nullptr};
   // Events until the next sampled one (0 = the next event is kept);
   // a countdown instead of tick % sample_every keeps the per-event
   // path free of integer division.
   std::atomic<std::uint64_t> until_sample{0};
   std::atomic<std::uint64_t> sampled_out{0};
-  std::atomic<std::uint64_t> dropped{0};
   // Owner-thread-only state (never read by Snapshot): D(ϕ[X]) of the
   // last BeginLhs and the running Pareto front over (support,
   // confidence, quality) of force-kept evaluated events.
@@ -70,15 +70,15 @@ struct ExplainRecorder::ThreadBuffer {
   std::vector<std::array<double, 3>> front;
 
   void ResetFor(std::uint64_t new_epoch, std::size_t capacity) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ring.clear();
-      ring.reserve(std::min(capacity, std::size_t{1} << 12));
-      write_pos = 0;
+    Ring<ExplainEvent>* current = ring.load(std::memory_order_relaxed);
+    if (current != nullptr && current->capacity() >= capacity) {
+      current->Clear();
+    } else {
+      ring.store(new Ring<ExplainEvent>(capacity, diag::SigsafeTid()),
+                 std::memory_order_release);
     }
     until_sample.store(0, std::memory_order_relaxed);
     sampled_out.store(0, std::memory_order_relaxed);
-    dropped.store(0, std::memory_order_relaxed);
     current_d = 0.0;
     front.clear();
     // Last: publishes the reset to Snapshot()'s epoch filter.
@@ -100,7 +100,8 @@ void ExplainRecorder::Enable(const ExplainConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
   config_ = config;
   if (config_.sample_every == 0) config_.sample_every = 1;
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
+  config_.ring_capacity = std::clamp<std::size_t>(
+      config_.ring_capacity, 1, kMaxRingCapacity);
   sample_every_.store(config_.sample_every, std::memory_order_relaxed);
   ring_capacity_.store(config_.ring_capacity, std::memory_order_relaxed);
   track_skyline_.store(config_.track_skyline, std::memory_order_relaxed);
@@ -147,22 +148,11 @@ void ExplainRecorder::Disable() {
   registry.GetCounter("explain.pruned_zero_conf")
       .Add(pruned_zero_conf_.load(std::memory_order_relaxed));
 
-  std::uint64_t recorded = 0;
+  std::vector<ExplainEvent> events;
   std::uint64_t sampled_out = 0;
   std::uint64_t dropped = 0;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers = buffers_;
-  }
-  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  for (const auto& buffer : buffers) {
-    if (buffer->epoch.load(std::memory_order_acquire) != epoch) continue;
-    sampled_out += buffer->sampled_out.load(std::memory_order_relaxed);
-    dropped += buffer->dropped.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    recorded += buffer->ring.size();
-  }
+  ReadBuffers(&events, &sampled_out, &dropped);
+  const std::uint64_t recorded = events.size();
   registry.GetCounter("explain.events_recorded").Add(recorded);
   registry.GetCounter("explain.events_sampled_out").Add(sampled_out);
   registry.GetCounter("explain.events_dropped").Add(dropped);
@@ -282,12 +272,8 @@ void ExplainRecorder::NoteLhsBoundedOut() {
 }
 
 ExplainRecorder::ThreadBuffer& ExplainRecorder::LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer;
-  if (buffer == nullptr) {
-    buffer = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(buffer);
-  }
+  thread_local ThreadBuffer* buffer = nullptr;
+  if (buffer == nullptr) buffer = buffers_.Add();
   return *buffer;
 }
 
@@ -346,20 +332,36 @@ void ExplainRecorder::Push(ExplainEvent event, double skyline_support) {
     return;
   }
   event.forced = forced;
-  const std::size_t capacity = ring_capacity_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(tb.mu);
-  if (tb.ring.size() < capacity) {
-    tb.ring.push_back(event);
-  } else {
-    tb.ring[tb.write_pos] = event;
-    tb.write_pos = (tb.write_pos + 1) % capacity;
-    tb.dropped.fetch_add(1, std::memory_order_relaxed);
+  tb.ring.load(std::memory_order_relaxed)->Push(event);
+}
+
+void ExplainRecorder::ReadBuffers(std::vector<ExplainEvent>* events,
+                                  std::uint64_t* sampled_out,
+                                  std::uint64_t* dropped) const {
+  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
+  const std::uint64_t limit = ring_capacity_.load(std::memory_order_relaxed);
+  const std::size_t n = buffers_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const ThreadBuffer& buffer = *buffers_[i];
+    if (buffer.epoch.load(std::memory_order_acquire) != epoch) {
+      continue;  // Stale (previous run).
+    }
+    *sampled_out += buffer.sampled_out.load(std::memory_order_relaxed);
+    // The ring is at least ring_capacity long; keep its newest
+    // ring_capacity events and count the rest as dropped.
+    const Ring<ExplainEvent>& ring =
+        *buffer.ring.load(std::memory_order_acquire);
+    const std::uint64_t base = ring.base();
+    const std::uint64_t head = ring.head();
+    const std::size_t before = events->size();
+    ring.ForEach(head > limit ? head - limit : 0, head,
+                 [events](const ExplainEvent& e) { events->push_back(e); });
+    *dropped += head - base - (events->size() - before);
   }
 }
 
 ExplainSnapshot ExplainRecorder::Snapshot() const {
   ExplainSnapshot snapshot;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot.config = config_;
@@ -368,7 +370,6 @@ ExplainSnapshot ExplainRecorder::Snapshot() const {
     snapshot.rhs_dims = rhs_dims_;
     snapshot.dmax = dmax_;
     snapshot.lhs = lhs_;
-    buffers = buffers_;
   }
   snapshot.waterfall.lhs_seen = lhs_seen_.load(std::memory_order_relaxed);
   snapshot.waterfall.lhs_bounded_out =
@@ -381,17 +382,7 @@ ExplainSnapshot ExplainRecorder::Snapshot() const {
       pruned_zero_conf_.load(std::memory_order_relaxed);
   snapshot.waterfall.offered = offered_.load(std::memory_order_relaxed);
 
-  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  for (const auto& buffer : buffers) {
-    if (buffer->epoch.load(std::memory_order_acquire) != epoch) {
-      continue;  // Stale (previous run).
-    }
-    snapshot.sampled_out += buffer->sampled_out.load(std::memory_order_relaxed);
-    snapshot.dropped += buffer->dropped.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    snapshot.events.insert(snapshot.events.end(), buffer->ring.begin(),
-                           buffer->ring.end());
-  }
+  ReadBuffers(&snapshot.events, &snapshot.sampled_out, &snapshot.dropped);
   snapshot.recorded = snapshot.events.size();
   std::sort(snapshot.events.begin(), snapshot.events.end(),
             [](const ExplainEvent& a, const ExplainEvent& b) {

@@ -15,9 +15,10 @@
 //  * Enabled: exact waterfall totals are always maintained (a few
 //    relaxed atomic increments per candidate), while full per-event
 //    records go through a sampling gate (keep every `sample_every`-th
-//    event) into per-thread ring buffers, so concurrent determinations
-//    never contend on event storage. Events that explain the outcome
-//    are always kept regardless of the sampling rate: candidates that
+//    event) into a per-thread obs::Ring (DESIGN.md §8.1) — one
+//    lock-free push per kept event, so concurrent determinations never
+//    contend on event storage. Events that explain the outcome are
+//    always kept regardless of the sampling rate: candidates that
 //    entered the top-l heap (they advanced the pruning bound — the
 //    winner is among them) and candidates on the running Pareto
 //    skyline of (support, confidence, quality).
@@ -32,10 +33,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace dd::obs {
 
@@ -67,8 +69,10 @@ struct ExplainConfig {
   // Keep every K-th event in the ring (1 = full fidelity). Outcome-
   // explaining events (offered / skyline) are kept regardless.
   std::size_t sample_every = 1;
-  // Per-thread ring capacity; when full the oldest event is overwritten
-  // and counted as dropped. Waterfall totals stay exact regardless.
+  // Per-thread ring capacity: each thread keeps its newest
+  // `ring_capacity` kept events, older ones are overwritten and counted
+  // as dropped. Waterfall totals stay exact regardless. Enable() clamps
+  // it to [1, kMaxRingCapacity].
   std::size_t ring_capacity = std::size_t{1} << 16;
   // Always keep candidates on the running Pareto front of
   // (support, confidence, quality) — the skyline the paper's
@@ -218,6 +222,10 @@ class ExplainRecorder {
   // Pushes through the sampling gate; `skyline_support` < 0 disables
   // skyline consideration (pruned events).
   void Push(ExplainEvent event, double skyline_support);
+  // Adds the current recording's retained events (unsorted) and its
+  // sampled-out and dropped counts across every thread buffer.
+  void ReadBuffers(std::vector<ExplainEvent>* events,
+                   std::uint64_t* sampled_out, std::uint64_t* dropped) const;
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> epoch_{0};
@@ -246,7 +254,9 @@ class ExplainRecorder {
   std::size_t rhs_dims_ = 0;
   int dmax_ = 0;
   std::vector<ExplainLhsInfo> lhs_;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+
+  // Every recording thread's buffer, listed on its first event.
+  RingTable<ThreadBuffer, 512> buffers_;
 };
 
 }  // namespace dd::obs

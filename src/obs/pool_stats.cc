@@ -1,13 +1,12 @@
 #include "obs/pool_stats.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/diag/sigsafe.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
 namespace dd::obs {
 
@@ -18,100 +17,34 @@ namespace {
 // stay well under this; overflow is tolerated and counted.
 constexpr std::size_t kRingCapacity = 1 << 14;
 
-// One seqlock-protected ring entry. The owning thread is the only
-// writer; Snapshot() readers validate `seq` (2*index + 2 when entry
-// `index` is published) before and after reading the payload, so a
-// concurrent overwrite is detected and the entry skipped. All payload
-// fields are relaxed atomics purely so cross-thread reads are
-// race-free; ordering comes from `seq`.
-struct EventSlot {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<const char*> phase{""};
-  std::atomic<std::uint64_t> invocation{0};
-  // Chunk events: a = chunk index, b = begin, c = end.
-  // Invocation events: a = chunks, b = count, c = threads.
-  std::atomic<std::uint64_t> a{0};
-  std::atomic<std::uint64_t> b{0};
-  std::atomic<std::uint64_t> c{0};
-  std::atomic<std::uint64_t> start_ns{0};
-  std::atomic<std::uint64_t> end_ns{0};
-  std::atomic<std::uint32_t> flags{0};  // bit0 caller, bit1 invocation
-};
+constexpr std::uint64_t kFlagCaller = 1u;
+constexpr std::uint64_t kFlagInvocation = 2u;
 
-constexpr std::uint32_t kFlagCaller = 1u;
-constexpr std::uint32_t kFlagInvocation = 2u;
-
-struct ThreadBuffer {
-  explicit ThreadBuffer(int slot_index)
-      : slot(slot_index), ring(kRingCapacity) {}
-
-  const int slot;
-  // Monotonic count of events ever appended; entry i lives at
-  // ring[i % kRingCapacity] until overwritten.
-  std::atomic<std::uint64_t> head{0};
-  // Reset() raises this to `head`; Snapshot reads [base, head) only.
-  std::atomic<std::uint64_t> base{0};
-  std::vector<EventSlot> ring;
-
-  void Append(const char* phase, std::uint64_t invocation, std::uint64_t a,
-              std::uint64_t b, std::uint64_t c, std::uint64_t start_ns,
-              std::uint64_t end_ns, std::uint32_t flags) {
-    const std::uint64_t h = head.load(std::memory_order_relaxed);
-    EventSlot& slot_ref = ring[h % kRingCapacity];
-    slot_ref.seq.store(2 * h + 1, std::memory_order_release);
-    slot_ref.phase.store(phase, std::memory_order_relaxed);
-    slot_ref.invocation.store(invocation, std::memory_order_relaxed);
-    slot_ref.a.store(a, std::memory_order_relaxed);
-    slot_ref.b.store(b, std::memory_order_relaxed);
-    slot_ref.c.store(c, std::memory_order_relaxed);
-    slot_ref.start_ns.store(start_ns, std::memory_order_relaxed);
-    slot_ref.end_ns.store(end_ns, std::memory_order_relaxed);
-    slot_ref.flags.store(flags, std::memory_order_relaxed);
-    slot_ref.seq.store(2 * h + 2, std::memory_order_release);
-    head.store(h + 1, std::memory_order_release);
-  }
-};
-
-// Registration list: appended on a thread's first recorded event, kept
-// alive for the process so Snapshot() can still read rings of exited
-// workers. The mutex guards registration and the list copy only — the
-// event hot path never takes it.
-std::mutex& RegistryMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<std::shared_ptr<ThreadBuffer>>& Buffers() {
-  static auto* buffers = new std::vector<std::shared_ptr<ThreadBuffer>>();
-  return *buffers;
-}
-
-std::atomic<int> g_next_slot{0};
-
-ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto created = std::make_shared<ThreadBuffer>(
-        g_next_slot.fetch_add(1, std::memory_order_relaxed));
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    Buffers().push_back(created);
-    return created;
-  }();
-  return *buffer;
-}
-
-std::vector<std::shared_ptr<ThreadBuffer>> BufferListCopy() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  return Buffers();
-}
-
-// Raw event as read back out of a ring.
-struct RawEvent {
-  int slot;
+// One ring slot: a chunk or an invocation event.
+struct PoolEvent {
   const char* phase;
   std::uint64_t invocation;
+  // Chunk events: a = chunk index, b = begin, c = end.
+  // Invocation events: a = chunks, b = count, c = threads.
   std::uint64_t a, b, c;
   std::uint64_t start_ns, end_ns;
-  std::uint32_t flags;
+  std::uint64_t flags;  // kFlagCaller | kFlagInvocation
+};
+
+// Rings of every thread that recorded; the table index is the thread's
+// slot. Rings outlive their threads so Snapshot() still sees exited
+// workers.
+RingTable<Ring<PoolEvent>, 512> g_pool_rings;
+
+Ring<PoolEvent>& LocalRing() {
+  thread_local Ring<PoolEvent>* ring =
+      g_pool_rings.Add(kRingCapacity, diag::SigsafeTid());
+  return *ring;
+}
+
+// An event as read back out of a ring, tagged with its thread's slot.
+struct RawEvent : PoolEvent {
+  int slot;
 };
 
 }  // namespace
@@ -153,16 +86,15 @@ void PoolStatsCollector::Disable() {
 bool PoolStatsCollector::enabled() const { return GetPoolObserver() == this; }
 
 void PoolStatsCollector::Reset() {
-  for (const auto& buffer : BufferListCopy()) {
-    buffer->base.store(buffer->head.load(std::memory_order_acquire),
-                       std::memory_order_release);
+  for (std::size_t i = 0; i < g_pool_rings.size(); ++i) {
+    g_pool_rings[i]->Clear();
   }
 }
 
 void PoolStatsCollector::OnChunk(const PoolChunkEvent& event) {
-  LocalBuffer().Append(event.phase, event.invocation, event.chunk, event.begin,
-                       event.end, event.start_ns, event.end_ns,
-                       event.caller ? kFlagCaller : 0);
+  LocalRing().Push({event.phase, event.invocation, event.chunk, event.begin,
+                    event.end, event.start_ns, event.end_ns,
+                    event.caller ? kFlagCaller : 0});
   static Counter& chunks = MetricsRegistry::Global().GetCounter("pool.chunks");
   static Counter& items = MetricsRegistry::Global().GetCounter("pool.items");
   static Counter& busy = MetricsRegistry::Global().GetCounter("pool.busy_ns");
@@ -172,9 +104,9 @@ void PoolStatsCollector::OnChunk(const PoolChunkEvent& event) {
 }
 
 void PoolStatsCollector::OnInvocation(const PoolInvocationEvent& event) {
-  LocalBuffer().Append(event.phase, event.invocation, event.chunks,
-                       event.count, event.threads, event.start_ns,
-                       event.end_ns, kFlagInvocation);
+  LocalRing().Push({event.phase, event.invocation, event.chunks, event.count,
+                    event.threads, event.start_ns, event.end_ns,
+                    kFlagInvocation});
   static Counter& invocations =
       MetricsRegistry::Global().GetCounter("pool.invocations");
   static Counter& wall = MetricsRegistry::Global().GetCounter("pool.wall_ns");
@@ -186,42 +118,18 @@ PoolStatsSnapshot PoolStatsCollector::Snapshot() const {
   PoolStatsSnapshot snapshot;
   std::vector<RawEvent> chunks;
   std::vector<RawEvent> invocations;
-  for (const auto& buffer : BufferListCopy()) {
-    const std::uint64_t head = buffer->head.load(std::memory_order_acquire);
-    const std::uint64_t base = buffer->base.load(std::memory_order_acquire);
-    std::uint64_t first = base;
-    if (head > first + kRingCapacity) {
-      snapshot.dropped_events += head - kRingCapacity - first;
-      first = head - kRingCapacity;
-    }
-    for (std::uint64_t i = first; i < head; ++i) {
-      const EventSlot& slot_ref = buffer->ring[i % kRingCapacity];
-      const std::uint64_t want = 2 * i + 2;
-      if (slot_ref.seq.load(std::memory_order_acquire) != want) {
-        ++snapshot.dropped_events;
-        continue;
-      }
-      RawEvent raw;
-      raw.slot = buffer->slot;
-      raw.phase = slot_ref.phase.load(std::memory_order_relaxed);
-      raw.invocation = slot_ref.invocation.load(std::memory_order_relaxed);
-      raw.a = slot_ref.a.load(std::memory_order_relaxed);
-      raw.b = slot_ref.b.load(std::memory_order_relaxed);
-      raw.c = slot_ref.c.load(std::memory_order_relaxed);
-      raw.start_ns = slot_ref.start_ns.load(std::memory_order_relaxed);
-      raw.end_ns = slot_ref.end_ns.load(std::memory_order_relaxed);
-      raw.flags = slot_ref.flags.load(std::memory_order_relaxed);
-      // Re-validate: an overwrite racing the reads above bumps seq.
-      if (slot_ref.seq.load(std::memory_order_acquire) != want) {
-        ++snapshot.dropped_events;
-        continue;
-      }
-      if ((raw.flags & kFlagInvocation) != 0) {
-        invocations.push_back(raw);
-      } else {
-        chunks.push_back(raw);
-      }
-    }
+  const std::size_t n = g_pool_rings.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Ring<PoolEvent>& ring = *g_pool_rings[i];
+    snapshot.dropped_events +=
+        ring.ForEach(0, ring.head(), [&](const PoolEvent& event) {
+          const RawEvent raw{event, static_cast<int>(i)};
+          if ((raw.flags & kFlagInvocation) != 0) {
+            invocations.push_back(raw);
+          } else {
+            chunks.push_back(raw);
+          }
+        });
   }
 
   // Aggregate per phase / per slot; join chunks to invocations for the

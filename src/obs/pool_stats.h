@@ -1,10 +1,9 @@
 // Worker-pool execution statistics: the obs-side collector behind the
 // dd::PoolObserver hook (common/parallel.h). Every executed chunk and
-// every completed ParallelFor invocation is appended to a lock-free
-// per-thread ring (seqlock entries over relaxed atomics — safe to
-// snapshot from another thread, TSan-clean, and wait-free for the
-// writer). Snapshot() joins chunks back to their invocations and
-// produces, per phase label:
+// every completed ParallelFor invocation is pushed to the thread's
+// obs::Ring (DESIGN.md §8.1): wait-free for the writer, overwrite-
+// oldest, and safe to snapshot from another thread. Snapshot() joins
+// chunks back to their invocations and produces, per phase label:
 //   * per-worker chunk counts, item counts, busy and wait nanoseconds
 //     (wait = invocation wall minus that worker's busy time, summed
 //     over the invocations the worker participated in),
@@ -84,8 +83,9 @@ struct PoolChunkRecord {
 struct PoolStatsSnapshot {
   std::vector<PoolPhaseStats> phases;    // sorted by phase name
   std::vector<PoolChunkRecord> timeline;  // sorted by start_ns
-  // Events lost to ring wrap-around (aggregates above cover only the
-  // retained window when this is non-zero).
+  // Events lost to ring wrap-around or torn by a concurrent rewrite
+  // (aggregates above cover only the retained window when this is
+  // non-zero).
   std::uint64_t dropped_events = 0;
 
   bool empty() const { return phases.empty(); }
@@ -102,8 +102,9 @@ class PoolStatsCollector : public PoolObserver {
   void Disable();
   bool enabled() const;
 
-  // Logically clears every per-thread ring (events already recorded
-  // stop being visible to Snapshot). Safe while enabled.
+  // Logically clears every per-thread ring (base = head: events
+  // already recorded stop being visible to Snapshot). Safe while
+  // enabled.
   void Reset();
 
   // Joins the per-thread rings into per-phase aggregates + timeline.

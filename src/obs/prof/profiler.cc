@@ -18,6 +18,7 @@
 #include "obs/diag/stack_capture.h"
 #include "obs/metrics.h"
 #include "obs/prof/folded.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 
 // Older glibc spells the SIGEV_THREAD_ID target field through the
@@ -36,39 +37,28 @@ namespace {
 
 constexpr std::size_t kMaxProfThreads = 256;
 
-// One queued sample. Fixed-size POD: the handler writes it in place,
-// the housekeeper copies it out — no pointers are followed in signal
-// context. span/phase are static-storage literals published by
-// TraceSpan / ParallelFor, safe to dereference later from any thread.
+// One queued sample. Fixed-size POD: the handler fills one on its stack
+// and pushes it, the housekeeper copies it out — no pointers are
+// followed in signal context. span/phase are static-storage literals
+// published by TraceSpan / ParallelFor, safe to dereference later from
+// any thread.
 struct SampleSlot {
   const char* span = nullptr;
   const char* phase = nullptr;
   std::uint32_t frame_count = 0;
   std::uint32_t truncated = 0;
-  void* frames[kMaxProfFrames];
+  void* frames[kMaxProfFrames] = {};
 };
 
-// Per-thread SPSC ring: the producer is the thread's own SIGPROF
-// handler, the consumer is the housekeeper. Allocated on first arm,
-// registered forever (flight-recorder discipline) so a late signal on
-// a dying capture can never touch freed memory.
-struct SampleRing {
-  std::atomic<std::uint64_t> head{0};     // written by the handler
-  std::atomic<std::uint64_t> tail{0};     // advanced by the housekeeper
-  std::atomic<std::uint64_t> dropped{0};  // ring-full samples
-  std::uint32_t capacity = 0;             // power of two
-  std::uint32_t mask = 0;
-  int tid = 0;
-  SampleSlot* slots = nullptr;  // heap, never freed
-};
-
-std::atomic<SampleRing*> g_rings[kMaxProfThreads];
-std::atomic<std::size_t> g_ring_count{0};
+// One ring per sampled tid, registered by the housekeeper on first arm
+// and never freed, so a late signal on a dying capture can never touch
+// freed memory. The producer is the thread's own SIGPROF handler.
+RingTable<Ring<SampleSlot>, kMaxProfThreads> g_sample_rings;
 // SIGPROF delivered to a thread whose ring was not registered yet (a
 // thread racing its first housekeeper scan).
 std::atomic<std::uint64_t> g_unarmed_drops{0};
 
-thread_local SampleRing* t_ring = nullptr;
+thread_local Ring<SampleSlot>* t_ring = nullptr;
 
 }  // namespace
 
@@ -80,51 +70,28 @@ thread_local SampleRing* t_ring = nullptr;
 extern "C" void DdProfSigprofHandler(int /*sig*/) {
   const int saved_errno = errno;
   if (internal::g_prof_active.load(std::memory_order_relaxed)) {
-    SampleRing* ring = t_ring;
-    if (ring == nullptr) {
-      // First sample on this thread: find the ring the housekeeper
-      // registered for our tid. Bounded scan over preallocated
-      // atomics — async-signal-safe.
-      const int tid = diag::SigsafeTid();
-      const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < count; ++i) {
-        SampleRing* r = g_rings[i].load(std::memory_order_acquire);
-        if (r != nullptr && r->tid == tid) {
-          ring = r;
-          break;
-        }
-      }
-      t_ring = ring;
+    // First sample on this thread: find the ring the housekeeper
+    // registered for our tid (lock-free, async-signal-safe).
+    if (t_ring == nullptr) {
+      t_ring = g_sample_rings.Find(diag::SigsafeTid());
     }
-    if (ring == nullptr) {
+    if (t_ring == nullptr) {
       g_unarmed_drops.fetch_add(1, std::memory_order_relaxed);
     } else {
-      const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-      if (head - ring->tail.load(std::memory_order_acquire) >=
-          ring->capacity) {
-        ring->dropped.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        SampleSlot& slot = ring->slots[head & ring->mask];
-        const std::size_t n =
-            diag::CaptureOwnStack(slot.frames, kMaxProfFrames);
-        slot.frame_count = static_cast<std::uint32_t>(n);
-        slot.truncated = n >= kMaxProfFrames ? 1 : 0;
-        slot.span = CurrentSpanName();
-        slot.phase = dd::CurrentPoolPhase();
-        ring->head.store(head + 1, std::memory_order_release);
-      }
+      SampleSlot slot;
+      const std::size_t n =
+          diag::CaptureOwnStack(slot.frames, kMaxProfFrames);
+      slot.frame_count = static_cast<std::uint32_t>(n);
+      slot.truncated = n >= kMaxProfFrames ? 1 : 0;
+      slot.span = CurrentSpanName();
+      slot.phase = dd::CurrentPoolPhase();
+      t_ring->Push(slot);
     }
   }
   errno = saved_errno;
 }
 
 namespace {
-
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 16;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 // Kernel CPU-clock encoding (linux posix-timers): id = (~tid << 3) |
 // bits, where bits 0-1 select the clock (2 = CPUCLOCK_SCHED, the clock
@@ -162,7 +129,10 @@ struct CaptureState {
   std::thread housekeeper;
   std::vector<std::pair<int, timer_t>> timers;  // tid -> armed timer
   std::map<std::string, std::uint64_t> aggregated;
+  // Per ring (table index): the sequence the next drain starts from.
+  std::vector<std::uint64_t> cursors;
   std::uint64_t samples = 0;
+  std::uint64_t dropped = 0;  // overwritten or torn before a drain
   std::uint64_t truncated = 0;
   std::string last_summary;
 };
@@ -178,37 +148,12 @@ std::mutex g_wake_mu;
 std::condition_variable g_wake_cv;
 std::atomic<bool> g_running{false};
 
-SampleRing* FindRing(int tid) {
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i) {
-    SampleRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring != nullptr && ring->tid == tid) return ring;
-  }
-  return nullptr;
-}
-
-SampleRing* EnsureRing(int tid, std::size_t capacity) {
-  if (SampleRing* ring = FindRing(tid)) return ring;
-  const std::size_t index =
-      g_ring_count.load(std::memory_order_relaxed);
-  if (index >= kMaxProfThreads) return nullptr;
-  auto* ring = new SampleRing();
-  ring->capacity = static_cast<std::uint32_t>(capacity);
-  ring->mask = ring->capacity - 1;
-  ring->tid = tid;
-  ring->slots = new SampleSlot[ring->capacity];
-  g_rings[index].store(ring, std::memory_order_release);
-  g_ring_count.store(index + 1, std::memory_order_release);
-  return ring;
-}
-
 // Arms a per-thread CPU-time timer for every thread in /proc/self/task
 // that does not have one yet (threads spawned mid-capture get theirs
 // on the next scan, <= drain_period_ms late). Requires g_mu.
 void ArmNewThreadsLocked(CaptureState& state) {
   DIR* dir = ::opendir("/proc/self/task");
   if (dir == nullptr) return;
-  const std::size_t capacity = RoundUpPow2(state.options.ring_capacity);
   while (struct dirent* ent = ::readdir(dir)) {
     if (ent->d_name[0] < '0' || ent->d_name[0] > '9') continue;
     const int tid = std::atoi(ent->d_name);
@@ -220,7 +165,10 @@ void ArmNewThreadsLocked(CaptureState& state) {
       }
     }
     if (armed) continue;
-    if (EnsureRing(tid, capacity) == nullptr) continue;  // table full
+    if (g_sample_rings.Find(tid) == nullptr) {
+      if (g_sample_rings.full()) continue;  // this thread stays unsampled
+      g_sample_rings.Add(state.options.ring_capacity, tid);
+    }
     sigevent sev;
     std::memset(&sev, 0, sizeof(sev));
     sev.sigev_notify = SIGEV_THREAD_ID;
@@ -244,21 +192,21 @@ void ArmNewThreadsLocked(CaptureState& state) {
   ::closedir(dir);
 }
 
-// Folds every queued sample into the aggregation map. Requires g_mu.
+// Folds every sample queued since the last drain into the aggregation
+// map; overwritten and torn samples count as dropped. Requires g_mu.
 void DrainRingsLocked(CaptureState& state) {
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
+  const std::size_t count = g_sample_rings.size();
+  state.cursors.resize(count, 0);
   for (std::size_t i = 0; i < count; ++i) {
-    SampleRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
-    for (; tail != head; ++tail) {
-      const SampleSlot& slot = ring->slots[tail & ring->mask];
-      state.aggregated[SlotKey(slot)] += 1;
-      state.samples += 1;
-      state.truncated += slot.truncated;
-    }
-    ring->tail.store(head, std::memory_order_release);
+    const Ring<SampleSlot>& ring = *g_sample_rings[i];
+    const std::uint64_t head = ring.head();
+    state.dropped += ring.ForEach(
+        state.cursors[i], head, [&state](const SampleSlot& slot) {
+          state.aggregated[SlotKey(slot)] += 1;
+          state.samples += 1;
+          state.truncated += slot.truncated;
+        });
+    state.cursors[i] = head;
   }
 }
 
@@ -272,14 +220,8 @@ Profile BuildProfileLocked(const CaptureState& state) {
           .count());
   profile.samples = state.samples;
   profile.truncated = state.truncated;
-  profile.dropped = g_unarmed_drops.load(std::memory_order_relaxed);
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i) {
-    SampleRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring != nullptr) {
-      profile.dropped += ring->dropped.load(std::memory_order_relaxed);
-    }
-  }
+  profile.dropped =
+      state.dropped + g_unarmed_drops.load(std::memory_order_relaxed);
   profile.entries.reserve(state.aggregated.size());
   for (const auto& [key, hits] : state.aggregated) {
     ProfileEntry entry;
@@ -346,8 +288,9 @@ Status Profiler::Start(const ProfilerOptions& options) {
   if (options.hz < 1 || options.hz > 10000) {
     return Status::InvalidArgument("profiler hz must be in [1, 10000]");
   }
-  if (options.ring_capacity < 1) {
-    return Status::InvalidArgument("profiler ring_capacity must be >= 1");
+  if (options.ring_capacity < 1 || options.ring_capacity > kMaxRingCapacity) {
+    return Status::InvalidArgument(
+        "profiler ring_capacity must be in [1, 2^24]");
   }
   if (options.drain_period_ms < 1) {
     return Status::InvalidArgument("profiler drain_period_ms must be >= 1");
@@ -364,20 +307,17 @@ Status Profiler::Start(const ProfilerOptions& options) {
   InstallSigprofHandler();
 
   // Stale queued samples from the previous capture (rings are never
-  // freed) are discarded, and per-ring drop counts reset.
-  const std::size_t count = g_ring_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < count; ++i) {
-    SampleRing* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    ring->tail.store(ring->head.load(std::memory_order_acquire),
-                     std::memory_order_release);
-    ring->dropped.store(0, std::memory_order_relaxed);
+  // freed) are discarded.
+  for (std::size_t i = 0; i < g_sample_rings.size(); ++i) {
+    g_sample_rings[i]->Clear();
   }
   g_unarmed_drops.store(0, std::memory_order_relaxed);
 
   state.options = options;
   state.aggregated.clear();
+  state.cursors.clear();
   state.samples = 0;
+  state.dropped = 0;
   state.truncated = 0;
   state.started = std::chrono::steady_clock::now();
   state.running = true;

@@ -2,17 +2,18 @@
 // CPU-time timers (timer_create(CLOCK_THREAD_CPUTIME_ID) with
 // SIGEV_THREAD_ID delivery) fire SIGPROF on each thread at --profile_hz
 // of *its own* CPU time; the async-signal-safe handler captures a raw
-// backtrace into the thread's lock-free ring, tagged with the innermost
-// trace span (obs::CurrentSpanName) and worker-pool phase
+// backtrace and pushes it to the thread's ring, tagged with the
+// innermost trace span (obs::CurrentSpanName) and worker-pool phase
 // (dd::CurrentPoolPhase). A housekeeper thread arms timers for threads
 // that appear mid-capture, drains the rings, and aggregates identical
 // stacks, so memory stays bounded no matter how long the capture runs.
 //
 // Same discipline as the flight recorder (src/obs/diag): rings are
-// preallocated fixed-size POD slots, never freed; the handler touches
-// only its own ring, thread-locals, and backtrace() (warmed at Start);
-// the disabled gate is one relaxed atomic load. A full ring drops the
-// sample and counts it — sampling never blocks the sampled thread.
+// obs::Ring (DESIGN.md §8.1) of fixed-size POD slots, never freed; the
+// handler touches only its own ring, thread-locals, and backtrace()
+// (warmed at Start); the disabled gate is one relaxed atomic load. A
+// full ring overwrites its oldest sample, and the drain counts it as
+// dropped — sampling never blocks the sampled thread.
 //
 // Aggregated output is symbolized offline (obs/diag/symbolize) into
 // folded-stack lines (obs/prof/folded.h) and a JSON summary. Surfaced
@@ -42,7 +43,8 @@ struct ProfilerOptions {
   // Samples per second of per-thread CPU time. 97/99 (primes) avoid
   // lockstep with periodic work.
   int hz = 99;
-  // Per-thread ring slots (rounded up to a power of two, min 16).
+  // Per-thread ring slots (rounded up to a power of two, min 16; Start
+  // rejects more than 2^24, obs::kMaxRingCapacity).
   // 2048 slots buffer ~20 s of one thread's samples at 99 Hz between
   // housekeeper drains.
   std::size_t ring_capacity = 2048;
@@ -65,7 +67,7 @@ struct Profile {
   int hz = 0;
   std::uint64_t duration_ns = 0;  // wall time the capture ran
   std::uint64_t samples = 0;      // aggregated into entries
-  std::uint64_t dropped = 0;      // ring full or no ring armed yet
+  std::uint64_t dropped = 0;      // overwritten, torn, or no ring yet
   std::uint64_t truncated = 0;    // stacks deeper than kMaxProfFrames
   std::vector<ProfileEntry> entries;
 
@@ -86,8 +88,9 @@ class Profiler {
   static Profiler& Global();
 
   // Arms per-thread timers and starts the housekeeper. Fails with
-  // InvalidArgument on a bad hz, FailedPrecondition when a capture is
-  // already running (one at a time — the signal handler is shared).
+  // InvalidArgument on a bad hz or ring_capacity, FailedPrecondition
+  // when a capture is already running (one at a time — the signal
+  // handler is shared).
   Status Start(const ProfilerOptions& options = ProfilerOptions());
 
   // Disarms every timer, drains the rings one last time, and returns

@@ -5,6 +5,10 @@
 
 #include "tools/benchcmp_lib.h"
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -152,7 +156,7 @@ TEST(BenchcmpCompareTest, HostMismatchRefused) {
   CompareOptions options;
   const CompareReport refused = CompareBench(base, fresh, options);
   EXPECT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.host_mismatch);
+  EXPECT_FALSE(refused.host_mismatches.empty());
   EXPECT_TRUE(refused.rows.empty());
 
   options.allow_host_mismatch = true;
@@ -163,6 +167,60 @@ TEST(BenchcmpCompareTest, HostMismatchRefused) {
   // Unstamped captures (host_cores 0) compare freely.
   const BenchFile unstamped = MakeFile({{"b", "p", 1, 0.1, 1}}, 0);
   EXPECT_TRUE(CompareBench(unstamped, fresh, CompareOptions{}).ok());
+}
+
+// A baseline directory mixing a 1-core and a 4-core capture against a
+// 4-core fresh run: only the 1-core file's rows are refused, the 4-core
+// file's rows are still compared.
+TEST(BenchcmpCompareTest, HostCoresCheckedPerBaselineFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("benchcmp_hosts_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  // Sorted first, so it also stamps the directory's file-level cores.
+  std::ofstream(dir / "BENCH_a.json")
+      << R"({"bench": "a", "host_cores": 1, "rows": [
+             {"phase": "p", "threads": 1, "elapsed_s": 0.1}]})";
+  std::ofstream(dir / "BENCH_b.json")
+      << R"({"bench": "b", "host_cores": 4, "rows": [
+             {"phase": "p", "threads": 1, "elapsed_s": 0.1},
+             {"phase": "q", "threads": 2, "elapsed_s": 0.1}]})";
+  auto base = LoadBenchFile(dir.string(), "elapsed_s");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  auto fresh = ParseBenchContent(
+      "BENCH_JSON {\"bench\": \"a\", \"phase\": \"p\", \"threads\": 1, "
+      "\"elapsed_s\": 0.1, \"host_cores\": 4}\n"
+      "BENCH_JSON {\"bench\": \"b\", \"phase\": \"p\", \"threads\": 1, "
+      "\"elapsed_s\": 0.1, \"host_cores\": 4}\n"
+      "BENCH_JSON {\"bench\": \"b\", \"phase\": \"q\", \"threads\": 2, "
+      "\"elapsed_s\": 0.5, \"host_cores\": 4}\n",
+      "elapsed_s");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  const CompareReport report = CompareBench(*base, *fresh, CompareOptions{});
+  EXPECT_FALSE(report.ok());
+  EXPECT_FALSE(report.host_mismatches.empty());
+  ASSERT_EQ(report.host_mismatches.size(), 1u);
+  EXPECT_EQ(report.host_mismatches[0].bench, "a");
+  EXPECT_EQ(report.host_mismatches[0].base_host_cores, 1);
+  EXPECT_EQ(report.host_mismatches[0].fresh_host_cores, 4);
+  EXPECT_EQ(report.host_mismatches[0].rows, 1u);
+  ASSERT_EQ(report.rows.size(), 2u);
+  EXPECT_EQ(report.rows[0].base.bench, "b");
+  EXPECT_EQ(report.rows[1].base.bench, "b");
+  EXPECT_EQ(report.regressions, 1u);  // b/q ran 5x slower.
+  const std::string text = CompareReportToText(report, CompareOptions{});
+  EXPECT_NE(text.find("REFUSED: a: baseline captured on a 1-core host"),
+            std::string::npos);
+  EXPECT_NE(text.find("REGRESSED"), std::string::npos);
+
+  CompareOptions allow;
+  allow.allow_host_mismatch = true;
+  const CompareReport allowed = CompareBench(*base, *fresh, allow);
+  EXPECT_TRUE(allowed.host_mismatches.empty());
+  EXPECT_EQ(allowed.rows.size(), 3u);
 }
 
 TEST(BenchcmpCompareTest, TrajectoryRowShape) {

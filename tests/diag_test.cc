@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -180,6 +181,47 @@ TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsNewest) {
   }
   EXPECT_TRUE(found);
   FlightRecorder::Disable();
+}
+
+// One thread records while another snapshots in a loop: every copied
+// event must be whole (its payload matches its sequence number).
+TEST(FlightRecorderTest, SnapshotWhileRecordingNeverTorn) {
+  FlightRecorder::Disable();
+  FlightRecorder::Enable(16);
+  FlightRecorder::ResetForTest();
+  constexpr std::uint64_t kEvents = 100000;
+  std::atomic<int> recorder_tid{0};
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    recorder_tid.store(SigsafeTid());
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      FlightRecord(EventType::kCustom, "torn", i, ~i);
+    }
+    done.store(true);
+  });
+  std::uint64_t checked = 0;
+  bool whole = true;
+  bool finished = false;
+  do {  // At least one snapshot after the recorder finished.
+    finished = done.load();
+    for (const auto& thread : FlightRecorder::Snapshot()) {
+      if (thread.tid != recorder_tid.load()) continue;
+      for (std::size_t i = 0; i < thread.events.size(); ++i) {
+        const FlightEvent& ev = thread.events[i];
+        if (std::string(ev.name) != "torn") continue;
+        ++checked;
+        whole = whole && ev.type == EventType::kCustom &&
+                ev.arg1 == ~ev.arg0 &&
+                ev.seq - ev.arg0 == thread.events.front().seq -
+                                        thread.events.front().arg0 &&
+                (i == 0 || ev.seq > thread.events[i - 1].seq);
+      }
+    }
+  } while (!finished);
+  recorder.join();
+  FlightRecorder::Disable();
+  EXPECT_TRUE(whole);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(FlightRecorderTest, EventTypeNamesRoundTrip) {

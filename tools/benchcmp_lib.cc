@@ -218,13 +218,15 @@ std::string StringOr(const JsonValue& obj, const std::string& key,
 using RowKey = std::tuple<std::string, std::string, std::int64_t>;
 
 // Folds one row object into the accumulating file: min-of-k on the
-// metric, first-seen host_cores / run_id.
+// metric (the kept row keeps its host_cores), first-seen host_cores /
+// run_id for the file.
 void AccumulateRow(const JsonValue& row, const std::string& metric_key,
                    const std::string& default_bench,
+                   std::int64_t default_cores,
                    std::map<RowKey, BenchRow>* rows, BenchFile* file) {
-  if (file->host_cores == 0) {
-    file->host_cores = static_cast<std::int64_t>(NumberOr(row, "host_cores", 0));
-  }
+  const auto host_cores = static_cast<std::int64_t>(
+      NumberOr(row, "host_cores", static_cast<double>(default_cores)));
+  if (file->host_cores == 0) file->host_cores = host_cores;
   if (file->run_id.empty()) file->run_id = StringOr(row, "run_id", "");
   const JsonValue* metric = row.Find(metric_key);
   if (metric == nullptr || metric->kind != JsonValue::Kind::kNumber) {
@@ -236,10 +238,14 @@ void AccumulateRow(const JsonValue& row, const std::string& metric_key,
   parsed.phase = StringOr(row, "phase", "");
   parsed.threads = static_cast<std::int64_t>(NumberOr(row, "threads", 0));
   parsed.value = metric->number;
+  parsed.host_cores = host_cores;
   const RowKey key{parsed.bench, parsed.phase, parsed.threads};
   auto [it, inserted] = rows->emplace(key, parsed);
   if (!inserted) {
-    it->second.value = std::min(it->second.value, parsed.value);
+    if (parsed.value < it->second.value) {
+      it->second.value = parsed.value;
+      it->second.host_cores = parsed.host_cores;
+    }
     ++it->second.samples;
   }
 }
@@ -253,10 +259,9 @@ Status AccumulateContent(const std::string& content,
     JsonReader reader(content.substr(first));
     DD_ASSIGN_OR_RETURN(JsonValue doc, reader.Parse());
     const std::string default_bench = StringOr(doc, "bench", "");
-    if (file->host_cores == 0) {
-      file->host_cores =
-          static_cast<std::int64_t>(NumberOr(doc, "host_cores", 0));
-    }
+    const auto doc_cores =
+        static_cast<std::int64_t>(NumberOr(doc, "host_cores", 0));
+    if (file->host_cores == 0) file->host_cores = doc_cores;
     if (file->run_id.empty()) file->run_id = StringOr(doc, "run_id", "");
     const JsonValue* doc_rows = doc.Find("rows");
     if (doc_rows == nullptr || doc_rows->kind != JsonValue::Kind::kArray) {
@@ -265,7 +270,7 @@ Status AccumulateContent(const std::string& content,
     }
     for (const JsonValue& row : doc_rows->array) {
       if (row.kind != JsonValue::Kind::kObject) continue;
-      AccumulateRow(row, metric_key, default_bench, rows, file);
+      AccumulateRow(row, metric_key, default_bench, doc_cores, rows, file);
     }
     return Status::Ok();
   }
@@ -287,7 +292,7 @@ Status AccumulateContent(const std::string& content,
     if (row.kind != JsonValue::Kind::kObject) {
       return Status::InvalidArgument("BENCH_JSON line is not an object");
     }
-    AccumulateRow(row, metric_key, "", rows, file);
+    AccumulateRow(row, metric_key, "", 0, rows, file);
   }
   if (lines_found == 0) {
     return Status::InvalidArgument(
@@ -364,13 +369,6 @@ Result<BenchFile> LoadBenchFile(const std::string& path,
 CompareReport CompareBench(const BenchFile& base, const BenchFile& fresh,
                            const CompareOptions& options) {
   CompareReport report;
-  report.base_host_cores = base.host_cores;
-  report.fresh_host_cores = fresh.host_cores;
-  if (base.host_cores != 0 && fresh.host_cores != 0 &&
-      base.host_cores != fresh.host_cores && !options.allow_host_mismatch) {
-    report.host_mismatch = true;
-    return report;
-  }
   std::map<RowKey, const BenchRow*> fresh_by_key;
   for (const BenchRow& row : fresh.rows) {
     fresh_by_key[{row.bench, row.phase, row.threads}] = &row;
@@ -384,6 +382,27 @@ CompareReport CompareBench(const BenchFile& base, const BenchFile& fresh,
       continue;
     }
     matched[key] = true;
+    const std::int64_t base_cores =
+        row.host_cores != 0 ? row.host_cores : base.host_cores;
+    const std::int64_t fresh_cores = it->second->host_cores != 0
+                                         ? it->second->host_cores
+                                         : fresh.host_cores;
+    if (base_cores != 0 && fresh_cores != 0 && base_cores != fresh_cores &&
+        !options.allow_host_mismatch) {
+      auto group = std::find_if(
+          report.host_mismatches.begin(), report.host_mismatches.end(),
+          [&](const HostMismatch& m) {
+            return m.bench == row.bench && m.base_host_cores == base_cores &&
+                   m.fresh_host_cores == fresh_cores;
+          });
+      if (group == report.host_mismatches.end()) {
+        group = report.host_mismatches.insert(
+            report.host_mismatches.end(),
+            HostMismatch{row.bench, base_cores, fresh_cores, 0});
+      }
+      ++group->rows;
+      continue;
+    }
     RowComparison cmp;
     cmp.base = row;
     cmp.fresh = *it->second;
@@ -406,14 +425,13 @@ CompareReport CompareBench(const BenchFile& base, const BenchFile& fresh,
 std::string CompareReportToText(const CompareReport& report,
                                 const CompareOptions& options) {
   std::string out;
-  if (report.host_mismatch) {
+  for (const HostMismatch& m : report.host_mismatches) {
     out += StrFormat(
-        "REFUSED: baseline captured on a %lld-core host, fresh run on "
-        "%lld cores — wall times are incomparable (pass "
-        "--allow_host_mismatch to compare anyway)\n",
-        static_cast<long long>(report.base_host_cores),
-        static_cast<long long>(report.fresh_host_cores));
-    return out;
+        "REFUSED: %s: baseline captured on a %lld-core host, fresh run on "
+        "%lld cores — %zu row(s) not compared, wall times are "
+        "incomparable (pass --allow_host_mismatch to compare anyway)\n",
+        m.bench.c_str(), static_cast<long long>(m.base_host_cores),
+        static_cast<long long>(m.fresh_host_cores), m.rows);
   }
   out += StrFormat("%-20s %-22s %7s %10s %10s %7s  %s\n", "bench", "phase",
                    "threads", "base_s", "fresh_s", "ratio", "verdict");

@@ -22,8 +22,11 @@
 //     ratio (a 0.2ms phase doubling is scheduler jitter, not a
 //     regression);
 //   * host check — rows captured on hosts with different core counts
-//     are incomparable for a wall-time gate; the comparison refuses
-//     (CompareReport::host_mismatch) unless explicitly allowed.
+//     are incomparable for a wall-time gate. Host cores are carried per
+//     row (a baseline document stamps its own rows), so a directory of
+//     baselines captured on different hosts is checked file by file:
+//     mismatching benches are refused (CompareReport::host_mismatches)
+//     unless explicitly allowed, and the rest are still compared.
 
 #ifndef DD_TOOLS_BENCHCMP_LIB_H_
 #define DD_TOOLS_BENCHCMP_LIB_H_
@@ -43,12 +46,14 @@ struct BenchRow {
   std::int64_t threads = 0;  // 0 when the row carries no threads key.
   double value = 0.0;        // The compared metric (seconds).
   int samples = 1;           // Rows merged into this key.
+  // Capture host's cores; 0 = unstamped (the file's host_cores applies).
+  std::int64_t host_cores = 0;
 };
 
 // One parsed capture.
 struct BenchFile {
   std::vector<BenchRow> rows;   // Deduped, sorted by (bench,phase,threads).
-  std::int64_t host_cores = 0;  // 0 = not stamped.
+  std::int64_t host_cores = 0;  // First stamp seen; 0 = not stamped.
   std::string run_id;
   std::size_t skipped_rows = 0;  // Rows without the metric key.
 };
@@ -79,19 +84,27 @@ struct RowComparison {
   bool regressed = false;
 };
 
+// Matched rows of one bench refused for differing host cores.
+struct HostMismatch {
+  std::string bench;
+  std::int64_t base_host_cores = 0;
+  std::int64_t fresh_host_cores = 0;
+  std::size_t rows = 0;
+};
+
 struct CompareReport {
   std::vector<RowComparison> rows;  // Keys present in both captures.
   std::vector<BenchRow> only_base;   // Baseline keys the fresh run lacks.
   std::vector<BenchRow> only_fresh;  // New keys with no baseline yet.
-  bool host_mismatch = false;
-  std::int64_t base_host_cores = 0;
-  std::int64_t fresh_host_cores = 0;
+  // Rows refused for their host, by bench; empty when every matched
+  // row's hosts are comparable or the mismatch is allowed.
+  std::vector<HostMismatch> host_mismatches;
   std::size_t regressions = 0;
   double worst_ratio = 0.0;  // Max fresh/base over matched rows.
 
-  // True when the gate passes: hosts comparable (or mismatch allowed,
-  // in which case host_mismatch is false) and no row regressed.
-  bool ok() const { return !host_mismatch && regressions == 0; }
+  // True when the gate passes: no row refused for its host and no row
+  // regressed.
+  bool ok() const { return host_mismatches.empty() && regressions == 0; }
 };
 
 CompareReport CompareBench(const BenchFile& base, const BenchFile& fresh,

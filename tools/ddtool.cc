@@ -30,6 +30,7 @@
 //                     (winner / bound-advancing / skyline events are
 //                     always kept; waterfall totals stay exact)
 //                    [--ring_capacity N] per-thread event ring size
+//                     (1 .. 2^24)
 //                    [--audit_json audit.json] write the JSON audit doc
 //                    [--landscape surface.csv|.jsonl] utility landscape
 //                     (ϕ coordinates -> D,C,Q,CQ,Ū) for plotting
@@ -159,6 +160,7 @@
 #include "obs/prof/folded.h"
 #include "obs/prof/profiler.h"
 #include "obs/report.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 
 namespace {
@@ -664,8 +666,11 @@ int RunExplain(const dd::ArgParser& args) {
   config.sample_every = static_cast<std::size_t>(*sample);
   auto ring = args.GetInt("ring_capacity", 1 << 16);
   if (!ring.ok()) return Fail(ring.status());
-  if (*ring < 1) {
-    return Fail(dd::Status::InvalidArgument("--ring_capacity must be >= 1"));
+  if (*ring < 1 ||
+      static_cast<std::uint64_t>(*ring) > dd::obs::kMaxRingCapacity) {
+    return Fail(dd::Status::InvalidArgument(
+        "--ring_capacity must be in [1, " +
+        std::to_string(dd::obs::kMaxRingCapacity) + "]"));
   }
   config.ring_capacity = static_cast<std::size_t>(*ring);
 
