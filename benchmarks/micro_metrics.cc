@@ -1,10 +1,12 @@
-// Micro-benchmarks of the distance metric substrate: exact vs banded
-// Levenshtein, q-gram, Jaccard and cosine throughput on realistic
-// attribute values.
+// Micro-benchmarks of the distance metric substrate: exact and capped
+// Levenshtein, the kernel one-vs-many against per-pair, q-gram, Jaccard
+// and cosine throughput on realistic attribute values.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,7 +43,7 @@ void BM_LevenshteinExact(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinExact);
 
-void BM_LevenshteinBanded(benchmark::State& state) {
+void BM_LevenshteinBounded(benchmark::State& state) {
   dd::LevenshteinMetric lev;
   const auto values = SampleValues();
   const double cap = static_cast<double>(state.range(0));
@@ -53,11 +55,9 @@ void BM_LevenshteinBanded(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_LevenshteinBanded)->Arg(2)->Arg(10)->Arg(30);
+BENCHMARK(BM_LevenshteinBounded)->Arg(2)->Arg(10)->Arg(30);
 
-// The three Levenshtein kernels head to head on random strings of the
-// arg length (equal lengths — worst case for the band): reference DP,
-// Myers bit-parallel (lengths <= 64 only), banded early-exit DP.
+// Random lowercase strings of the arg length, for the kernel benches.
 std::pair<std::string, std::string> RandomPair(std::size_t length) {
   dd::Rng rng(length * 2654435761u + 17);
   auto make = [&] {
@@ -76,25 +76,56 @@ void BM_LevKernelReferenceDp(benchmark::State& state) {
 }
 BENCHMARK(BM_LevKernelReferenceDp)->Arg(16)->Arg(64)->Arg(200);
 
-void BM_LevKernelMyers64(benchmark::State& state) {
-  const auto [a, b] = RandomPair(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dd::lev::Myers64(a, b));
+// One value against a row of 64 others at cap 10 — the value-pair level
+// table's shape — at about the arg length (±2). Half the row are near
+// copies of the pattern (a few substitutions), half unrelated strings.
+// The one-vs-many form builds the pattern masks once for the row; the
+// per-pair form calls BoundedDistance for each. Items are pairs.
+std::vector<std::string> KernelRow(std::size_t length) {
+  dd::Rng rng(length * 40503u + 5);
+  auto make = [&] {
+    std::string s(length - 2 + rng.NextBounded(5), 'a');
+    for (auto& c : s) c = static_cast<char>('a' + rng.NextBounded(26));
+    return s;
+  };
+  std::vector<std::string> row = {make()};
+  for (int k = 0; k < 64; ++k) {
+    std::string s = k % 2 == 0 ? row[0] : make();
+    for (std::uint64_t e = rng.NextBounded(6); e > 0; --e) {
+      s[rng.NextBounded(s.size())] = static_cast<char>('a' + rng.NextBounded(26));
+    }
+    row.push_back(std::move(s));
   }
+  return row;
 }
-BENCHMARK(BM_LevKernelMyers64)->Arg(16)->Arg(64);
 
-void BM_LevKernelBanded(benchmark::State& state) {
-  const auto [a, b] = RandomPair(static_cast<std::size_t>(state.range(0)));
-  const std::size_t cap = static_cast<std::size_t>(state.range(1));
+void BM_LevOneVsMany(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const auto row = KernelRow(static_cast<std::size_t>(state.range(0)));
+  const std::vector<std::string_view> texts(row.begin() + 1, row.end());
+  std::vector<double> out(texts.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dd::lev::Banded(a, b, cap));
+    lev.BoundedDistanceMany(row[0], texts, 10.0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(texts.size()));
 }
-BENCHMARK(BM_LevKernelBanded)
-    ->Args({200, 2})
-    ->Args({200, 10})
-    ->Args({200, 50});
+BENCHMARK(BM_LevOneVsMany)->Arg(17)->Arg(30)->Arg(55)->Arg(90);
+
+void BM_LevPerPair(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const auto row = KernelRow(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (std::size_t k = 1; k < row.size(); ++k) {
+      benchmark::DoNotOptimize(lev.BoundedDistance(row[0], row[k], 10.0));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(row.size() - 1));
+}
+BENCHMARK(BM_LevPerPair)->Arg(17)->Arg(30)->Arg(55)->Arg(90);
 
 void BM_QGram(benchmark::State& state) {
   dd::QGramMetric qgram(static_cast<std::size_t>(state.range(0)));

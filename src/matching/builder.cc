@@ -119,8 +119,10 @@ Result<ResolvedMetrics> ResolveMatchingMetrics(
                                            : 1.0;
     auto sit = options.scale_overrides.find(attr.name);
     if (sit != options.scale_overrides.end()) scale = sit->second;
-    if (!(scale > 0.0)) {
-      return Status::InvalidArgument("scale must be positive for " + attr.name);
+    // An infinite scale turns a zero distance into 0 * inf = NaN.
+    if (!(scale > 0.0) || !std::isfinite(scale)) {
+      return Status::InvalidArgument("scale must be positive and finite for " +
+                                     attr.name);
     }
     resolved.metrics.push_back(std::move(metric));
     resolved.scales.push_back(scale);

@@ -100,8 +100,8 @@ struct ResolvedMetrics {
 };
 
 // Resolves metrics and scales for `attributes` against `schema`. Fails
-// on unknown attributes/metrics, non-positive scales, or a dmax outside
-// [1, 255].
+// on unknown attributes/metrics, non-positive or non-finite scales, or
+// a dmax outside [1, 255].
 Result<ResolvedMetrics> ResolveMatchingMetrics(
     const Schema& schema, const std::vector<std::string>& attributes,
     const MatchingOptions& options);

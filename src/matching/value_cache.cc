@@ -1,5 +1,7 @@
 #include "matching/value_cache.h"
 
+#include <algorithm>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
@@ -39,18 +41,28 @@ std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
   table->table_.resize(cells);
   const double cap = static_cast<double>(dmax) / scale;
   Level* out = table->table_.data();
-  const std::vector<const std::string*>& values = index.values;
+  std::vector<std::string_view> values;
+  values.reserve(d);
+  for (const std::string* v : index.values) values.emplace_back(*v);
   ParallelFor("value_cache.build", cells, threads,
               [&](std::size_t, std::size_t begin, std::size_t end) {
+                // Cells are row-major, so a chunk is runs of j under a
+                // fixed i: one BoundedDistanceMany call per run lets the
+                // metric prepare values[i] once.
+                std::vector<double> raw(std::min<std::uint64_t>(end - begin, d));
                 auto [i, j] = DecodeTriangularPair(begin, d);
-                for (std::size_t k = begin; k < end; ++k) {
-                  const double raw =
-                      metric.BoundedDistance(*values[i], *values[j], cap);
-                  out[k] = BucketDistance(raw, scale, dmax);
-                  if (++j == d) {
-                    ++i;
-                    j = i + 1;
+                for (std::size_t k = begin; k < end;) {
+                  const std::size_t run =
+                      std::min<std::uint64_t>(end - k, d - j);
+                  metric.BoundedDistanceMany(
+                      values[i], std::span(values).subspan(j, run), cap,
+                      std::span(raw).first(run));
+                  for (std::size_t r = 0; r < run; ++r) {
+                    out[k + r] = BucketDistance(raw[r], scale, dmax);
                   }
+                  k += run;
+                  ++i;
+                  j = i + 1;
                 }
               });
   return table;

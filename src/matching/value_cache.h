@@ -8,9 +8,10 @@
 // distinct (value_i, value_j) distance is computed exactly once.
 //
 // Determinism: the table is a pure function of the column contents and
-// the metric configuration — the same BoundedDistance cap and
-// BucketDistance mapping the direct path uses — so cached and uncached
-// builds produce bit-identical matching relations at any thread count.
+// the metric configuration — the same cap and BucketDistance mapping the
+// direct path uses, through BoundedDistanceMany, whose contract is
+// BoundedDistance's — so cached and uncached builds produce bit-identical
+// matching relations at any thread count.
 
 #ifndef DD_MATCHING_VALUE_CACHE_H_
 #define DD_MATCHING_VALUE_CACHE_H_

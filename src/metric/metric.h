@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,14 +51,25 @@ class DistanceMetric {
   //    the cap: matching/builder.cc maps every raw > cap to the same
   //    saturated level, so the choice of sentinel cannot change a
   //    matching relation.
-  // This licence is what enables banded early exit (O(len·cap) instead
-  // of O(len²)) and lets exact fast paths (e.g. the bit-parallel
-  // Levenshtein kernel) skip the capping entirely.
-  // Default falls back to the exact distance.
+  // This licence is what lets the Levenshtein kernel stop as soon as the
+  // distance provably exceeds the cap. Default falls back to the exact
+  // distance.
   virtual double BoundedDistance(std::string_view a, std::string_view b,
                                  double cap) const {
     (void)cap;
     return Distance(a, b);
+  }
+
+  // One value against many: out[k] = BoundedDistance(a, bs[k], cap)
+  // under the same contract, for out.size() == bs.size(). Metrics
+  // override it to prepare `a` once (the Levenshtein pattern masks, the
+  // q-gram profile); the value-pair level table calls it per row.
+  virtual void BoundedDistanceMany(std::string_view a,
+                                   std::span<const std::string_view> bs,
+                                   double cap, std::span<double> out) const {
+    for (std::size_t k = 0; k < bs.size(); ++k) {
+      out[k] = BoundedDistance(a, bs[k], cap);
+    }
   }
 
   // True when distances always lie in [0, 1].
@@ -70,18 +82,21 @@ class DistanceMetric {
   }
 };
 
-// Levenshtein (unit-cost insert/delete/substitute) edit distance.
-// Distance uses the Myers bit-parallel kernel when the shorter string
-// fits a 64-bit word, else the two-row DP. BoundedDistance additionally
-// applies the length-difference lower bound and, for long strings, a
-// diagonal band of width 2*cap+1 that returns cap + 1 as soon as the
-// distance provably exceeds cap (kernels in metric/levenshtein.h).
+// Levenshtein (unit-cost insert/delete/substitute) edit distance. One
+// kernel answers every call (metric/levenshtein.h): bit-vector Myers in
+// ceil(m/64) words, exact for any length, which returns cap + 1 as soon
+// as the length difference or the running score proves the distance
+// exceeds the cap. BoundedDistanceMany builds the pattern masks of `a`
+// once for the whole batch.
 class LevenshteinMetric : public DistanceMetric {
  public:
   std::string_view name() const override { return "levenshtein"; }
   double Distance(std::string_view a, std::string_view b) const override;
   double BoundedDistance(std::string_view a, std::string_view b,
                          double cap) const override;
+  void BoundedDistanceMany(std::string_view a,
+                           std::span<const std::string_view> bs, double cap,
+                           std::span<double> out) const override;
   BlockingFamily blocking_family() const override {
     return BlockingFamily::kEdit;
   }
@@ -90,11 +105,17 @@ class LevenshteinMetric : public DistanceMetric {
 // Positional q-gram distance: multiset symmetric difference of the
 // q-gram profiles (strings padded with q-1 sentinel characters), a
 // standard DBMS-friendly approximation of edit distance [Gravano et al.].
+// A profile is the sorted list of the value's grams, each packed into
+// one 64-bit word (so q <= 8); the distance is a merge count.
+// BoundedDistanceMany builds the profile of `a` once for the batch.
 class QGramMetric : public DistanceMetric {
  public:
   explicit QGramMetric(std::size_t q = 2);
   std::string_view name() const override { return "qgram"; }
   double Distance(std::string_view a, std::string_view b) const override;
+  void BoundedDistanceMany(std::string_view a,
+                           std::span<const std::string_view> bs, double cap,
+                           std::span<double> out) const override;
   std::size_t q() const { return q_; }
   BlockingFamily blocking_family() const override {
     return BlockingFamily::kQGram;
@@ -127,7 +148,9 @@ class CosineMetric : public DistanceMetric {
 };
 
 // Absolute difference of the parsed numeric values. Values that do not
-// parse are treated as infinitely far apart (unless equal as strings).
+// parse, and pairs whose difference is not a number ("nan" against
+// anything, "inf" against "infinity"), are treated as infinitely far
+// apart (unless equal as strings).
 class NumericAbsMetric : public DistanceMetric {
  public:
   std::string_view name() const override { return "numeric_abs"; }

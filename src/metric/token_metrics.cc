@@ -56,7 +56,11 @@ double NumericAbsMetric::Distance(std::string_view a, std::string_view b) const 
   if (!ParseDouble(a, &xa) || !ParseDouble(b, &xb)) {
     return std::numeric_limits<double>::infinity();
   }
-  return std::fabs(xa - xb);
+  // "nan" against anything, or two spellings of the same infinity,
+  // give a NaN difference; the level bucketing would clamp it to the
+  // "identical" level 0.
+  const double d = std::fabs(xa - xb);
+  return std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
 }
 
 }  // namespace dd

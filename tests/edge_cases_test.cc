@@ -169,7 +169,7 @@ TEST(EdgeCaseTest, VeryLongValuesAreHandled) {
   LevenshteinMetric lev;
   EXPECT_DOUBLE_EQ(lev.Distance(long_a, long_b), 1.0);
   EXPECT_DOUBLE_EQ(lev.BoundedDistance(long_a, long_b, 10.0), 1.0);
-  // Banded early exit on very different long strings.
+  // Cap exit on very different long strings.
   std::string other(5000, 'z');
   EXPECT_GT(lev.BoundedDistance(long_a, other, 10.0), 10.0);
 }

@@ -1,11 +1,15 @@
 #include "matching/builder.h"
 
+#include <limits>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "matching/serialization.h"
 #include "matching/value_cache.h"
+#include "metric/levenshtein.h"
 #include "metric/metric.h"
 
 namespace dd {
@@ -146,6 +150,75 @@ TEST(MatchingBuilderTest, RejectsBadInputs) {
   opts.metric_overrides.clear();
   opts.scale_overrides["Name"] = -1.0;
   EXPECT_FALSE(BuildMatchingRelation(hotel.relation, {"Name"}, opts).ok());
+}
+
+TEST(MatchingBuilderTest, RejectsNonFiniteScale) {
+  // An infinite scale makes 0 * inf = NaN reach the level rounding.
+  GeneratedData hotel = HotelExample();
+  for (const double scale : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    MatchingOptions opts;
+    opts.scale_overrides["Name"] = scale;
+    const auto resolved =
+        ResolveMatchingMetrics(hotel.relation.schema(), {"Name"}, opts);
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(BuildMatchingRelation(hotel.relation, {"Name"}, opts).ok());
+  }
+}
+
+// Levenshtein through the reference DP alone, registered under its own
+// name so a matching build can run on it.
+class ReferenceDpMetric : public DistanceMetric {
+ public:
+  std::string_view name() const override { return "reference_dp"; }
+  double Distance(std::string_view a, std::string_view b) const override {
+    return static_cast<double>(lev::ReferenceDp(a, b));
+  }
+};
+
+// The kernel's oracle at the matching level: Rule 4's attributes on a
+// citeseer slice whose descriptions exceed one 64-byte word. The cached
+// build (level tables through BoundedDistanceMany), the uncached build
+// (per-pair BoundedDistance) and a build on the reference DP serialize
+// byte-identically.
+TEST(MatchingBuilderTest, CiteseerSliceMatchesReferenceDp) {
+  const Status registered = MetricRegistry::Default().Register(
+      "reference_dp", [] { return std::make_unique<ReferenceDpMetric>(); });
+  ASSERT_TRUE(registered.ok() ||
+              registered.code() == StatusCode::kAlreadyExists);
+  CiteseerOptions citeseer;
+  citeseer.num_entities = 60;
+  auto slice = GenerateCiteseer(citeseer).relation.Slice(0, 120);
+  ASSERT_TRUE(slice.ok());
+  const Relation& relation = *slice;
+  const std::vector<std::string> attrs = {"address", "affiliation",
+                                          "description", "subject"};
+  auto description = relation.schema().IndexOf("description");
+  ASSERT_TRUE(description.ok());
+  std::size_t long_values = 0;
+  for (std::size_t r = 0; r < relation.num_rows(); ++r) {
+    long_values += relation.at(r, *description).size() > 64 ? 1 : 0;
+  }
+  EXPECT_GT(long_values, 0u);
+
+  MatchingOptions cached;
+  cached.threads = 2;
+  auto m_cached = BuildMatchingRelation(relation, attrs, cached);
+  ASSERT_TRUE(m_cached.ok());
+  MatchingOptions uncached = cached;
+  uncached.value_cache = false;
+  auto m_uncached = BuildMatchingRelation(relation, attrs, uncached);
+  ASSERT_TRUE(m_uncached.ok());
+  MatchingOptions reference = cached;
+  for (const std::string& attr : attrs) {
+    reference.metric_overrides[attr] = "reference_dp";
+  }
+  auto m_reference = BuildMatchingRelation(relation, attrs, reference);
+  ASSERT_TRUE(m_reference.ok());
+
+  const std::string bytes = SerializeMatchingRelation(*m_reference);
+  EXPECT_EQ(SerializeMatchingRelation(*m_cached), bytes);
+  EXPECT_EQ(SerializeMatchingRelation(*m_uncached), bytes);
 }
 
 // The value-pair distance cache (matching/value_cache.h): interning is

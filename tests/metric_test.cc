@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,10 +58,11 @@ TEST(LevenshteinTest, BoundedMatchesExactWithinCap) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel equivalence (src/metric/levenshtein.h): the Myers bit-parallel
-// kernel and the dmax-banded early-exit kernel must agree with the
-// reference DP on every input where their contracts apply. Exhaustive
-// randomized sweep over lengths 0..200 and every cap band.
+// Differential kernel tests (src/metric/levenshtein.h): lev::Pattern,
+// one value against many and one pair at a time, must return the
+// reference DP's distance whenever it is <= cap and exactly cap + 1
+// otherwise. Lengths straddle the one-word and block boundaries on each
+// side independently.
 
 namespace {
 
@@ -72,63 +76,109 @@ std::string RandomBytes(Rng& rng, std::size_t length, int alphabet) {
   return s;
 }
 
+// `a` cut or grown to `length`, then given a few substitutions: a text
+// within a small distance of `a`, so the caps below are not all
+// exceeded.
+std::string NearBytes(Rng& rng, const std::string& a, std::size_t length,
+                      int alphabet) {
+  std::string s = a.substr(0, length);
+  s += RandomBytes(rng, length - s.size(), alphabet);
+  const std::uint64_t edits = s.empty() ? 0 : rng.NextBounded(5);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    s[rng.NextBounded(s.size())] = static_cast<char>(
+        rng.NextBounded(static_cast<std::uint64_t>(alphabet)));
+  }
+  return s;
+}
+
+constexpr std::size_t kKernelLengths[] = {0, 1, 63, 64, 65, 127, 128, 129, 200};
+
+std::vector<std::size_t> KernelCaps(std::size_t exact) {
+  std::vector<std::size_t> caps;
+  for (std::size_t cap = 0; cap <= 11; ++cap) caps.push_back(cap);  // dmax+1
+  caps.push_back(exact);
+  caps.push_back(1000);
+  caps.push_back(std::numeric_limits<std::size_t>::max());
+  return caps;
+}
+
+std::size_t Expected(std::size_t exact, std::size_t cap) {
+  return exact <= cap ? exact : cap + 1;
+}
+
 }  // namespace
 
-TEST(LevenshteinKernelTest, Myers64MatchesReferenceDp) {
+TEST(LevenshteinKernelTest, PatternMatchesReferenceDp) {
   Rng rng(71);
-  for (int trial = 0; trial < 2000; ++trial) {
-    // Myers' precondition: min(|a|, |b|) <= 64. The longer side may be
-    // anything (test up to 200).
-    const std::size_t la = rng.NextBounded(65);
-    const std::size_t lb = rng.NextBounded(201);
-    const int alphabet = trial % 2 == 0 ? 4 : 256;
-    const std::string a = RandomBytes(rng, la, alphabet);
-    const std::string b = RandomBytes(rng, lb, alphabet);
-    ASSERT_EQ(lev::Myers64(a, b), lev::ReferenceDp(a, b))
-        << "trial " << trial << " |a|=" << la << " |b|=" << lb;
+  for (const int alphabet : {4, 256}) {
+    for (const std::size_t la : kKernelLengths) {
+      const std::string a = RandomBytes(rng, la, alphabet);
+      // One pattern serves every text below, in order, so state left
+      // behind by one text (block deltas) must not leak into the next.
+      lev::Pattern pattern(a);
+      for (const std::size_t lb : kKernelLengths) {
+        for (const std::string& b :
+             {RandomBytes(rng, lb, alphabet), NearBytes(rng, a, lb, alphabet)}) {
+          const std::size_t exact = lev::ReferenceDp(a, b);
+          for (const std::size_t cap : KernelCaps(exact)) {
+            ASSERT_EQ(pattern.BoundedDistance(b, cap), Expected(exact, cap))
+                << "|a|=" << la << " |b|=" << lb << " cap=" << cap
+                << " alphabet=" << alphabet;
+            ASSERT_EQ(lev::BoundedDistance(a, b, cap), Expected(exact, cap))
+                << "|a|=" << la << " |b|=" << lb << " cap=" << cap;
+            ASSERT_EQ(lev::BoundedDistance(b, a, cap), Expected(exact, cap))
+                << "|a|=" << la << " |b|=" << lb << " cap=" << cap;
+          }
+        }
+      }
+    }
   }
 }
 
-TEST(LevenshteinKernelTest, BandedMatchesReferenceDpWithinCap) {
+TEST(LevenshteinKernelTest, RandomLengthsMatchReferenceDp) {
   Rng rng(72);
-  for (int trial = 0; trial < 1200; ++trial) {
-    const std::size_t la = rng.NextBounded(201);
-    const std::size_t lb = rng.NextBounded(201);
-    const int alphabet = trial % 2 == 0 ? 3 : 256;
-    const std::string a = RandomBytes(rng, la, alphabet);
-    const std::string b = RandomBytes(rng, lb, alphabet);
-    const std::size_t exact = lev::ReferenceDp(a, b);
-    for (std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                            std::size_t{5}, std::size_t{10}, std::size_t{50},
-                            std::size_t{200}, std::size_t{400}}) {
-      const std::size_t banded = lev::Banded(a, b, cap);
-      if (exact <= cap) {
-        ASSERT_EQ(banded, exact) << "cap=" << cap << " trial " << trial;
-      } else {
-        ASSERT_GT(banded, cap) << "cap=" << cap << " trial " << trial;
+  LevenshteinMetric metric;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int alphabet = trial % 2 == 0 ? 4 : 256;
+    const std::string a = RandomBytes(rng, rng.NextBounded(201), alphabet);
+    lev::Pattern pattern(a);
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t lb = rng.NextBounded(201);
+      const std::string b = k % 2 == 0 ? RandomBytes(rng, lb, alphabet)
+                                       : NearBytes(rng, a, lb, alphabet);
+      const std::size_t exact = lev::ReferenceDp(a, b);
+      ASSERT_EQ(metric.Distance(a, b), static_cast<double>(exact))
+          << "trial " << trial;
+      for (const std::size_t cap : KernelCaps(exact)) {
+        ASSERT_EQ(pattern.BoundedDistance(b, cap), Expected(exact, cap))
+            << "trial " << trial << " cap=" << cap;
       }
     }
   }
 }
 
 TEST(LevenshteinKernelTest, EdgeLengths) {
-  // Empty and boundary-length (63/64/65) inputs on every kernel.
   const std::string empty;
   const std::string s63(63, 'x');
   const std::string s64(64, 'x');
   const std::string s65(65, 'x');
+  const std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
   EXPECT_EQ(lev::ReferenceDp(empty, empty), 0u);
-  EXPECT_EQ(lev::Myers64(empty, s65), 65u);
-  EXPECT_EQ(lev::Myers64(s63, s64), 1u);
-  EXPECT_EQ(lev::Myers64(s64, s64), 0u);
-  EXPECT_EQ(lev::Banded(s64, s65, 0), 1u);  // > cap sentinel (cap + 1)
-  EXPECT_EQ(lev::Banded(s64, s65, 1), 1u);
-  EXPECT_EQ(lev::Banded(empty, s65, 100), 65u);
+  EXPECT_EQ(lev::BoundedDistance(empty, empty, 0), 0u);
+  EXPECT_EQ(lev::BoundedDistance(empty, s65, kNoCap), 65u);
+  EXPECT_EQ(lev::BoundedDistance(s63, s64, kNoCap), 1u);
+  EXPECT_EQ(lev::BoundedDistance(s64, s64, 0), 0u);
+  EXPECT_EQ(lev::BoundedDistance(s64, s65, 0), 1u);  // cap + 1
+  EXPECT_EQ(lev::BoundedDistance(s64, s65, 1), 1u);
+  EXPECT_EQ(lev::BoundedDistance(empty, s65, 100), 65u);
+  EXPECT_EQ(lev::Pattern(s65).BoundedDistance(empty, 3), 4u);
+  EXPECT_EQ(lev::Pattern(empty).BoundedDistance(s65, 100), 65u);
+  EXPECT_EQ(lev::Pattern(s65).BoundedDistance(s64 + "y", kNoCap), 1u);
 }
 
-// BoundedDistance's dispatch (exact Myers under 64, banded above) is
-// level-exact: every return value buckets to the same dmax level the
-// reference distance would. Full dmax band sweep per pair.
+// LevenshteinMetric::BoundedDistance, a real cap over the integer
+// kernel, is level-exact: every return value buckets to the same dmax
+// level the reference distance would. Full dmax band sweep per pair.
 TEST(LevenshteinKernelTest, BoundedDistanceLevelEquivalent) {
   LevenshteinMetric metric;
   Rng rng(73);
@@ -157,6 +207,57 @@ TEST(LevenshteinKernelTest, BoundedDistanceLevelEquivalent) {
     }
   }
 }
+
+TEST(LevenshteinKernelTest, NanCapActsAsZero) {
+  // A NaN cap once reached a double -> size_t conversion (undefined).
+  LevenshteinMetric metric;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(metric.BoundedDistance("abc", "abc", nan), 0.0);
+  EXPECT_EQ(metric.BoundedDistance("abc", "abd", nan), 1.0);
+  EXPECT_EQ(metric.BoundedDistance("abc", "abd", -3.0), 1.0);
+  const std::string_view bs[] = {"abc", "abd", std::string_view()};
+  double out[3] = {};
+  metric.BoundedDistanceMany("abc", bs, nan, out);
+  EXPECT_EQ(out[0], 0.0);
+  EXPECT_EQ(out[1], 1.0);
+  EXPECT_EQ(out[2], 1.0);
+}
+
+// Every registered metric's BoundedDistanceMany (overridden or the
+// default loop) returns exactly what per-call BoundedDistance does.
+class BoundedDistanceManyTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(BoundedDistanceManyTest, EqualsPerCallBoundedDistance) {
+  auto metric = MetricRegistry::Default().Create(GetParam());
+  ASSERT_TRUE(metric.ok());
+  Rng rng(74);
+  std::vector<std::string> values = {
+      "", "a", "abc", "West Wood Hotel", "Fifth Avenue, 61st Street",
+      "5th Avenue, 61st St.", "Chicago, IL", "chicago", "1995", "1996.5",
+      "-3", "nan", "inf", "infinity", "#$", "a#b$c"};
+  for (int k = 0; k < 12; ++k) {
+    const std::string base = RandomBytes(rng, 60 + rng.NextBounded(140), 4);
+    values.push_back(base);
+    values.push_back(NearBytes(rng, base, base.size() + rng.NextBounded(3), 4));
+  }
+  std::vector<std::string_view> views(values.begin(), values.end());
+  std::vector<double> out(views.size());
+  for (const double cap : {0.0, 1.0, 2.7, 10.0, 1e9}) {
+    for (const std::string& a : values) {
+      (*metric)->BoundedDistanceMany(a, views, cap, out);
+      for (std::size_t k = 0; k < views.size(); ++k) {
+        ASSERT_EQ(out[k], (*metric)->BoundedDistance(a, views[k], cap))
+            << GetParam() << " cap=" << cap << " k=" << k;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMetrics, BoundedDistanceManyTest,
+                         ::testing::Values("levenshtein", "qgram2", "qgram3",
+                                           "jaccard", "cosine",
+                                           "numeric_abs"));
 
 // Metric axioms checked across all string metrics.
 class MetricAxiomTest : public ::testing::TestWithParam<std::string> {};
@@ -228,6 +329,56 @@ TEST(QGramTest, BoundsEditDistanceFromBelowScaled) {
   }
 }
 
+// The hash-map formulation the sorted-profile merge replaced: the
+// oracle for bit-identical q-gram distances.
+double HashMapQGramDistance(std::string_view a, std::string_view b,
+                            std::size_t q) {
+  if (a == b) return 0.0;
+  auto count = [q](std::string_view s) {
+    std::unordered_map<std::string, int> counts;
+    std::string padded(q - 1, '#');
+    padded.append(s);
+    padded.append(q - 1, '$');
+    for (std::size_t i = 0; i + q <= padded.size(); ++i) {
+      ++counts[padded.substr(i, q)];
+    }
+    return counts;
+  };
+  const auto ca = count(a);
+  const auto cb = count(b);
+  long total = 0;
+  for (const auto& [gram, n] : ca) total += n;
+  for (const auto& [gram, n] : cb) total += n;
+  long shared = 0;
+  for (const auto& [gram, n] : ca) {
+    auto it = cb.find(gram);
+    if (it != cb.end()) shared += std::min(n, it->second);
+  }
+  return static_cast<double>(total - 2 * shared);
+}
+
+TEST(QGramTest, MatchesHashMapFormula) {
+  Rng rng(75);
+  for (std::size_t q = 1; q <= 8; ++q) {
+    QGramMetric metric(q);
+    std::vector<std::string> values = {"", "a", "##", "$$", "a#$b"};
+    for (int k = 0; k < 20; ++k) {
+      values.push_back(RandomBytes(rng, rng.NextBounded(40), k % 2 ? 4 : 256));
+    }
+    values.push_back(std::string("#\0$", 3));
+    const std::vector<std::string_view> views(values.begin(), values.end());
+    std::vector<double> out(views.size());
+    for (const std::string& a : values) {
+      metric.BoundedDistanceMany(a, views, 10.0, out);
+      for (std::size_t k = 0; k < values.size(); ++k) {
+        const double expected = HashMapQGramDistance(a, values[k], q);
+        ASSERT_EQ(metric.Distance(a, values[k]), expected) << "q=" << q;
+        ASSERT_EQ(out[k], expected) << "q=" << q;
+      }
+    }
+  }
+}
+
 TEST(JaccardTest, KnownValues) {
   JaccardMetric j;
   EXPECT_DOUBLE_EQ(j.Distance("a b c", "a b c"), 0.0);
@@ -261,6 +412,16 @@ TEST(NumericAbsTest, ParsesAndDiffs) {
   EXPECT_DOUBLE_EQ(m.Distance("1995", "1995"), 0.0);
   EXPECT_TRUE(std::isinf(m.Distance("abc", "3")));
   EXPECT_DOUBLE_EQ(m.Distance("abc", "abc"), 0.0);  // Equal strings.
+}
+
+TEST(NumericAbsTest, NonNumberDifferenceIsInfinitelyFar) {
+  // Both parse, but the difference is NaN; bucketing used to clamp it to
+  // the "identical" level 0.
+  NumericAbsMetric m;
+  EXPECT_TRUE(std::isinf(m.Distance("nan", "5")));
+  EXPECT_TRUE(std::isinf(m.Distance("inf", "infinity")));
+  EXPECT_TRUE(std::isinf(m.Distance("inf", "5")));
+  EXPECT_DOUBLE_EQ(m.Distance("nan", "nan"), 0.0);  // Equal strings.
 }
 
 TEST(RegistryTest, BuiltinsPresent) {
