@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "obs/diag/flight_recorder.h"
 #include "obs/explain/recorder.h"
 #include "obs/pool_stats.h"
-#include "obs/export/prometheus.h"
 #include "obs/export/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -123,18 +121,6 @@ void BM_CounterIncrementWithSampler(benchmark::State& state) {
   benchmark::DoNotOptimize(counter.value());
 }
 BENCHMARK(BM_CounterIncrementWithSampler)->Threads(1)->Threads(4);
-
-// Scrape-side cost: snapshot the whole registry and render the
-// Prometheus text exposition. Runs on the server thread, so it only
-// needs to be cheap relative to the scrape interval (seconds).
-void BM_PrometheusRender(benchmark::State& state) {
-  for (auto _ : state) {
-    std::string text = dd::obs::MetricsSnapshotToPrometheus(
-        dd::obs::MetricsRegistry::Global().Snapshot());
-    benchmark::DoNotOptimize(text.data());
-  }
-}
-BENCHMARK(BM_PrometheusRender);
 
 // One sampler tick: snapshot, flatten, delta-encode into the ring.
 void BM_SamplerSampleOnce(benchmark::State& state) {

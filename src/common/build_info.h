@@ -1,8 +1,7 @@
 // Compile-time provenance of the running binary: git revision,
 // compiler, flags, build type. Captured at CMake configure time
 // (build_info.cc.in -> build_info.cc), surfaced through
-// `ddtool --version` and the constant `build_info` gauge in the
-// Prometheus exposition, and embedded in diagnostics so a crash dump
+// `ddtool --version` and stamped on every perfbench run, so a result
 // always says exactly what was running.
 
 #ifndef DD_COMMON_BUILD_INFO_H_

@@ -54,7 +54,7 @@ class TopPatterns {
 };
 
 // One clone per ParallelFor chunk, or empty when the provider cannot
-// clone (the callers then fall back to the sequential path).
+// clone (the caller then falls back to the sequential path).
 std::vector<std::unique_ptr<MeasureProvider>> MakeClones(
     const MeasureProvider& provider, std::size_t count, std::size_t threads) {
   std::vector<std::unique_ptr<MeasureProvider>> clones;
@@ -96,32 +96,12 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
     // precondition. The counts from this ordering pass are reused below
     // (the paper amortizes the ordering; recomputing D per LHS would
     // double the LHS scans and could make DAP slower than DA on rules
-    // with a large C_X).
-    //
-    // The |C_X| counts are independent, so the pass partitions across
-    // provider clones; clone stats merge back so the totals match the
-    // sequential pass exactly.
+    // with a large C_X). The pass runs serially: splitting it across
+    // provider clones measured no faster (DESIGN.md §12).
     lhs_counts.resize(lhs_lattice.size());
-    std::vector<std::unique_ptr<MeasureProvider>> clones;
-    if (threads > 1 && !InParallelChunk()) {
-      clones = MakeClones(*provider, lhs_order.size(), threads);
-    }
-    if (!clones.empty()) {
-      ParallelFor("da.lhs_ordering", lhs_order.size(), threads,
-                  [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                    MeasureProvider* p = clones[chunk].get();
-                    for (std::size_t pos = begin; pos < end; ++pos) {
-                      const std::uint32_t idx = lhs_order[pos];
-                      p->SetLhs(lhs_lattice.LevelsOf(idx));
-                      lhs_counts[idx] = p->lhs_count();
-                    }
-                  });
-      for (const auto& clone : clones) provider->AddStats(clone->stats());
-    } else {
-      for (std::uint32_t idx : lhs_order) {
-        provider->SetLhs(lhs_lattice.LevelsOf(idx));
-        lhs_counts[idx] = provider->lhs_count();
-      }
+    for (std::uint32_t idx : lhs_order) {
+      provider->SetLhs(lhs_lattice.LevelsOf(idx));
+      lhs_counts[idx] = provider->lhs_count();
     }
     std::stable_sort(lhs_order.begin(), lhs_order.end(),
                      [&](std::uint32_t a, std::uint32_t b) {

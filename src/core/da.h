@@ -44,11 +44,11 @@ struct DaOptions {
   // searches are independent (every initial bound is 0), so C_X is
   // partitioned across provider clones and the per-LHS answers are
   // merged into the top-l heap in sequential LHS order — results and
-  // all stats are bit-identical to the sequential run. Under DAP only
-  // the ordering pass parallelizes; the main loop stays sequential
-  // because the Theorem-3 bound feeds back through the heap (a stale
-  // bound would change DaStats). EXPLAIN-recorded runs stay sequential
-  // end-to-end.
+  // all stats are bit-identical to the sequential run. DAP runs
+  // sequentially: its main loop because the Theorem-3 bound feeds back
+  // through the heap (a stale bound would change DaStats), and its
+  // D(ϕ) ordering pass because splitting it measured no faster.
+  // EXPLAIN-recorded runs stay sequential end-to-end.
   std::size_t threads = 0;
 };
 

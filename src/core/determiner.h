@@ -35,10 +35,10 @@ struct DetermineOptions {
   // Measure provider: "scan" (paper-faithful) or "grid".
   std::string provider = "scan";
   // Concurrency of the search (0 = DefaultThreads(), i.e. the --threads
-  // flag / DD_THREADS env). Parallelism is across LHS candidates only
-  // (DaOptions::threads): each per-LHS PA/PAP search and every provider
-  // count runs on one thread. Results are bit-identical at any value;
-  // 1 forces the fully sequential path.
+  // flag / DD_THREADS env). Parallelism is across LHS candidates only,
+  // and only under DA (DaOptions::threads): DAP, each per-LHS PA/PAP
+  // search and every provider count run on one thread. Results are
+  // bit-identical at any value; 1 forces the fully sequential path.
   std::size_t threads = 0;
   // Prior CQ̄ estimation sample; 0 keeps utility.prior_mean_cq as given.
   std::size_t prior_sample_size = 200;

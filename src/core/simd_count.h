@@ -26,8 +26,8 @@
 // variable, and CPUID: auto picks AVX2 when the CPU has avx2+bmi2+
 // popcnt, scalar otherwise; forcing avx2 on an unsupported CPU warns
 // and falls back to scalar. The resolved choice is published as the
-// `simd.dispatch` info metric (obs/metrics.h), so /metrics and the JSON
-// run report record which kernels actually ran.
+// `simd.dispatch` info metric (obs/metrics.h), so the JSON run report
+// records which kernels actually ran.
 //
 // Bounds are uint8: levels are <= dmax <= 255, and callers resolve
 // negative bounds (no row) and bounds >= dmax (every row) before

@@ -121,6 +121,9 @@ std::vector<Level> PackedColumn::Unpack() const {
 bool PackedColumn::operator==(const PackedColumn& other) const {
   if (size_ != other.size_) return false;
   if (packed4_ == other.packed4_) {
+    // An empty column may own no buffer, and memcmp on a null pointer
+    // is undefined even for zero bytes.
+    if (packed_bytes() == 0) return true;
     // Zero-filled padding makes whole-byte comparison exact.
     return std::memcmp(data_, other.data_, packed_bytes()) == 0;
   }

@@ -19,9 +19,9 @@
 #include "obs/diag/sigsafe.h"
 #include "obs/diag/stack_capture.h"
 #include "obs/diag/watchdog.h"
-#include "obs/export/prometheus.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 
 namespace dd::obs::diag {
 
@@ -250,7 +250,8 @@ void RenderPreambleLocked() {
   std::string text;
   text.reserve(16 * 1024);
   text += "--- metrics\n";
-  text += MetricsSnapshotToPrometheus(MetricsRegistry::Global().Snapshot());
+  text += MetricsSnapshotToJson(MetricsRegistry::Global().Snapshot());
+  text += '\n';
   text += "--- ftdc\n";
   {
     std::lock_guard<std::mutex> lock(g_ftdc_mutex);

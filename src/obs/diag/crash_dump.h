@@ -26,7 +26,8 @@
 //   --- modules
 //   <verbatim /proc/self/maps>
 //   --- metrics
-//   <prometheus-rendered snapshot, pre-rendered outside the handler>
+//   <metrics snapshot as one line of run-report JSON
+//    (MetricsSnapshotToJson), pre-rendered outside the handler>
 //   --- ftdc
 //   <recent sampler JSONL frames, pre-rendered outside the handler>
 //   --- end
@@ -78,7 +79,8 @@ void RefreshPreamble();
 void NoteFtdcFrame(const std::string& jsonl_line);
 
 // Composes a full dump (all-thread stacks, fresh metrics render) from
-// normal context and returns it as text — the `/debug/dump` payload.
+// normal context and returns it as text — the on-demand (SIGUSR2)
+// dump's payload.
 std::string CaptureLiveDump(const char* reason);
 
 // CaptureLiveDump + write to `<dir>/<kind>.<pid>.<n>.dddump`. Returns

@@ -64,7 +64,7 @@ struct DiagDump {
   std::vector<DiagHeartbeatLine> heartbeats;
   std::vector<DiagFlightEvent> flight_events;
   std::vector<DiagModule> modules;
-  std::string metrics_text;                // prometheus exposition
+  std::string metrics_text;                // MetricsSnapshotToJson line
   std::vector<std::string> ftdc_lines;     // sampler JSONL frames
   bool complete = false;                   // saw the `--- end` marker
 

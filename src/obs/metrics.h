@@ -95,9 +95,8 @@ struct MetricsSnapshot {
     std::uint64_t count = 0;
     double sum = 0.0;
   };
-  // Constant value-1-with-labels gauges (the build_info convention):
-  // a string fact exposed through the numeric exposition, e.g.
-  // simd.dispatch{mode="avx2"} 1.
+  // Constant string facts keyed by name and label, e.g.
+  // simd.dispatch{mode="avx2"}.
   struct InfoValue {
     std::string name;
     std::string label;
@@ -138,11 +137,10 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  // Sets (or replaces) a constant info metric — a build_info-style
-  // value-1-with-labels gauge carrying a string fact (e.g.
-  // simd.dispatch{mode="avx2"}). Exported by the Prometheus exposition
-  // and the JSON run report; survives ResetAll (it describes the
-  // process, not a run).
+  // Sets (or replaces) a constant info metric carrying a string fact
+  // (e.g. simd.dispatch{mode="avx2"}). Exported by the JSON run report
+  // and the crash dump's metrics section; survives ResetAll (it
+  // describes the process, not a run).
   void SetInfo(const std::string& name, const std::string& label,
                const std::string& value);
 

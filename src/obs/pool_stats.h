@@ -14,7 +14,7 @@
 //
 // Enabling the collector also feeds live `pool.*` counters in the
 // metrics registry (pool.chunks, pool.items, pool.busy_ns,
-// pool.invocations, pool.wall_ns) so the Prometheus endpoint and the
+// pool.invocations, pool.wall_ns) so the run report's metrics and the
 // FTDC sampler see pool activity without snapshotting rings.
 //
 // Recording never perturbs the chunk partition: determination output

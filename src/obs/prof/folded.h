@@ -79,7 +79,8 @@ std::string FoldedSummaryJson(const FoldedProfile& folded, std::size_t top_n);
 // JSON summary of a raw profile: capture parameters (hz, duration,
 // sample/drop/truncation counts), per-span and per-phase sample
 // counts, and the top hot functions. Embedded in the ddtool run
-// report's "profile" section and served as part of /debug/prof.
+// report's "profile" section and written as `<prefix>.json` by
+// `ddtool <cmd> --profile`.
 std::string ProfileSummaryJson(const Profile& profile);
 
 }  // namespace dd::obs::prof

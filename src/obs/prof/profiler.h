@@ -17,9 +17,8 @@
 //
 // Aggregated output is symbolized offline (obs/diag/symbolize) into
 // folded-stack lines (obs/prof/folded.h) and a JSON summary. Surfaced
-// by `ddtool <cmd> --profile`, `GET /debug/prof`, and the run report's
-// "profile" section; sample/drop/truncation totals flush into the
-// prof.* metrics.
+// by `ddtool <cmd> --profile` and the run report's "profile" section;
+// sample/drop/truncation totals flush into the prof.* metrics.
 
 #ifndef DD_OBS_PROF_PROFILER_H_
 #define DD_OBS_PROF_PROFILER_H_

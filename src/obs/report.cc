@@ -172,7 +172,13 @@ std::string PoolSnapshotToJson(const PoolStatsSnapshot& pool) {
 std::string RunReportToJson(const RunReport& report) {
   std::string out = "{\"name\":\"";
   out += JsonEscape(report.name);
-  out += "\",\"spans\":";
+  out += "\"";
+  if (!report.run_id.empty()) {
+    out += ",\"run_id\":\"";
+    out += JsonEscape(report.run_id);
+    out += "\"";
+  }
+  out += ",\"spans\":";
   out += TraceSnapshotToJson(report.trace);
   out += ",\"metrics\":";
   out += MetricsSnapshotToJson(report.metrics);

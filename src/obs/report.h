@@ -6,6 +6,7 @@
 //
 // JSON shape:
 //   {"name": "...",
+//    "run_id": "...",
 //    "spans": [{"name": "...", "count": N, "total_ms": T, "self_ms": S,
 //               "children": [...]}, ...],
 //    "metrics": {"counters": {"a": 1, ...},
@@ -25,6 +26,8 @@
 //    "profile": {"hz": 99, "duration_seconds": 1.2, "samples": N,
 //                "dropped": 0, "truncated": 0, "spans": {...},
 //                "phases": {...}, "functions": [...]}}
+// "run_id" appears only when the caller set one (ddtool stamps the id
+// it also puts on feed lines and sampler frames, so the three join).
 // The "parallel" key appears only when the pool-stats collector
 // (obs/pool_stats.h) recorded at least one phase; "profile" only when
 // the sampling profiler (obs/prof) has captured samples this run.
@@ -44,6 +47,9 @@ namespace dd::obs {
 struct RunReport {
   // Free-form run label, e.g. "ddtool determine DAP+PAP".
   std::string name;
+  // Correlation id shared with the run's feed lines and sampler frames;
+  // "" omits the key.
+  std::string run_id;
   TraceSnapshot trace;
   MetricsSnapshot metrics;
   // Worker-pool execution stats; empty when the collector was off.

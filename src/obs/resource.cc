@@ -52,8 +52,8 @@ void UpdateRssGauges() {
   rss.Set(static_cast<double>(CurrentRssBytes()));
   peak.Set(static_cast<double>(PeakRssBytes()));
 
-  // Process-lifetime gauges ride along with every RSS refresh (scrapes
-  // and sampler ticks both call this). The anchor is the first call in
+  // Process-lifetime gauges ride along with every RSS refresh (every
+  // sampler tick calls this). The anchor is the first call in
   // this process, which is close enough to exec for dashboards; exact
   // kernel start time would need /proc parsing for no practical gain.
   static const auto start_wall = std::chrono::system_clock::now();

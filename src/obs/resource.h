@@ -7,9 +7,8 @@
 // (mem.matching_bytes, mem.value_cache_bytes, mem.grid_bytes,
 // mem.delta_grid_bytes, mem.scan_index_bytes, mem.tuple_store_bytes);
 // the process-level pair is mem.rss_bytes / mem.rss_peak_bytes.
-// UpdateRssGauges() is called by the FTDC sampler on every tick and by
-// the /metrics handler before rendering, so scrapes always carry a
-// fresh RSS reading.
+// UpdateRssGauges() is called by the FTDC sampler on every tick, so
+// sampled frames always carry a fresh RSS reading.
 
 #ifndef DD_OBS_RESOURCE_H_
 #define DD_OBS_RESOURCE_H_

@@ -32,7 +32,6 @@
 #include "obs/diag/sigsafe.h"
 #include "obs/diag/stack_capture.h"
 #include "obs/diag/watchdog.h"
-#include "obs/export/prometheus.h"
 #include "obs/export/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -314,7 +313,13 @@ TEST(CrashDumpTest, TestHookWritesParsableDump) {
   EXPECT_EQ(dump.pid, static_cast<std::uint64_t>(::getpid()));
   EXPECT_GT(dump.TotalFrames(), 0u);
   EXPECT_FALSE(dump.modules.empty());
-  EXPECT_NE(dump.metrics_text.find("diag_test_counter"), std::string::npos);
+  // The metrics section is the run report's JSON rendering of the
+  // registry, written whole.
+  EXPECT_TRUE(testutil::JsonChecker(dump.metrics_text).Valid())
+      << dump.metrics_text;
+  EXPECT_NE(dump.metrics_text.find("\"diag.test_counter\":3"),
+            std::string::npos)
+      << dump.metrics_text;
   bool saw_event = false;
   for (const auto& ev : dump.flight_events) {
     if (ev.name == "pre-crash" && ev.arg0 == 11 && ev.arg1 == 22) {
@@ -578,15 +583,6 @@ TEST(BuildInfoTest, FieldsArePopulated) {
   const std::string summary = BuildInfoSummary();
   EXPECT_NE(summary.find("ddtool"), std::string::npos);
   EXPECT_NE(summary.find(info.git_hash), std::string::npos);
-}
-
-TEST(BuildInfoTest, PrometheusLineIsWellFormed) {
-  const std::string line = BuildInfoPrometheusLine();
-  EXPECT_NE(line.find("# TYPE build_info gauge"), std::string::npos);
-  EXPECT_NE(line.find("build_info{version=\""), std::string::npos);
-  EXPECT_NE(line.find("revision=\""), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');
-  EXPECT_NE(line.find("} 1\n"), std::string::npos);
 }
 
 TEST(LogLevelTest, ParseRejectsEmptyGarbageAndOutOfRange) {

@@ -15,8 +15,8 @@
 #include "matching/builder.h"
 #include "obs/explain/audit.h"
 #include "obs/explain/recorder.h"
-#include "obs/export/prometheus.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "test_util.h"
 
 namespace dd {
@@ -319,18 +319,18 @@ TEST(ExplainAuditTest, LandscapeExportsOneRowPerEvaluatedEvent) {
   EXPECT_EQ(rows, evaluated_events);
 }
 
-TEST(ExplainMetricsTest, ExplainCountersAppearInPrometheusExposition) {
+TEST(ExplainMetricsTest, ExplainCountersAppearInMetricsJson) {
   const MatchingRelation matching = testutil::HotelMatching();
   const RuleSpec rule{{"Address"}, {"Region"}};
   DetermineWithExplain(matching, rule,
                        Combo(LhsAlgorithm::kDap, RhsAlgorithm::kPap),
                        obs::ExplainConfig{});
-  const std::string exposition = obs::MetricsSnapshotToPrometheus(
-      obs::MetricsRegistry::Global().Snapshot());
-  EXPECT_NE(exposition.find("explain_events_recorded"), std::string::npos);
-  EXPECT_NE(exposition.find("explain_evaluated"), std::string::npos);
-  EXPECT_NE(exposition.find("explain_candidates"), std::string::npos);
-  EXPECT_NE(exposition.find("explain_eval_latency_us"), std::string::npos);
+  const std::string json =
+      obs::MetricsSnapshotToJson(obs::MetricsRegistry::Global().Snapshot());
+  EXPECT_NE(json.find("\"explain.events_recorded\""), std::string::npos);
+  EXPECT_NE(json.find("\"explain.evaluated\""), std::string::npos);
+  EXPECT_NE(json.find("\"explain.candidates\""), std::string::npos);
+  EXPECT_NE(json.find("\"explain.eval_latency_us\""), std::string::npos);
 }
 
 TEST(ExplainSpecialCasesTest, MfdAndMdRunsSatisfyAccounting) {

@@ -1,4 +1,5 @@
 #include "matching/builder.h"
+#include "matching/packed_column.h"
 
 #include <limits>
 #include <memory>
@@ -267,6 +268,20 @@ TEST(ValueCacheTest, BuildRespectsCellBudget) {
                                        /*pairs_to_compute=*/1,
                                        /*max_cells=*/1u << 20, /*threads=*/1),
             nullptr);
+}
+
+// Empty columns own no buffer; comparing them must not hand memcmp a
+// null pointer (caught by the ASan/UBSan job).
+TEST(PackedColumnTest, EmptyColumnsCompareEqual) {
+  for (const int dmax : {PackedColumn::kMaxPacked4Dmax, 255}) {
+    const PackedColumn a(dmax);
+    const PackedColumn b(dmax);
+    EXPECT_EQ(a.packed4(), dmax <= PackedColumn::kMaxPacked4Dmax);
+    EXPECT_TRUE(a == b) << dmax;
+    PackedColumn c(dmax);
+    c.PushBack(1);
+    EXPECT_FALSE(a == c) << dmax;
+  }
 }
 
 TEST(MatchingRelationTest, IndexOf) {

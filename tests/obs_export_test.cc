@@ -1,31 +1,20 @@
-// Tests for the live-telemetry exporters (src/obs/export): Prometheus
-// text exposition + embedded HTTP server, Chrome trace-event JSON, and
-// the FTDC-style delta sampler. Golden strings are built from
-// hand-constructed snapshots so the expected exposition is exact; the
-// HTTP test speaks raw sockets against an ephemeral port; the sampler
-// tests assert the delta encoding is exactly invertible.
+// Tests for the telemetry exporters (src/obs/export): Chrome
+// trace-event JSON and the FTDC-style delta sampler, plus histogram
+// percentiles. Golden strings are built from hand-constructed
+// snapshots so the expected output is exact; the sampler tests assert
+// the delta encoding is exactly invertible.
 
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
 #include "obs/export/chrome_trace.h"
-#include "obs/export/http_server.h"
-#include "obs/export/prometheus.h"
 #include "obs/export/sampler.h"
 #include "obs/metrics.h"
-#include "obs/prof/folded.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 
@@ -33,39 +22,7 @@ namespace dd {
 namespace {
 
 // --------------------------------------------------------------------
-// Metric-name sanitization
-
-TEST(SanitizeMetricName, DotsBecomeUnderscores) {
-  EXPECT_EQ(obs::SanitizeMetricName("provider.rows_scanned"),
-            "provider_rows_scanned");
-  EXPECT_EQ(obs::SanitizeMetricName("a.b.c"), "a_b_c");
-}
-
-TEST(SanitizeMetricName, LegalNamesPassThrough) {
-  EXPECT_EQ(obs::SanitizeMetricName("already_legal_123"),
-            "already_legal_123");
-  EXPECT_EQ(obs::SanitizeMetricName("ns:subsystem_total"),
-            "ns:subsystem_total");
-}
-
-TEST(SanitizeMetricName, IllegalCharactersReplaced) {
-  EXPECT_EQ(obs::SanitizeMetricName("pa.evaluated_per_lhs#sum"),
-            "pa_evaluated_per_lhs_sum");
-  EXPECT_EQ(obs::SanitizeMetricName("weird name-with/stuff"),
-            "weird_name_with_stuff");
-}
-
-TEST(SanitizeMetricName, LeadingDigitPrefixed) {
-  EXPECT_EQ(obs::SanitizeMetricName("0count"), "_0count");
-  EXPECT_EQ(obs::SanitizeMetricName("9.lives"), "_9_lives");
-}
-
-TEST(SanitizeMetricName, EmptyBecomesUnderscore) {
-  EXPECT_EQ(obs::SanitizeMetricName(""), "_");
-}
-
-// --------------------------------------------------------------------
-// Prometheus exposition
+// Sample snapshot shared by the sampler tests
 
 obs::MetricsSnapshot MakeSnapshot() {
   obs::MetricsSnapshot snap;
@@ -80,36 +37,6 @@ obs::MetricsSnapshot MakeSnapshot() {
   hist.sum = 150.5;
   snap.histograms.push_back(hist);
   return snap;
-}
-
-TEST(Prometheus, GoldenExposition) {
-  const std::string expected =
-      "# TYPE incr_batches counter\n"
-      "incr_batches 7\n"
-      "# TYPE provider_rows_scanned counter\n"
-      "provider_rows_scanned 12345\n"
-      "# TYPE incr_drift gauge\n"
-      "incr_drift 0.25\n"
-      "# TYPE provider_scan_ms histogram\n"
-      "provider_scan_ms_bucket{le=\"1\"} 4\n"
-      "provider_scan_ms_bucket{le=\"10\"} 7\n"
-      "provider_scan_ms_bucket{le=\"100\"} 9\n"
-      "provider_scan_ms_bucket{le=\"+Inf\"} 10\n"
-      "provider_scan_ms_sum 150.5\n"
-      "provider_scan_ms_count 10\n";
-  EXPECT_EQ(obs::MetricsSnapshotToPrometheus(MakeSnapshot()), expected);
-}
-
-TEST(Prometheus, BucketsAreCumulativeAndEndAtCount) {
-  const std::string text = obs::MetricsSnapshotToPrometheus(MakeSnapshot());
-  // The +Inf bucket must equal _count per the exposition format spec.
-  EXPECT_NE(text.find("provider_scan_ms_bucket{le=\"+Inf\"} 10\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("provider_scan_ms_count 10\n"), std::string::npos);
-}
-
-TEST(Prometheus, EmptySnapshotRendersEmpty) {
-  EXPECT_EQ(obs::MetricsSnapshotToPrometheus(obs::MetricsSnapshot{}), "");
 }
 
 // --------------------------------------------------------------------
@@ -258,159 +185,6 @@ TEST(ChromeTrace, WriteToFile) {
   std::remove(path.c_str());
   EXPECT_TRUE(testutil::JsonChecker(contents).Valid()) << contents;
   EXPECT_NE(contents.find("write_test"), std::string::npos);
-}
-
-// --------------------------------------------------------------------
-// HTTP server (raw-socket e2e on an ephemeral port)
-
-std::string HttpGet(int port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(MetricsHttpServer, ServesMetricsAndHealthz) {
-  obs::MetricsRegistry::Global()
-      .GetCounter("export_test.http_counter")
-      .Increment();
-  auto server = obs::MetricsHttpServer::Start(0);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  const int port = (*server)->port();
-  ASSERT_GT(port, 0);
-
-  const std::string metrics =
-      HttpGet(port, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("export_test_http_counter 1"), std::string::npos)
-      << metrics;
-
-  const std::string health =
-      HttpGet(port, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(health.find("application/json"), std::string::npos) << health;
-  // JSON body with build provenance and liveness numbers.
-  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
-  EXPECT_NE(health.find("\"version\":\""), std::string::npos);
-  EXPECT_NE(health.find("\"git_hash\":\""), std::string::npos);
-  EXPECT_NE(health.find("\"git_dirty\":"), std::string::npos);
-  // The stripped hash never carries the dirty marker; the flag does.
-  EXPECT_EQ(health.find("+dirty"), std::string::npos) << health;
-  EXPECT_NE(health.find("\"uptime_seconds\":"), std::string::npos);
-  EXPECT_NE(health.find("\"live_tuples\":"), std::string::npos);
-  EXPECT_NE(health.find("\"matching_tuples\":"), std::string::npos);
-  const std::size_t body_start = health.find("\r\n\r\n");
-  ASSERT_NE(body_start, std::string::npos);
-  EXPECT_TRUE(testutil::JsonChecker(health.substr(body_start + 4)).Valid())
-      << health;
-
-  const std::string missing =
-      HttpGet(port, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
-
-  const std::string post =
-      HttpGet(port, "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_NE(post.find("HTTP/1.1 405"), std::string::npos);
-
-  EXPECT_EQ((*server)->requests_served(), 4u);
-  (*server)->Stop();
-  (*server)->Stop();  // Idempotent.
-}
-
-TEST(MetricsHttpServer, ServesWhileMetricsAreWritten) {
-  auto server = obs::MetricsHttpServer::Start(0);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  const int port = (*server)->port();
-
-  // Hammer the registry from a worker thread while scraping: the scrape
-  // must always see a consistent exposition, never crash or hang. The
-  // handles are registered up front so the name exists from scrape one.
-  obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("export_test.hammered");
-  obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
-      "export_test.hammered_ms", obs::DefaultLatencyBoundsMs());
-  std::atomic<bool> done{false};
-  std::thread writer([&done, &counter, &hist] {
-    std::uint64_t i = 0;
-    while (!done.load(std::memory_order_relaxed)) {
-      counter.Increment();
-      hist.Observe(static_cast<double>(i % 500));
-      ++i;
-    }
-  });
-  for (int scrape = 0; scrape < 10; ++scrape) {
-    const std::string response =
-        HttpGet(port, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(response.find("export_test_hammered"), std::string::npos);
-  }
-  done.store(true);
-  writer.join();
-}
-
-// /debug/prof runs a live capture while the process is busy (a writer
-// thread plus pooled ParallelFor work, as `ddtool serve` would be
-// during ingestion) and must come back with parseable folded lines.
-// Also covered by the TSan CI job.
-TEST(MetricsHttpServer, DebugProfCapturesUnderLoad) {
-  auto server = obs::MetricsHttpServer::Start(0);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  const int port = (*server)->port();
-
-  std::atomic<bool> done{false};
-  std::thread ingester([&done] {
-    std::atomic<std::uint64_t> sink{0};
-    while (!done.load(std::memory_order_relaxed)) {
-      ParallelFor("export_test.ingest", 256, 2,
-                  [&sink](std::size_t, std::size_t begin, std::size_t end) {
-                    std::uint64_t acc = 0;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      acc += i * i + (acc >> 3);
-                    }
-                    sink.fetch_add(acc, std::memory_order_relaxed);
-                  });
-    }
-  });
-
-  const std::string response = HttpGet(
-      port, "GET /debug/prof?seconds=1&hz=251 HTTP/1.1\r\nHost: t\r\n\r\n");
-  done.store(true);
-  ingester.join();
-
-  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
-  const std::size_t body_start = response.find("\r\n\r\n");
-  ASSERT_NE(body_start, std::string::npos);
-  const std::string body = response.substr(body_start + 4);
-  // A 1 s busy capture at 251 Hz cannot come back empty, and every
-  // line must parse as "<stack> <count>" with the span:/phase: roots.
-  obs::prof::FoldedProfile folded;
-  ASSERT_TRUE(obs::prof::ParseFolded(body, &folded).ok()) << body;
-  EXPECT_FALSE(folded.empty()) << body;
-  for (const auto& [key, hits] : folded.stacks) {
-    EXPECT_EQ(key.rfind("span:", 0), 0u) << key;
-    EXPECT_NE(key.find(";phase:"), std::string::npos) << key;
-    EXPECT_GT(hits, 0u);
-  }
-  // Bad parameters clamp rather than fail; a second capture can start
-  // right after the first finished.
-  const std::string clamped = HttpGet(
-      port, "GET /debug/prof?seconds=0&hz=-3 HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_NE(clamped.find("HTTP/1.1 200 OK"), std::string::npos) << clamped;
 }
 
 // --------------------------------------------------------------------
@@ -602,17 +376,14 @@ TEST(Sampler, JsonlFramesAreValidAndStamped) {
   EXPECT_NE(lines[0].find("\"seq\":0"), std::string::npos);
 }
 
-// The TSan target: sampler + HTTP server live while many threads write
+// The TSan target: the sampler thread live while many threads write
 // metrics. Run under -fsanitize=thread this exercises every
-// reader/writer pairing in the export layer.
-TEST(Sampler, ConcurrentWithServerAndWriters) {
+// reader/writer pairing between the sampler and the registry.
+TEST(Sampler, ConcurrentWithWriters) {
   obs::SamplerOptions options;
   options.period_ms = 1;
   auto sampler = obs::MetricsSampler::Start(options);
   ASSERT_TRUE(sampler.ok());
-  auto server = obs::MetricsHttpServer::Start(0);
-  ASSERT_TRUE(server.ok());
-  const int port = (*server)->port();
 
   ParallelFor(8, 8, [](std::size_t chunk, std::size_t, std::size_t) {
     obs::Counter& counter =
@@ -624,13 +395,18 @@ TEST(Sampler, ConcurrentWithServerAndWriters) {
       hist.Observe(static_cast<double>((chunk * 7 + i) % 900));
     }
   });
-  const std::string response =
-      HttpGet(port, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_NE(response.find("export_test_concurrent"), std::string::npos);
-  (*server)->Stop();
   (*sampler)->Stop();
   auto decoded = obs::DecodeFrames((*sampler)->Ring());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  // Stop()'s final full frame carries every writer's increments.
+  std::uint64_t sampled = 0;
+  for (const auto& [name, value] : decoded->counters) {
+    if (name == "export_test.concurrent") sampled = value;
+  }
+  EXPECT_GE(sampled, 8u * 2000u);
+  EXPECT_EQ(sampled, obs::MetricsRegistry::Global()
+                         .GetCounter("export_test.concurrent")
+                         .value());
 }
 
 }  // namespace

@@ -331,6 +331,21 @@ TEST(ReportTest, RunReportJsonIsWellFormedAndComplete) {
   EXPECT_NE(json.find("report.hist \\\"quoted\\\""), std::string::npos);
 }
 
+// The run_id key joins a report to the run's feed lines and sampler
+// frames; an unset id leaves the key out.
+TEST(ReportTest, RunIdIsATopLevelKeyWhenSet) {
+  obs::RunReport report = MakeSampleReport();
+  EXPECT_EQ(obs::RunReportToJson(report).find("\"run_id\""),
+            std::string::npos);
+  report.run_id = "run \"7\"";
+  const std::string json = obs::RunReportToJson(report);
+  EXPECT_TRUE(testutil::JsonChecker(json).Valid()) << json;
+  EXPECT_EQ(json.rfind(
+                "{\"name\":\"obs_test run\",\"run_id\":\"run \\\"7\\\"\",", 0),
+            0u)
+      << json;
+}
+
 TEST(ReportTest, RunReportTextMentionsSpansAndMetrics) {
   obs::RunReport report = MakeSampleReport();
   const std::string text = obs::RunReportToText(report);

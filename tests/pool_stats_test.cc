@@ -210,7 +210,10 @@ TEST(PoolStatsTest, DeterminationOutputByteIdenticalWithStatsOn) {
       BuildMatchingRelation(data.relation, rule.AllAttributes(), mopts);
   ASSERT_TRUE(matching.ok()) << matching.status().ToString();
 
+  // DA's LHS sweep is the pooled determination phase (DAP runs
+  // serially), so the run under test records pool work.
   DetermineOptions dopts;
+  dopts.lhs_algorithm = LhsAlgorithm::kDa;
   dopts.threads = 4;
 
   Collector().Disable();

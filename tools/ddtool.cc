@@ -42,8 +42,8 @@
 // DD_LOG_LEVEL=info|warn|error|off raises/lowers library logging on
 // stderr (default warn). --threads N (any subcommand; DD_THREADS=N
 // equivalently) sets the worker-pool concurrency for the matching
-// build and the determination search — results are bit-identical at
-// any thread count, N=1 forces the sequential paths.
+// build and DA's LHS sweep (DAP searches serially) — results are
+// bit-identical at any thread count, N=1 forces the sequential paths.
 // --simd auto|avx2|scalar (any subcommand; DD_SIMD equivalently)
 // selects the counting-kernel dispatch — bit-identical either way.
 //   ddtool discover  --input clean.csv [--max-lhs 2] [--top 10]
@@ -73,7 +73,7 @@
 //                    rows from stdin, applying them in --batch-row
 //                    chunks until EOF; same feed lines as watch
 //   ddtool prof      offline consumer of .folded CPU profiles (from
-//                    --profile or GET /debug/prof):
+//                    --profile):
 //                    ddtool prof a.folded [b.folded ...] [--top N]
 //                      [--json] [--merge out.folded]   hot-function
 //                      table (or JSON summary) of the merged inputs
@@ -81,15 +81,12 @@
 //                      [--top N]   per-function self-sample deltas
 //
 // Live telemetry (every subcommand):
-//   --metrics_port N     embedded HTTP server: GET /metrics (Prometheus
-//                        text exposition) and GET /healthz (N=0 picks
-//                        an ephemeral port, printed on stderr)
 //   --series out.jsonl   FTDC-style sampler: snapshot the metrics
 //                        registry every --sample_period_ms (default
 //                        1000), append delta-encoded JSONL frames
-//   --run_id ID          correlation id stamped on feed lines and
-//                        sampler frames (default: derived from clock
-//                        and pid)
+//   --run_id ID          correlation id stamped on feed lines, sampler
+//                        frames and the --trace_json run report
+//                        (default: derived from clock and pid)
 //   --chrome_trace f.json  write the span tree as Chrome trace-event
 //                        JSON (load in Perfetto / chrome://tracing);
 //                        with pool stats on, pooled phases get real
@@ -97,10 +94,10 @@
 //   --pool_stats         record per-worker pool execution stats (chunk
 //                        counts, busy/wait time) even without other
 //                        telemetry flags; any of --chrome_trace,
-//                        --trace_json, --metrics_port, --series turns
-//                        the collector on implicitly. Surfaces as
-//                        pool.* metrics, the run report's "parallel"
-//                        section, and worker tracks in the trace.
+//                        --trace_json, --series turns the collector on
+//                        implicitly. Surfaces as pool.* metrics, the
+//                        run report's "parallel" section, and worker
+//                        tracks in the trace.
 //   --profile            run the subcommand under the sampling CPU
 //                        profiler (src/obs/prof): per-thread SIGPROF
 //                        timers, stacks tagged with the active trace
@@ -152,7 +149,6 @@
 #include "obs/explain/audit.h"
 #include "obs/explain/recorder.h"
 #include "obs/export/chrome_trace.h"
-#include "obs/export/http_server.h"
 #include "obs/export/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -257,12 +253,15 @@ dd::Result<dd::approx::ApproxOptions> ApproxFromFlags(
 }
 
 // Writes the global span-tree + metrics run report when --trace_json
-// was given. Returns non-OK on I/O failure.
+// was given, stamped with the run's correlation id. Returns non-OK on
+// I/O failure.
 dd::Status MaybeWriteTraceReport(const dd::ArgParser& args,
-                                 const std::string& run_name) {
+                                 const std::string& run_name,
+                                 const std::string& run_id) {
   const std::string path = args.GetString("trace_json");
   if (path.empty()) return dd::Status::Ok();
   dd::obs::RunReport report = dd::obs::CaptureRunReport(run_name);
+  report.run_id = run_id;
   DD_RETURN_IF_ERROR(dd::obs::WriteRunReportJson(report, path));
   std::fprintf(stderr, "wrote trace report to %s\n", path.c_str());
   return dd::Status::Ok();
@@ -292,12 +291,11 @@ std::string GenerateRunId() {
                        static_cast<unsigned>(::getpid()) & 0xffff);
 }
 
-// Live telemetry started from flags: the /metrics endpoint
-// (--metrics_port) and the FTDC-style sampler (--series /
-// --sample_period_ms). Both are optional and shut down on destruction.
+// Live telemetry started from flags: the run's correlation id and the
+// optional FTDC-style sampler (--series / --sample_period_ms), which
+// shuts down on destruction.
 struct Telemetry {
   std::string run_id;
-  std::unique_ptr<dd::obs::MetricsHttpServer> server;
   std::unique_ptr<dd::obs::MetricsSampler> sampler;
 };
 
@@ -305,14 +303,6 @@ dd::Result<Telemetry> StartTelemetry(const dd::ArgParser& args) {
   Telemetry telemetry;
   telemetry.run_id = args.GetString("run_id");
   if (telemetry.run_id.empty()) telemetry.run_id = GenerateRunId();
-  if (args.Has("metrics_port")) {
-    DD_ASSIGN_OR_RETURN(std::int64_t port, args.GetInt("metrics_port", 0));
-    DD_ASSIGN_OR_RETURN(
-        telemetry.server,
-        dd::obs::MetricsHttpServer::Start(static_cast<int>(port)));
-    std::fprintf(stderr, "run %s: serving /metrics and /healthz on port %d\n",
-                 telemetry.run_id.c_str(), telemetry.server->port());
-  }
   const std::string series = args.GetString("series");
   if (!series.empty() || args.Has("sample_period_ms")) {
     DD_ASSIGN_OR_RETURN(std::int64_t period,
@@ -505,7 +495,8 @@ int RunDetermineApprox(const dd::ArgParser& args, const dd::RuleSpec& rule) {
   if (!result.ok()) return Fail(result.status());
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status = MaybeWriteTraceReport(
-      args, "ddtool determine --approx " + args.GetString("algo", "DAP+PAP"));
+      args, "ddtool determine --approx " + args.GetString("algo", "DAP+PAP"),
+      telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -577,7 +568,8 @@ int RunDetermine(const dd::ArgParser& args) {
   }
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status = MaybeWriteTraceReport(
-      args, "ddtool determine " + args.GetString("algo", "DAP+PAP"));
+      args, "ddtool determine " + args.GetString("algo", "DAP+PAP"),
+      telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -737,7 +729,8 @@ int RunExplain(const dd::ArgParser& args) {
 
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status = MaybeWriteTraceReport(
-      args, "ddtool explain " + args.GetString("algo", "DAP+PAP"));
+      args, "ddtool explain " + args.GetString("algo", "DAP+PAP"),
+      telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -794,7 +787,8 @@ int RunDetect(const dd::ArgParser& args) {
   auto found = dd::DetectViolations(*relation, rule, *pattern, *moptions);
   if (!found.ok()) return Fail(found.status());
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
-  dd::Status trace_status = MaybeWriteTraceReport(args, "ddtool detect");
+  dd::Status trace_status =
+      MaybeWriteTraceReport(args, "ddtool detect", telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -854,7 +848,8 @@ int RunDiscover(const dd::ArgParser& args) {
   auto rules = dd::DiscoverRules(*relation, options);
   if (!rules.ok()) return Fail(rules.status());
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
-  dd::Status trace_status = MaybeWriteTraceReport(args, "ddtool discover");
+  dd::Status trace_status =
+      MaybeWriteTraceReport(args, "ddtool discover", telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -1070,7 +1065,8 @@ int RunIncremental(const dd::ArgParser& args, bool watch) {
 
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status =
-      MaybeWriteTraceReport(args, watch ? "ddtool watch" : "ddtool append");
+      MaybeWriteTraceReport(args, watch ? "ddtool watch" : "ddtool append",
+                            telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -1079,9 +1075,9 @@ int RunIncremental(const dd::ArgParser& args, bool watch) {
 }
 
 // Long-running daemon: base instance from --input, then headerless CSV
-// rows from stdin in --batch-row chunks until EOF. Telemetry (the
-// /metrics port and the sampler) stays live the whole run — this is
-// the subcommand meant to sit behind a scrape target.
+// rows from stdin in --batch-row chunks until EOF. The sampler
+// (--series) stays live the whole run, and SIGUSR2 with --diag_dir
+// dumps its state on demand.
 int RunServe(const dd::ArgParser& args) {
   if (args.Has("approx")) {
     return Fail(dd::Status::InvalidArgument(
@@ -1189,7 +1185,8 @@ int RunServe(const dd::ArgParser& args) {
   }
 
   if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
-  dd::Status trace_status = MaybeWriteTraceReport(args, "ddtool serve");
+  dd::Status trace_status =
+      MaybeWriteTraceReport(args, "ddtool serve", telemetry->run_id);
   if (!trace_status.ok()) return Fail(trace_status);
   trace_status = MaybeWriteChromeTrace(args);
   if (!trace_status.ok()) return Fail(trace_status);
@@ -1341,8 +1338,18 @@ int main(int argc, char** argv) {
     return 0;
   }
   dd::ArgParser args(argc, argv, 2);
+  // ArgParser ignores unknown flags; --metrics_port is refused by name
+  // so a script that still passes it fails instead of silently running
+  // without the endpoint it expects.
+  if (args.Has("metrics_port")) {
+    return Fail(dd::Status::InvalidArgument(
+        "--metrics_port was removed (there is no HTTP endpoint); use "
+        "--series for sampled metrics, --trace_json for the run report, "
+        "--profile for CPU profiles, and SIGUSR2 with --diag_dir for "
+        "on-demand dumps"));
+  }
   // --threads applies to every subcommand: it sets the process-wide
-  // DefaultThreads() that the matching build and the DA/DAP LHS sweep
+  // DefaultThreads() that the matching build and DA's LHS sweep
   // inherit (0 restores the DD_THREADS/hardware default). Results are
   // bit-identical at any value.
   if (args.Has("threads")) {
@@ -1357,7 +1364,7 @@ int main(int argc, char** argv) {
   // dispatch (core/simd_count.h), overriding the DD_SIMD environment
   // variable. Both kernel sets count identically, so results are
   // bit-identical at any value; the resolved choice appears as the
-  // simd.dispatch info metric in /metrics and the JSON run report.
+  // simd.dispatch info metric in the JSON run report.
   if (args.Has("simd")) {
     const std::string simd = args.GetString("simd");
     dd::simd::SimdMode mode;
@@ -1372,8 +1379,7 @@ int main(int argc, char** argv) {
   // on regardless). Recording never perturbs chunking, so results stay
   // bit-identical with the collector on or off.
   if (args.Has("pool_stats") || args.Has("chrome_trace") ||
-      args.Has("trace_json") || args.Has("metrics_port") ||
-      args.Has("series")) {
+      args.Has("trace_json") || args.Has("series")) {
     dd::obs::PoolStatsCollector::Global().Enable();
   }
   // --diag_dir arms crash/stall diagnostics for any subcommand: fatal
