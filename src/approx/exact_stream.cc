@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/parallel.h"
 #include "core/grid_util.h"
-#include "core/simd_count.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -54,17 +54,9 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
       chunks, std::vector<std::uint64_t>(lhs_cells, 0));
   std::atomic<std::uint64_t> metric_calls{0};
 
-  // Grid strides in the CreateFromHistograms layout: lhs dims
-  // low-order, rhs high-order, so the first lhs strides double as the
-  // marginal grid's strides (joint_cells <= 2^27 fits uint32).
-  std::vector<std::uint32_t> strides(dims);
-  {
-    std::uint64_t stride = 1;
-    for (std::size_t a = 0; a < dims; ++a) {
-      strides[a] = static_cast<std::uint32_t>(stride);
-      stride *= base;
-    }
-  }
+  // The pair levels are in rule order, lhs attributes first.
+  std::vector<std::size_t> columns(dims);
+  std::iota(columns.begin(), columns.end(), std::size_t{0});
   constexpr std::size_t kBatch = 1024;
 
   ParallelFor(
@@ -72,18 +64,7 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         std::vector<std::uint64_t>& joint = joint_per_chunk[chunk];
         std::vector<std::uint64_t>& lhs_grid = lhs_per_chunk[chunk];
-        std::vector<Level> levels(dims);
-        // Pair levels are transposed into per-attribute batch columns
-        // so the vectorized cell-index kernel (one-byte-per-level
-        // views) computes a whole batch of grid cells per call.
-        std::vector<std::vector<std::uint8_t>> batch_cols(
-            dims, std::vector<std::uint8_t>(kBatch));
-        std::vector<simd::ColumnView> views(dims);
-        for (std::size_t a = 0; a < dims; ++a) {
-          views[a] = simd::ColumnView{batch_cols[a].data(), /*packed4=*/false};
-        }
-        std::vector<std::uint32_t> joint_idx(kBatch);
-        std::vector<std::uint32_t> lhs_idx(kBatch);
+        std::vector<Level> batch(kBatch * dims);  // row-major pair levels
         std::uint64_t calls = 0;
         // Decode the chunk's first pair once, then walk the triangle
         // incrementally — no per-pair sqrt on a loop this hot.
@@ -91,23 +72,15 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
         for (std::size_t k = begin; k < end; k += kBatch) {
           const std::size_t count = std::min(kBatch, end - k);
           for (std::size_t p = 0; p < count; ++p) {
-            source.Levels(i, j, levels.data(), &calls);
-            for (std::size_t a = 0; a < dims; ++a) {
-              batch_cols[a][p] = levels[a];
-            }
+            source.Levels(i, j, batch.data() + p * dims, &calls);
             if (++j == n) {
               ++i;
               j = i + 1;
             }
           }
-          simd::GridIndices(views.data(), strides.data(), dims, 0, count,
-                            joint_idx.data());
-          simd::GridIndices(views.data(), strides.data(), lhs_dims, 0, count,
-                            lhs_idx.data());
-          for (std::size_t p = 0; p < count; ++p) {
-            ++joint[joint_idx[p]];
-            ++lhs_grid[lhs_idx[p]];
-          }
+          grid::AddLevelRowsToHistograms(batch.data(), count, dims, columns,
+                                         lhs_dims, base, 1, joint.data(),
+                                         lhs_grid.data());
         }
         metric_calls.fetch_add(calls, std::memory_order_relaxed);
       });

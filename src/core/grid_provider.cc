@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -21,67 +20,29 @@ Result<std::unique_ptr<GridMeasureProvider>> GridMeasureProvider::Create(
   // deliberately uninstrumented beyond the inherited ProviderStats.
   obs::TraceSpan span("grid_build");
   const std::size_t base = static_cast<std::size_t>(matching.dmax()) + 1;
-  const std::size_t dims = rule.lhs.size() + rule.rhs.size();
+  const std::size_t lhs_dims = rule.lhs.size();
+  const std::size_t dims = lhs_dims + rule.rhs.size();
   DD_ASSIGN_OR_RETURN(std::size_t cells,
                       grid::GridCells(base, dims, max_cells));
+  DD_ASSIGN_OR_RETURN(std::size_t lhs_cells,
+                      grid::GridCells(base, lhs_dims, max_cells));
 
-  auto provider = std::unique_ptr<GridMeasureProvider>(new GridMeasureProvider());
-  provider->total_ = matching.num_tuples();
-  provider->dmax_ = matching.dmax();
-  provider->lhs_dims_ = rule.lhs.size();
-  provider->rhs_dims_ = rule.rhs.size();
-  std::vector<std::uint64_t> joint(cells, 0);
-
-  std::size_t lhs_cells = 1;
-  for (std::size_t d = 0; d < rule.lhs.size(); ++d) lhs_cells *= base;
-  std::vector<std::uint64_t> lhs_grid(lhs_cells, 0);
-
-  // Histogram pass: one increment per matching tuple in each grid. The
-  // cell-index computation runs through the vector kernel in block
-  // batches (lhs dims are low-order in the joint layout, so the first
-  // lhs_dims strides double as the marginal grid's strides); the
-  // increments themselves stay scalar — they scatter, and cells ≤ 2^27
-  // means conflicts would be frequent.
-  const std::size_t m = matching.num_tuples();
+  // Histogram pass: one increment per matching tuple in each grid.
   std::vector<simd::ColumnView> views;
-  std::vector<std::uint32_t> strides;
-  views.reserve(dims);
-  strides.reserve(dims);
-  std::uint64_t stride = 1;  // every pushed stride < cells, which fits uint32
-  for (std::size_t a = 0; a < rule.lhs.size(); ++a) {
-    views.push_back(simd::View(matching.column(rule.lhs[a])));
-    strides.push_back(static_cast<std::uint32_t>(stride));
-    stride *= base;
+  for (const auto* side : {&rule.lhs, &rule.rhs}) {
+    for (std::size_t a : *side) views.push_back(simd::View(matching.column(a)));
   }
-  for (std::size_t a = 0; a < rule.rhs.size(); ++a) {
-    views.push_back(simd::View(matching.column(rule.rhs[a])));
-    strides.push_back(static_cast<std::uint32_t>(stride));
-    stride *= base;
-  }
-  constexpr std::size_t kBlock = 4096;
-  std::vector<std::uint32_t> joint_idx(kBlock);
-  std::vector<std::uint32_t> lhs_idx(kBlock);
-  for (std::size_t row = 0; row < m; row += kBlock) {
-    const std::size_t n = std::min(kBlock, m - row);
-    simd::GridIndices(views.data(), strides.data(), dims, row, row + n,
-                      joint_idx.data());
-    simd::GridIndices(views.data(), strides.data(), rule.lhs.size(), row,
-                      row + n, lhs_idx.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ++joint[joint_idx[i]];
-      ++lhs_grid[lhs_idx[i]];
-    }
-  }
+  std::vector<std::uint64_t> joint(cells, 0);
+  std::vector<std::uint64_t> lhs_grid(lhs_cells, 0);
+  const std::size_t m = matching.num_tuples();
+  grid::AddRowsToHistograms(views.data(), lhs_dims, dims, base, m, 1,
+                            joint.data(), lhs_grid.data());
 
-  grid::PrefixSumAllDims(&joint, dims, base);
-  grid::PrefixSumAllDims(&lhs_grid, rule.lhs.size(), base);
-  provider->joint_ =
-      std::make_shared<const std::vector<std::uint64_t>>(std::move(joint));
-  provider->lhs_grid_ =
-      std::make_shared<const std::vector<std::uint64_t>>(std::move(lhs_grid));
-  obs::MetricsRegistry::Global().GetGauge("provider.grid_cells").Set(
-      static_cast<double>(cells));
-  obs::SetMemoryGauge("grid", provider->MemoryUsageBytes());
+  DD_ASSIGN_OR_RETURN(
+      auto provider,
+      CreateFromHistograms(std::move(joint), std::move(lhs_grid), m,
+                           matching.dmax(), lhs_dims, rule.rhs.size()));
+  provider->rule_ = std::move(rule);
   DD_LOG(INFO) << "grid provider built: " << cells << " cells over "
                << m << " matching tuples";
   return provider;
@@ -99,58 +60,110 @@ GridMeasureProvider::CreateFromHistograms(std::vector<std::uint64_t> joint,
   }
   const std::size_t base = static_cast<std::size_t>(dmax) + 1;
   const std::size_t dims = lhs_dims + rhs_dims;
-  std::size_t joint_cells = 1;
-  for (std::size_t d = 0; d < dims; ++d) joint_cells *= base;
-  std::size_t lhs_cells = 1;
-  for (std::size_t d = 0; d < lhs_dims; ++d) lhs_cells *= base;
-  if (joint.size() != joint_cells || lhs_grid.size() != lhs_cells) {
+  const Result<std::size_t> joint_cells =
+      grid::GridCells(base, dims, joint.size());
+  const Result<std::size_t> lhs_cells =
+      grid::GridCells(base, lhs_dims, lhs_grid.size());
+  if (!joint_cells.ok() || !lhs_cells.ok() || *joint_cells != joint.size() ||
+      *lhs_cells != lhs_grid.size()) {
     return Status::InvalidArgument(StrFormat(
-        "histogram sizes %zu/%zu do not match (dmax+1)^dims %zu/%zu",
-        joint.size(), lhs_grid.size(), joint_cells, lhs_cells));
+        "histogram sizes %zu/%zu do not match (dmax+1)^dims for dims %zu/%zu",
+        joint.size(), lhs_grid.size(), dims, lhs_dims));
   }
   auto provider =
       std::unique_ptr<GridMeasureProvider>(new GridMeasureProvider());
   provider->total_ = total;
   provider->dmax_ = dmax;
-  provider->lhs_dims_ = lhs_dims;
-  provider->rhs_dims_ = rhs_dims;
-  grid::PrefixSumAllDims(&joint, dims, base);
-  grid::PrefixSumAllDims(&lhs_grid, lhs_dims, base);
-  provider->joint_ =
-      std::make_shared<const std::vector<std::uint64_t>>(std::move(joint));
-  provider->lhs_grid_ =
-      std::make_shared<const std::vector<std::uint64_t>>(std::move(lhs_grid));
+  for (std::size_t d = 0; d < dims; ++d) {
+    (d < lhs_dims ? provider->rule_.lhs : provider->rule_.rhs).push_back(d);
+  }
+  provider->Publish(std::move(joint), std::move(lhs_grid));
+  if (provider->joint_->back() != total ||
+      provider->lhs_grid_->back() != total) {
+    return Status::InvalidArgument("histograms do not sum to the total");
+  }
   obs::MetricsRegistry::Global().GetGauge("provider.grid_cells").Set(
-      static_cast<double>(joint_cells));
+      static_cast<double>(*joint_cells));
   obs::SetMemoryGauge("grid", provider->MemoryUsageBytes());
   return provider;
 }
 
+void GridMeasureProvider::Publish(std::vector<std::uint64_t> joint,
+                                  std::vector<std::uint64_t> lhs_grid) {
+  const std::size_t base = static_cast<std::size_t>(dmax_) + 1;
+  grid::PrefixSumAllDims(&joint, rule_.lhs.size() + rule_.rhs.size(), base);
+  grid::PrefixSumAllDims(&lhs_grid, rule_.lhs.size(), base);
+  if (joint_ != nullptr) {
+    // Merging a delta: the sums wrap, and are exact whenever every true
+    // count stays in [0, total_].
+    for (std::size_t c = 0; c < joint.size(); ++c) joint[c] += (*joint_)[c];
+    for (std::size_t c = 0; c < lhs_grid.size(); ++c) {
+      lhs_grid[c] += (*lhs_grid_)[c];
+    }
+  }
+  joint_ =
+      std::make_shared<const std::vector<std::uint64_t>>(std::move(joint));
+  lhs_grid_ =
+      std::make_shared<const std::vector<std::uint64_t>>(std::move(lhs_grid));
+}
+
+void GridMeasureProvider::Apply(const MatchingDelta& delta) {
+  obs::TraceSpan span("incr/grid_apply");
+  static obs::Counter& applies_counter =
+      obs::MetricsRegistry::Global().GetCounter("incr.grid_applies");
+  static obs::Counter& merged_counter =
+      obs::MetricsRegistry::Global().GetCounter("incr.grid_tuples_merged");
+  if (delta.empty()) return;
+  const std::size_t base = static_cast<std::size_t>(dmax_) + 1;
+  std::vector<std::size_t> columns = rule_.lhs;
+  columns.insert(columns.end(), rule_.rhs.begin(), rule_.rhs.end());
+  std::vector<std::uint64_t> joint(joint_->size(), 0);
+  std::vector<std::uint64_t> lhs_grid(lhs_grid_->size(), 0);
+  grid::AddLevelRowsToHistograms(delta.added_levels.data(), delta.num_added(),
+                                 delta.num_attributes, columns,
+                                 rule_.lhs.size(), base, 1, joint.data(),
+                                 lhs_grid.data());
+  grid::AddLevelRowsToHistograms(
+      delta.removed_levels.data(), delta.num_removed(), delta.num_attributes,
+      columns, rule_.lhs.size(), base, ~std::uint64_t{0}, joint.data(),
+      lhs_grid.data());
+
+  DD_CHECK_GE(total_ + delta.num_added(), delta.num_removed());
+  total_ = total_ + delta.num_added() - delta.num_removed();
+  Publish(std::move(joint), std::move(lhs_grid));
+  // The all-dmax corners count every tuple.
+  DD_CHECK_EQ(joint_->back(), total_);
+  DD_CHECK_EQ(lhs_grid_->back(), total_);
+  applies_counter.Increment();
+  merged_counter.Add(delta.num_added() + delta.num_removed());
+}
+
 void GridMeasureProvider::SetLhs(const Levels& lhs) {
-  DD_CHECK_EQ(lhs.size(), lhs_dims_);
+  DD_CHECK_EQ(lhs.size(), rule_.lhs.size());
   ++stats_.lhs_evaluations;
   current_lhs_ = lhs;
   const std::size_t base = static_cast<std::size_t>(dmax_) + 1;
   std::size_t idx = 0;
-  for (std::size_t a = lhs_dims_; a-- > 0;) {
+  for (std::size_t a = lhs.size(); a-- > 0;) {
     DD_CHECK_GE(lhs[a], 0);
     DD_CHECK_LE(lhs[a], dmax_);
     idx = idx * base + static_cast<std::size_t>(lhs[a]);
   }
   lhs_count_ = (*lhs_grid_)[idx];
+  DD_CHECK_LE(lhs_count_, total_);
 }
 
 std::size_t GridMeasureProvider::JointIndex(const Levels& rhs) const {
-  DD_CHECK_EQ(rhs.size(), rhs_dims_);
-  DD_CHECK_EQ(current_lhs_.size(), lhs_dims_);
+  DD_CHECK_EQ(rhs.size(), rule_.rhs.size());
+  DD_CHECK_EQ(current_lhs_.size(), rule_.lhs.size());
   const std::size_t base = static_cast<std::size_t>(dmax_) + 1;
   std::size_t idx = 0;
-  for (std::size_t a = rhs_dims_; a-- > 0;) {
+  for (std::size_t a = rhs.size(); a-- > 0;) {
     DD_CHECK_GE(rhs[a], 0);
     DD_CHECK_LE(rhs[a], dmax_);
     idx = idx * base + static_cast<std::size_t>(rhs[a]);
   }
-  for (std::size_t a = lhs_dims_; a-- > 0;) {
+  for (std::size_t a = current_lhs_.size(); a-- > 0;) {
     idx = idx * base + static_cast<std::size_t>(current_lhs_[a]);
   }
   return idx;
@@ -158,15 +171,16 @@ std::size_t GridMeasureProvider::JointIndex(const Levels& rhs) const {
 
 std::uint64_t GridMeasureProvider::CountXY(const Levels& rhs) {
   ++stats_.xy_evaluations;
-  return (*joint_)[JointIndex(rhs)];
+  const std::uint64_t count = (*joint_)[JointIndex(rhs)];
+  DD_CHECK_LE(count, total_);
+  return count;
 }
 
 std::unique_ptr<MeasureProvider> GridMeasureProvider::CloneForThread() const {
   auto clone = std::unique_ptr<GridMeasureProvider>(new GridMeasureProvider());
   clone->total_ = total_;
   clone->dmax_ = dmax_;
-  clone->lhs_dims_ = lhs_dims_;
-  clone->rhs_dims_ = rhs_dims_;
+  clone->rule_ = rule_;
   clone->joint_ = joint_;
   clone->lhs_grid_ = lhs_grid_;
   return clone;

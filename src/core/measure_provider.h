@@ -12,7 +12,8 @@
 // row mask and each CountXY is one AND + popcount of that mask with
 // the ϕ[Y] bitmaps, M/64 words long. GridMeasureProvider is an
 // extension: a prefix-sum grid over the (dmax+1)^c threshold lattice
-// that answers each count in O(1) after an O(M + d^c) build. Both
+// that answers each count in O(1) after an O(M + d^c) build, and folds
+// insert/delete deltas of M into that grid in O(|delta|·c + d^c). Both
 // providers return identical counts (asserted by property tests).
 
 #ifndef DD_CORE_MEASURE_PROVIDER_H_
@@ -25,6 +26,7 @@
 #include "common/result.h"
 #include "core/pattern.h"
 #include "core/rule.h"
+#include "matching/delta.h"
 #include "matching/matching_relation.h"
 
 namespace dd {
@@ -42,9 +44,9 @@ struct ProviderStats {
   // only, in the paper's cost model: the scan provider adds M per
   // SetLhs and per CountXY although it reads its bitmap index rather
   // than the level columns, and 0 for SetLhsWithKnownCount; its index
-  // build is not counted. The grid providers answer queries from their
-  // prefix-sum grids without touching M, so this stays 0 for them BY
-  // CONTRACT even though their construction makes one O(M) histogram
+  // build is not counted. The grid provider answers queries from its
+  // prefix-sum grids without touching M, so this stays 0 for it BY
+  // CONTRACT even though its construction makes one O(M) histogram
   // pass — build cost is reported through the "grid_build" trace span
   // and the provider.grid_cells gauge instead, keeping this field the
   // per-query scan work that the paper's pruning experiments plot.
@@ -178,7 +180,9 @@ class ScanMeasureProvider : public MeasureProvider {
   std::vector<const std::uint64_t*> inputs_;
 };
 
-// O(1)-per-count provider over an inclusive prefix-sum grid.
+// O(1)-per-count provider over inclusive prefix-sum grids. Apply keeps
+// them current under matching deltas, so the static, streaming-exact,
+// approx-strata and maintenance paths all count through this class.
 class GridMeasureProvider : public MeasureProvider {
  public:
   // Fails when the grid (dmax+1)^(|X|+|Y|) would exceed `max_cells`.
@@ -194,11 +198,19 @@ class GridMeasureProvider : public MeasureProvider {
   // ever materializing M: it streams the triangular pair enumeration
   // straight into these histograms. `total` is the number of pairs the
   // histograms cover; sizes must be (dmax+1)^(lhs_dims+rhs_dims) and
-  // (dmax+1)^lhs_dims.
+  // (dmax+1)^lhs_dims. A later Apply reads delta attribute k as rule
+  // slot k (lhs slots first).
   static Result<std::unique_ptr<GridMeasureProvider>> CreateFromHistograms(
       std::vector<std::uint64_t> joint, std::vector<std::uint64_t> lhs_grid,
       std::uint64_t total, int dmax, std::size_t lhs_dims,
       std::size_t rhs_dims);
+
+  // Folds one batch of added/removed matching tuples into the grids in
+  // O(|delta|·c + d^c) without re-reading M: histograms the delta (+1
+  // per added row, -1 per removed row, wrapping), prefix-sums it and
+  // publishes old + delta as fresh grids, so a clone taken before the
+  // call keeps its snapshot. The rule's columns index the delta rows.
+  void Apply(const MatchingDelta& delta);
 
   std::uint64_t total() const override { return total_; }
   void SetLhs(const Levels& lhs) override;
@@ -206,34 +218,37 @@ class GridMeasureProvider : public MeasureProvider {
   const Levels& current_lhs() const override { return current_lhs_; }
   std::uint64_t CountXY(const Levels& rhs) override;
 
-  // The grids are shared (immutable after Create), so a clone is a few
-  // scalars — across-LHS parallel determination clones freely.
+  // The grids are shared and never written in place (Apply swaps in
+  // fresh ones), so a clone is a few scalars plus two shared pointers
+  // — across-LHS parallel determination clones freely.
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
 
   // Heap bytes of the shared cumulative grids. Clones share the same
   // grids, so sum this once per provider family, not per clone. Feeds
   // the mem.grid_bytes gauge (obs/resource.h).
   std::size_t MemoryUsageBytes() const {
-    std::size_t bytes = 0;
-    if (joint_ != nullptr) bytes += joint_->capacity() * sizeof(std::uint64_t);
-    if (lhs_grid_ != nullptr) {
-      bytes += lhs_grid_->capacity() * sizeof(std::uint64_t);
-    }
-    return bytes;
+    return (joint_->capacity() + lhs_grid_->capacity()) *
+           sizeof(std::uint64_t);
   }
 
  private:
   GridMeasureProvider() = default;
 
+  // Prefix-sums the plain histograms, adds the current grids when
+  // there are any, and publishes the sums as fresh shared grids.
+  void Publish(std::vector<std::uint64_t> joint,
+               std::vector<std::uint64_t> lhs_grid);
   std::size_t JointIndex(const Levels& rhs) const;
 
+  // Every count is <= total_; a negative count from an inconsistent
+  // delta stream wraps above it, so reads check this bound.
   std::uint64_t total_ = 0;
   int dmax_ = 0;
-  std::size_t lhs_dims_ = 0;
-  std::size_t rhs_dims_ = 0;
+  // Matching columns of the grid dims (lhs dims low-order).
+  ResolvedRule rule_;
   // Joint cumulative grid over (lhs..., rhs...) levels: cell ϕ holds
-  // count(b[A] <= ϕ[A] for all A). lhs dims are low-order. Immutable
-  // after Create and shared with clones.
+  // count(b[A] <= ϕ[A] for all A). lhs dims are low-order. Shared with
+  // clones and never written after publication.
   std::shared_ptr<const std::vector<std::uint64_t>> joint_;
   // Marginal cumulative grid over lhs levels only (also shared).
   std::shared_ptr<const std::vector<std::uint64_t>> lhs_grid_;

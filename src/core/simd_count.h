@@ -13,8 +13,8 @@
 //                stored — a ϕ[X] mask (ScanMeasureProvider SetLhs) or a
 //                ϕ[XY] count (CountXY) straight from that index;
 //   GridIndices  per-row linearized grid cell sum_i level_i(r)*strides[i]
-//                (the histogram pass of GridMeasureProvider /
-//                DeltaGridProvider / the streaming exact build).
+//                (the histogram pass of grid::AddRowsToHistograms, which
+//                GridMeasureProvider and the streaming exact build share).
 //
 // Each primitive has a scalar implementation and an AVX2 one (compiled
 // in simd_count_avx2.cc with -mavx2 -mbmi2 -mpopcnt on that TU only);

@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "incr/delta.h"
 #include "incr/tuple_store.h"
 #include "matching/builder.h"
+#include "matching/delta.h"
 #include "matching/matching_relation.h"
 
 namespace dd {
@@ -47,7 +47,7 @@ class IncrementalMatchingBuilder {
 
   // Applies one batch: deletes first (by tuple id), then inserts (rows
   // in schema order; ids are assigned ascending). Returns the delta
-  // that transformed matching() — feed it to DeltaGridProvider::Apply
+  // that transformed matching() — feed it to GridMeasureProvider::Apply
   // to keep counting queries O(1). The whole batch is validated before
   // any mutation, so a failed call leaves the state untouched.
   Result<MatchingDelta> ApplyBatch(

@@ -36,8 +36,8 @@ Result<MaintenanceEngine> MaintenanceEngine::Create(const Schema& schema,
                       ResolveRule(engine.builder_->matching(), engine.rule_));
   DD_ASSIGN_OR_RETURN(
       engine.provider_,
-      DeltaGridProvider::Create(engine.builder_->matching(), engine.resolved_,
-                                engine.options_.max_cells));
+      GridMeasureProvider::Create(engine.builder_->matching(),
+                                  engine.resolved_, engine.options_.max_cells));
   return engine;
 }
 
@@ -86,7 +86,7 @@ Result<BatchOutcome> MaintenanceEngine::ApplyBatch(
   // exactly the ones a long-running `serve` loop can grow without bound.
   obs::SetMemoryGauge("tuple_store", builder_->store().MemoryUsageBytes());
   obs::SetMemoryGauge("matching", builder_->matching().MemoryUsageBytes());
-  obs::SetMemoryGauge("delta_grid", provider_->MemoryUsageBytes());
+  obs::SetMemoryGauge("grid", provider_->MemoryUsageBytes());
 
   // An empty instance has no candidate worth publishing; a previously
   // published pattern stays on the feed until data returns.

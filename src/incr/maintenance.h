@@ -29,7 +29,7 @@
 
 #include "common/result.h"
 #include "core/determiner.h"
-#include "incr/delta_grid_provider.h"
+#include "core/measure_provider.h"
 #include "incr/incremental_builder.h"
 
 namespace dd {
@@ -46,7 +46,7 @@ struct MaintenanceOptions {
   // publication time. 0 re-determines on any drift; negative values
   // re-determine every batch.
   double drift_fraction = 0.5;
-  // Cell budget of the delta grid (Create fails beyond it).
+  // Cell budget of the maintained grid (Create fails beyond it).
   std::size_t max_cells = std::size_t{1} << 27;
 };
 
@@ -116,7 +116,7 @@ class MaintenanceEngine {
   MaintenanceOptions options_;
   std::unique_ptr<IncrementalMatchingBuilder> builder_;
   ResolvedRule resolved_;
-  std::unique_ptr<DeltaGridProvider> provider_;
+  std::unique_ptr<GridMeasureProvider> provider_;
 
   bool has_published_ = false;
   DeterminedPattern published_;

@@ -47,6 +47,7 @@ class Reader {
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   std::string_view bytes_;
@@ -155,10 +156,10 @@ Result<MatchingRelation> ParseBody(std::string_view body) {
   }
   std::uint64_t tuples = 0;
   DD_RETURN_IF_ERROR(reader.Read(&tuples));
-  // Sanity bound: the remaining bytes must cover pairs + columns.
-  const std::uint64_t needed =
-      tuples * (2 * sizeof(std::uint32_t) + num_attrs);
-  if (needed > body.size()) {
+  // Sanity bound: the remaining bytes must cover pairs + columns. The
+  // bound divides because tuples * per_tuple can wrap for a crafted count.
+  const std::uint64_t per_tuple = 2 * sizeof(std::uint32_t) + num_attrs;
+  if (tuples > reader.remaining() / per_tuple) {
     return Status::InvalidArgument("truncated matching-relation payload");
   }
 

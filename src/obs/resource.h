@@ -1,11 +1,11 @@
 // Process memory accounting: RSS sampling plus the `mem.*` byte-size
 // gauges that the core data structures (matching relation, value-pair
-// cache, grid providers, scan-provider bitmap index, tuple store)
+// cache, grid provider, scan-provider bitmap index, tuple store)
 // publish through their MemoryUsageBytes() hooks.
 //
 // Gauge naming: every structure gauge is `mem.<structure>_bytes`
 // (mem.matching_bytes, mem.value_cache_bytes, mem.grid_bytes,
-// mem.delta_grid_bytes, mem.scan_index_bytes, mem.tuple_store_bytes);
+// mem.scan_index_bytes, mem.tuple_store_bytes);
 // the process-level pair is mem.rss_bytes / mem.rss_peak_bytes.
 // UpdateRssGauges() is called by the FTDC sampler on every tick, so
 // sampled frames always carry a fresh RSS reading.

@@ -1,6 +1,6 @@
 // Property tests for the incremental maintenance subsystem: any
 // randomized insert/delete batch sequence applied through
-// IncrementalMatchingBuilder + DeltaGridProvider must be
+// IncrementalMatchingBuilder + GridMeasureProvider::Apply must be
 // indistinguishable — matching relation, counting queries, and
 // determined thresholds — from tearing the instance down and rebuilding
 // from scratch. 25 seeded sequences over each of two datasets (the
@@ -15,8 +15,8 @@
 
 #include "common/rng.h"
 #include "core/determiner.h"
+#include "core/measure_provider.h"
 #include "data/generators.h"
-#include "incr/delta_grid_provider.h"
 #include "incr/incremental_builder.h"
 #include "incr/maintenance.h"
 #include "incr/tuple_store.h"
@@ -74,7 +74,7 @@ void RunSequence(const Relation& pool, const RuleSpec& rule, int dmax,
   ASSERT_TRUE(builder.ok()) << builder.status();
   auto resolved = ResolveRule(builder->matching(), rule);
   ASSERT_TRUE(resolved.ok()) << resolved.status();
-  auto maintained = DeltaGridProvider::Create(builder->matching(), *resolved);
+  auto maintained = GridMeasureProvider::Create(builder->matching(), *resolved);
   ASSERT_TRUE(maintained.ok()) << maintained.status();
 
   Rng rng(seed);
@@ -222,7 +222,7 @@ TEST(IncrementalBuilderTest, DeleteEverythingEmptiesTheMatching) {
   for (std::size_t r = 0; r < 5; ++r) rows.push_back(hotel.relation.row(r));
   auto resolved = ResolveRule(builder->matching(), {{"Name"}, {"Region"}});
   ASSERT_TRUE(resolved.ok());
-  auto grid = DeltaGridProvider::Create(builder->matching(), *resolved);
+  auto grid = GridMeasureProvider::Create(builder->matching(), *resolved);
   ASSERT_TRUE(grid.ok());
 
   auto grow = builder->ApplyBatch(rows, {});

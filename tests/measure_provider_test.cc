@@ -1,5 +1,7 @@
 #include "core/measure_provider.h"
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "core/measures.h"
@@ -169,6 +171,54 @@ TEST(GridProviderTest, ThreeAttributesAgree) {
       }
     }
   }
+}
+
+TEST(GridProviderTest, ApplyKeepsCloneSnapshot) {
+  MatchingRelation m = TinyMatching();
+  auto grid = GridMeasureProvider::Create(m, XyRule());
+  ASSERT_TRUE(grid.ok());
+  std::unique_ptr<MeasureProvider> clone = grid.value()->CloneForThread();
+  ASSERT_NE(clone, nullptr);
+
+  // Adds (1, 2) and (3, 3), removes (4, 4).
+  MatchingDelta delta;
+  delta.num_attributes = 2;
+  delta.added_pairs = {{20, 21}, {22, 23}};
+  delta.added_levels = {1, 2, 3, 3};
+  delta.removed_pairs = {m.pair(5)};
+  delta.removed_levels = {4, 4};
+  // The clone keeps reading the pre-Apply grids on another thread
+  // while the original swaps in new ones.
+  std::thread reader([&clone] {
+    for (int i = 0; i < 200; ++i) {
+      clone->SetLhs({1});
+      EXPECT_EQ(clone->lhs_count(), 3u);
+      EXPECT_EQ(clone->CountXY({2}), 2u);  // (0,0), (1,1)
+    }
+  });
+  grid.value()->Apply(delta);
+  reader.join();
+
+  EXPECT_EQ(clone->total(), 6u);
+  clone->SetLhs({4});
+  EXPECT_EQ(clone->CountXY({3}), 4u);  // (0,0), (1,1), (2,3), (4,0)
+  GridMeasureProvider& applied = *grid.value();
+  EXPECT_EQ(applied.total(), 7u);
+  applied.SetLhs({1});
+  EXPECT_EQ(applied.lhs_count(), 4u);
+  EXPECT_EQ(applied.CountXY({2}), 3u);  // + (1,2)
+  applied.SetLhs({4});
+  EXPECT_EQ(applied.CountXY({3}), 6u);  // + (1,2), (3,3)
+  EXPECT_EQ(applied.CountXY({4}), 7u);
+
+  // An empty delta changes nothing.
+  applied.Apply(MatchingDelta{});
+  EXPECT_EQ(applied.total(), 7u);
+  applied.SetLhs({1});
+  EXPECT_EQ(applied.lhs_count(), 4u);
+  EXPECT_EQ(applied.CountXY({2}), 3u);
+  applied.SetLhs({4});
+  EXPECT_EQ(applied.CountXY({3}), 6u);
 }
 
 TEST(GridProviderTest, RejectsOversizedGrid) {

@@ -82,13 +82,46 @@ TEST_P(SeededPropertyTest, PruningIsSafe) {
   }
 }
 
-// Scan and grid providers agree on every count.
+// Appends matching tuples [begin, end) of `m` to a delta's pair and
+// row-major level lists.
+void AppendRows(const MatchingRelation& m, std::size_t begin, std::size_t end,
+                std::vector<std::pair<std::uint32_t, std::uint32_t>>* pairs,
+                std::vector<Level>* levels) {
+  for (std::size_t t = begin; t < end; ++t) {
+    pairs->push_back(m.pair(t));
+    const std::vector<Level> row = m.RowLevels(t);
+    levels->insert(levels->end(), row.begin(), row.end());
+  }
+}
+
+// Scan and grid providers agree on every count, and so does a grid
+// brought from an empty M to M through Apply: two add batches, then
+// one that adds the rest of M plus spare rows and removes the spares.
 TEST_P(SeededPropertyTest, ProvidersAgree) {
   MatchingRelation m = RandomMatching(3, 5, 300, GetParam());
   ResolvedRule rule{{0, 1}, {2}};
   ScanMeasureProvider scan(m, rule);
   auto grid = GridMeasureProvider::Create(m, rule);
   ASSERT_TRUE(grid.ok());
+  auto applied = GridMeasureProvider::Create(
+      MatchingRelation(m.attribute_names(), m.dmax()), rule);
+  ASSERT_TRUE(applied.ok());
+  const MatchingRelation spare = RandomMatching(3, 5, 40, GetParam() + 1);
+  const std::size_t cuts[] = {0, 100, 220, m.num_tuples()};
+  for (std::size_t b = 0; b < 3; ++b) {
+    MatchingDelta delta;
+    delta.num_attributes = m.num_attributes();
+    AppendRows(m, cuts[b], cuts[b + 1], &delta.added_pairs,
+               &delta.added_levels);
+    if (b == 2) {
+      AppendRows(spare, 0, spare.num_tuples(), &delta.added_pairs,
+                 &delta.added_levels);
+      AppendRows(spare, 0, spare.num_tuples(), &delta.removed_pairs,
+                 &delta.removed_levels);
+    }
+    applied.value()->Apply(delta);
+  }
+  ASSERT_EQ(applied.value()->total(), m.num_tuples());
   Rng rng(GetParam() ^ 0x1234);
   for (int trial = 0; trial < 30; ++trial) {
     Levels lhs = {static_cast<int>(rng.NextBounded(6)),
@@ -96,8 +129,12 @@ TEST_P(SeededPropertyTest, ProvidersAgree) {
     Levels rhs = {static_cast<int>(rng.NextBounded(6))};
     scan.SetLhs(lhs);
     grid.value()->SetLhs(lhs);
+    applied.value()->SetLhs(lhs);
     ASSERT_EQ(scan.lhs_count(), grid.value()->lhs_count());
-    ASSERT_EQ(scan.CountXY(rhs), grid.value()->CountXY(rhs));
+    ASSERT_EQ(scan.lhs_count(), applied.value()->lhs_count());
+    const std::uint64_t xy = scan.CountXY(rhs);
+    ASSERT_EQ(xy, grid.value()->CountXY(rhs));
+    ASSERT_EQ(xy, applied.value()->CountXY(rhs));
   }
 }
 

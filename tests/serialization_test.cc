@@ -117,6 +117,21 @@ TEST(SerializationTest, LegacyV1StillReadable) {
   ExpectEqualMatching(m, *back);
 }
 
+TEST(SerializationTest, WrappingTupleCountRejected) {
+  // A 45-byte legacy file (one attribute, no checksum) whose tuple count
+  // times the 9 bytes per tuple wraps to 2 in uint64 arithmetic.
+  MatchingRelation m({"seventeen_chars_a"}, 4);
+  std::string bytes = MakeLegacyV1(SerializeMatchingRelation(m));
+  ASSERT_EQ(bytes.size(), 45u);
+  const std::uint64_t tuples = 2049638230412172402ULL;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(tuples), &tuples,
+              sizeof(tuples));
+  auto back = DeserializeMatchingRelation(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument)
+      << back.status();
+}
+
 TEST(SerializationTest, FutureVersionRejected) {
   std::string bytes =
       SerializeMatchingRelation(testutil::RandomMatching(2, 5, 20, 1));
