@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     const double s = TimeBest([&] {
       dd::IncrementalOptions iopts;
       iopts.matching.dmax = 10;
-      iopts.threads = t;
+      iopts.matching.threads = t;
       auto builder = dd::IncrementalMatchingBuilder::Create(
           data.relation.schema(), rule.AllAttributes(), iopts);
       if (!builder.ok()) std::abort();

@@ -44,7 +44,7 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
   const std::uint64_t total_pairs = n * (n - 1) / 2;
   const std::size_t threads =
       matching.threads == 0 ? DefaultThreads() : matching.threads;
-  const PairLevelSource source(relation, resolved, matching, total_pairs,
+  const PairLevelSource source(relation, AllRows(n), resolved, total_pairs,
                                threads);
 
   const std::size_t chunks = EffectiveChunks(total_pairs, threads);
@@ -52,36 +52,28 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
       chunks, std::vector<std::uint64_t>(joint_cells, 0));
   std::vector<std::vector<std::uint64_t>> lhs_per_chunk(
       chunks, std::vector<std::uint64_t>(lhs_cells, 0));
-  std::atomic<std::uint64_t> metric_calls{0};
+  std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
 
   // The pair levels are in rule order, lhs attributes first.
   std::vector<std::size_t> columns(dims);
   std::iota(columns.begin(), columns.end(), std::size_t{0});
-  constexpr std::size_t kBatch = 1024;
 
   ParallelFor(
       "approx_exact_stream.pairs", total_pairs, threads,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::vector<std::uint64_t>& joint = joint_per_chunk[chunk];
-        std::vector<std::uint64_t>& lhs_grid = lhs_per_chunk[chunk];
-        std::vector<Level> batch(kBatch * dims);  // row-major pair levels
+        std::vector<Level> run_levels;  // row-major pair levels
         std::uint64_t calls = 0;
-        // Decode the chunk's first pair once, then walk the triangle
-        // incrementally — no per-pair sqrt on a loop this hot.
-        auto [i, j] = DecodeTriangularPair(begin, n);
-        for (std::size_t k = begin; k < end; k += kBatch) {
-          const std::size_t count = std::min(kBatch, end - k);
-          for (std::size_t p = 0; p < count; ++p) {
-            source.Levels(i, j, batch.data() + p * dims, &calls);
-            if (++j == n) {
-              ++i;
-              j = i + 1;
-            }
-          }
-          grid::AddLevelRowsToHistograms(batch.data(), count, dims, columns,
-                                         lhs_dims, base, 1, joint.data(),
-                                         lhs_grid.data());
-        }
+        ForEachTriangularRun(
+            begin, end, n,
+            [&](std::uint64_t, std::uint32_t i, std::uint32_t j_begin,
+                std::uint32_t j_end) {
+              run_levels.resize((j_end - j_begin) * dims);
+              source.Levels(i, j_begin, j_end, run_levels.data(), &calls);
+              grid::AddLevelRowsToHistograms(
+                  run_levels.data(), j_end - j_begin, dims, columns, lhs_dims,
+                  base, 1, joint_per_chunk[chunk].data(),
+                  lhs_per_chunk[chunk].data());
+            });
         metric_calls.fetch_add(calls, std::memory_order_relaxed);
       });
 

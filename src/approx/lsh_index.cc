@@ -102,10 +102,12 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
   // bounds peak memory without biasing what survives the final cut.
   const std::uint64_t expansion_budget = options.max_candidates * 2;
 
+  const std::vector<std::uint32_t> rows = AllRows(n);
   for (std::size_t a = 0; a < resolved.num_attributes(); ++a) {
     const BlockingFamily family = resolved.metrics[a]->blocking_family();
     if (family == BlockingFamily::kNone) continue;
-    const AttributeValueIndex index = InternColumn(relation, resolved.attr_idx[a]);
+    const AttributeValueIndex index =
+        InternColumn(relation, rows, resolved.attr_idx[a]);
     const std::size_t distinct = index.distinct();
 
     // Candidate DISTINCT-VALUE pairs for this attribute; expanded to

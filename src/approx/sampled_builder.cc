@@ -1,6 +1,5 @@
 #include "approx/sampled_builder.h"
 
-#include <atomic>
 #include <utility>
 
 #include "common/parallel.h"
@@ -26,10 +25,10 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
 
   auto builder = std::unique_ptr<SampledMatchingBuilder>(
       new SampledMatchingBuilder(attributes, matching.dmax));
-  builder->relation_ = &relation;
   builder->resolved_ =
       std::make_unique<ResolvedMetrics>(std::move(resolved));
   const std::uint64_t n = relation.num_rows();
+  builder->num_rows_ = n;
   builder->total_pairs_ = n * (n - 1) / 2;
   builder->threads_ =
       matching.threads == 0 ? DefaultThreads() : matching.threads;
@@ -47,12 +46,16 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
       near_ks.size() + std::min(approx.sample_target,
                                 builder->total_pairs_ - near_ks.size());
   builder->source_ = std::make_unique<PairLevelSource>(
-      relation, *builder->resolved_, matching, expected_pairs,
+      relation, AllRows(n), *builder->resolved_, expected_pairs,
       builder->threads_);
 
   {
     obs::TraceSpan near_span("approx_near_build");
-    builder->MaterializePairs(near_ks, &builder->near_);
+    obs::MetricsRegistry::Global()
+        .GetCounter("matching.distances_computed")
+        .Add(builder->source_->precomputed_distances() +
+             FillSampledPairs(*builder->source_, n, near_ks,
+                              builder->threads_, &builder->near_));
   }
   builder->sampler_ = std::make_unique<PairSampler>(
       builder->total_pairs_, approx.seed, std::move(near_ks));
@@ -71,34 +74,14 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
   return builder;
 }
 
-void SampledMatchingBuilder::MaterializePairs(
-    const std::vector<std::uint64_t>& ks, MatchingRelation* out) {
-  const std::size_t offset = out->num_tuples();
-  out->ResizeRows(offset + ks.size());
-  const std::size_t num_attrs = out->num_attributes();
-  const std::uint64_t n = relation_->num_rows();
-  std::atomic<std::uint64_t> metric_calls{0};
-  ParallelFor("approx_build.pairs", ks.size(), threads_,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                std::vector<Level> levels(num_attrs);
-                std::uint64_t calls = 0;
-                for (std::size_t r = begin; r < end; ++r) {
-                  auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source_->Levels(i, j, levels.data(), &calls);
-                  out->SetTuple(offset + r, i, j, levels.data());
-                }
-                metric_calls.fetch_add(calls, std::memory_order_relaxed);
-              });
-  obs::MetricsRegistry::Global()
-      .GetCounter("matching.distances_computed")
-      .Add(metric_calls.load(std::memory_order_relaxed));
-}
-
 std::uint64_t SampledMatchingBuilder::GrowTo(std::uint64_t target) {
   obs::TraceSpan span("approx_tail_build");
   const std::vector<std::uint64_t> fresh = sampler_->GrowTo(target);
-  if (!fresh.empty()) MaterializePairs(fresh, &tail_);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  if (!fresh.empty()) {
+    registry.GetCounter("matching.distances_computed")
+        .Add(FillSampledPairs(*source_, num_rows_, fresh, threads_, &tail_));
+  }
   registry.GetCounter("approx.sampled_pairs").Add(fresh.size());
   registry.GetGauge("approx.sample_fraction").Set(sample_fraction());
   obs::SetMemoryGauge("approx", MemoryUsageBytes());

@@ -6,15 +6,16 @@
 //          computed EXACTLY and weighted 1. This keeps the rare low-
 //          level cells that dominate confidence/quality exact.
 //   tail — a uniform without-replacement sample of the remaining pairs
-//          (pair_sampler.h), weighted tail_population / tail_sampled
-//          by the approx provider.
+//          (matching/pair_sampler.h), weighted tail_population /
+//          tail_sampled by the approx provider.
 //
-// Level computation for both strata goes through the same
-// PairLevelSource kernel as the exact build, parallelized over the
-// shared worker pool with bit-identical results at any thread count
-// (the pair sets are fixed before any parallel work starts, and rows
-// are written by global index). Growing the tail sample APPENDS rows —
-// previously computed levels are never recomputed or moved.
+// Both strata are filled by the exact build's sampled-pair materializer
+// (FillSampledPairs over one PairLevelSource, matching/builder.h),
+// parallelized over the shared worker pool with bit-identical results
+// at any thread count (the pair sets are fixed before any parallel work
+// starts, and rows are written by global index). Growing the tail
+// sample APPENDS rows — previously computed levels are never recomputed
+// or moved.
 
 #ifndef DD_APPROX_SAMPLED_BUILDER_H_
 #define DD_APPROX_SAMPLED_BUILDER_H_
@@ -25,17 +26,17 @@
 #include <vector>
 
 #include "approx/lsh_index.h"
-#include "approx/pair_sampler.h"
 #include "common/result.h"
 #include "data/relation.h"
 #include "matching/builder.h"
 #include "matching/matching_relation.h"
+#include "matching/pair_sampler.h"
 
 namespace dd::approx {
 
 // Knobs of the approximate determination pipeline. `matching`-level
-// options (dmax, metrics, value cache, threads) ride along in the
-// MatchingOptions passed next to this.
+// options (dmax, metrics, threads) ride along in the MatchingOptions
+// passed next to this.
 struct ApproxOptions {
   // Initial tail sample size in pairs; the refinement driver grows it
   // geometrically from here. Clamped to the tail population.
@@ -64,9 +65,8 @@ struct ApproxOptions {
 class SampledMatchingBuilder {
  public:
   // Builds both strata at approx.sample_target tail pairs. `relation`
-  // must outlive the returned builder. matching.mode is ignored (this
-  // IS the kApprox implementation); matching.max_pairs must be 0 — the
-  // tail target already bounds |M|.
+  // must outlive the returned builder. matching.max_pairs must be 0 —
+  // the tail target already bounds |M|.
   static Result<std::unique_ptr<SampledMatchingBuilder>> Build(
       const Relation& relation, const std::vector<std::string>& attributes,
       const MatchingOptions& matching, const ApproxOptions& approx);
@@ -106,14 +106,10 @@ class SampledMatchingBuilder {
   SampledMatchingBuilder(std::vector<std::string> attributes, int dmax)
       : near_(attributes, dmax), tail_(attributes, dmax) {}
 
-  // Appends rows for sorted pair indices `ks` to `out`.
-  void MaterializePairs(const std::vector<std::uint64_t>& ks,
-                        MatchingRelation* out);
-
-  const Relation* relation_ = nullptr;
   std::unique_ptr<ResolvedMetrics> resolved_;
   std::unique_ptr<PairLevelSource> source_;
   std::unique_ptr<PairSampler> sampler_;
+  std::uint64_t num_rows_ = 0;
   std::uint64_t total_pairs_ = 0;
   std::size_t threads_ = 0;
   MatchingRelation near_;

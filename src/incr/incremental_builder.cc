@@ -1,6 +1,7 @@
 #include "incr/incremental_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -37,6 +38,8 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
       obs::MetricsRegistry::Global().GetCounter("incr.pairs_recomputed");
   static obs::Counter& removed_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_removed");
+  static obs::Counter& distance_counter =
+      obs::MetricsRegistry::Global().GetCounter("matching.distances_computed");
 
   // Validate the whole batch before mutating anything.
   const std::size_t arity = store_.schema().num_attributes();
@@ -94,40 +97,51 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
   // Inserts: new ids are larger than every existing id, so each new
   // tuple j pairs with all live i < j — the surviving old tuples plus
   // the batch's earlier inserts.
-  const std::vector<std::uint32_t> old_live = store_.LiveIds();
-  std::vector<std::uint32_t> new_ids;
-  new_ids.reserve(inserts.size());
+  std::vector<std::uint32_t> rows = store_.LiveIds();
+  const std::uint64_t old = rows.size();
   for (const auto& values : inserts) {
     Result<std::uint32_t> id = store_.Insert(values);
     DD_CHECK(id.ok());  // Arity was validated above.
-    new_ids.push_back(*id);
+    rows.push_back(*id);
   }
 
   // Pair counts are 64-bit BY CONTRACT (matching/builder.h): b(b-1)/2
   // overflows 32-bit size types near b ≈ 93k.
-  const std::uint64_t b = new_ids.size();
-  const std::uint64_t total_new =
-      static_cast<std::uint64_t>(old_live.size()) * b + b * (b - 1) / 2;
+  const std::uint64_t b = inserts.size();
+  const std::uint64_t total_new = old * b + b * (b - 1) / 2;
   delta.added_pairs.reserve(total_new);
-  for (std::uint64_t k = 0; k < b; ++k) {
-    const std::uint32_t j = new_ids[k];
-    for (std::uint32_t i : old_live) delta.added_pairs.emplace_back(i, j);
-    for (std::size_t e = 0; e < k; ++e) {
-      delta.added_pairs.emplace_back(new_ids[e], j);
+  for (std::uint64_t p = old; p < rows.size(); ++p) {
+    for (std::uint64_t i = 0; i < p; ++i) {
+      delta.added_pairs.emplace_back(rows[i], rows[p]);
     }
   }
-  DD_CHECK_EQ(delta.added_pairs.size(), total_new);
-
   delta.added_levels.resize(total_new * attrs);
-  ParallelFor("incr.delta_levels", total_new, options_.threads,
-              [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                for (std::size_t p = begin; p < end; ++p) {
-                  resolved_.ComputeLevels(store_.relation(),
-                                          delta.added_pairs[p].first,
-                                          delta.added_pairs[p].second,
-                                          &delta.added_levels[p * attrs]);
-                }
-              });
+  {
+    // Scoped so its level tables are freed before M grows below.
+    const PairLevelSource source(store_.relation(), rows, resolved_, total_new,
+                                 options_.matching.threads);
+    std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
+    // New tuple k is one run: positions [0, old + k) against position
+    // old + k, starting at pair old * k + k(k-1)/2.
+    ParallelFor(
+        "incr.delta_levels", total_new, options_.matching.threads,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::uint64_t calls = 0;
+          std::uint64_t p = old;  // position of the run's new tuple
+          std::uint64_t start = 0;
+          while (start + p <= begin) start += p++;
+          for (std::uint64_t t = begin; t < end; start += p++) {
+            const std::uint64_t stop = std::min<std::uint64_t>(end, start + p);
+            source.Levels(static_cast<std::uint32_t>(p),
+                          static_cast<std::uint32_t>(t - start),
+                          static_cast<std::uint32_t>(stop - start),
+                          &delta.added_levels[t * attrs], &calls);
+            t = stop;
+          }
+          metric_calls.fetch_add(calls, std::memory_order_relaxed);
+        });
+    distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
+  }
 
   matching_.Reserve(matching_.num_tuples() + total_new);
   std::vector<Level> levels(attrs);
@@ -152,16 +166,11 @@ MatchingRelation IncrementalMatchingBuilder::Rebuild() const {
   obs::TraceSpan span("incr/rebuild");
   const std::vector<std::uint32_t> live = store_.LiveIds();
   const std::uint64_t n = live.size();
+  // 64-bit pair count (matching/builder.h).
+  const PairLevelSource source(store_.relation(), live, resolved_,
+                               n * (n - 1) / 2, options_.matching.threads);
   MatchingRelation out(attributes_, options_.matching.dmax);
-  out.Reserve(n * (n - 1) / 2);  // 64-bit pair count (matching/builder.h)
-  std::vector<Level> levels(attributes_.size());
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      resolved_.ComputeLevels(store_.relation(), live[a], live[b],
-                              levels.data());
-      out.AddTuple(live[a], live[b], levels);
-    }
-  }
+  FillAllPairs(source, live, options_.matching.threads, &out);
   return out;
 }
 

@@ -2,13 +2,19 @@
 // deletes. The paper builds M once over a static instance; under live
 // traffic a batch of b changes against N live tuples only affects the
 // pairs touching changed tuples, so ApplyBatch computes the N·b + C(b,2)
-// new distance vectors (reusing src/metric via ResolvedMetrics, spread
-// over ParallelFor workers) and compacts deleted pairs out of M in one
-// pass — instead of the O(N²) from-scratch rebuild.
+// new distance vectors and compacts deleted pairs out of M in one pass
+// — instead of the O(N²) from-scratch rebuild.
+//
+// The levels come from the shared pair-level kernel (PairLevelSource,
+// matching/builder.h), built per batch over the live tuples plus the
+// inserts; each new tuple is one run against every earlier position. A
+// per-batch source is bounded by the live window, so a wrapping stream
+// needs no append path or compaction.
 //
 // Complexity per batch of b inserts and k deletes over N live tuples
 // with a matching relation of M tuples:
-//   distance work   O((N + b) · b)       — the only metric evaluations
+//   interning       O((N + b) · attrs)
+//   distance work   O((N + b) · b)       — at most this many metric calls
 //   delete compact  O(M)  (k > 0 only)   — one branch-per-row pass
 // versus O((N+b-k)²/2) distance evaluations for a rebuild.
 
@@ -28,13 +34,10 @@
 namespace dd {
 
 struct IncrementalOptions {
-  // dmax / metric / scale configuration. max_pairs must be 0: sampling
-  // does not compose with deltas (a sampled M cannot tell which of the
-  // N·b affected pairs it would have contained).
+  // dmax / metric / scale / threads configuration. max_pairs must be 0:
+  // sampling does not compose with deltas (a sampled M cannot tell which
+  // of the N·b affected pairs it would have contained).
   MatchingOptions matching;
-  // ParallelFor width for the per-batch distance computations
-  // (0 = DefaultThreads(), i.e. --threads / DD_THREADS).
-  std::size_t threads = 0;
 };
 
 class IncrementalMatchingBuilder {
@@ -61,9 +64,10 @@ class IncrementalMatchingBuilder {
   int dmax() const { return options_.matching.dmax; }
 
   // Reference implementation: the matching relation of the current live
-  // instance built from scratch in ascending pair order. The property
-  // tests assert that matching() (canonicalized via SortByPairs) equals
-  // this exactly; the benchmarks use it as the rebuild baseline.
+  // instance built from scratch in ascending pair order, by the one-shot
+  // build's triangle walk (FillAllPairs). The property tests assert that
+  // matching() (canonicalized via SortByPairs) equals this exactly; the
+  // benchmarks use it as the rebuild baseline.
   MatchingRelation Rebuild() const;
 
  private:

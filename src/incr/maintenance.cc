@@ -1,5 +1,6 @@
 #include "incr/maintenance.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -129,37 +130,15 @@ void MaintenanceEngine::Redetermine(UpdateReason reason,
   static obs::Counter& redetermine_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.redeterminations");
 
-  const DetermineOptions& det = options_.determine;
-  UtilityOptions utility = det.utility;
-  if (det.prior_sample_size > 0) {
-    obs::TraceSpan prior_span("prior_estimation");
-    utility.prior_mean_cq = EstimatePriorMeanCq(
-        provider_.get(), resolved_.lhs.size(), resolved_.rhs.size(),
-        builder_->dmax(), det.prior_sample_size, det.prior_seed);
-  }
-  provider_->ResetStats();
-
   // top_l >= 2 keeps a runner-up around: its utility deficit is the gap
   // the next drift bound derives from.
-  const std::size_t top_l = det.top_l < 2 ? 2 : det.top_l;
-  DaOptions da;
-  da.advanced_bound = det.lhs_algorithm == LhsAlgorithm::kDap;
-  da.pa.prune = det.rhs_algorithm == RhsAlgorithm::kPap;
-  da.pa.order = det.order;
-  da.pa.top_l = top_l;
-  da.top_l = top_l;
-  da.utility = utility;
-  da.threads = det.threads;
-
-  DaStats stats;
-  std::vector<DeterminedPattern> patterns;
-  {
-    obs::TraceSpan search_span("search");
-    patterns = DetermineBestPatterns(provider_.get(), resolved_.lhs.size(),
-                                     resolved_.rhs.size(), builder_->dmax(),
-                                     da, &stats);
-  }
-  PublishDetermineMetrics(stats, provider_->stats());
+  DetermineOptions det = options_.determine;
+  det.top_l = std::max<std::size_t>(2, det.top_l);
+  Result<DetermineResult> result =
+      DetermineWithProvider(provider_.get(), resolved_.lhs.size(),
+                            resolved_.rhs.size(), builder_->dmax(), det, "grid");
+  DD_CHECK(result.ok());  // It fails only on top_l == 0.
+  const std::vector<DeterminedPattern>& patterns = result->patterns;
   obs::diag::FlightRecord(obs::diag::EventType::kDetermined, "redetermine",
                           patterns.size(), batch_seq_);
   redetermine_counter.Increment();
@@ -172,7 +151,8 @@ void MaintenanceEngine::Redetermine(UpdateReason reason,
   published_ = patterns[0];
   published_gap_ =
       patterns.size() > 1 ? patterns[0].utility - patterns[1].utility : 0.0;
-  published_utility_ = utility;
+  published_utility_ = det.utility;
+  published_utility_.prior_mean_cq = result->prior_mean_cq;
   has_published_ = true;
 
   ThresholdUpdate update;

@@ -7,6 +7,12 @@ namespace dd {
 Result<std::uint32_t> TupleStore::Insert(std::vector<std::string> values) {
   const std::uint32_t id = next_id();
   DD_RETURN_IF_ERROR(relation_.AddRow(std::move(values)));
+  const std::vector<std::string>& stored = relation_.row(id);
+  row_bytes_ += stored.capacity() * sizeof(std::string);
+  for (const std::string& value : stored) {
+    // Small strings live inline in the string object counted above.
+    if (value.capacity() > sizeof(std::string)) row_bytes_ += value.capacity();
+  }
   live_.push_back(true);
   ++num_live_;
   return id;

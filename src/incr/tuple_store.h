@@ -48,31 +48,23 @@ class TupleStore {
   // Ascending ids of the live tuples. O(next_id).
   std::vector<std::uint32_t> LiveIds() const;
 
-  // The underlying storage, dead rows included; row index == id. This
-  // is what metric evaluation reads (ResolvedMetrics::ComputeLevels).
+  // The underlying storage, dead rows included; row index == id. The
+  // incremental builder interns it through PairLevelSource.
   const Relation& relation() const { return relation_; }
 
   // Approximate heap bytes of the stored tuples (string capacities plus
-  // per-row vector overhead) and the live bitmap. An O(rows × attrs)
-  // walk — call after batch boundaries, not per tuple. Feeds the
+  // per-row vector overhead) and the live bitmap. O(1): Insert keeps a
+  // running total, since stored values never change. Feeds the
   // mem.tuple_store_bytes gauge (obs/resource.h).
   std::size_t MemoryUsageBytes() const {
-    std::size_t bytes = live_.capacity() / 8;
-    for (std::uint32_t id = 0; id < next_id(); ++id) {
-      const std::vector<std::string>& values = relation_.row(id);
-      bytes += values.capacity() * sizeof(std::string);
-      for (const std::string& value : values) {
-        // Small strings live inline in the string object counted above.
-        if (value.capacity() > sizeof(std::string)) bytes += value.capacity();
-      }
-    }
-    return bytes;
+    return live_.capacity() / 8 + row_bytes_;
   }
 
  private:
   Relation relation_;
   std::vector<bool> live_;
   std::size_t num_live_ = 0;
+  std::size_t row_bytes_ = 0;  // Σ row footprints, dead rows included
 };
 
 }  // namespace dd

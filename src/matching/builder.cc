@@ -4,11 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <unordered_set>
 
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "common/string_util.h"
+#include "matching/pair_sampler.h"
 #include "matching/value_cache.h"
 #include "metric/metric.h"
 #include "obs/log.h"
@@ -19,24 +18,113 @@
 namespace dd {
 
 PairLevelSource::PairLevelSource(const Relation& relation,
+                                 std::span<const std::uint32_t> rows,
                                  const ResolvedMetrics& resolved,
-                                 const MatchingOptions& options,
                                  std::uint64_t pairs_to_compute,
                                  std::size_t threads)
-    : relation_(relation), resolved_(resolved) {
-  if (!options.value_cache) return;
-  attrs_.resize(resolved.num_attributes());
+    : resolved_(resolved), attrs_(resolved.num_attributes()) {
   for (std::size_t a = 0; a < attrs_.size(); ++a) {
-    attrs_[a].index = InternColumn(relation, resolved.attr_idx[a]);
-    attrs_[a].interned = true;
+    attrs_[a].index = InternColumn(relation, rows, resolved.attr_idx[a]);
     attrs_[a].table = ValuePairLevelTable::Build(
         attrs_[a].index, *resolved.metrics[a], resolved.scales[a],
-        resolved.dmax, pairs_to_compute, options.value_cache_max_cells,
-        threads);
+        resolved.dmax, pairs_to_compute, threads);
     if (attrs_[a].table != nullptr) {
       precomputed_distances_ += attrs_[a].table->distances_computed();
     }
   }
+}
+
+void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
+                             std::uint32_t j_end, Level* out,
+                             std::uint64_t* metric_calls) const {
+  const std::size_t num_attrs = attrs_.size();
+  const std::size_t run = j_end - j_begin;
+  // The metric route's operands; per thread, so concurrent callers
+  // never share them and a run allocates nothing once warm.
+  thread_local std::vector<std::string_view> others;
+  thread_local std::vector<double> raw;
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    const AttrLevelSource& attr = attrs_[a];
+    const std::uint32_t* ids = attr.index.row_ids.data() + j_begin;
+    const std::uint32_t id_i = attr.index.row_ids[i];
+    Level* column = out + a;
+    if (attr.table != nullptr) {
+      for (std::size_t r = 0; r < run; ++r) {
+        column[r * num_attrs] = attr.table->LevelOf(id_i, ids[r]);
+      }
+      continue;
+    }
+    others.clear();
+    for (std::size_t r = 0; r < run; ++r) {
+      if (ids[r] != id_i) others.emplace_back(*attr.index.values[ids[r]]);
+    }
+    const DistanceMetric& metric = *resolved_.metrics[a];
+    const double scale = resolved_.scales[a];
+    const std::string_view value = *attr.index.values[id_i];
+    // Any raw distance mapping to >= dmax is equivalent, so the metric
+    // may stop early at raw cap = dmax / scale.
+    const double cap = static_cast<double>(resolved_.dmax) / scale;
+    raw.resize(others.size());
+    if (others.size() == 1) {
+      raw[0] = metric.BoundedDistance(value, others[0], cap);
+    } else if (!others.empty()) {
+      metric.BoundedDistanceMany(value, others, cap, raw);
+    }
+    *metric_calls += others.size();
+    for (std::size_t r = 0, k = 0; r < run; ++r) {
+      column[r * num_attrs] =  // d(x, x) = 0, a metric axiom.
+          ids[r] == id_i ? 0 : BucketDistance(raw[k++], scale, resolved_.dmax);
+    }
+  }
+}
+
+std::uint64_t FillAllPairs(const PairLevelSource& source,
+                           std::span<const std::uint32_t> rows,
+                           std::size_t threads, MatchingRelation* out) {
+  const std::uint64_t n = rows.size();
+  const std::uint64_t total_pairs = n * (n - 1) / 2;
+  const std::size_t num_attrs = out->num_attributes();
+  out->ResizeRows(total_pairs);
+  std::atomic<std::uint64_t> metric_calls{0};
+  ParallelFor("matching_build.pairs", total_pairs, threads,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                std::vector<Level> levels;
+                std::uint64_t calls = 0;
+                ForEachTriangularRun(
+                    begin, end, n,
+                    [&](std::uint64_t k, std::uint32_t i, std::uint32_t j_begin,
+                        std::uint32_t j_end) {
+                      levels.resize((j_end - j_begin) * num_attrs);
+                      source.Levels(i, j_begin, j_end, levels.data(), &calls);
+                      for (std::uint32_t j = j_begin; j < j_end; ++j) {
+                        out->SetTuple(k + (j - j_begin), rows[i], rows[j],
+                                      &levels[(j - j_begin) * num_attrs]);
+                      }
+                    });
+                metric_calls.fetch_add(calls, std::memory_order_relaxed);
+              });
+  return metric_calls.load(std::memory_order_relaxed);
+}
+
+std::uint64_t FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
+                               std::span<const std::uint64_t> ks,
+                               std::size_t threads, MatchingRelation* out) {
+  const std::size_t offset = out->num_tuples();
+  const std::size_t num_attrs = out->num_attributes();
+  out->ResizeRows(offset + ks.size());
+  std::atomic<std::uint64_t> metric_calls{0};
+  ParallelFor("matching_build.sampled", ks.size(), threads,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                std::vector<Level> levels(num_attrs);
+                std::uint64_t calls = 0;
+                for (std::size_t r = begin; r < end; ++r) {
+                  auto [i, j] = DecodeTriangularPair(ks[r], n);
+                  source.Levels(i, j, j + 1, levels.data(), &calls);
+                  out->SetTuple(offset + r, i, j, levels.data());
+                }
+                metric_calls.fetch_add(calls, std::memory_order_relaxed);
+              });
+  return metric_calls.load(std::memory_order_relaxed);
 }
 
 std::pair<std::uint32_t, std::uint32_t> DecodeTriangularPair(std::uint64_t k,
@@ -73,24 +161,6 @@ Level BucketDistance(double raw, double scale, int dmax) {
   if (level < 0) level = 0;
   if (level > dmax) level = dmax;
   return static_cast<Level>(level);
-}
-
-Level ResolvedMetrics::ComputeLevel(const Relation& relation, std::uint32_t i,
-                                    std::uint32_t j, std::size_t a) const {
-  const std::string& va = relation.at(i, attr_idx[a]);
-  const std::string& vb = relation.at(j, attr_idx[a]);
-  // The cap at which BoundedDistance may stop early: any raw distance
-  // mapping to >= dmax is equivalent, so raw cap = dmax / scale.
-  const double cap = static_cast<double>(dmax) / scales[a];
-  const double raw = metrics[a]->BoundedDistance(va, vb, cap);
-  return BucketDistance(raw, scales[a], dmax);
-}
-
-void ResolvedMetrics::ComputeLevels(const Relation& relation, std::uint32_t i,
-                                    std::uint32_t j, Level* levels) const {
-  for (std::size_t a = 0; a < attr_idx.size(); ++a) {
-    levels[a] = ComputeLevel(relation, i, j, a);
-  }
 }
 
 Result<ResolvedMetrics> ResolveMatchingMetrics(
@@ -133,11 +203,6 @@ Result<ResolvedMetrics> ResolveMatchingMetrics(
 Result<MatchingRelation> BuildMatchingRelation(
     const Relation& relation, const std::vector<std::string>& attributes,
     const MatchingOptions& options) {
-  if (options.mode != MatchingMode::kExact) {
-    return Status::InvalidArgument(
-        "MatchingMode::kApprox is owned by approx::SampledMatchingBuilder; "
-        "BuildMatchingRelation only builds exact relations");
-  }
   obs::TraceSpan span("matching_build");
   static obs::Counter& pairs_counter =
       obs::MetricsRegistry::Global().GetCounter("matching.pairs_computed");
@@ -157,71 +222,25 @@ Result<MatchingRelation> BuildMatchingRelation(
       options.max_pairs == 0 || options.max_pairs >= total_pairs;
   const std::uint64_t pairs_to_compute =
       full ? total_pairs : options.max_pairs;
-  const PairLevelSource source(relation, resolved, options, pairs_to_compute,
+  const std::vector<std::uint32_t> rows = AllRows(n);
+  const PairLevelSource source(relation, rows, resolved, pairs_to_compute,
                                threads);
-  std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
-  const std::size_t num_attrs = attributes.size();
-
+  std::uint64_t metric_calls = source.precomputed_distances();
   if (full) {
-    out.ResizeRows(total_pairs);
-    ParallelFor("matching_build.pairs", total_pairs, threads,
-                [&](std::size_t, std::size_t begin, std::size_t end) {
-                  if (begin >= end) return;
-                  std::vector<Level> levels(num_attrs);
-                  std::uint64_t calls = 0;
-                  auto [i, j] = DecodeTriangularPair(begin, n);
-                  for (std::size_t k = begin; k < end; ++k) {
-                    source.Levels(i, j, levels.data(), &calls);
-                    out.SetTuple(k, i, j, levels.data());
-                    if (++j == n) {
-                      ++i;
-                      j = i + 1;
-                    }
-                  }
-                  metric_calls.fetch_add(calls, std::memory_order_relaxed);
-                });
-    pairs_counter.Add(total_pairs);
-    distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
-    DD_LOG(INFO) << "matching relation built: all " << total_pairs
-                 << " pairs over " << n << " rows, " << attributes.size()
-                 << " attribute(s), dmax=" << options.dmax << ", threads="
-                 << threads << ", cached level tables: "
-                 << source.tables_built() << "/" << attributes.size();
-    obs::SetMemoryGauge("matching", out.MemoryUsageBytes());
-    obs::SetMemoryGauge("value_cache", source.cache_bytes());
-    return out;
+    metric_calls += FillAllPairs(source, rows, threads, &out);
+  } else {
+    // Uniform sample without replacement over the triangular enumeration.
+    const std::vector<std::uint64_t> ks =
+        PairSampler(total_pairs, options.seed, {}).GrowTo(options.max_pairs);
+    metric_calls += FillSampledPairs(source, n, ks, threads, &out);
   }
-
-  // Uniform sample without replacement over the triangular enumeration.
-  Rng rng(options.seed);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(options.max_pairs * 2);
-  std::vector<std::uint64_t> ks;
-  ks.reserve(options.max_pairs);
-  while (ks.size() < options.max_pairs) {
-    std::uint64_t k = rng.NextBounded(total_pairs);
-    if (chosen.insert(k).second) ks.push_back(k);
-  }
-  std::sort(ks.begin(), ks.end());
-  out.ResizeRows(ks.size());
-  ParallelFor("matching_build.sampled", ks.size(), threads,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                std::vector<Level> levels(num_attrs);
-                std::uint64_t calls = 0;
-                for (std::size_t r = begin; r < end; ++r) {
-                  auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source.Levels(i, j, levels.data(), &calls);
-                  out.SetTuple(r, i, j, levels.data());
-                }
-                metric_calls.fetch_add(calls, std::memory_order_relaxed);
-              });
-  pairs_counter.Add(ks.size());
-  distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
-  DD_LOG(INFO) << "matching relation built: sampled " << ks.size() << " of "
-               << total_pairs << " pairs over " << n << " rows, dmax="
-               << options.dmax << ", threads=" << threads
-               << ", cached level tables: " << source.tables_built() << "/"
-               << attributes.size();
+  pairs_counter.Add(out.num_tuples());
+  distance_counter.Add(metric_calls);
+  DD_LOG(INFO) << "matching relation built: " << out.num_tuples() << " of "
+               << total_pairs << " pairs over " << n << " rows, "
+               << attributes.size() << " attribute(s), dmax=" << options.dmax
+               << ", threads=" << threads << ", cached level tables: "
+               << source.tables_built() << "/" << attributes.size();
   obs::SetMemoryGauge("matching", out.MemoryUsageBytes());
   obs::SetMemoryGauge("value_cache", source.cache_bytes());
   return out;

@@ -2,14 +2,18 @@
 // relation by evaluating a distance metric per attribute on every tuple
 // pair (optionally a uniform sample of pairs, to bound |M| like the
 // paper's 1,000,000-matching-tuple preparation) and bucketing raw
-// distances into the threshold domain {0..dmax}.
+// distances into the threshold domain {0..dmax}. Every producer of M —
+// this one-shot build, src/approx and src/incr — gets its levels from
+// PairLevelSource below.
 
 #ifndef DD_MATCHING_BUILDER_H_
 #define DD_MATCHING_BUILDER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,20 +26,7 @@
 
 namespace dd {
 
-// How pairs enter the matching relation. kExact is the builder in this
-// file: every pair, or a plain uniform `max_pairs` sample. kApprox
-// selects the stratified near/tail build owned by
-// approx::SampledMatchingBuilder (src/approx/sampled_builder.h), which
-// carries estimation weights that a single MatchingRelation cannot
-// express — BuildMatchingRelation therefore rejects kApprox instead of
-// silently ignoring it.
-enum class MatchingMode { kExact, kApprox };
-
 struct MatchingOptions {
-  // Build mode; see MatchingMode. Facades (ddtool, discover) route
-  // kApprox to the approx subsystem.
-  MatchingMode mode = MatchingMode::kExact;
-
   // Number of distance levels is dmax + 1 (levels 0..dmax). The paper's
   // experiments use a domain like {0, 1, ..., 10}.
   int dmax = 10;
@@ -62,24 +53,13 @@ struct MatchingOptions {
   // (the --threads flag / DD_THREADS env). The produced relation is
   // bit-identical at any thread count.
   std::size_t threads = 0;
-
-  // Value-pair distance cache (matching/value_cache.h): intern distinct
-  // attribute values and compute each distinct (value_i, value_j)
-  // distance once. Never changes the produced relation; disable only to
-  // measure the uncached build.
-  bool value_cache = true;
-
-  // Per-attribute cell bound for the precomputed distinct-pair level
-  // table (one byte per cell). Attributes whose table would exceed it
-  // fall back to the equal-value shortcut alone.
-  std::uint64_t value_cache_max_cells = std::uint64_t{1} << 26;
 };
 
 // Metric machinery resolved once per (schema, attributes, options):
 // schema column of every matching attribute, its distance metric, and
-// its level scale. Shared by the one-shot build below and the
-// incremental builder (incr/incremental_builder.h), which keeps one
-// resolution alive across many delta batches.
+// its level scale. Shared by every matching producer; the incremental
+// builder (incr/incremental_builder.h) keeps one resolution alive
+// across many delta batches.
 struct ResolvedMetrics {
   std::vector<std::size_t> attr_idx;  // schema columns, one per attribute
   std::vector<std::unique_ptr<DistanceMetric>> metrics;
@@ -87,16 +67,6 @@ struct ResolvedMetrics {
   int dmax = 10;
 
   std::size_t num_attributes() const { return attr_idx.size(); }
-
-  // Bucketed distance levels of the data-tuple pair (i, j) of
-  // `relation`; `levels` must hold num_attributes() entries. Uses each
-  // metric's BoundedDistance early-exit at the level-dmax raw cap.
-  void ComputeLevels(const Relation& relation, std::uint32_t i,
-                     std::uint32_t j, Level* levels) const;
-
-  // Same, for a single attribute (position `a` in attr_idx).
-  Level ComputeLevel(const Relation& relation, std::uint32_t i,
-                     std::uint32_t j, std::size_t a) const;
 };
 
 // Resolves metrics and scales for `attributes` against `schema`. Fails
@@ -106,51 +76,41 @@ Result<ResolvedMetrics> ResolveMatchingMetrics(
     const Schema& schema, const std::vector<std::string>& attributes,
     const MatchingOptions& options);
 
-// Per-attribute cached level source: the precomputed distinct-pair
-// table when it pays off, else interning with the equal-value shortcut,
-// else the raw metric. All three produce identical levels.
+// Per-attribute state of a PairLevelSource: the interned values and,
+// when it pays off, the distinct-pair level table.
 struct AttrLevelSource {
-  AttributeValueIndex index;                    // empty when cache disabled
-  std::unique_ptr<ValuePairLevelTable> table;   // may be null
-  bool interned = false;
+  AttributeValueIndex index;
+  std::unique_ptr<ValuePairLevelTable> table;  // may be null
 };
 
-// Levels of arbitrary (i, j) data-tuple pairs through the value cache —
-// the per-pair kernel shared by the one-shot build below, the streaming
-// exact grid build, and the sampled builder (src/approx). Holds
-// references to `relation` and `resolved`; both must outlive it.
+// The pair-level kernel behind every matching producer: the one-shot
+// build below, the streaming exact grid build and the sampled builder
+// (src/approx), and the incremental delta build and its Rebuild()
+// (src/incr). It is the only code outside src/metric that evaluates a
+// metric. Holds a reference to `resolved`, which must outlive it; after
+// construction it reads only its own index, never the relation.
 class PairLevelSource {
  public:
-  // `pairs_to_compute` is the expected number of Levels() calls — the
-  // payoff signal deciding whether an attribute's distinct-pair table
-  // is worth precomputing (matching/value_cache.h).
-  PairLevelSource(const Relation& relation, const ResolvedMetrics& resolved,
-                  const MatchingOptions& options,
+  // Interns `rows` of `relation`; every position below indexes `rows`
+  // (whole-relation producers pass AllRows(n)). `pairs_to_compute` is
+  // the expected number of pairs queried — the payoff signal deciding
+  // whether an attribute's distinct-pair table is worth precomputing
+  // (matching/value_cache.h).
+  PairLevelSource(const Relation& relation,
+                  std::span<const std::uint32_t> rows,
+                  const ResolvedMetrics& resolved,
                   std::uint64_t pairs_to_compute, std::size_t threads);
 
-  // Levels of pair (i, j); adds the number of metric evaluations it
-  // performed to *metric_calls. Safe to call concurrently.
-  void Levels(std::uint32_t i, std::uint32_t j, Level* levels,
-              std::uint64_t* metric_calls) const {
-    for (std::size_t a = 0; a < resolved_.num_attributes(); ++a) {
-      if (a < attrs_.size() && attrs_[a].interned) {
-        const AttrLevelSource& attr = attrs_[a];
-        const std::uint32_t ia = attr.index.row_ids[i];
-        const std::uint32_t ib = attr.index.row_ids[j];
-        if (attr.table != nullptr) {
-          levels[a] = attr.table->LevelOf(ia, ib);
-          continue;
-        }
-        if (ia == ib) {  // d(x, x) = 0, a metric axiom.
-          levels[a] = 0;
-          continue;
-        }
-      }
-      levels[a] = resolved_.ComputeLevel(relation_, i, j, a);
-      ++*metric_calls;
-    }
-  }
+  // Levels of the position pairs (i, j) for j in [j_begin, j_end),
+  // row-major [pair][attribute] into `out`. Per attribute a pair is a
+  // table lookup, level 0 for equal values, or a metric evaluation: one
+  // BoundedDistanceMany of value i over the run's remaining values
+  // (BoundedDistance for one). Adds the metric evaluations to
+  // *metric_calls. Safe to call concurrently.
+  void Levels(std::uint32_t i, std::uint32_t j_begin, std::uint32_t j_end,
+              Level* out, std::uint64_t* metric_calls) const;
 
+  // Metric evaluations spent on the level tables.
   std::uint64_t precomputed_distances() const {
     return precomputed_distances_;
   }
@@ -171,11 +131,25 @@ class PairLevelSource {
   }
 
  private:
-  const Relation& relation_;
   const ResolvedMetrics& resolved_;
   std::vector<AttrLevelSource> attrs_;
   std::uint64_t precomputed_distances_ = 0;
 };
+
+// Fills `out` with every position pair of `source` in row-major
+// triangular order, as tuple pairs (rows[i], rows[j]). Parallel over
+// `threads`; the result is bit-identical at any thread count. Returns
+// the metric evaluations of the queries (table cells not included).
+std::uint64_t FillAllPairs(const PairLevelSource& source,
+                           std::span<const std::uint32_t> rows,
+                           std::size_t threads, MatchingRelation* out);
+
+// Appends to `out` the pairs at the sorted triangular indices `ks` over
+// `n` positions, which equal tuple ids (a whole-relation source). Each
+// pair is a run of one. Returns the metric evaluations of the queries.
+std::uint64_t FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
+                               std::span<const std::uint64_t> ks,
+                               std::size_t threads, MatchingRelation* out);
 
 // Builds M over `attributes` (the union of the rule's X and Y). Fails on
 // unknown attributes/metrics or a dmax outside [1, 255].
@@ -202,6 +176,25 @@ std::pair<std::uint32_t, std::uint32_t> DecodeTriangularPair(std::uint64_t k,
 // (i, j), i < j < n. All arithmetic in 64 bits.
 std::uint64_t EncodeTriangularPair(std::uint64_t i, std::uint64_t j,
                                    std::uint64_t n);
+
+// Walks the row-major triangular range [begin, end) over n items as
+// runs of pairs (i, j), j in [j_begin, j_end), under a fixed i: calls
+// fn(k, i, j_begin, j_end) per run, k being the global index of
+// (i, j_begin). The shape every run-at-a-time consumer of the range
+// takes (the level table build, FillAllPairs, the streaming grid).
+template <typename Fn>
+void ForEachTriangularRun(std::uint64_t begin, std::uint64_t end,
+                          std::uint64_t n, Fn&& fn) {
+  if (begin >= end) return;
+  auto [i, j] = DecodeTriangularPair(begin, n);
+  for (std::uint64_t k = begin; k < end;) {
+    const std::uint64_t run = std::min<std::uint64_t>(end - k, n - j);
+    fn(k, i, j, static_cast<std::uint32_t>(j + run));
+    k += run;
+    ++i;
+    j = i + 1;
+  }
+}
 
 }  // namespace dd
 

@@ -5,13 +5,15 @@
 // pairs. Interning distinct values per attribute turns each row pair
 // into an id pair; a precomputed triangular level table over the D
 // distinct values then answers every pair with one load, so each
-// distinct (value_i, value_j) distance is computed exactly once.
+// distinct (value_i, value_j) distance is computed exactly once. The
+// index and table are built per PairLevelSource (matching/builder.h),
+// the one pair-level kernel behind every matching producer.
 //
 // Determinism: the table is a pure function of the column contents and
 // the metric configuration — the same cap and BucketDistance mapping the
-// direct path uses, through BoundedDistanceMany, whose contract is
-// BoundedDistance's — so cached and uncached builds produce bit-identical
-// matching relations at any thread count.
+// kernel's metric route uses, through BoundedDistanceMany, whose
+// contract is BoundedDistance's — so a lookup returns the level the
+// metric would, at any thread count.
 
 #ifndef DD_MATCHING_VALUE_CACHE_H_
 #define DD_MATCHING_VALUE_CACHE_H_
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,9 +31,15 @@
 
 namespace dd {
 
-// Distinct-value interning for one attribute column: row_ids[row] is
-// the id of the row's value; values[id] points at a representative
-// occurrence inside the relation (stable for the relation's lifetime).
+// Per-attribute cell bound of a level table (one byte per cell).
+// Attributes whose table would exceed it keep the equal-value shortcut
+// and the metric.
+inline constexpr std::uint64_t kMaxLevelTableCells = std::uint64_t{1} << 26;
+
+// Distinct-value interning for one attribute column over a list of
+// rows: row_ids[pos] is the id of the value of rows[pos]; values[id]
+// points at a representative occurrence inside the relation (stable for
+// the relation's lifetime).
 struct AttributeValueIndex {
   std::vector<std::uint32_t> row_ids;
   std::vector<const std::string*> values;
@@ -38,9 +47,13 @@ struct AttributeValueIndex {
   std::size_t distinct() const { return values.size(); }
 };
 
-// Interns column `attr_idx` of `relation`. Ids are assigned in first-
-// occurrence order (deterministic).
+// The rows 0..n-1 of a whole relation.
+std::vector<std::uint32_t> AllRows(std::size_t n);
+
+// Interns column `attr_idx` of `relation` at `rows`. Ids are assigned in
+// first-occurrence order (deterministic).
 AttributeValueIndex InternColumn(const Relation& relation,
+                                 std::span<const std::uint32_t> rows,
                                  std::size_t attr_idx);
 
 // Precomputed bucketed levels for every unordered pair of distinct
@@ -51,12 +64,12 @@ class ValuePairLevelTable {
   // Precomputes the table with `metric`/`scale`/`dmax` (the same cap
   // and bucketing matching/builder.cc applies per pair), parallelized
   // over `threads`. Returns nullptr when the table would not pay off:
-  // more cells than `pairs_to_compute` row pairs, or more than
-  // `max_cells` cells (the memory bound — one byte per cell).
+  // at least as many cells as `pairs_to_compute` row pairs, or more
+  // than kMaxLevelTableCells cells.
   static std::unique_ptr<ValuePairLevelTable> Build(
       const AttributeValueIndex& index, const DistanceMetric& metric,
       double scale, int dmax, std::uint64_t pairs_to_compute,
-      std::uint64_t max_cells, std::size_t threads);
+      std::size_t threads);
 
   Level LevelOf(std::uint32_t id_a, std::uint32_t id_b) const {
     if (id_a == id_b) return 0;

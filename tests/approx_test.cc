@@ -16,7 +16,6 @@
 #include "approx/approx_provider.h"
 #include "approx/exact_stream.h"
 #include "approx/lsh_index.h"
-#include "approx/pair_sampler.h"
 #include "approx/refine.h"
 #include "approx/sampled_builder.h"
 #include "common/math_util.h"
@@ -26,6 +25,7 @@
 #include "core/measure_provider.h"
 #include "data/generators.h"
 #include "matching/builder.h"
+#include "matching/pair_sampler.h"
 #include "matching/serialization.h"
 #include "tests/test_util.h"
 
@@ -41,7 +41,6 @@ using approx::ApproxOptions;
 using approx::BuildStreamingGridProvider;
 using approx::CollectNearPairs;
 using approx::LshStats;
-using approx::PairSampler;
 using approx::SampledMatchingBuilder;
 
 // ---------------------------------------------------------------------
@@ -201,18 +200,6 @@ TEST(LshIndexTest, FindsDuplicateHeavyPairsDeterministically) {
   // Same inputs, same index — bit-for-bit.
   LshStats stats2;
   EXPECT_EQ(CollectNearPairs(cora.relation, *resolved, lsh, &stats2), pairs);
-}
-
-// ---------------------------------------------------------------------
-// Exact-mode gate on the classic builder
-
-TEST(MatchingModeTest, ExactBuilderRejectsApproxMode) {
-  const GeneratedData hotel = HotelExample();
-  MatchingOptions options;
-  options.mode = MatchingMode::kApprox;
-  auto built =
-      BuildMatchingRelation(hotel.relation, {"Address", "Region"}, options);
-  EXPECT_FALSE(built.ok());
 }
 
 TEST(SampledBuilderTest, RejectsLegacyPairCap) {

@@ -180,6 +180,37 @@ TEST(TupleStoreTest, StableIdsAcrossInsertAndErase) {
   EXPECT_FALSE(store.Insert({"a", "b"}).ok());  // Arity mismatch.
 }
 
+// The O(1) byte gauge equals a full walk over every stored tuple, dead
+// ones included, after a seeded insert/erase sequence. The mirror bitmap
+// sees the same push_backs as the store's, so it has the same capacity.
+TEST(TupleStoreTest, MemoryUsageMatchesFullWalk) {
+  TupleStore store(Schema({{"a", AttributeType::kString},
+                           {"b", AttributeType::kString}}));
+  std::vector<bool> mirror;
+  Rng rng(42);
+  for (int step = 0; step < 400; ++step) {
+    if (store.num_live() > 0 && rng.NextBool(0.3)) {
+      const std::vector<std::uint32_t> live = store.LiveIds();
+      ASSERT_TRUE(store.Erase(live[rng.NextBounded(live.size())]).ok());
+    } else {
+      ASSERT_TRUE(store
+                      .Insert({std::to_string(step),
+                               std::string(rng.NextBounded(80), 'x')})
+                      .ok());
+      mirror.push_back(true);
+    }
+    std::size_t walk = mirror.capacity() / 8;
+    for (std::uint32_t id = 0; id < store.next_id(); ++id) {
+      const std::vector<std::string>& values = store.row(id);
+      walk += values.capacity() * sizeof(std::string);
+      for (const std::string& value : values) {
+        if (value.capacity() > sizeof(std::string)) walk += value.capacity();
+      }
+    }
+    ASSERT_EQ(store.MemoryUsageBytes(), walk) << "step " << step;
+  }
+}
+
 TEST(IncrementalBuilderTest, RejectsSampledMatchingOptions) {
   Schema schema({{"a", AttributeType::kString}});
   IncrementalOptions options;

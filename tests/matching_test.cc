@@ -178,10 +178,10 @@ class ReferenceDpMetric : public DistanceMetric {
 };
 
 // The kernel's oracle at the matching level: Rule 4's attributes on a
-// citeseer slice whose descriptions exceed one 64-byte word. The cached
-// build (level tables through BoundedDistanceMany), the uncached build
-// (per-pair BoundedDistance) and a build on the reference DP serialize
-// byte-identically.
+// citeseer slice whose descriptions exceed one 64-byte word. The full
+// build (level tables and runs through BoundedDistanceMany), a sampled
+// build (per-pair BoundedDistance) and builds on the reference DP
+// serialize byte-identically.
 TEST(MatchingBuilderTest, CiteseerSliceMatchesReferenceDp) {
   const Status registered = MetricRegistry::Default().Register(
       "reference_dp", [] { return std::make_unique<ReferenceDpMetric>(); });
@@ -202,35 +202,35 @@ TEST(MatchingBuilderTest, CiteseerSliceMatchesReferenceDp) {
   }
   EXPECT_GT(long_values, 0u);
 
-  MatchingOptions cached;
-  cached.threads = 2;
-  auto m_cached = BuildMatchingRelation(relation, attrs, cached);
-  ASSERT_TRUE(m_cached.ok());
-  MatchingOptions uncached = cached;
-  uncached.value_cache = false;
-  auto m_uncached = BuildMatchingRelation(relation, attrs, uncached);
-  ASSERT_TRUE(m_uncached.ok());
-  MatchingOptions reference = cached;
-  for (const std::string& attr : attrs) {
-    reference.metric_overrides[attr] = "reference_dp";
+  // All pairs (level tables and one-vs-many runs), then a sample small
+  // enough that no table pays off (one BoundedDistance per pair).
+  for (const std::size_t max_pairs : {std::size_t{0}, std::size_t{1500}}) {
+    MatchingOptions options;
+    options.threads = 2;
+    options.max_pairs = max_pairs;
+    auto built = BuildMatchingRelation(relation, attrs, options);
+    ASSERT_TRUE(built.ok());
+    MatchingOptions reference = options;
+    for (const std::string& attr : attrs) {
+      reference.metric_overrides[attr] = "reference_dp";
+    }
+    auto m_reference = BuildMatchingRelation(relation, attrs, reference);
+    ASSERT_TRUE(m_reference.ok());
+    EXPECT_EQ(SerializeMatchingRelation(*built),
+              SerializeMatchingRelation(*m_reference))
+        << "max_pairs=" << max_pairs;
   }
-  auto m_reference = BuildMatchingRelation(relation, attrs, reference);
-  ASSERT_TRUE(m_reference.ok());
-
-  const std::string bytes = SerializeMatchingRelation(*m_reference);
-  EXPECT_EQ(SerializeMatchingRelation(*m_cached), bytes);
-  EXPECT_EQ(SerializeMatchingRelation(*m_uncached), bytes);
 }
 
 // The value-pair distance cache (matching/value_cache.h): interning is
-// first-occurrence-ordered, the precomputed level table agrees with a
-// direct metric evaluation for every distinct pair, and builds with the
-// cache disabled produce the identical relation.
+// first-occurrence-ordered and the precomputed level table agrees with a
+// direct metric evaluation for every distinct pair.
 TEST(ValueCacheTest, InternedTableMatchesDirectComputation) {
   GeneratedData hotel = HotelExample();
   auto region = hotel.relation.schema().IndexOf("Region");
   ASSERT_TRUE(region.ok());
-  const AttributeValueIndex index = InternColumn(hotel.relation, *region);
+  const AttributeValueIndex index = InternColumn(
+      hotel.relation, AllRows(hotel.relation.num_rows()), *region);
   ASSERT_EQ(index.row_ids.size(), hotel.relation.num_rows());
   // Every row id maps back to its own value.
   for (std::size_t r = 0; r < hotel.relation.num_rows(); ++r) {
@@ -240,7 +240,6 @@ TEST(ValueCacheTest, InternedTableMatchesDirectComputation) {
   const int dmax = 10;
   auto table = ValuePairLevelTable::Build(index, lev, /*scale=*/1.0, dmax,
                                           /*pairs_to_compute=*/1u << 20,
-                                          /*max_cells=*/1u << 20,
                                           /*threads=*/2);
   ASSERT_NE(table, nullptr);
   for (std::uint32_t a = 0; a < index.values.size(); ++a) {
@@ -256,17 +255,28 @@ TEST(ValueCacheTest, BuildRespectsCellBudget) {
   GeneratedData hotel = HotelExample();
   auto address = hotel.relation.schema().IndexOf("Address");
   ASSERT_TRUE(address.ok());
-  const AttributeValueIndex index = InternColumn(hotel.relation, *address);
+  const AttributeValueIndex index = InternColumn(
+      hotel.relation, AllRows(hotel.relation.num_rows()), *address);
   LevenshteinMetric lev;
-  // A budget below the table size must decline to build.
-  EXPECT_EQ(ValuePairLevelTable::Build(index, lev, 1.0, 10,
-                                       /*pairs_to_compute=*/1u << 20,
-                                       /*max_cells=*/1, /*threads=*/1),
-            nullptr);
   // Fewer pairs to compute than table cells: caching cannot pay off.
   EXPECT_EQ(ValuePairLevelTable::Build(index, lev, 1.0, 10,
                                        /*pairs_to_compute=*/1,
-                                       /*max_cells=*/1u << 20, /*threads=*/1),
+                                       /*threads=*/1),
+            nullptr);
+  // One distinct value past the kMaxLevelTableCells bound must decline
+  // to build, however many pairs would be computed.
+  Relation wide(Schema({{"v", AttributeType::kString}}));
+  std::uint64_t d = 2;
+  while (d * (d - 1) / 2 <= kMaxLevelTableCells) ++d;
+  for (std::uint64_t v = 0; v < d; ++v) {
+    ASSERT_TRUE(wide.AddRow({std::to_string(v)}).ok());
+  }
+  const AttributeValueIndex wide_index =
+      InternColumn(wide, AllRows(wide.num_rows()), 0);
+  ASSERT_EQ(wide_index.distinct(), d);
+  EXPECT_EQ(ValuePairLevelTable::Build(wide_index, lev, 1.0, 10,
+                                       /*pairs_to_compute=*/1ull << 40,
+                                       /*threads=*/1),
             nullptr);
 }
 

@@ -77,8 +77,8 @@ std::vector<std::size_t> TestThreadCounts() {
 }
 
 // Matching build: same .ddmr bytes (v2 format carries an FNV-1a body
-// checksum) at every pool size, with the value-pair cache on and off,
-// for the full and the sampled pair paths.
+// checksum) at every pool size, for the full and the sampled pair
+// paths.
 TEST(ParallelDeterminismTest, MatchingBuildSerializationIdentical) {
   const GeneratedData cora = [] {
     CoraOptions options;
@@ -95,16 +95,12 @@ TEST(ParallelDeterminismTest, MatchingBuildSerializationIdentical) {
     ASSERT_TRUE(reference.ok());
     const std::string expected = SerializeMatchingRelation(*reference);
     for (std::size_t threads : TestThreadCounts()) {
-      for (bool cache : {true, false}) {
-        MatchingOptions options = base;
-        options.threads = threads;
-        options.value_cache = cache;
-        auto built = BuildMatchingRelation(cora.relation, attrs, options);
-        ASSERT_TRUE(built.ok());
-        EXPECT_EQ(SerializeMatchingRelation(*built), expected)
-            << "threads=" << threads << " cache=" << cache
-            << " max_pairs=" << max_pairs;
-      }
+      MatchingOptions options = base;
+      options.threads = threads;
+      auto built = BuildMatchingRelation(cora.relation, attrs, options);
+      ASSERT_TRUE(built.ok());
+      EXPECT_EQ(SerializeMatchingRelation(*built), expected)
+          << "threads=" << threads << " max_pairs=" << max_pairs;
     }
   }
 }

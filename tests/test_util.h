@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,6 +76,42 @@ inline MatchingRelation HotelMatching(int dmax = 10) {
   opts.dmax = dmax;
   auto m = BuildMatchingRelation(hotel.relation, {"Address", "Region"}, opts);
   return std::move(m).value();
+}
+
+// The matching relation by its definition, for oracle tests: for each
+// tuple pair, in order, metric->Distance on every attribute bucketed by
+// BucketDistance — no cap, no interning, no level table.
+inline MatchingRelation NaiveMatching(
+    const Relation& relation, const std::vector<std::string>& attributes,
+    const MatchingOptions& options,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
+  ResolvedMetrics resolved =
+      ResolveMatchingMetrics(relation.schema(), attributes, options).value();
+  MatchingRelation out(attributes, options.dmax);
+  std::vector<Level> levels(attributes.size());
+  for (const auto& [i, j] : pairs) {
+    for (std::size_t a = 0; a < attributes.size(); ++a) {
+      const std::size_t column = resolved.attr_idx[a];
+      levels[a] = BucketDistance(
+          resolved.metrics[a]->Distance(relation.at(i, column),
+                                        relation.at(j, column)),
+          resolved.scales[a], options.dmax);
+    }
+    out.AddTuple(i, j, levels);
+  }
+  return out;
+}
+
+// Every pair (ids[a], ids[b]), a < b, in row-major triangular order.
+inline std::vector<std::pair<std::uint32_t, std::uint32_t>> AllPairs(
+    const std::vector<std::uint32_t>& ids) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::size_t a = 0; a < ids.size(); ++a) {
+    for (std::size_t b = a + 1; b < ids.size(); ++b) {
+      pairs.emplace_back(ids[a], ids[b]);
+    }
+  }
+  return pairs;
 }
 
 // Minimal JSON well-formedness checker (objects, arrays, strings,
