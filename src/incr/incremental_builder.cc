@@ -14,6 +14,33 @@
 
 namespace dd {
 
+namespace {
+
+// Ascending rows of `pairs` that touch an id whose `retiring` byte is
+// set, in one branch-free pass: every row index is written to a small
+// block and kept only when one of its ids is marked.
+std::vector<std::uint64_t> RetiredRows(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
+    const std::vector<std::uint8_t>& retiring, std::uint64_t expected) {
+  std::vector<std::uint64_t> rows;
+  rows.reserve(expected);
+  const std::uint8_t* mask = retiring.data();
+  constexpr std::size_t kBlock = 1024;
+  std::uint64_t block[kBlock];
+  for (std::size_t begin = 0; begin < pairs.size(); begin += kBlock) {
+    const std::size_t end = std::min(pairs.size(), begin + kBlock);
+    std::size_t hits = 0;
+    for (std::size_t row = begin; row < end; ++row) {
+      block[hits] = row;
+      hits += mask[pairs[row].first] | mask[pairs[row].second];
+    }
+    rows.insert(rows.end(), block, block + hits);
+  }
+  return rows;
+}
+
+}  // namespace
+
 Result<IncrementalMatchingBuilder> IncrementalMatchingBuilder::Create(
     const Schema& schema, std::vector<std::string> attributes,
     IncrementalOptions options) {
@@ -38,6 +65,8 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
       obs::MetricsRegistry::Global().GetCounter("incr.pairs_recomputed");
   static obs::Counter& removed_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_removed");
+  static obs::Counter& moved_counter =
+      obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_moved");
   static obs::Counter& distance_counter =
       obs::MetricsRegistry::Global().GetCounter("matching.distances_computed");
 
@@ -68,30 +97,38 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
   delta.num_attributes = attrs;
 
   // Deletes first: retire the ids, then compact every matching tuple
-  // that references a dead id out of M (capturing its levels so grid
+  // that references a retired id out of M (capturing its levels so grid
   // consumers can subtract without re-deriving anything).
   if (!sorted_deletes.empty()) {
+    // M holds every pair of the live tuples: n·k - k(k+1)/2 of them
+    // touch one of the k retiring ids.
+    const std::uint64_t n = store_.num_live();
+    const std::uint64_t k = sorted_deletes.size();
+    const std::uint64_t expected = n * k - k * (k + 1) / 2;
+    // Only this batch's ids need a mask byte: M holds no pair with an id
+    // retired by an earlier batch.
+    std::vector<std::uint8_t> retiring(store_.next_id(), 0);
     for (std::uint32_t id : sorted_deletes) {
       Status erased = store_.Erase(id);
       DD_CHECK(erased.ok());
+      retiring[id] = 1;
     }
-    const auto& pairs = matching_.pairs();
-    std::vector<std::uint32_t> removed_rows;
-    for (std::size_t row = 0; row < pairs.size(); ++row) {
-      if (!store_.IsLive(pairs[row].first) ||
-          !store_.IsLive(pairs[row].second)) {
-        removed_rows.push_back(static_cast<std::uint32_t>(row));
+    const std::vector<std::uint64_t> removed_rows =
+        RetiredRows(matching_.pairs(), retiring, expected);
+    DD_CHECK_EQ(removed_rows.size(), expected);
+    const std::size_t removed = removed_rows.size();
+    delta.removed_pairs.resize(removed);
+    delta.removed_levels.resize(removed * attrs);
+    for (std::size_t r = 0; r < removed; ++r) {
+      delta.removed_pairs[r] = matching_.pair(removed_rows[r]);
+    }
+    for (std::size_t a = 0; a < attrs; ++a) {
+      const PackedColumn& col = matching_.column(a);
+      for (std::size_t r = 0; r < removed; ++r) {
+        delta.removed_levels[r * attrs + a] = col.Get(removed_rows[r]);
       }
     }
-    delta.removed_pairs.reserve(removed_rows.size());
-    delta.removed_levels.reserve(removed_rows.size() * attrs);
-    for (std::uint32_t row : removed_rows) {
-      delta.removed_pairs.push_back(pairs[row]);
-      for (std::size_t a = 0; a < attrs; ++a) {
-        delta.removed_levels.push_back(matching_.level(row, a));
-      }
-    }
-    matching_.RemoveRows(removed_rows);
+    moved_counter.Add(matching_.RemoveRows(removed_rows));
   }
 
   // Inserts: new ids are larger than every existing id, so each new
@@ -143,14 +180,7 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
     distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
   }
 
-  matching_.Reserve(matching_.num_tuples() + total_new);
-  std::vector<Level> levels(attrs);
-  for (std::size_t p = 0; p < total_new; ++p) {
-    const Level* row = delta.added_row(p);
-    levels.assign(row, row + attrs);
-    matching_.AddTuple(delta.added_pairs[p].first, delta.added_pairs[p].second,
-                       levels);
-  }
+  matching_.AppendRows(delta.added_pairs, delta.added_levels.data());
 
   batches_counter.Increment();
   pairs_counter.Add(total_new);

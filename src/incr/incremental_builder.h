@@ -2,8 +2,9 @@
 // deletes. The paper builds M once over a static instance; under live
 // traffic a batch of b changes against N live tuples only affects the
 // pairs touching changed tuples, so ApplyBatch computes the N·b + C(b,2)
-// new distance vectors and compacts deleted pairs out of M in one pass
-// — instead of the O(N²) from-scratch rebuild.
+// new distance vectors and fills each deleted pair's row from M's tail
+// — instead of the O(N²) from-scratch rebuild. Row order inside M is
+// therefore not canonical; SortByPairs restores ascending pair order.
 //
 // The levels come from the shared pair-level kernel (PairLevelSource,
 // matching/builder.h), built per batch over the live tuples plus the
@@ -15,7 +16,10 @@
 // with a matching relation of M tuples:
 //   interning       O((N + b) · attrs)
 //   distance work   O((N + b) · b)       — at most this many metric calls
-//   delete compact  O(M)  (k > 0 only)   — one branch-per-row pass
+//   delete compact  O(M) reads of the pair ids (k > 0 only; one
+//                   branch-free pass against a byte mask of the k ids)
+//                   plus O(removed · attrs) moves, removed < N·k —
+//                   at most one tail row per hole
 // versus O((N+b-k)²/2) distance evaluations for a rebuild.
 
 #ifndef DD_INCR_INCREMENTAL_BUILDER_H_

@@ -40,10 +40,6 @@ struct MatchingDelta {
   // Distance vectors computed for this batch (deletions reuse stored
   // levels, so only additions cost metric evaluations).
   std::size_t pairs_computed() const { return added_pairs.size(); }
-
-  const Level* added_row(std::size_t k) const {
-    return added_levels.data() + k * num_attributes;
-  }
 };
 
 }  // namespace dd

@@ -54,26 +54,46 @@ std::vector<Level> MatchingRelation::RowLevels(std::size_t row) const {
   return levels;
 }
 
-void MatchingRelation::RemoveRows(const std::vector<std::uint32_t>& rows) {
-  if (rows.empty()) return;
-  const std::size_t m = pairs_.size();
-  std::size_t write = 0;
-  std::size_t next = 0;  // next index into `rows` to skip
-  for (std::size_t read = 0; read < m; ++read) {
-    if (next < rows.size() && rows[next] == read) {
-      DD_CHECK(next + 1 == rows.size() || rows[next + 1] > rows[next]);
-      ++next;
-      continue;
+void MatchingRelation::AppendRows(
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
+    const Level* levels) {
+  const std::size_t count = pairs.size();
+  const std::size_t attrs = columns_.size();
+  if (count == 0) return;
+  DD_CHECK_LE(
+      static_cast<int>(*std::max_element(levels, levels + count * attrs)),
+      dmax_);
+  const std::size_t base = pairs_.size();
+  ResizeRows(base + count);
+  std::copy(pairs.begin(), pairs.end(), pairs_.begin() + base);
+  for (std::size_t a = 0; a < attrs; ++a) {
+    PackedColumn& col = columns_[a];
+    for (std::size_t k = 0; k < count; ++k) {
+      col.Set(base + k, levels[k * attrs + a]);
     }
-    if (write != read) {
-      pairs_[write] = pairs_[read];
-      for (auto& col : columns_) col.Set(write, col.Get(read));
-    }
-    ++write;
   }
-  DD_CHECK_EQ(next, rows.size());
-  pairs_.resize(write);
-  for (auto& col : columns_) col.Resize(write);
+}
+
+std::size_t MatchingRelation::RemoveRows(std::span<const std::uint64_t> rows) {
+  if (rows.empty()) return 0;
+  const std::size_t size = pairs_.size();
+  for (std::size_t k = 1; k < rows.size(); ++k) {
+    DD_CHECK_LT(rows[k - 1], rows[k]);
+  }
+  DD_CHECK_LT(rows.back(), size);
+  // Walking the holes from the back, the current last row is either the
+  // hole itself (dropped by the shrink) or a survivor: every hole behind
+  // it has already been filled or dropped.
+  std::size_t moved = 0;
+  std::size_t last = size;
+  for (auto hole = rows.rbegin(); hole != rows.rend(); ++hole) {
+    if (*hole == --last) continue;
+    pairs_[*hole] = pairs_[last];
+    for (auto& col : columns_) col.Set(*hole, col.Get(last));
+    ++moved;
+  }
+  ResizeRows(size - rows.size());
+  return moved;
 }
 
 void MatchingRelation::SortByPairs() {

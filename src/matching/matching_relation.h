@@ -11,6 +11,7 @@
 #define DD_MATCHING_MATCHING_RELATION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,10 +74,21 @@ class MatchingRelation {
   // gather over the columnar storage; delta capture, not a hot path).
   std::vector<Level> RowLevels(std::size_t row) const;
 
-  // Removes the matching tuples at `rows` (ascending, unique indices),
-  // preserving the relative order of the survivors. One O(M) compaction
-  // pass over every column — the incremental-maintenance delete path.
-  void RemoveRows(const std::vector<std::uint32_t>& rows);
+  // Appends `pairs.size()` matching tuples in one resize, filling one
+  // column at a time from `levels` (row-major, pairs.size() x
+  // num_attributes()). Every level must be <= dmax.
+  void AppendRows(
+      std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
+      const Level* levels);
+
+  // Removes the matching tuples at `rows` (ascending, unique indices) by
+  // filling each hole with the current last row, walking the holes from
+  // the back. Survivor order is not preserved — counting is
+  // order-independent, and SortByPairs restores the canonical order.
+  // Costs O(rows.size() x attrs): at most one move per removed row and
+  // one shrink per column. Returns the number of rows moved (<=
+  // rows.size()) — the incremental-maintenance delete path.
+  std::size_t RemoveRows(std::span<const std::uint64_t> rows);
 
   // Reorders matching tuples into ascending (i, j) pair order — the
   // order a from-scratch full-enumeration build produces. Counting is

@@ -97,11 +97,11 @@ void PackedColumn::Resize(std::size_t rows) {
     return;
   }
   // Shrink: restore the zero-fill invariant over the abandoned tail,
-  // including the padding nibble of a now-odd final byte.
+  // including the padding nibble of a now-odd final byte. Bytes past
+  // the old size are zero already, so the cost is O(rows dropped), not
+  // O(capacity) — the incremental delete path shrinks every batch.
   const std::size_t new_bytes = packed4_ ? (rows + 1) / 2 : rows;
-  if (cap_bytes_ > new_bytes) {
-    std::memset(data_ + new_bytes, 0, cap_bytes_ - new_bytes);
-  }
+  std::memset(data_ + new_bytes, 0, packed_bytes() - new_bytes);
   if (packed4_ && (rows & 1)) {
     data_[rows / 2] &= 0x0F;  // clear the dead high nibble
   }

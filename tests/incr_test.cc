@@ -5,7 +5,10 @@
 // determined thresholds — from tearing the instance down and rebuilding
 // from scratch. 25 seeded sequences over each of two datasets (the
 // Cora generator and the paper's Hotel example) give 50 sequences per
-// run, each with 5 mixed batches.
+// run, each with 5 mixed batches. Sliding-window sequences at dmax 14
+// and 15 (the 4-/8-bit packing boundary) also delete tuples the
+// previous batch inserted, whose rows sit at M's tail, where delete
+// compaction takes the rows it fills holes with.
 
 #include <cstdint>
 #include <string>
@@ -61,6 +64,30 @@ BatchPlan DrawBatch(const Relation& pool, const TupleStore& store, Rng* rng) {
   return plan;
 }
 
+// The delta-maintained grid must count like a grid built fresh over
+// `matching`, on every cell of the threshold lattice (2 lhs, 1 rhs).
+void ExpectGridMatchesFresh(GridMeasureProvider& maintained,
+                            const MatchingRelation& matching,
+                            const ResolvedRule& resolved, int dmax) {
+  auto fresh = GridMeasureProvider::Create(matching, resolved);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_EQ(maintained.total(), fresh.value()->total());
+  ASSERT_EQ(resolved.lhs.size(), 2u);
+  ASSERT_EQ(resolved.rhs.size(), 1u);
+  for (int x0 = 0; x0 <= dmax; ++x0) {
+    for (int x1 = 0; x1 <= dmax; ++x1) {
+      maintained.SetLhs({x0, x1});
+      fresh.value()->SetLhs({x0, x1});
+      ASSERT_EQ(maintained.lhs_count(), fresh.value()->lhs_count())
+          << x0 << "," << x1;
+      for (int y = 0; y <= dmax; ++y) {
+        ASSERT_EQ(maintained.CountXY({y}), fresh.value()->CountXY({y}))
+            << x0 << "," << x1 << "," << y;
+      }
+    }
+  }
+}
+
 // One full randomized sequence: 5 batches applied incrementally, with
 // the maintained state checked against a from-scratch rebuild after
 // every batch and the maintained grids + determined thresholds checked
@@ -94,24 +121,9 @@ void RunSequence(const Relation& pool, const RuleSpec& rule, int dmax,
 
   // The delta-maintained grids must agree with grids built fresh over
   // the final matching, on every cell of the threshold lattice.
-  auto fresh = GridMeasureProvider::Create(builder->matching(), *resolved);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  ASSERT_EQ(maintained.value()->total(), fresh.value()->total());
-  ASSERT_EQ(resolved->lhs.size(), 2u);
-  ASSERT_EQ(resolved->rhs.size(), 1u);
-  for (int x0 = 0; x0 <= dmax; ++x0) {
-    for (int x1 = 0; x1 <= dmax; ++x1) {
-      maintained.value()->SetLhs({x0, x1});
-      fresh.value()->SetLhs({x0, x1});
-      ASSERT_EQ(maintained.value()->lhs_count(), fresh.value()->lhs_count())
-          << x0 << "," << x1;
-      for (int y = 0; y <= dmax; ++y) {
-        ASSERT_EQ(maintained.value()->CountXY({y}),
-                  fresh.value()->CountXY({y}))
-            << x0 << "," << x1 << "," << y;
-      }
-    }
-  }
+  ExpectGridMatchesFresh(*maintained.value(), builder->matching(), *resolved,
+                         dmax);
+  if (::testing::Test::HasFatalFailure()) return;
 
   // Determination over the maintained matching must equal determination
   // over the rebuild.
@@ -150,6 +162,79 @@ TEST(IncrementalPropertyTest, HotelSequencesMatchRebuild) {
   for (std::uint64_t seed = 100; seed < 125; ++seed) {
     SCOPED_TRACE(::testing::Message() << "sequence seed " << seed);
     RunSequence(hotel.relation, rule, /*dmax=*/8, seed);
+  }
+}
+
+// A sliding window of 20 batches after an initial window of 10 tuples.
+// Every batch that deletes retires at least one tuple the previous
+// batch inserted, whose pairs sit at M's tail, plus the oldest live
+// tuple; the batches cycle mixed, delete-only, insert-only. The
+// maintained matching and grid are checked after every batch.
+void RunSlidingWindow(const Relation& pool, const RuleSpec& rule, int dmax,
+                      std::uint64_t seed) {
+  IncrementalOptions options;
+  options.matching.dmax = dmax;
+  auto builder = IncrementalMatchingBuilder::Create(
+      pool.schema(), rule.AllAttributes(), options);
+  ASSERT_TRUE(builder.ok()) << builder.status();
+  auto resolved = ResolveRule(builder->matching(), rule);
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+  auto maintained = GridMeasureProvider::Create(builder->matching(), *resolved);
+  ASSERT_TRUE(maintained.ok()) << maintained.status();
+
+  Rng rng(seed);
+  std::size_t next_row = 0;
+  std::vector<std::uint32_t> previous;  // ids the previous batch inserted
+  for (int batch = 0; batch <= 20; ++batch) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    std::vector<std::vector<std::string>> inserts;
+    std::vector<std::uint32_t> deletes;
+    const bool insert = batch == 0 || batch % 3 != 1;
+    const bool remove = batch > 0 && batch % 3 != 2;
+    if (insert) {
+      const std::size_t b = batch == 0 ? 10 : 1 + rng.NextBounded(5);
+      for (std::size_t k = 0; k < b; ++k) {
+        inserts.push_back(pool.row(next_row++ % pool.num_rows()));
+      }
+    }
+    if (remove && !previous.empty()) {
+      for (std::uint32_t id : previous) {
+        if (deletes.empty() || rng.NextBool(0.5)) deletes.push_back(id);
+      }
+      const std::uint32_t oldest = builder->store().LiveIds().front();
+      if (oldest != deletes.front()) deletes.push_back(oldest);
+    }
+    const std::uint32_t first_new = builder->store().next_id();
+    auto delta = builder->ApplyBatch(inserts, deletes);
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    maintained.value()->Apply(*delta);
+    previous.clear();
+    for (std::uint32_t id = first_new; id < builder->store().next_id(); ++id) {
+      previous.push_back(id);
+    }
+
+    MatchingRelation sorted = builder->matching();
+    sorted.SortByPairs();
+    ExpectEqualMatching(sorted, builder->Rebuild());
+    ExpectGridMatchesFresh(*maintained.value(), builder->matching(), *resolved,
+                           dmax);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// dmax 14 is the widest 4-bit packing and 15 the narrowest 8-bit one.
+TEST(IncrementalPropertyTest, SlidingWindowDeletesFromTheTail) {
+  CoraOptions cora;
+  cora.num_entities = 12;
+  cora.seed = 2024;
+  GeneratedData data = GenerateCora(cora);
+  const RuleSpec rule{{"author", "title"}, {"venue"}};
+  for (const int dmax : {14, 15}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dmax " << dmax << " sequence seed " << seed);
+      RunSlidingWindow(data.relation, rule, dmax, seed);
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 #include "matching/builder.h"
 #include "matching/packed_column.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/generators.h"
 #include "matching/serialization.h"
 #include "matching/value_cache.h"
@@ -300,6 +304,128 @@ TEST(MatchingRelationTest, IndexOf) {
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(idx.value(), 1u);
   EXPECT_FALSE(m.IndexOf("c").ok());
+}
+
+// Three attributes, row r holding pair (r, r + 1) and seeded levels in
+// [1, dmax], so a leftover level in a dropped byte reads nonzero.
+MatchingRelation SeededRelation(int dmax, std::size_t rows) {
+  MatchingRelation m({"a", "b", "c"}, dmax);
+  Rng rng(static_cast<std::uint64_t>(dmax) * 1000 + rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<Level> levels(3);
+    for (Level& level : levels) {
+      level = static_cast<Level>(1 + rng.NextBounded(dmax));
+    }
+    m.AddTuple(static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(r + 1),
+               levels);
+  }
+  return m;
+}
+
+// Every matching tuple as (pair, levels), sorted: the order-free content.
+std::vector<std::pair<std::pair<std::uint32_t, std::uint32_t>,
+                      std::vector<Level>>>
+SortedContent(const MatchingRelation& m) {
+  std::vector<std::pair<std::pair<std::uint32_t, std::uint32_t>,
+                        std::vector<Level>>>
+      content;
+  for (std::size_t r = 0; r < m.num_tuples(); ++r) {
+    content.emplace_back(m.pair(r), m.RowLevels(r));
+  }
+  std::sort(content.begin(), content.end());
+  return content;
+}
+
+// Removes `rows` and checks the survivors' content, the move bound, and
+// the zero-fill invariant past the new size up to capacity.
+void ExpectRemoveRows(int dmax, std::size_t size,
+                      const std::vector<std::uint64_t>& rows) {
+  SCOPED_TRACE(::testing::Message() << "dmax=" << dmax << " size=" << size
+                                    << " removing " << rows.size());
+  MatchingRelation m = SeededRelation(dmax, size);
+  MatchingRelation expected(m.attribute_names(), dmax);
+  for (std::size_t r = 0; r < size; ++r) {
+    if (!std::binary_search(rows.begin(), rows.end(), r)) {
+      expected.AddTuple(m.pair(r).first, m.pair(r).second, m.RowLevels(r));
+    }
+  }
+  const std::size_t moved = m.RemoveRows(rows);
+  EXPECT_LE(moved, rows.size());
+  ASSERT_EQ(m.num_tuples(), size - rows.size());
+  EXPECT_EQ(SortedContent(m), SortedContent(expected));
+  for (std::size_t a = 0; a < m.num_attributes(); ++a) {
+    const PackedColumn& col = m.column(a);
+    EXPECT_EQ(col.packed4(), dmax <= PackedColumn::kMaxPacked4Dmax);
+    ASSERT_EQ(col.size(), m.num_tuples());
+    if (col.packed4() && col.size() % 2 == 1) {
+      EXPECT_EQ(col.data()[col.size() / 2] >> 4, 0) << "column " << a;
+    }
+    for (std::size_t b = col.packed_bytes(); b < col.capacity_bytes(); ++b) {
+      ASSERT_EQ(col.data()[b], 0) << "column " << a << " byte " << b;
+    }
+  }
+}
+
+TEST(MatchingRelationTest, RemoveRowsKeepsSurvivorsAndZeroTail) {
+  for (const int dmax : {PackedColumn::kMaxPacked4Dmax,
+                         PackedColumn::kMaxPacked4Dmax + 1}) {
+    for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{9}, std::size_t{200}}) {
+      ExpectRemoveRows(dmax, size, {});
+      ExpectRemoveRows(dmax, size, {0});
+      ExpectRemoveRows(dmax, size, {size - 1});
+      std::vector<std::uint64_t> all(size);
+      for (std::size_t r = 0; r < size; ++r) all[r] = r;
+      ExpectRemoveRows(dmax, size, all);
+      if (size < 9) continue;
+      // A run at the tail, and holes at odd and even nibbles.
+      ExpectRemoveRows(dmax, size, {size - 4, size - 3, size - 2, size - 1});
+      ExpectRemoveRows(dmax, size, {1, 3, 4, 6, size - 2});
+      ExpectRemoveRows(dmax, size, {0, 2, 5, 6, 8});
+      Rng rng(size);
+      std::vector<std::uint64_t> some;
+      for (std::size_t r = 0; r < size; ++r) {
+        if (rng.NextBool(0.3)) some.push_back(r);
+      }
+      ExpectRemoveRows(dmax, size, some);
+    }
+  }
+}
+
+// Tail fill moves one row per hole in front of the survivors' tail and
+// none for holes that are already at the tail.
+TEST(MatchingRelationTest, RemoveRowsMovesOnlyTailRows) {
+  for (const int dmax : {PackedColumn::kMaxPacked4Dmax,
+                         PackedColumn::kMaxPacked4Dmax + 1}) {
+    MatchingRelation m = SeededRelation(dmax, 10);
+    EXPECT_EQ(m.RemoveRows(std::vector<std::uint64_t>{7, 8, 9}), 0u);
+    EXPECT_EQ(m.RemoveRows(std::vector<std::uint64_t>{0, 6}), 1u);
+    EXPECT_EQ(m.pair(0), (std::pair<std::uint32_t, std::uint32_t>{5, 6}));
+    EXPECT_EQ(m.RemoveRows(std::vector<std::uint64_t>{0, 1}), 2u);
+    EXPECT_EQ(m.num_tuples(), 3u);
+  }
+}
+
+// AppendRows lays out the same relation as one AddTuple per row.
+TEST(MatchingRelationTest, AppendRowsMatchesAddTuple) {
+  for (const int dmax : {PackedColumn::kMaxPacked4Dmax,
+                         PackedColumn::kMaxPacked4Dmax + 1}) {
+    const MatchingRelation source = SeededRelation(dmax, 31);
+    MatchingRelation added = SeededRelation(dmax, 3);
+    MatchingRelation appended = SeededRelation(dmax, 3);
+    std::vector<Level> levels;
+    for (std::size_t r = 0; r < source.num_tuples(); ++r) {
+      const std::vector<Level> row = source.RowLevels(r);
+      added.AddTuple(source.pair(r).first, source.pair(r).second, row);
+      levels.insert(levels.end(), row.begin(), row.end());
+    }
+    appended.AppendRows(source.pairs(), levels.data());
+    appended.AppendRows({}, nullptr);
+    EXPECT_EQ(appended.pairs(), added.pairs());
+    for (std::size_t a = 0; a < added.num_attributes(); ++a) {
+      EXPECT_EQ(appended.column(a), added.column(a)) << "column " << a;
+    }
+  }
 }
 
 }  // namespace
