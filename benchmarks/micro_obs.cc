@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "benchmarks/bench_util.h"
@@ -20,7 +18,6 @@
 #include "obs/diag/flight_recorder.h"
 #include "obs/explain/recorder.h"
 #include "obs/pool_stats.h"
-#include "obs/export/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prof/profiler.h"
@@ -101,38 +98,6 @@ void BM_NestedTraceSpans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NestedTraceSpans);
-
-// Counter increments with the FTDC sampler live at its production
-// cadence: the sampler only reads the registry every period, so the
-// writer-side cost must match BM_CounterIncrement within noise. This is
-// the acceptance gate for "telemetry adds no measurable hot-path cost".
-void BM_CounterIncrementWithSampler(benchmark::State& state) {
-  static std::unique_ptr<dd::obs::MetricsSampler> sampler = [] {
-    dd::obs::SamplerOptions options;
-    options.period_ms = 100;
-    return std::move(dd::obs::MetricsSampler::Start(std::move(options)))
-        .value();
-  }();
-  dd::obs::Counter& counter =
-      dd::obs::MetricsRegistry::Global().GetCounter("bench.sampled_counter");
-  for (auto _ : state) {
-    counter.Increment();
-  }
-  benchmark::DoNotOptimize(counter.value());
-}
-BENCHMARK(BM_CounterIncrementWithSampler)->Threads(1)->Threads(4);
-
-// One sampler tick: snapshot, flatten, delta-encode into the ring.
-void BM_SamplerSampleOnce(benchmark::State& state) {
-  dd::obs::SamplerOptions options;
-  options.period_ms = 1000000;  // Tick manually; the thread stays idle.
-  auto sampler = std::move(dd::obs::MetricsSampler::Start(options)).value();
-  for (auto _ : state) {
-    sampler->SampleOnce();
-  }
-  benchmark::DoNotOptimize(sampler->frames());
-}
-BENCHMARK(BM_SamplerSampleOnce);
 
 // A log statement below the runtime threshold: one relaxed load, the
 // stream operands are never evaluated.

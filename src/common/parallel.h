@@ -49,7 +49,7 @@ void SetDefaultThreads(std::size_t n);
 // produce identical results at any concurrency.
 //
 // `phase` labels the invocation for the pool observer (per-worker
-// timelines, parallel-efficiency reports); it must be a string with
+// parallel-efficiency reports); it must be a string with
 // static storage duration (a literal). The unlabeled overload records
 // under the empty phase.
 void ParallelFor(const char* phase, std::size_t count, std::size_t threads,

@@ -54,9 +54,9 @@ Result<BatchOutcome> MaintenanceEngine::ApplyBatch(
   static obs::Counter& skipped_counter =
       obs::MetricsRegistry::Global().GetCounter(
           "incr.redeterminations_skipped");
-  // Engine-state gauges: these make every sampler frame (obs/export/
-  // sampler.h) carry the batch sequence alongside the counters, so a
-  // frame joins against the `ddtool watch` change feed by
+  // Engine-state gauges: these put the batch sequence alongside the
+  // counters in the run report and the crash dump's metrics section,
+  // so either joins against the `ddtool watch` change feed by
   // (run_id, incr.batch_seq).
   static obs::Gauge& batch_gauge =
       obs::MetricsRegistry::Global().GetGauge("incr.batch_seq");

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -60,7 +59,7 @@ struct sigaction g_old_actions[sizeof(kFatalSignals) /
                                sizeof(kFatalSignals[0])];
 alignas(16) char g_alt_stack[64 * 1024];
 
-// ---- pre-rendered preamble (metrics + ftdc), double-buffered --------
+// ---- pre-rendered preamble (metrics), double-buffered --------------
 // The fatal handler cannot render metrics (allocation), so normal-
 // context code renders into the inactive buffer and flips the index
 // with a release store; the handler reads index with acquire and the
@@ -70,13 +69,6 @@ char g_preamble[2][kPreambleCapacity];
 std::size_t g_preamble_len[2] = {0, 0};
 std::atomic<int> g_preamble_active{-1};  // -1: never rendered
 std::mutex g_preamble_mutex;             // serializes renderers only
-
-std::mutex g_ftdc_mutex;
-std::deque<std::string>& FtdcFrames() {
-  static std::deque<std::string>* frames = new std::deque<std::string>();
-  return *frames;
-}
-constexpr std::size_t kMaxFtdcFrames = 16;
 
 void SinkEventLine(DumpSink& sink, const FlightEvent& ev) {
   SinkDec(sink, ev.seq);
@@ -174,7 +166,7 @@ void SinkModules(DumpSink& sink) {
 void SinkPreamble(DumpSink& sink) {
   const int active = g_preamble_active.load(std::memory_order_acquire);
   if (active < 0) {
-    SinkStr(sink, "--- metrics\n--- ftdc\n");
+    SinkStr(sink, "--- metrics\n");
     return;
   }
   sink.Append(g_preamble[active], g_preamble_len[active]);
@@ -252,14 +244,6 @@ void RenderPreambleLocked() {
   text += "--- metrics\n";
   text += MetricsSnapshotToJson(MetricsRegistry::Global().Snapshot());
   text += '\n';
-  text += "--- ftdc\n";
-  {
-    std::lock_guard<std::mutex> lock(g_ftdc_mutex);
-    for (const std::string& line : FtdcFrames()) {
-      text += line;
-      if (text.empty() || text.back() != '\n') text += '\n';
-    }
-  }
   const std::size_t len =
       text.size() < kPreambleCapacity ? text.size() : kPreambleCapacity;
   std::memcpy(g_preamble[next], text.data(), len);
@@ -392,13 +376,6 @@ std::string DiagDir() { return std::string(g_dir); }
 void RefreshPreamble() {
   std::lock_guard<std::mutex> lock(g_preamble_mutex);
   RenderPreambleLocked();
-}
-
-void NoteFtdcFrame(const std::string& jsonl_line) {
-  std::lock_guard<std::mutex> lock(g_ftdc_mutex);
-  std::deque<std::string>& frames = FtdcFrames();
-  frames.push_back(jsonl_line);
-  while (frames.size() > kMaxFtdcFrames) frames.pop_front();
 }
 
 std::string CaptureLiveDump(const char* reason) {

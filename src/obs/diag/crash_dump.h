@@ -28,13 +28,11 @@
 //   --- metrics
 //   <metrics snapshot as one line of run-report JSON
 //    (MetricsSnapshotToJson), pre-rendered outside the handler>
-//   --- ftdc
-//   <recent sampler JSONL frames, pre-rendered outside the handler>
 //   --- end
 //
-// The metrics / FTDC sections come from a double-buffered "preamble"
+// The metrics section comes from a double-buffered "preamble"
 // refreshed by the watchdog tick (or explicitly), because rendering
-// them allocates and therefore cannot happen inside the handler.
+// it allocates and therefore cannot happen inside the handler.
 
 #ifndef DD_OBS_DIAG_CRASH_DUMP_H_
 #define DD_OBS_DIAG_CRASH_DUMP_H_
@@ -69,14 +67,10 @@ bool DiagnosticsEnabled();
 // Directory dumps are written to; empty when disabled or unset.
 std::string DiagDir();
 
-// Re-renders the metrics + FTDC preamble buffers (normal context only;
+// Re-renders the metrics preamble buffers (normal context only;
 // allocates). The watchdog calls this every tick so a crash dump's
 // metrics are at most one tick stale.
 void RefreshPreamble();
-
-// Feeds one FTDC JSONL line into the bounded recent-frames buffer that
-// ends up in the dump's `--- ftdc` section. Called by MetricsSampler.
-void NoteFtdcFrame(const std::string& jsonl_line);
 
 // Composes a full dump (all-thread stacks, fresh metrics render) from
 // normal context and returns it as text — the on-demand (SIGUSR2)

@@ -108,8 +108,7 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
     kFlightrec,
     kModules,
     kMetrics,
-    kFtdc,
-    kDone,
+    kSkip,  // An unknown section, or past `--- end`: lines are ignored.
   };
   Section section = Section::kHeader;
   int current_tid = 0;
@@ -132,11 +131,12 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
         section = Section::kModules;
       } else if (rest == "metrics") {
         section = Section::kMetrics;
-      } else if (rest == "ftdc") {
-        section = Section::kFtdc;
-      } else if (rest == "end") {
-        out->complete = true;
-        section = Section::kDone;
+      } else {
+        // A section this reader does not know (say, one a newer writer
+        // added or an older one wrote) must not be parsed as the one
+        // before it.
+        if (rest == "end") out->complete = true;
+        section = Section::kSkip;
       }
       continue;
     }
@@ -221,10 +221,7 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
         out->metrics_text += line;
         out->metrics_text += '\n';
         break;
-      case Section::kFtdc:
-        if (!line.empty()) out->ftdc_lines.push_back(line);
-        break;
-      case Section::kDone:
+      case Section::kSkip:
         break;
     }
   }
@@ -307,14 +304,6 @@ std::string DiagDumpToText(const DiagDump& dump) {
     }
   }
 
-  if (!dump.ftdc_lines.empty()) {
-    out += "\nftdc frames (" + std::to_string(dump.ftdc_lines.size()) +
-           "):\n";
-    for (const std::string& line : dump.ftdc_lines) {
-      out += "  " + line + "\n";
-    }
-  }
-
   out += "\nmodules: " + std::to_string(dump.modules.size()) +
          " mappings\n";
   return out;
@@ -392,7 +381,6 @@ std::string DiagDumpToJson(const DiagDump& dump) {
   out += "]";
 
   out += ",\"module_count\":" + std::to_string(dump.modules.size());
-  out += ",\"ftdc_frame_count\":" + std::to_string(dump.ftdc_lines.size());
   out += "}";
   return out;
 }

@@ -64,9 +64,8 @@ struct DiagDump {
   std::vector<DiagHeartbeatLine> heartbeats;
   std::vector<DiagFlightEvent> flight_events;
   std::vector<DiagModule> modules;
-  std::string metrics_text;                // MetricsSnapshotToJson line
-  std::vector<std::string> ftdc_lines;     // sampler JSONL frames
-  bool complete = false;                   // saw the `--- end` marker
+  std::string metrics_text;  // MetricsSnapshotToJson line
+  bool complete = false;     // saw the `--- end` marker
 
   std::size_t TotalFrames() const;
 };

@@ -96,7 +96,7 @@ void WatchdogLoop() {
                         [&] { return state.stop_requested; });
       if (state.stop_requested) break;
     }
-    // Keep the crash dump's metrics/FTDC sections at most one tick
+    // Keep the crash dump's metrics section at most one tick
     // stale; this is the only place the preamble re-renders steadily.
     RefreshPreamble();
     if (g_dump_requested.exchange(false, std::memory_order_acq_rel)) {

@@ -1,5 +1,5 @@
 // JSON string escaping shared by the obs exporters (run reports,
-// Chrome traces, sampler frames). Same rules as core/result_io's
+// EXPLAIN audits). Same rules as core/result_io's
 // JsonEscape; kept here so obs stays below core in the dependency
 // order.
 

@@ -159,18 +159,6 @@ PoolStatsSnapshot PoolStatsCollector::Snapshot() const {
     worker.items += raw.c - raw.b;
     worker.busy_ns += dur;
     busy_by_invocation[raw.invocation][raw.slot] += dur;
-
-    PoolChunkRecord record;
-    record.phase = raw.phase;
-    record.invocation = raw.invocation;
-    record.slot = raw.slot;
-    record.caller = (raw.flags & kFlagCaller) != 0;
-    record.chunk = static_cast<std::size_t>(raw.a);
-    record.begin = static_cast<std::size_t>(raw.b);
-    record.end = static_cast<std::size_t>(raw.c);
-    record.start_ns = raw.start_ns;
-    record.end_ns = raw.end_ns;
-    snapshot.timeline.push_back(std::move(record));
   }
 
   for (const RawEvent& raw : invocations) {
@@ -203,12 +191,6 @@ PoolStatsSnapshot PoolStatsCollector::Snapshot() const {
   std::sort(snapshot.phases.begin(), snapshot.phases.end(),
             [](const PoolPhaseStats& x, const PoolPhaseStats& y) {
               return x.phase < y.phase;
-            });
-  std::sort(snapshot.timeline.begin(), snapshot.timeline.end(),
-            [](const PoolChunkRecord& x, const PoolChunkRecord& y) {
-              if (x.start_ns != y.start_ns) return x.start_ns < y.start_ns;
-              if (x.invocation != y.invocation) return x.invocation < y.invocation;
-              return x.chunk < y.chunk;
             });
   return snapshot;
 }

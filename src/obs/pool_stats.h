@@ -9,13 +9,14 @@
 //     over the invocations the worker participated in),
 //   * derived parallel-efficiency figures — the speedup bound
 //     Σbusy / max-worker-busy, the imbalance (max − mean)/max, and the
-//     caller-participation share,
-//   * a chronological chunk timeline for the Chrome trace exporter.
+//     caller-participation share.
+// The run report's "parallel" section renders these (obs/report.h).
 //
 // Enabling the collector also feeds live `pool.*` counters in the
 // metrics registry (pool.chunks, pool.items, pool.busy_ns,
 // pool.invocations, pool.wall_ns) so the run report's metrics and the
-// FTDC sampler see pool activity without snapshotting rings.
+// crash dump's metrics section see pool activity without snapshotting
+// rings.
 //
 // Recording never perturbs the chunk partition: determination output
 // stays byte-identical with the collector on or off (DESIGN.md §12).
@@ -25,7 +26,6 @@
 #ifndef DD_OBS_POOL_STATS_H_
 #define DD_OBS_POOL_STATS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,22 +67,8 @@ struct PoolPhaseStats {
   double CallerShare() const;
 };
 
-// One chunk execution for the timeline view (Chrome trace tracks).
-struct PoolChunkRecord {
-  std::string phase;
-  std::uint64_t invocation = 0;
-  int slot = 0;
-  bool caller = false;
-  std::size_t chunk = 0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t end_ns = 0;
-};
-
 struct PoolStatsSnapshot {
-  std::vector<PoolPhaseStats> phases;    // sorted by phase name
-  std::vector<PoolChunkRecord> timeline;  // sorted by start_ns
+  std::vector<PoolPhaseStats> phases;  // sorted by phase name
   // Events lost to ring wrap-around or torn by a concurrent rewrite
   // (aggregates above cover only the retained window when this is
   // non-zero).
@@ -107,7 +93,7 @@ class PoolStatsCollector : public PoolObserver {
   // enabled.
   void Reset();
 
-  // Joins the per-thread rings into per-phase aggregates + timeline.
+  // Joins the per-thread rings into per-phase aggregates.
   PoolStatsSnapshot Snapshot() const;
 
   // dd::PoolObserver — called from pool workers / calling threads.

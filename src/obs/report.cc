@@ -5,6 +5,7 @@
 #include "common/string_util.h"
 #include "obs/json_util.h"
 #include "obs/prof/profiler.h"
+#include "obs/resource.h"
 
 namespace dd::obs {
 
@@ -45,6 +46,7 @@ void AppendSpanText(const SpanStats& span, double parent_total, int depth,
 RunReport CaptureRunReport(const std::string& name) {
   RunReport report;
   report.name = name;
+  UpdateRssGauges();
   report.trace = Tracer::Global().Snapshot();
   report.metrics = MetricsRegistry::Global().Snapshot();
   report.pool = PoolStatsCollector::Global().Snapshot();

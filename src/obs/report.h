@@ -27,7 +27,7 @@
 //                "dropped": 0, "truncated": 0, "spans": {...},
 //                "phases": {...}, "functions": [...]}}
 // "run_id" appears only when the caller set one (ddtool stamps the id
-// it also puts on feed lines and sampler frames, so the three join).
+// it also puts on feed lines, so the two join).
 // The "parallel" key appears only when the pool-stats collector
 // (obs/pool_stats.h) recorded at least one phase; "profile" only when
 // the sampling profiler (obs/prof) has captured samples this run.
@@ -47,8 +47,7 @@ namespace dd::obs {
 struct RunReport {
   // Free-form run label, e.g. "ddtool determine DAP+PAP".
   std::string name;
-  // Correlation id shared with the run's feed lines and sampler frames;
-  // "" omits the key.
+  // Correlation id shared with the run's feed lines; "" omits the key.
   std::string run_id;
   TraceSnapshot trace;
   MetricsSnapshot metrics;
@@ -62,7 +61,8 @@ struct RunReport {
 };
 
 // Captures the current global tracer + metrics registry + pool-stats
-// collector state.
+// collector state, after refreshing the mem.rss_bytes /
+// mem.rss_peak_bytes gauges (obs/resource.h).
 RunReport CaptureRunReport(const std::string& name);
 
 std::string SpanStatsToJson(const SpanStats& span);

@@ -2,7 +2,6 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -51,23 +50,6 @@ void UpdateRssGauges() {
   static Gauge& peak = MetricsRegistry::Global().GetGauge("mem.rss_peak_bytes");
   rss.Set(static_cast<double>(CurrentRssBytes()));
   peak.Set(static_cast<double>(PeakRssBytes()));
-
-  // Process-lifetime gauges ride along with every RSS refresh (every
-  // sampler tick calls this). The anchor is the first call in
-  // this process, which is close enough to exec for dashboards; exact
-  // kernel start time would need /proc parsing for no practical gain.
-  static const auto start_wall = std::chrono::system_clock::now();
-  static const auto start_steady = std::chrono::steady_clock::now();
-  static Gauge& uptime =
-      MetricsRegistry::Global().GetGauge("process.uptime_seconds");
-  static Gauge& start_time =
-      MetricsRegistry::Global().GetGauge("process.start_time_seconds");
-  uptime.Set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start_steady)
-                 .count());
-  start_time.Set(std::chrono::duration<double>(
-                     start_wall.time_since_epoch())
-                     .count());
 }
 
 void SetMemoryGauge(const std::string& structure, std::uint64_t bytes) {

@@ -7,8 +7,8 @@
 // (mem.matching_bytes, mem.value_cache_bytes, mem.grid_bytes,
 // mem.scan_index_bytes, mem.tuple_store_bytes);
 // the process-level pair is mem.rss_bytes / mem.rss_peak_bytes.
-// UpdateRssGauges() is called by the FTDC sampler on every tick, so
-// sampled frames always carry a fresh RSS reading.
+// CaptureRunReport() (obs/report.h) calls UpdateRssGauges(), so every
+// run report carries the RSS reading of the moment it was taken.
 
 #ifndef DD_OBS_RESOURCE_H_
 #define DD_OBS_RESOURCE_H_

@@ -32,7 +32,6 @@
 #include "obs/diag/sigsafe.h"
 #include "obs/diag/stack_capture.h"
 #include "obs/diag/watchdog.h"
-#include "obs/export/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
@@ -452,6 +451,34 @@ TEST(DumpReaderTest, TruncatedDumpParsesButIsIncomplete) {
   EXPECT_NE(DiagDumpToText(dump).find("TRUNCATED"), std::string::npos);
 }
 
+// A section header the reader does not know (one a newer writer added,
+// or the `--- ftdc` section older writers emitted) must not be parsed
+// as the section before it.
+TEST(DumpReaderTest, UnknownSectionsAreSkipped) {
+  const std::string metrics = "{\"counters\":{\"serve.rows\":3}}";
+  const std::string text =
+      "DDDIAG 1\n"
+      "reason: live\n"
+      "--- heartbeats\n"
+      "feed.loop armed=0 beats=3 age_ns=10 in_stall=0\n"
+      "--- future_section\n"
+      "five or more plain tokens here\n"
+      "--- metrics\n" +
+      metrics +
+      "\n"
+      "--- ftdc\n"
+      "{\"type\":\"full\",\"seq\":1,\"counters\":{\"serve.rows\":3}}\n"
+      "--- end\n";
+  DiagDump dump;
+  std::string error;
+  ASSERT_TRUE(ParseDiagDump(text, &dump, &error)) << error;
+  ASSERT_EQ(dump.heartbeats.size(), 1u);
+  EXPECT_EQ(dump.heartbeats[0].name, "feed.loop");
+  EXPECT_EQ(dump.heartbeats[0].beats, 3u);
+  EXPECT_EQ(dump.metrics_text, metrics + "\n");
+  EXPECT_TRUE(dump.complete);
+}
+
 // ---------------------------------------------------------------------------
 // Watchdog stall detection.
 
@@ -572,8 +599,7 @@ TEST(DiagDeterminismTest, ResultsIdenticalWithDiagnosticsOnAndOff) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellites: build info, log-level parsing, percentile edges, sampler
-// final flush.
+// Satellites: build info, log-level parsing, percentile edges.
 
 TEST(BuildInfoTest, FieldsArePopulated) {
   const BuildInfo& info = GetBuildInfo();
@@ -650,42 +676,6 @@ TEST(PercentileTest, SingleBucketReturnsItsBoundExactly) {
   overflow.buckets = {0, 0, 3};
   overflow.count = 3;
   EXPECT_EQ(HistogramPercentile(overflow, 1.0), 8.0);
-}
-
-TEST(SamplerTest, StopFlushesFinalFullFrame) {
-  ScratchDir dir("sampler");
-  const std::string series = dir.str() + "/series.jsonl";
-  Counter& counter =
-      MetricsRegistry::Global().GetCounter("diag.sampler_flush_test");
-
-  SamplerOptions options;
-  options.period_ms = 60000;  // Never ticks during the test.
-  options.series_path = series;
-  options.run_id = "flush-test";
-  auto sampler = MetricsSampler::Start(options);
-  ASSERT_TRUE(sampler.ok()) << sampler.status();
-
-  // Mutate after the initial sample; only the shutdown flush can see
-  // this value.
-  counter.Add(41);
-  (*sampler)->Stop();
-
-  const auto ring = (*sampler)->Ring();
-  ASSERT_GE(ring.size(), 2u);
-  EXPECT_TRUE(ring.back().full) << "shutdown must flush a full frame";
-  bool saw_counter = false;
-  for (const auto& [name, value] : ring.back().view.counters) {
-    if (name == "diag.sampler_flush_test" && value >= 41) saw_counter = true;
-  }
-  EXPECT_TRUE(saw_counter);
-
-  // The JSONL tail is that same self-contained full frame.
-  const std::string text = ReadFileOrEmpty(series);
-  const std::size_t last_line = text.rfind("{\"type\"");
-  ASSERT_NE(last_line, std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"full\"", last_line), std::string::npos);
-  EXPECT_NE(text.find("diag.sampler_flush_test", last_line),
-            std::string::npos);
 }
 
 }  // namespace

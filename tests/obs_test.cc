@@ -1,10 +1,12 @@
 // Tests for the observability layer (src/obs): metrics registry under
 // concurrent ParallelFor workers, nested span accounting, histogram
-// bucket semantics, log-level filtering, and the JSON exporters.
+// bucket semantics and percentiles, log-level filtering, and the JSON
+// exporters.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -112,6 +114,58 @@ TEST(MetricsTest, SnapshotIsSortedAndCarriesOverflowBucket) {
     EXPECT_GE(h.buckets.back(), 1u);  // 5.0 overflowed the sole bound.
   }
   EXPECT_TRUE(found);
+}
+
+// --------------------------------------------------------------------
+// Histogram percentiles
+
+TEST(HistogramPercentile, InterpolatesWithinBucket) {
+  obs::MetricsSnapshot::HistogramValue hist;
+  hist.bounds = {10.0, 20.0};
+  hist.buckets = {10, 10, 0};
+  hist.count = 20;
+  // Rank 10 is exactly the end of the first bucket.
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.5), 10.0);
+  // Rank 15 is halfway through the second bucket (10, 20].
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.75), 15.0);
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 1.0), 20.0);
+}
+
+TEST(HistogramPercentile, OverflowClampsToLastBound) {
+  obs::MetricsSnapshot::HistogramValue hist;
+  hist.bounds = {10.0};
+  hist.buckets = {1, 9};  // 9 observations above the last bound.
+  hist.count = 10;
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.99), 10.0);
+}
+
+TEST(HistogramPercentile, EmptyHistogramIsNaN) {
+  obs::MetricsSnapshot::HistogramValue hist;
+  EXPECT_TRUE(std::isnan(obs::HistogramPercentile(hist, 0.5)));
+  hist.bounds = {10.0, 20.0};
+  hist.buckets = {0, 0, 0};
+  hist.count = 0;
+  EXPECT_TRUE(std::isnan(obs::HistogramPercentile(hist, 0.5)));
+}
+
+TEST(HistogramPercentile, SingleBucketReturnsExactBound) {
+  obs::MetricsSnapshot::HistogramValue hist;
+  hist.bounds = {10.0, 20.0, 30.0};
+  hist.buckets = {0, 7, 0, 0};
+  hist.count = 7;
+  // All observations share bucket (10, 20]: every percentile is its
+  // upper bound, with no interpolated spread.
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.01), 20.0);
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.5), 20.0);
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.99), 20.0);
+}
+
+TEST(HistogramPercentile, SingleOverflowBucketClampsToLastBound) {
+  obs::MetricsSnapshot::HistogramValue hist;
+  hist.bounds = {10.0};
+  hist.buckets = {0, 5};  // Only the overflow bucket is populated.
+  hist.count = 5;
+  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(hist, 0.5), 10.0);
 }
 
 // --------------------------------------------------------------------
@@ -329,10 +383,19 @@ TEST(ReportTest, RunReportJsonIsWellFormedAndComplete) {
   EXPECT_NE(json.find("report.gauge"), std::string::npos);
   // The quote in the histogram name must arrive escaped.
   EXPECT_NE(json.find("report.hist \\\"quoted\\\""), std::string::npos);
+  // Capturing a report refreshes the RSS gauges.
+  EXPECT_NE(json.find("\"mem.rss_peak_bytes\""), std::string::npos);
+#ifdef __linux__
+  double rss_peak = 0.0;
+  for (const auto& gauge : report.metrics.gauges) {
+    if (gauge.name == "mem.rss_peak_bytes") rss_peak = gauge.value;
+  }
+  EXPECT_GT(rss_peak, 0.0);
+#endif
 }
 
-// The run_id key joins a report to the run's feed lines and sampler
-// frames; an unset id leaves the key out.
+// The run_id key joins a report to the run's feed lines; an unset id
+// leaves the key out.
 TEST(ReportTest, RunIdIsATopLevelKeyWhenSet) {
   obs::RunReport report = MakeSampleReport();
   EXPECT_EQ(obs::RunReportToJson(report).find("\"run_id\""),

@@ -80,24 +80,13 @@
 //                    ddtool prof --diff before.folded after.folded
 //                      [--top N]   per-function self-sample deltas
 //
-// Live telemetry (every subcommand):
-//   --series out.jsonl   FTDC-style sampler: snapshot the metrics
-//                        registry every --sample_period_ms (default
-//                        1000), append delta-encoded JSONL frames
-//   --run_id ID          correlation id stamped on feed lines, sampler
-//                        frames and the --trace_json run report
+// Run telemetry (every subcommand):
+//   --run_id ID          correlation id stamped on feed lines and the
+//                        --trace_json run report
 //                        (default: derived from clock and pid)
-//   --chrome_trace f.json  write the span tree as Chrome trace-event
-//                        JSON (load in Perfetto / chrome://tracing);
-//                        with pool stats on, pooled phases get real
-//                        per-worker-slot tracks from the chunk timeline
-//   --pool_stats         record per-worker pool execution stats (chunk
-//                        counts, busy/wait time) even without other
-//                        telemetry flags; any of --chrome_trace,
-//                        --trace_json, --series turns the collector on
-//                        implicitly. Surfaces as pool.* metrics, the
-//                        run report's "parallel" section, and worker
-//                        tracks in the trace.
+//   --trace_json f.json  also turns on the worker-pool stats collector,
+//                        which fills the report's "parallel" section
+//                        (per-phase, per-worker chunks and busy/wait)
 //   --profile            run the subcommand under the sampling CPU
 //                        profiler (src/obs/prof): per-thread SIGPROF
 //                        timers, stacks tagged with the active trace
@@ -110,6 +99,9 @@
 //   --profile_hz N       samples per second of each thread's CPU time
 //                        (default 99; implies --profile)
 //
+// A flag no subcommand reads (a typo, or a flag that was removed) is
+// refused with exit status 1.
+//
 // Exit status 0 on success, 1 on bad usage or data errors.
 
 #include <unistd.h>
@@ -120,7 +112,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,8 +139,6 @@
 #include "obs/diag/watchdog.h"
 #include "obs/explain/audit.h"
 #include "obs/explain/recorder.h"
-#include "obs/export/chrome_trace.h"
-#include "obs/export/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/pool_stats.h"
@@ -160,6 +149,19 @@
 #include "obs/trace.h"
 
 namespace {
+
+// Every flag some subcommand reads. main() refuses any other.
+const std::vector<std::string> kKnownFlags = {
+    "algo", "approx", "audit_json", "batch", "collapse", "corrupt-attrs",
+    "corrupt-fraction", "dataset", "diag_dir", "diff", "dirty-out", "dmax",
+    "drift", "entities", "epsilon", "explain_sample", "input", "json",
+    "landscape", "lhs", "load-matching", "max-lhs", "max-pairs", "merge",
+    "metric", "no_blocking", "no_symbolize", "order", "out", "pattern",
+    "print_stats", "profile", "profile_hz", "profile_out", "provider",
+    "retire", "rhs", "ring_capacity", "rows", "run_id", "sample_target",
+    "save-matching", "seed", "simd", "stall_timeout_ms", "threads", "top",
+    "trace_json", "truth-out",
+};
 
 int Usage() {
   std::fprintf(
@@ -267,54 +269,17 @@ dd::Status MaybeWriteTraceReport(const dd::ArgParser& args,
   return dd::Status::Ok();
 }
 
-// Writes the span tree as Chrome trace-event JSON when --chrome_trace
-// was given. The pool-stats snapshot rides along so pooled phases get
-// real per-worker-slot tracks (empty snapshot -> span tracks only).
-dd::Status MaybeWriteChromeTrace(const dd::ArgParser& args) {
-  const std::string path = args.GetString("chrome_trace");
-  if (path.empty()) return dd::Status::Ok();
-  DD_RETURN_IF_ERROR(dd::obs::WriteChromeTrace(
-      dd::obs::Tracer::Global().Snapshot(),
-      dd::obs::PoolStatsCollector::Global().Snapshot(), path));
-  std::fprintf(stderr, "wrote chrome trace to %s\n", path.c_str());
-  return dd::Status::Ok();
-}
-
-// Correlation id for feed lines and sampler frames when the user did
-// not pass --run_id: wall clock microseconds + pid, hex.
-std::string GenerateRunId() {
+// Correlation id for feed lines and the run report: --run_id, or else
+// wall clock microseconds + pid, hex.
+std::string RunId(const dd::ArgParser& args) {
+  const std::string given = args.GetString("run_id");
+  if (!given.empty()) return given;
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const auto us =
       std::chrono::duration_cast<std::chrono::microseconds>(now).count();
   return dd::StrFormat("%011llx-%04x",
                        static_cast<unsigned long long>(us) & 0xfffffffffffULL,
                        static_cast<unsigned>(::getpid()) & 0xffff);
-}
-
-// Live telemetry started from flags: the run's correlation id and the
-// optional FTDC-style sampler (--series / --sample_period_ms), which
-// shuts down on destruction.
-struct Telemetry {
-  std::string run_id;
-  std::unique_ptr<dd::obs::MetricsSampler> sampler;
-};
-
-dd::Result<Telemetry> StartTelemetry(const dd::ArgParser& args) {
-  Telemetry telemetry;
-  telemetry.run_id = args.GetString("run_id");
-  if (telemetry.run_id.empty()) telemetry.run_id = GenerateRunId();
-  const std::string series = args.GetString("series");
-  if (!series.empty() || args.Has("sample_period_ms")) {
-    DD_ASSIGN_OR_RETURN(std::int64_t period,
-                        args.GetInt("sample_period_ms", 1000));
-    dd::obs::SamplerOptions options;
-    options.period_ms = static_cast<int>(period);
-    options.series_path = series;
-    options.run_id = telemetry.run_id;
-    DD_ASSIGN_OR_RETURN(telemetry.sampler,
-                        dd::obs::MetricsSampler::Start(std::move(options)));
-  }
-  return telemetry;
 }
 
 // The --print_stats summary: search cost in the units of the paper's
@@ -475,8 +440,6 @@ int RunDetermineApprox(const dd::ArgParser& args, const dd::RuleSpec& rule) {
   if (input.empty()) {
     return Fail(dd::Status::InvalidArgument("--input (CSV) required"));
   }
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
   auto relation = dd::ReadCsvFile(input);
   if (!relation.ok()) return Fail(relation.status());
 
@@ -493,12 +456,9 @@ int RunDetermineApprox(const dd::ArgParser& args, const dd::RuleSpec& rule) {
   auto result =
       dd::approx::ApproxDetermineThresholds(*relation, rule, *moptions, options);
   if (!result.ok()) return Fail(result.status());
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status = MaybeWriteTraceReport(
       args, "ddtool determine --approx " + args.GetString("algo", "DAP+PAP"),
-      telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+      RunId(args));
   if (!trace_status.ok()) return Fail(trace_status);
 
   if (args.Has("json")) {
@@ -541,8 +501,6 @@ int RunDetermine(const dd::ArgParser& args) {
   }
   dd::RuleSpec rule{std::move(lhs), std::move(rhs)};
   if (args.Has("approx")) return RunDetermineApprox(args, rule);
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
 
   dd::Result<dd::MatchingRelation> matching = LoadMatching(args, rule);
   if (!matching.ok()) return Fail(matching.status());
@@ -566,12 +524,9 @@ int RunDetermine(const dd::ArgParser& args) {
   if (args.Has("collapse")) {
     result->patterns = dd::CollapseEquivalent(std::move(result->patterns));
   }
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status = MaybeWriteTraceReport(
       args, "ddtool determine " + args.GetString("algo", "DAP+PAP"),
-      telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+      RunId(args));
   if (!trace_status.ok()) return Fail(trace_status);
   if (args.Has("json")) {
     std::printf("%s\n", dd::DetermineResultToJson(*result, rule).c_str());
@@ -619,8 +574,6 @@ int RunExplain(const dd::ArgParser& args) {
     return Fail(dd::Status::InvalidArgument("--lhs and --rhs required"));
   }
   dd::RuleSpec rule{std::move(lhs), std::move(rhs)};
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
 
   // --approx audits the sampled run instead: the snapshot carries the
   // "estimated" marker and the waterfall totals come from estimated
@@ -727,12 +680,9 @@ int RunExplain(const dd::ArgParser& args) {
                  landscape_path.c_str());
   }
 
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status = MaybeWriteTraceReport(
       args, "ddtool explain " + args.GetString("algo", "DAP+PAP"),
-      telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+      RunId(args));
   if (!trace_status.ok()) return Fail(trace_status);
 
   if (args.Has("json")) {
@@ -782,15 +732,10 @@ int RunDetect(const dd::ArgParser& args) {
   if (!pattern.ok()) return Fail(pattern.status());
 
   dd::RuleSpec rule{std::move(lhs), std::move(rhs)};
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
   auto found = dd::DetectViolations(*relation, rule, *pattern, *moptions);
   if (!found.ok()) return Fail(found.status());
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status =
-      MaybeWriteTraceReport(args, "ddtool detect", telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+      MaybeWriteTraceReport(args, "ddtool detect", RunId(args));
   if (!trace_status.ok()) return Fail(trace_status);
   std::printf("%zu violating pair(s)\n", found->size());
 
@@ -843,15 +788,10 @@ int RunDiscover(const dd::ArgParser& args) {
   if (!top.ok()) return Fail(top.status());
   options.top_rules = static_cast<std::size_t>(*top);
 
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
   auto rules = dd::DiscoverRules(*relation, options);
   if (!rules.ok()) return Fail(rules.status());
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status =
-      MaybeWriteTraceReport(args, "ddtool discover", telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+      MaybeWriteTraceReport(args, "ddtool discover", RunId(args));
   if (!trace_status.ok()) return Fail(trace_status);
   std::printf("%zu rule(s):\n", rules->size());
   for (const auto& r : *rules) {
@@ -878,7 +818,7 @@ int RunDiscover(const dd::ArgParser& args) {
 
 // Streams one change-feed line per applied batch (watch / serve).
 // JSON lines are stamped with the run_id and a monotonically
-// increasing seq so they join against sampler frames and server logs.
+// increasing seq so they join against the --trace_json run report.
 class FeedPrinter {
  public:
   FeedPrinter(bool json, std::string run_id)
@@ -1018,11 +958,10 @@ int RunIncremental(const dd::ArgParser& args, bool watch) {
 
   auto engine = EngineFromFlags(args, rows->schema());
   if (!engine.ok()) return Fail(engine.status());
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
+  const std::string run_id = RunId(args);
 
   const bool json = args.Has("json");
-  FeedPrinter printer(json, telemetry->run_id);
+  FeedPrinter printer(json, run_id);
   // The heartbeat is armed only while a batch is being applied: the
   // feed loop legitimately idles between batches, and an armed-but-idle
   // heartbeat would read as a stall to the watchdog.
@@ -1063,21 +1002,17 @@ int RunIncremental(const dd::ArgParser& args, bool watch) {
     if (!fed.ok()) return Fail(fed);
   }
 
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status =
       MaybeWriteTraceReport(args, watch ? "ddtool watch" : "ddtool append",
-                            telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+                            run_id);
   if (!trace_status.ok()) return Fail(trace_status);
 
   return PrintFinalState(*engine, watch, json);
 }
 
 // Long-running daemon: base instance from --input, then headerless CSV
-// rows from stdin in --batch-row chunks until EOF. The sampler
-// (--series) stays live the whole run, and SIGUSR2 with --diag_dir
-// dumps its state on demand.
+// rows from stdin in --batch-row chunks until EOF. SIGUSR2 with
+// --diag_dir dumps its state on demand.
 int RunServe(const dd::ArgParser& args) {
   if (args.Has("approx")) {
     return Fail(dd::Status::InvalidArgument(
@@ -1102,11 +1037,10 @@ int RunServe(const dd::ArgParser& args) {
 
   auto engine = EngineFromFlags(args, base->schema());
   if (!engine.ok()) return Fail(engine.status());
-  auto telemetry = StartTelemetry(args);
-  if (!telemetry.ok()) return Fail(telemetry.status());
+  const std::string run_id = RunId(args);
 
   const bool json = args.Has("json");
-  FeedPrinter printer(json, telemetry->run_id);
+  FeedPrinter printer(json, run_id);
   // Armed only while applying: serve blocks on stdin indefinitely
   // between batches, which must not look like a stall.
   static dd::obs::diag::Heartbeat* serve_heartbeat =
@@ -1184,11 +1118,8 @@ int RunServe(const dd::ArgParser& args) {
     if (!fed.ok()) return Fail(fed);
   }
 
-  if (telemetry->sampler != nullptr) telemetry->sampler->Stop();
   dd::Status trace_status =
-      MaybeWriteTraceReport(args, "ddtool serve", telemetry->run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-  trace_status = MaybeWriteChromeTrace(args);
+      MaybeWriteTraceReport(args, "ddtool serve", run_id);
   if (!trace_status.ok()) return Fail(trace_status);
 
   return PrintFinalState(*engine, /*watch=*/true, json);
@@ -1338,15 +1269,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   dd::ArgParser args(argc, argv, 2);
-  // ArgParser ignores unknown flags; --metrics_port is refused by name
-  // so a script that still passes it fails instead of silently running
-  // without the endpoint it expects.
-  if (args.Has("metrics_port")) {
-    return Fail(dd::Status::InvalidArgument(
-        "--metrics_port was removed (there is no HTTP endpoint); use "
-        "--series for sampled metrics, --trace_json for the run report, "
-        "--profile for CPU profiles, and SIGUSR2 with --diag_dir for "
-        "on-demand dumps"));
+  // ArgParser accepts any flag; a flag no subcommand reads (a typo, or
+  // one that was removed) fails the run instead of being ignored.
+  const std::vector<std::string> unknown = args.UnknownFlags(kKnownFlags);
+  if (!unknown.empty()) {
+    std::string names;
+    for (const std::string& name : unknown) {
+      if (!names.empty()) names += ", ";
+      names += "--" + name;
+    }
+    return Fail(dd::Status::InvalidArgument("unknown flag " + names));
   }
   // --threads applies to every subcommand: it sets the process-wide
   // DefaultThreads() that the matching build and DA's LHS sweep
@@ -1374,12 +1306,11 @@ int main(int argc, char** argv) {
     }
     dd::simd::SetSimdMode(mode);
   }
-  // Pool-stats recording turns on whenever the run produces an
-  // observability artifact that can surface it (--pool_stats forces it
-  // on regardless). Recording never perturbs chunking, so results stay
-  // bit-identical with the collector on or off.
-  if (args.Has("pool_stats") || args.Has("chrome_trace") ||
-      args.Has("trace_json") || args.Has("series")) {
+  // Pool-stats recording turns on exactly when the run writes the
+  // --trace_json report, whose "parallel" section surfaces it.
+  // Recording never perturbs chunking, so results stay bit-identical
+  // with the collector on or off.
+  if (args.Has("trace_json")) {
     dd::obs::PoolStatsCollector::Global().Enable();
   }
   // --diag_dir arms crash/stall diagnostics for any subcommand: fatal
