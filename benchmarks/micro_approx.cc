@@ -197,7 +197,7 @@ void RunDataset(const std::string& tag, const dd::Relation& relation,
     options.determine.top_l = 5;
     options.approx.sample_target = std::max<std::uint64_t>(
         1000, static_cast<std::uint64_t>(rate * static_cast<double>(total)));
-    options.approx.lsh.enabled = blocking;
+    options.approx.blocking = blocking;
     if (!adaptive) options.approx.max_rounds = 1;
     dd::Stopwatch timer;
     auto result = dd::approx::ApproxDetermineThresholds(relation, rule,

@@ -3,8 +3,9 @@
 // 2009; Song & Chen, CIKM 2009). An MD identifies duplicates: if two
 // records are within the determined thresholds on X (here name and
 // address), they refer to the same real-world entity (equality on an
-// identifier attribute). DetermineMdThresholds pins ϕ[Y] to equality
-// and finds the X thresholds with the maximum expected utility; we then
+// identifier attribute). DetermineMdThresholds (core/determiner.h) runs
+// the determination with ϕ[Y] pinned to equality and finds the X
+// thresholds with the maximum expected utility; we then
 // score the implied duplicate detection against the generator's entity
 // ids.
 //
@@ -13,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/special_cases.h"
+#include "core/determiner.h"
 #include "data/generators.h"
 #include "detect/detection_eval.h"
 #include "matching/builder.h"
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  dd::SpecialCaseOptions options;
+  // Only top_l, the provider and the prior settings apply to an MD run.
+  dd::DetermineOptions options;
   options.top_l = 5;
   auto md = dd::DetermineMdThresholds(*matching, rule, options);
   if (!md.ok()) {

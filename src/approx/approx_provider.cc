@@ -10,6 +10,9 @@ namespace dd::approx {
 
 namespace {
 
+// Two-sided critical value of every Wilson interval (95%).
+constexpr double kZ = 1.959963984540054;
+
 // Inner provider over one stratum: O(1) grid when the lattice fits,
 // else the bitmap-index scan (both exact — the approximation lives entirely
 // in the stratum weights, never in the inner counts).
@@ -26,7 +29,7 @@ Result<std::unique_ptr<MeasureProvider>> MakeInnerProvider(
 }  // namespace
 
 Result<std::unique_ptr<ApproxMeasureProvider>> ApproxMeasureProvider::Create(
-    const SampledMatchingBuilder& sample, const RuleSpec& rule, double z) {
+    const SampledMatchingBuilder& sample, const RuleSpec& rule) {
   // Both strata share one attribute list, so one resolution serves both.
   DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(sample.near(), rule));
 
@@ -40,7 +43,6 @@ Result<std::unique_ptr<ApproxMeasureProvider>> ApproxMeasureProvider::Create(
   provider->tail_population_ = sample.tail_population();
   provider->tail_sampled_ = sample.tail_sampled();
   provider->exhaustive_ = sample.exhaustive();
-  provider->z_ = z;
   provider->weight_ =
       provider->tail_sampled_ == 0
           ? 0.0
@@ -71,7 +73,7 @@ Interval ApproxMeasureProvider::CountInterval(std::uint64_t near_count,
     return {exact, exact};
   }
   const Interval p =
-      WilsonInterval(tail_count, tail_sampled_, z_, tail_population_);
+      WilsonInterval(tail_count, tail_sampled_, kZ, tail_population_);
   const double near = static_cast<double>(near_count);
   const double population = static_cast<double>(tail_population_);
   return {near + p.lo * population, near + p.hi * population};
@@ -114,7 +116,6 @@ std::unique_ptr<MeasureProvider> ApproxMeasureProvider::CloneForThread() const {
   clone->tail_population_ = tail_population_;
   clone->tail_sampled_ = tail_sampled_;
   clone->weight_ = weight_;
-  clone->z_ = z_;
   clone->exhaustive_ = exhaustive_;
   return clone;
 }

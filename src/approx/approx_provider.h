@@ -38,10 +38,9 @@ class ApproxMeasureProvider : public MeasureProvider {
   // "scan" when the lattice exceeds the grid cell bound) for
   // `rule` over the sample's two strata. The sample must outlive the
   // provider and not grow while it is alive (refine.h builds a fresh
-  // provider per round).
+  // provider per round). Every interval is a 95% Wilson interval.
   static Result<std::unique_ptr<ApproxMeasureProvider>> Create(
-      const SampledMatchingBuilder& sample, const RuleSpec& rule,
-      double z);
+      const SampledMatchingBuilder& sample, const RuleSpec& rule);
 
   std::uint64_t total() const override { return total_pairs_; }
   void SetLhs(const Levels& lhs) override;
@@ -84,7 +83,6 @@ class ApproxMeasureProvider : public MeasureProvider {
   std::uint64_t tail_population_ = 0;
   std::uint64_t tail_sampled_ = 0;
   double weight_ = 1.0;
-  double z_ = 1.959963984540054;
   bool exhaustive_ = false;
   Levels current_lhs_;
   std::uint64_t lhs_count_ = 0;

@@ -18,6 +18,15 @@ namespace dd::approx {
 
 namespace {
 
+constexpr std::size_t kBands = 8;     // minhash bands per attribute
+constexpr std::size_t kBandRows = 2;  // hash rows per band
+constexpr std::size_t kMaxBucket = 64;     // skip buckets with more values
+constexpr std::size_t kNumericWindow = 8;  // sorted-neighbor window
+// Global cap on surfaced near pairs: the sorted candidate list is
+// truncated to this prefix (overflow counted in LshStats::dropped).
+constexpr std::uint64_t kMaxCandidates = std::uint64_t{1} << 21;
+constexpr std::uint64_t kHashSeed = 0x9e3779b97f4a7c15ull;
+
 // splitmix64 finalizer: the seeded mixing primitive behind every hash
 // here. Fixed constants — blocking output is part of the deterministic
 // build contract.
@@ -88,19 +97,18 @@ std::uint64_t EncodeVidPair(std::uint32_t a, std::uint32_t b) {
 
 std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
                                             const ResolvedMetrics& resolved,
-                                            const LshOptions& options,
                                             LshStats* stats) {
   std::vector<std::uint64_t> out;
   LshStats local;
   const std::uint64_t n = relation.num_rows();
-  if (!options.enabled || n < 2) {
+  if (n < 2) {
     if (stats != nullptr) *stats = local;
     return out;
   }
   // Pre-dedup expansion budget: the surfaced set is capped at
-  // max_candidates AFTER global dedup, so collecting a small multiple
+  // kMaxCandidates AFTER global dedup, so collecting a small multiple
   // bounds peak memory without biasing what survives the final cut.
-  const std::uint64_t expansion_budget = options.max_candidates * 2;
+  const std::uint64_t expansion_budget = kMaxCandidates * 2;
 
   const std::vector<std::uint32_t> rows = AllRows(n);
   for (std::size_t a = 0; a < resolved.num_attributes(); ++a) {
@@ -129,7 +137,7 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
       std::sort(parsed.begin(), parsed.end());
       for (std::size_t i = 0; i < parsed.size(); ++i) {
         const std::size_t hi =
-            std::min(parsed.size(), i + 1 + options.numeric_window);
+            std::min(parsed.size(), i + 1 + kNumericWindow);
         for (std::size_t w = i + 1; w < hi; ++w) {
           vid_pairs.push_back(
               EncodeVidPair(parsed[i].second, parsed[w].second));
@@ -141,9 +149,9 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
       // values still collide); bucket width is the raw distance cap —
       // pairs further apart in length than the cap saturate at dmax
       // anyway.
-      const std::size_t num_hashes = options.bands * options.band_rows;
+      const std::size_t num_hashes = kBands * kBandRows;
       const std::uint64_t attr_seed =
-          Mix(options.hash_seed ^ (0xa11ce5ull + a));
+          Mix(kHashSeed ^ (0xa11ce5ull + a));
       std::size_t length_bucket_width = 1;
       if (family == BlockingFamily::kEdit) {
         const double cap =
@@ -170,10 +178,10 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
           QGramFeatures(*index.values[v], q, attr_seed, &features);
         }
         MinhashSignature(features, num_hashes, attr_seed, &sig);
-        for (std::size_t band = 0; band < options.bands; ++band) {
+        for (std::size_t band = 0; band < kBands; ++band) {
           std::uint64_t key = Mix(attr_seed ^ (band + 1));
-          for (std::size_t r = 0; r < options.band_rows; ++r) {
-            key = Mix(key ^ sig[band * options.band_rows + r]);
+          for (std::size_t r = 0; r < kBandRows; ++r) {
+            key = Mix(key ^ sig[band * kBandRows + r]);
           }
           if (family == BlockingFamily::kEdit) {
             const std::uint64_t lb = index.values[v]->size() / length_bucket_width;
@@ -189,7 +197,7 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
       for (const auto& [key, vids] : buckets) {
         (void)key;
         if (vids.size() < 2) continue;
-        if (vids.size() > options.max_bucket) {
+        if (vids.size() > kMaxBucket) {
           ++local.skipped_buckets;
           continue;
         }
@@ -251,9 +259,9 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   local.candidate_pairs = out.size();
-  if (out.size() > options.max_candidates) {
-    local.dropped += out.size() - options.max_candidates;
-    out.resize(options.max_candidates);
+  if (out.size() > kMaxCandidates) {
+    local.dropped += out.size() - kMaxCandidates;
+    out.resize(kMaxCandidates);
   }
   if (stats != nullptr) *stats = local;
   return out;

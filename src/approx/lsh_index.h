@@ -19,8 +19,8 @@
 //                 bounds edit distance, so distant length buckets can
 //                 never be near); adjacent buckets are bridged by
 //                 emitting each value into its own and the next bucket.
-//  * kNumeric   — sort distinct values, pair each with its `window`
-//                 nearest neighbors.
+//  * kNumeric   — sort distinct values, pair each with its
+//                 kNumericWindow nearest neighbors.
 //  * kNone      — the attribute contributes no candidates.
 //
 // Everything operates on distinct values (matching/value_cache.h
@@ -40,30 +40,18 @@
 
 namespace dd::approx {
 
-struct LshOptions {
-  bool enabled = true;
-  std::size_t bands = 8;       // minhash bands per attribute
-  std::size_t band_rows = 2;   // hash rows per band (bands*band_rows sigs)
-  std::size_t max_bucket = 64;      // skip buckets with more distinct values
-  std::size_t numeric_window = 8;   // sorted-neighbor window (kNumeric)
-  // Global cap on surfaced near pairs: the sorted candidate list is
-  // truncated to this prefix (overflow counted in LshStats::dropped).
-  std::uint64_t max_candidates = std::uint64_t{1} << 21;
-  std::uint64_t hash_seed = 0x9e3779b97f4a7c15ull;
-};
-
 struct LshStats {
   std::uint64_t candidate_pairs = 0;  // surfaced (post-dedup, pre-cap)
-  std::uint64_t dropped = 0;          // cut by max_candidates / expansion cap
-  std::uint64_t skipped_buckets = 0;  // buckets over max_bucket
+  std::uint64_t dropped = 0;          // cut by the pair cap / expansion cap
+  std::uint64_t skipped_buckets = 0;  // buckets over the bucket cap
 };
 
 // Collects candidate near row pairs across all attributes of
 // `resolved`, as sorted unique triangular indices over
-// relation.num_rows() rows. `stats` may be null.
+// relation.num_rows() rows. The banding shape, the caps and the hash
+// seed are fixed constants of lsh_index.cc. `stats` may be null.
 std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
                                             const ResolvedMetrics& resolved,
-                                            const LshOptions& options,
                                             LshStats* stats);
 
 }  // namespace dd::approx

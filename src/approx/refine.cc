@@ -17,6 +17,9 @@ namespace dd::approx {
 
 namespace {
 
+// Geometric growth factor of the tail sample between rounds.
+constexpr double kGrowth = 2.0;
+
 PatternIntervals ComputeIntervals(ApproxMeasureProvider* provider,
                                   const DeterminedPattern& determined,
                                   const UtilityOptions& utility) {
@@ -74,7 +77,7 @@ Result<ApproxDetermineResult> RunRound(const SampledMatchingBuilder& sample,
                                        std::size_t search_l) {
   DD_ASSIGN_OR_RETURN(
       std::unique_ptr<ApproxMeasureProvider> provider,
-      ApproxMeasureProvider::Create(sample, rule, options.approx.z));
+      ApproxMeasureProvider::Create(sample, rule));
 
   DetermineOptions determine = options.determine;
   determine.top_l = search_l;
@@ -199,7 +202,7 @@ Result<ApproxDetermineResult> ApproxDetermineThresholds(
     const std::uint64_t target = static_cast<std::uint64_t>(
         std::ceil(static_cast<double>(std::max<std::uint64_t>(
                       sample->tail_sampled(), 1)) *
-                  options.approx.growth));
+                  kGrowth));
     sample->GrowTo(std::max(target, sample->tail_sampled() + 1));
   }
   Truncate(&result, top_l);

@@ -34,9 +34,9 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
       matching.threads == 0 ? DefaultThreads() : matching.threads;
 
   std::vector<std::uint64_t> near_ks;
-  if (approx.lsh.enabled) {
+  if (approx.blocking) {
     obs::TraceSpan lsh_span("approx_lsh");
-    near_ks = CollectNearPairs(relation, *builder->resolved_, approx.lsh,
+    near_ks = CollectNearPairs(relation, *builder->resolved_,
                                &builder->lsh_stats_);
   }
 

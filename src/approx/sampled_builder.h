@@ -51,15 +51,13 @@ struct ApproxOptions {
   // which governs the exact builder's plain max_pairs sampling).
   std::uint64_t seed = 7;
 
-  // Geometric growth factor and round cap of the refinement driver.
-  double growth = 2.0;
+  // Round cap of the refinement driver, which doubles the tail sample
+  // each round (refine.cc).
   std::size_t max_rounds = 6;
 
-  // Two-sided critical value for every Wilson interval (1.96 ≈ 95%).
-  double z = 1.959963984540054;
-
-  // Near-stratum blocking; disabled means pure uniform sampling.
-  LshOptions lsh;
+  // Near-stratum LSH blocking (lsh_index.h); false means pure uniform
+  // sampling.
+  bool blocking = true;
 };
 
 class SampledMatchingBuilder {

@@ -94,35 +94,40 @@ struct PoolTask {
   std::condition_variable cv;
 };
 
-void ExecuteChunk(PoolTask& task, std::size_t c, bool caller) {
-  const std::size_t begin = c * task.per_chunk;
-  const std::size_t end = std::min(task.count, begin + task.per_chunk);
+// Runs fn over chunk `c` = [begin, end) with the bookkeeping every
+// chunk shares, pooled or inline: t_in_chunk for the duration, the
+// heartbeat and t_phase around a top-level chunk only (a nested chunk
+// runs inside its enclosing one and leaves both alone), and, when
+// `observer` is set, the timed chunk event. No clock is read without
+// an observer.
+void RunChunk(
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
+    const char* phase, std::uint64_t invocation, PoolObserver* observer,
+    std::size_t c, std::size_t begin, std::size_t end, bool caller) {
+  PoolChunkEvent event{phase, invocation, c, begin, end, 0, 0, caller};
   const bool was_in_chunk = t_in_chunk;
   t_in_chunk = true;
   if (!was_in_chunk) {
     PoolHeartbeat(/*begin=*/true);
-    t_phase = task.phase;
+    t_phase = phase;
   }
-  if (task.observer != nullptr) {
-    PoolChunkEvent event;
-    event.phase = task.phase;
-    event.invocation = task.invocation;
-    event.chunk = c;
-    event.begin = begin;
-    event.end = end;
-    event.caller = caller;
-    event.start_ns = NowNs();
-    (*task.fn)(c, begin, end);
+  if (observer != nullptr) event.start_ns = NowNs();
+  fn(c, begin, end);
+  if (observer != nullptr) {
     event.end_ns = NowNs();
-    task.observer->OnChunk(event);
-  } else {
-    (*task.fn)(c, begin, end);
+    observer->OnChunk(event);
   }
   if (!was_in_chunk) {
     t_phase = nullptr;
     PoolHeartbeat(/*begin=*/false);
   }
   t_in_chunk = was_in_chunk;
+}
+
+void ExecuteChunk(PoolTask& task, std::size_t c, bool caller) {
+  const std::size_t begin = c * task.per_chunk;
+  RunChunk(*task.fn, task.phase, task.invocation, task.observer, c, begin,
+           std::min(task.count, begin + task.per_chunk), caller);
   if (task.done.fetch_add(1, std::memory_order_acq_rel) + 1 == task.chunks) {
     // Synchronize with the caller's wait; the lock pairs the final
     // increment with the predicate re-check.
@@ -254,88 +259,46 @@ void ParallelFor(const char* phase, std::size_t count, std::size_t threads,
   // enclosing chunk's event.
   PoolObserver* const observer =
       nested ? nullptr : g_pool_observer.load(std::memory_order_acquire);
-  if (chunks == 1) {
-    if (observer != nullptr) {
-      PoolChunkEvent event;
-      event.phase = phase;
-      event.invocation = g_invocation_seq.fetch_add(1, std::memory_order_relaxed);
-      event.chunk = 0;
-      event.begin = 0;
-      event.end = count;
-      event.caller = true;
-      event.start_ns = NowNs();
-      t_in_chunk = true;
-      PoolHeartbeat(/*begin=*/true);
-      t_phase = phase;
-      fn(0, 0, count);
-      t_phase = nullptr;
-      PoolHeartbeat(/*begin=*/false);
-      t_in_chunk = false;
-      event.end_ns = NowNs();
-      observer->OnChunk(event);
-      PoolInvocationEvent inv;
-      inv.phase = phase;
-      inv.invocation = event.invocation;
-      inv.count = count;
-      inv.chunks = 1;
-      inv.threads = threads;
-      inv.start_ns = event.start_ns;
-      inv.end_ns = event.end_ns;
-      observer->OnInvocation(inv);
-      return;
-    }
-    const bool was_in_chunk = t_in_chunk;
-    t_in_chunk = true;
-    if (!was_in_chunk) {
-      PoolHeartbeat(/*begin=*/true);
-      t_phase = phase;
-    }
-    fn(0, 0, count);
-    if (!was_in_chunk) {
-      t_phase = nullptr;
-      PoolHeartbeat(/*begin=*/false);
-    }
-    t_in_chunk = was_in_chunk;
-    return;
-  }
-  auto task = std::make_shared<PoolTask>();
-  task->fn = &fn;
-  task->count = count;
-  task->per_chunk = (count + chunks - 1) / chunks;
-  // Round the chunk count down to the non-empty ones so completion
-  // tracking matches the chunks that actually run.
-  task->chunks = (count + task->per_chunk - 1) / task->per_chunk;
-  task->phase = phase;
-  task->observer = observer;
+  const std::uint64_t invocation =
+      observer != nullptr
+          ? g_invocation_seq.fetch_add(1, std::memory_order_relaxed)
+          : 0;
   const std::uint64_t start_ns = observer != nullptr ? NowNs() : 0;
-  if (observer != nullptr) {
-    task->invocation = g_invocation_seq.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!g_pool_alive.load(std::memory_order_acquire)) {
-    // First use starts the pool; a call after static destruction runs
-    // the chunks inline instead.
-    static std::atomic<bool> ever_started{false};
-    if (ever_started.load(std::memory_order_acquire)) {
-      for (std::size_t c = 0; c < task->chunks; ++c) {
-        ExecuteChunk(*task, c, /*caller=*/true);
+  if (chunks == 1) {
+    RunChunk(fn, phase, invocation, observer, 0, 0, count, /*caller=*/true);
+  } else {
+    auto task = std::make_shared<PoolTask>();
+    task->fn = &fn;
+    task->count = count;
+    task->per_chunk = (count + chunks - 1) / chunks;
+    // Round the chunk count down to the non-empty ones so completion
+    // tracking matches the chunks that actually run.
+    task->chunks = (count + task->per_chunk - 1) / task->per_chunk;
+    chunks = task->chunks;
+    task->phase = phase;
+    task->invocation = invocation;
+    task->observer = observer;
+    if (!g_pool_alive.load(std::memory_order_acquire)) {
+      // First use starts the pool; a call after static destruction runs
+      // the chunks inline instead.
+      static std::atomic<bool> ever_started{false};
+      if (ever_started.load(std::memory_order_acquire)) {
+        for (std::size_t c = 0; c < task->chunks; ++c) {
+          ExecuteChunk(*task, c, /*caller=*/true);
+        }
+      } else {
+        ever_started.store(true, std::memory_order_release);
+        Pool().Run(task);
       }
     } else {
-      ever_started.store(true, std::memory_order_release);
       Pool().Run(task);
     }
-  } else {
-    Pool().Run(task);
   }
+  // Top-level inline runs are reported too, so the event stream has the
+  // same shape at any thread count.
   if (observer != nullptr) {
-    PoolInvocationEvent inv;
-    inv.phase = phase;
-    inv.invocation = task->invocation;
-    inv.count = count;
-    inv.chunks = task->chunks;
-    inv.threads = threads;
-    inv.start_ns = start_ns;
-    inv.end_ns = NowNs();
-    observer->OnInvocation(inv);
+    observer->OnInvocation(
+        {phase, invocation, count, chunks, threads, start_ns, NowNs()});
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "core/candidate_lattice.h"
+#include "core/top_l.h"
 #include "obs/explain/recorder.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -14,65 +15,54 @@ namespace dd {
 
 namespace {
 
-// Min-heap on utility keeping the l best determined patterns.
-class TopPatterns {
- public:
-  explicit TopPatterns(std::size_t l) : l_(l) {}
-
-  bool Full() const { return heap_.size() == l_; }
-
-  // The current l-th best (only meaningful when Full()).
-  const DeterminedPattern& Min() const { return heap_.front(); }
-
-  void Offer(DeterminedPattern p) {
-    if (heap_.size() < l_) {
-      heap_.push_back(std::move(p));
-      std::push_heap(heap_.begin(), heap_.end(), MinHeapCmp);
-      return;
-    }
-    if (p.utility <= heap_.front().utility) return;
-    std::pop_heap(heap_.begin(), heap_.end(), MinHeapCmp);
-    heap_.back() = std::move(p);
-    std::push_heap(heap_.begin(), heap_.end(), MinHeapCmp);
-  }
-
-  std::vector<DeterminedPattern> Sorted() && {
-    std::sort(heap_.begin(), heap_.end(),
-              [](const DeterminedPattern& a, const DeterminedPattern& b) {
-                return a.utility > b.utility;
-              });
-    return std::move(heap_);
-  }
-
- private:
-  static bool MinHeapCmp(const DeterminedPattern& a,
-                         const DeterminedPattern& b) {
-    return a.utility > b.utility;
-  }
-  std::size_t l_;
-  std::vector<DeterminedPattern> heap_;
-};
-
-// One clone per ParallelFor chunk, or empty when the provider cannot
+// One clone per ParallelFor chunk, or none when the provider cannot
 // clone (the caller then falls back to the sequential path).
 std::vector<std::unique_ptr<MeasureProvider>> MakeClones(
-    const MeasureProvider& provider, std::size_t count, std::size_t threads) {
-  std::vector<std::unique_ptr<MeasureProvider>> clones;
-  const std::size_t chunks = EffectiveChunks(count, threads);
-  if (chunks <= 1) return clones;
-  clones.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    auto clone = provider.CloneForThread();
-    if (clone == nullptr) {
-      clones.clear();
-      return clones;
-    }
-    clones.push_back(std::move(clone));
+    const MeasureProvider& provider, std::size_t chunks) {
+  std::vector<std::unique_ptr<MeasureProvider>> clones(chunks);
+  for (auto& clone : clones) {
+    clone = provider.CloneForThread();
+    if (clone == nullptr) return {};
   }
   return clones;
 }
 
 }  // namespace
+
+DeterminedPattern MakeDeterminedPattern(Levels lhs, Levels rhs,
+                                        std::uint64_t total,
+                                        std::uint64_t lhs_count,
+                                        std::uint64_t xy_count, int dmax,
+                                        const UtilityOptions& utility) {
+  DeterminedPattern p;
+  p.pattern.lhs = std::move(lhs);
+  p.pattern.rhs = std::move(rhs);
+  p.measures =
+      MeasuresFromCounts(total, lhs_count, xy_count, p.pattern.rhs, dmax);
+  p.utility = ExpectedUtility(total, lhs_count, p.measures.confidence,
+                              p.measures.quality, utility);
+  return p;
+}
+
+std::vector<DeterminedPattern> DetermineForLhs(MeasureProvider* provider,
+                                               const Levels& lhs,
+                                               std::size_t rhs_dims, int dmax,
+                                               double bound,
+                                               const PaOptions& options,
+                                               const UtilityOptions& utility,
+                                               PaStats* stats) {
+  const std::uint64_t n = provider->lhs_count();
+  std::vector<RhsCandidate> best =
+      FindBestRhs(provider, rhs_dims, dmax, bound, options, stats);
+  std::vector<DeterminedPattern> patterns;
+  patterns.reserve(best.size());
+  for (RhsCandidate& c : best) {
+    patterns.push_back(MakeDeterminedPattern(lhs, std::move(c.rhs),
+                                             provider->total(), n, c.xy_count,
+                                             dmax, utility));
+  }
+  return patterns;
+}
 
 std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                                                      std::size_t lhs_dims,
@@ -109,13 +99,26 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                      });
   }
 
-  const std::uint64_t total = provider->total();
-  TopPatterns top(options.top_l);
+  TopL<DeterminedPattern, &DeterminedPattern::utility> top(options.top_l);
   PaOptions pa_options = options.pa;
   pa_options.top_l = options.top_l;
 
-  std::size_t lhs_evaluated = 0;
-  PaStats pa_stats;
+  // Stats contract: accumulate into *stats, never reset (see da.h).
+  DaStats unused;
+  DaStats& acc = stats != nullptr ? *stats : unused;
+  acc.lhs_total += lhs_lattice.size();
+
+  // One LHS's answers and search stats, merged in LHS processing order:
+  // the one place answers reach the utility heap and DaStats grows.
+  struct LhsOutcome {
+    std::vector<DeterminedPattern> patterns;
+    PaStats pa;
+  };
+  auto merge = [&](LhsOutcome& out) {
+    ++acc.lhs_evaluated;
+    acc.rhs.Add(out.pa);
+    for (DeterminedPattern& p : out.patterns) top.Offer(std::move(p));
+  };
 
   // Parallel DA (DESIGN.md §12): with advanced_bound off, every per-LHS
   // search runs with initial bound 0 and a fresh per-call top-l heap —
@@ -128,54 +131,24 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
   if (threads > 1 && !options.advanced_bound && rec == nullptr &&
       !InParallelChunk() && lhs_order.size() > 1) {
     std::vector<std::unique_ptr<MeasureProvider>> clones =
-        MakeClones(*provider, lhs_order.size(), threads);
+        MakeClones(*provider, EffectiveChunks(lhs_order.size(), threads));
     if (!clones.empty()) {
-      pa_options.initial_bound_advanced = false;  // bound is always 0 here
-      struct LhsOutcome {
-        std::uint64_t n = 0;
-        std::vector<RhsCandidate> best;
-        PaStats pa;
-      };
       std::vector<LhsOutcome> outcomes(lhs_order.size());
       ParallelFor("da.lhs_search", lhs_order.size(), threads,
                   [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                     MeasureProvider* p = clones[chunk].get();
                     for (std::size_t pos = begin; pos < end; ++pos) {
                       obs::TraceSpan lhs_span("lhs_search");
-                      LhsOutcome& out = outcomes[pos];
-                      p->SetLhs(lhs_lattice.LevelsOf(lhs_order[pos]));
-                      out.n = p->lhs_count();
-                      out.best = FindBestRhs(p, rhs_dims, dmax, /*bound=*/0.0,
-                                             pa_options, &out.pa);
+                      const Levels lhs = lhs_lattice.LevelsOf(lhs_order[pos]);
+                      p->SetLhs(lhs);
+                      outcomes[pos].patterns =
+                          DetermineForLhs(p, lhs, rhs_dims, dmax, /*bound=*/0.0,
+                                          pa_options, options.utility,
+                                          &outcomes[pos].pa);
                     }
                   });
-      // Deterministic merge in sequential LHS order.
-      for (std::size_t pos = 0; pos < lhs_order.size(); ++pos) {
-        LhsOutcome& out = outcomes[pos];
-        ++lhs_evaluated;
-        pa_stats.lattice_size += out.pa.lattice_size;
-        pa_stats.evaluated += out.pa.evaluated;
-        pa_stats.pruned += out.pa.pruned;
-        const Levels lhs = lhs_lattice.LevelsOf(lhs_order[pos]);
-        for (RhsCandidate& c : out.best) {
-          DeterminedPattern p;
-          p.pattern.lhs = lhs;
-          p.pattern.rhs = std::move(c.rhs);
-          p.measures = MeasuresFromCounts(total, out.n, c.xy_count,
-                                          p.pattern.rhs, dmax);
-          p.utility = ExpectedUtility(total, out.n, p.measures.confidence,
-                                      p.measures.quality, options.utility);
-          top.Offer(std::move(p));
-        }
-      }
+      for (LhsOutcome& out : outcomes) merge(out);
       for (const auto& clone : clones) provider->AddStats(clone->stats());
-      if (stats != nullptr) {
-        stats->lhs_total += lhs_lattice.size();
-        stats->lhs_evaluated += lhs_evaluated;
-        stats->rhs.lattice_size += pa_stats.lattice_size;
-        stats->rhs.evaluated += pa_stats.evaluated;
-        stats->rhs.pruned += pa_stats.pruned;
-      }
       return std::move(top).Sorted();
     }
   }
@@ -190,7 +163,6 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
       provider->SetLhs(lhs);
     }
     const std::uint64_t n = provider->lhs_count();
-    ++lhs_evaluated;
 
     double bound = 0.0;
     if (options.advanced_bound && top.Full() && n > 0) {
@@ -206,28 +178,11 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                << " advanced_bound=" << bound;
 
     pa_options.initial_bound_advanced = options.advanced_bound && bound > 0.0;
-    std::vector<RhsCandidate> best =
-        FindBestRhs(provider, rhs_dims, dmax, bound, pa_options, &pa_stats);
-    if (rec != nullptr && best.empty()) rec->NoteLhsBoundedOut();
-    for (RhsCandidate& c : best) {
-      DeterminedPattern p;
-      p.pattern.lhs = lhs;
-      p.pattern.rhs = std::move(c.rhs);
-      p.measures = MeasuresFromCounts(total, n, c.xy_count, p.pattern.rhs,
-                                      dmax);
-      p.utility = ExpectedUtility(total, n, p.measures.confidence,
-                                  p.measures.quality, options.utility);
-      top.Offer(std::move(p));
-    }
-  }
-
-  // Stats contract: accumulate into *stats, never reset (see da.h).
-  if (stats != nullptr) {
-    stats->lhs_total += lhs_lattice.size();
-    stats->lhs_evaluated += lhs_evaluated;
-    stats->rhs.lattice_size += pa_stats.lattice_size;
-    stats->rhs.evaluated += pa_stats.evaluated;
-    stats->rhs.pruned += pa_stats.pruned;
+    LhsOutcome out;
+    out.patterns = DetermineForLhs(provider, lhs, rhs_dims, dmax, bound,
+                                   pa_options, options.utility, &out.pa);
+    if (rec != nullptr && out.patterns.empty()) rec->NoteLhsBoundedOut();
+    merge(out);
   }
   return std::move(top).Sorted();
 }

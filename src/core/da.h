@@ -66,6 +66,28 @@ struct DaStats {
   }
 };
 
+// Assembles the determined pattern (lhs, rhs) from its counts over a
+// matching relation of `total` tuples: its measures and its expected
+// utility. Every determination path (DA, DAP, MFD, MD) builds its
+// answers here.
+DeterminedPattern MakeDeterminedPattern(Levels lhs, Levels rhs,
+                                        std::uint64_t total,
+                                        std::uint64_t lhs_count,
+                                        std::uint64_t xy_count, int dmax,
+                                        const UtilityOptions& utility);
+
+// The per-LHS step of DA, DAP and MFD: with the provider's ϕ[X] already
+// set to `lhs`, runs FindBestRhs from `bound` and returns its answers
+// as determined patterns, in FindBestRhs order (descending C·Q).
+// `stats` accumulates as in FindBestRhs.
+std::vector<DeterminedPattern> DetermineForLhs(MeasureProvider* provider,
+                                               const Levels& lhs,
+                                               std::size_t rhs_dims, int dmax,
+                                               double bound,
+                                               const PaOptions& options,
+                                               const UtilityOptions& utility,
+                                               PaStats* stats);
+
 // Runs the full determination over C_X × C_Y. `top_l` must match
 // options.pa.top_l for consistent bounds (the facade enforces this).
 // Results are sorted by descending utility; fewer than top_l entries are

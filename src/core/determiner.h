@@ -3,6 +3,20 @@
 // the utility prior from the data, and run the configured combination of
 // {DA, DAP} × {PA, PAP} with a processing order and answer size l —
 // i.e. the full parameter-free threshold determination of the paper.
+//
+// The same driver runs the two special cases of DDs from the paper's
+// related work, each the search with one side pinned to equality:
+//
+//  * Metric functional dependencies (MFDs, Koudas et al. ICDE 2009):
+//    equality on the determinant side X, metric thresholds on the
+//    dependent side Y. Determination fixes ϕ[X] = <0,...,0> and searches
+//    C_Y only — "the threshold determination techniques proposed in
+//    this study can be directly applied to MFDs".
+//
+//  * Matching dependencies (MDs, Fan et al. PVLDB 2009; discovery in
+//    Song & Chen CIKM 2009): metric thresholds on X with (near-)
+//    identification on Y. Determination fixes ϕ[Y] = <0,...,0> and
+//    searches C_X for the thresholds with the maximum expected utility.
 
 #ifndef DD_CORE_DETERMINER_H_
 #define DD_CORE_DETERMINER_H_
@@ -58,18 +72,26 @@ struct DetermineResult {
   double elapsed_seconds = 0.0;
 };
 
-// Publishes a finished run's search statistics into the global
-// obs::MetricsRegistry (counters "determine.*" / "provider.*" and the
-// "determine.pruning_rate" gauge). Called by the determination facades;
-// exposed for custom pipelines that drive DetermineBestPatterns
-// directly.
-void PublishDetermineMetrics(const DaStats& stats,
-                             const ProviderStats& provider_stats);
-
 // Runs the determination. Fails on unresolvable rules or providers.
 Result<DetermineResult> DetermineThresholds(const MatchingRelation& matching,
                                             const RuleSpec& rule,
                                             const DetermineOptions& options);
+
+// MFD determination: ϕ[X] is pinned to equality and one PA/PAP pass
+// (options.rhs_algorithm, options.order) searches C_Y. Returns up to
+// top_l patterns in that pass's order (descending C·Q, hence descending
+// utility). options.lhs_algorithm and options.threads do not apply.
+Result<DetermineResult> DetermineMfdThresholds(const MatchingRelation& matching,
+                                               const RuleSpec& rule,
+                                               const DetermineOptions& options);
+
+// MD determination: ϕ[Y] is pinned to equality (exact identification)
+// and every ϕ[X] of C_X is evaluated. Returns the top_l patterns by
+// expected utility, dropping those with utility <= 0. Only top_l,
+// provider and the prior/utility settings of `options` apply.
+Result<DetermineResult> DetermineMdThresholds(const MatchingRelation& matching,
+                                              const RuleSpec& rule,
+                                              const DetermineOptions& options);
 
 // The provider-agnostic core of DetermineThresholds: prior estimation,
 // stats reset, the DA/PA search, and metrics publication against an

@@ -113,8 +113,8 @@ class MeasureProvider {
   // stats ACCUMULATE across every SetLhs/CountXY call for the provider's
   // lifetime and are never reset implicitly. Callers that want a
   // specific window call ResetStats() at its start — the determination
-  // facades (determiner.cc, special_cases.cc) reset after prior
-  // estimation so reported stats cover search work only.
+  // facade (determiner.cc) resets after prior estimation so reported
+  // stats cover search work only.
   const ProviderStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ProviderStats{}; }
 

@@ -1,9 +1,11 @@
 #include "core/pa.h"
 
-#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <utility>
 
 #include "common/logging.h"
+#include "core/top_l.h"
 #include "obs/explain/recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,47 +13,6 @@
 namespace dd {
 
 namespace {
-
-// Min-heap on cq keeping the l best candidates seen so far.
-struct TopL {
-  explicit TopL(std::size_t l) : l_(l) {}
-
-  // The current pruning bound: the l-th largest C·Q once l candidates
-  // are held, otherwise the caller's initial bound.
-  double Bound(double initial_bound) const {
-    return heap_.size() == l_ ? heap_.front().cq : initial_bound;
-  }
-
-  bool Full() const { return heap_.size() == l_; }
-
-  void Offer(RhsCandidate candidate) {
-    if (heap_.size() < l_) {
-      heap_.push_back(std::move(candidate));
-      std::push_heap(heap_.begin(), heap_.end(), cmp_);
-      return;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), cmp_);
-    heap_.back() = std::move(candidate);
-    std::push_heap(heap_.begin(), heap_.end(), cmp_);
-  }
-
-  std::vector<RhsCandidate> Sorted() && {
-    std::sort(heap_.begin(), heap_.end(),
-              [](const RhsCandidate& a, const RhsCandidate& b) {
-                return a.cq > b.cq;
-              });
-    return std::move(heap_);
-  }
-
- private:
-  // std::push_heap with this comparator builds a min-heap on cq.
-  static bool MinHeapCmp(const RhsCandidate& a, const RhsCandidate& b) {
-    return a.cq > b.cq;
-  }
-  bool (*cmp_)(const RhsCandidate&, const RhsCandidate&) = MinHeapCmp;
-  std::size_t l_;
-  std::vector<RhsCandidate> heap_;
-};
 
 RhsCandidate Evaluate(MeasureProvider* provider, Levels rhs, int dmax) {
   RhsCandidate c;
@@ -85,7 +46,10 @@ std::vector<RhsCandidate> FindBestRhs(MeasureProvider* provider,
   CandidateLattice lattice(rhs_dims, dmax);
   const std::vector<std::uint32_t> order =
       CandidateLattice::MakeOrder(rhs_dims, dmax, options.order);
-  TopL top(options.top_l);
+  TopL<RhsCandidate, &RhsCandidate::cq> top(options.top_l);
+  // The current pruning bound Vmax: the l-th largest C·Q once l
+  // candidates are held, otherwise the caller's initial bound.
+  auto bound = [&] { return top.Full() ? top.Min().cq : initial_bound; };
   const Levels all_dmax(rhs_dims, dmax);
   std::size_t evaluated = 0;
 
@@ -102,98 +66,67 @@ std::vector<RhsCandidate> FindBestRhs(MeasureProvider* provider,
                             options.initial_bound_advanced);
   }
 
-  if (!options.prune) {
-    // Algorithm 1 (PA): one pass over the entire C_Y.
-    for (std::uint32_t idx : order) {
-      const bool timed = rec != nullptr && rec->WillSampleNextEvent();
-      std::chrono::steady_clock::time_point t0;
-      if (timed) t0 = std::chrono::steady_clock::now();
-      RhsCandidate c = Evaluate(provider, lattice.LevelsOf(idx), dmax);
-      ++evaluated;
-      const bool offered = c.cq > top.Bound(initial_bound);
-      if (rec != nullptr) {
-        const double eval_ns =
-            timed ? std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()
-                  : 0.0;
-        rec->RecordEvaluated(
-            lhs_seq, idx, static_cast<std::uint32_t>(evaluated - 1),
-            c.xy_count, c.confidence, c.quality, c.cq,
-            top.Bound(initial_bound),
-            BoundKindNow(top.Full(), options.initial_bound_advanced), offered,
-            eval_ns);
-      }
-      if (offered) top.Offer(std::move(c));
-    }
-  } else {
-    // Algorithm 2 (PAP).
-    for (std::uint32_t idx : order) {
+  // One loop for both algorithms: Algorithm 1 (PA) evaluates every
+  // candidate; Algorithm 2 (PAP) also skips the cells pruned so far and
+  // applies the S0/S1 prunes after each evaluation.
+  for (std::uint32_t idx : order) {
+    if (options.prune) {
       if (!lattice.IsAlive(idx)) continue;  // Pruned by S0/S1 earlier.
-      const bool timed = rec != nullptr && rec->WillSampleNextEvent();
-      std::chrono::steady_clock::time_point t0;
-      if (timed) t0 = std::chrono::steady_clock::now();
-      RhsCandidate c = Evaluate(provider, lattice.LevelsOf(idx), dmax);
-      ++evaluated;
       lattice.Kill(idx);  // Processed; Prune below must not double-count.
-      const double vmax_before = top.Bound(initial_bound);
-      const bool offered = c.cq > vmax_before;
-      const std::uint32_t rank = static_cast<std::uint32_t>(evaluated - 1);
-      if (rec != nullptr) {
-        const double eval_ns =
-            timed ? std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()
-                  : 0.0;
-        rec->RecordEvaluated(
-            lhs_seq, idx, rank, c.xy_count, c.confidence, c.quality, c.cq,
-            vmax_before,
-            BoundKindNow(top.Full(), options.initial_bound_advanced), offered,
-            eval_ns);
-      }
-      if (offered) top.Offer(c);
-      const double vmax = top.Bound(initial_bound);
-      const obs::ExplainBound bound_kind =
-          BoundKindNow(top.Full(), options.initial_bound_advanced);
-      if (vmax > 0.0) {
-        // S0 (Proposition 1): every candidate is dominated by the
-        // all-dmax pattern, so prune(ϕ0, Vmax) kills all with Q <= Vmax.
-        if (rec != nullptr) {
-          lattice.Prune(all_dmax, vmax, [&](std::size_t killed) {
-            rec->RecordPruned(lhs_seq, static_cast<std::uint32_t>(killed),
-                              rank, obs::ExplainOutcome::kPrunedS0, vmax,
-                              bound_kind);
-          });
-        } else {
-          lattice.Prune(all_dmax, vmax);
-        }
-        // S1 (Proposition 2): candidates dominated by the current ϕi
-        // with Q <= Vmax / C(ϕi) cannot beat Vmax. C(ϕi) == 0 prunes the
-        // whole dominated sub-box (their confidence is 0 too).
-        const double s1_quality =
-            c.confidence > 0.0 ? vmax / c.confidence : 1.0;
-        if (rec != nullptr) {
-          lattice.Prune(c.rhs, s1_quality, [&](std::size_t killed) {
-            rec->RecordPruned(lhs_seq, static_cast<std::uint32_t>(killed),
-                              rank, obs::ExplainOutcome::kPrunedS1, vmax,
-                              bound_kind);
-          });
-        } else {
-          lattice.Prune(c.rhs, s1_quality);
-        }
-      } else if (c.confidence == 0.0) {
-        // Everything dominated by a zero-confidence candidate has C = 0,
-        // hence C·Q = 0, and can never strictly exceed a bound >= 0.
-        if (rec != nullptr) {
-          lattice.Prune(c.rhs, 1.0, [&](std::size_t killed) {
-            rec->RecordPruned(lhs_seq, static_cast<std::uint32_t>(killed),
-                              rank, obs::ExplainOutcome::kPrunedZeroConf, 0.0,
-                              bound_kind);
-          });
-        } else {
-          lattice.Prune(c.rhs, 1.0);
-        }
-      }
+    }
+    const bool timed = rec != nullptr && rec->WillSampleNextEvent();
+    std::chrono::steady_clock::time_point t0;
+    if (timed) t0 = std::chrono::steady_clock::now();
+    RhsCandidate c = Evaluate(provider, lattice.LevelsOf(idx), dmax);
+    ++evaluated;
+    const double vmax_before = bound();
+    const bool offered = c.cq > vmax_before;
+    const std::uint32_t rank = static_cast<std::uint32_t>(evaluated - 1);
+    if (rec != nullptr) {
+      const double eval_ns =
+          timed ? std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count()
+                : 0.0;
+      rec->RecordEvaluated(
+          lhs_seq, idx, rank, c.xy_count, c.confidence, c.quality, c.cq,
+          vmax_before,
+          BoundKindNow(top.Full(), options.initial_bound_advanced), offered,
+          eval_ns);
+    }
+    if (offered) top.Offer(c);
+    if (!options.prune) continue;
+    const double vmax = bound();
+    const obs::ExplainBound bound_kind =
+        BoundKindNow(top.Full(), options.initial_bound_advanced);
+    // Attributes every cell a prune kills to that prune and to this
+    // candidate. Empty, so Prune does no per-cell work for it, unless a
+    // recording is active.
+    auto on_kill = [&](obs::ExplainOutcome outcome,
+                       double v) -> std::function<void(std::size_t)> {
+      if (rec == nullptr) return nullptr;
+      return [=](std::size_t killed) {
+        rec->RecordPruned(lhs_seq, static_cast<std::uint32_t>(killed), rank,
+                          outcome, v, bound_kind);
+      };
+    };
+    if (vmax > 0.0) {
+      // S0 (Proposition 1): every candidate is dominated by the
+      // all-dmax pattern, so prune(ϕ0, Vmax) kills all with Q <= Vmax.
+      lattice.Prune(all_dmax, vmax,
+                    on_kill(obs::ExplainOutcome::kPrunedS0, vmax));
+      // S1 (Proposition 2): candidates dominated by the current ϕi
+      // with Q <= Vmax / C(ϕi) cannot beat Vmax. C(ϕi) == 0 prunes the
+      // whole dominated sub-box (their confidence is 0 too).
+      const double s1_quality =
+          c.confidence > 0.0 ? vmax / c.confidence : 1.0;
+      lattice.Prune(c.rhs, s1_quality,
+                    on_kill(obs::ExplainOutcome::kPrunedS1, vmax));
+    } else if (c.confidence == 0.0) {
+      // Everything dominated by a zero-confidence candidate has C = 0,
+      // hence C·Q = 0, and can never strictly exceed a bound >= 0.
+      lattice.Prune(c.rhs, 1.0,
+                    on_kill(obs::ExplainOutcome::kPrunedZeroConf, 0.0));
     }
   }
 
@@ -201,9 +134,7 @@ std::vector<RhsCandidate> FindBestRhs(MeasureProvider* provider,
   // registry flush below is one relaxed add per FindBestRhs call (one
   // per evaluated LHS), far off the per-candidate hot path.
   if (stats != nullptr) {
-    stats->lattice_size += lattice.size();
-    stats->evaluated += evaluated;
-    stats->pruned += lattice.size() - evaluated;
+    stats->Add({lattice.size(), evaluated, lattice.size() - evaluated});
   }
   static obs::Histogram& evaluated_hist =
       obs::MetricsRegistry::Global().GetHistogram(

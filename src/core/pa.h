@@ -49,6 +49,13 @@ struct PaStats {
   std::size_t lattice_size = 0;  // |C_Y|
   std::size_t evaluated = 0;     // candidates whose C(ϕ) was computed
   std::size_t pruned = 0;        // candidates skipped (lattice_size - evaluated)
+
+  // Field-wise sum, the accumulation the stats contract below asks for.
+  void Add(const PaStats& other) {
+    lattice_size += other.lattice_size;
+    evaluated += other.evaluated;
+    pruned += other.pruned;
+  }
 };
 
 // Returns up to `top_l` candidates whose C·Q strictly exceeds

@@ -1,6 +1,6 @@
 // Determination EXPLAIN recorder (DESIGN.md §11): when enabled, the
 // determination algorithms (core/pa.cc, core/da.cc,
-// core/special_cases.cc) emit one decision event per lattice candidate
+// core/determiner.cc) emit one decision event per lattice candidate
 // — which candidate, its processing-order rank, whether it was
 // evaluated or bounded out, which bound fired, the measured C/Q
 // decomposition and the running best bound at the moment of the

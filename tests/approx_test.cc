@@ -186,10 +186,9 @@ TEST(LshIndexTest, FindsDuplicateHeavyPairsDeterministically) {
       cora.relation.schema(), {"author", "title", "venue"}, matching);
   ASSERT_TRUE(resolved.ok());
 
-  approx::LshOptions lsh;
   LshStats stats;
   const std::vector<std::uint64_t> pairs =
-      CollectNearPairs(cora.relation, *resolved, lsh, &stats);
+      CollectNearPairs(cora.relation, *resolved, &stats);
   EXPECT_FALSE(pairs.empty());
   EXPECT_TRUE(std::is_sorted(pairs.begin(), pairs.end()));
   EXPECT_TRUE(std::adjacent_find(pairs.begin(), pairs.end()) == pairs.end());
@@ -199,7 +198,7 @@ TEST(LshIndexTest, FindsDuplicateHeavyPairsDeterministically) {
 
   // Same inputs, same index — bit-for-bit.
   LshStats stats2;
-  EXPECT_EQ(CollectNearPairs(cora.relation, *resolved, lsh, &stats2), pairs);
+  EXPECT_EQ(CollectNearPairs(cora.relation, *resolved, &stats2), pairs);
 }
 
 TEST(SampledBuilderTest, RejectsLegacyPairCap) {
@@ -274,7 +273,7 @@ TEST(ApproxExactnessTest, FullFractionBitIdenticalToExactPipeline) {
       ApproxDetermineOptions options;
       options.determine = determine;
       options.approx.sample_target = total;  // fraction 1.0
-      options.approx.lsh.enabled = blocking;
+      options.approx.blocking = blocking;
       auto approx = ApproxDetermineThresholds(*w.relation, w.rule, matching,
                                               options);
       ASSERT_TRUE(approx.ok()) << w.name << " blocking=" << blocking;
@@ -397,12 +396,11 @@ TEST(ApproxCoverageTest, IntervalsCoverTrueCounts) {
       approx.sample_target =
           static_cast<std::uint64_t>(fraction * static_cast<double>(total));
       approx.seed = 1000 + seed;
-      approx.lsh.enabled = false;
+      approx.blocking = false;
       auto sample = SampledMatchingBuilder::Build(
           cora.relation, rule.AllAttributes(), matching, approx);
       ASSERT_TRUE(sample.ok());
-      auto provider = ApproxMeasureProvider::Create(
-          **sample, rule, /*z=*/1.959963984540054);
+      auto provider = ApproxMeasureProvider::Create(**sample, rule);
       ASSERT_TRUE(provider.ok());
       (*provider)->SetLhs(winner.lhs);
       const Interval lhs_iv = (*provider)->LhsCountInterval();

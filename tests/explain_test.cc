@@ -10,7 +10,6 @@
 
 #include "common/string_util.h"
 #include "core/determiner.h"
-#include "core/special_cases.h"
 #include "data/generators.h"
 #include "matching/builder.h"
 #include "obs/explain/audit.h"
@@ -336,7 +335,8 @@ TEST(ExplainMetricsTest, ExplainCountersAppearInMetricsJson) {
 TEST(ExplainSpecialCasesTest, MfdAndMdRunsSatisfyAccounting) {
   const MatchingRelation matching = testutil::HotelMatching();
   const RuleSpec rule{{"Address"}, {"Region"}};
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   options.top_l = 3;
 
   {

@@ -237,7 +237,7 @@ TEST(MatchingWorkCounterTest, ProducersCountTheSameWork) {
   EXPECT_EQ(DistanceCounter() - before_stream, build);
 
   approx::ApproxOptions approx;
-  approx.lsh.enabled = false;
+  approx.blocking = false;
   approx.sample_target = n * (n - 1) / 2;
   const std::uint64_t before_sampled = DistanceCounter();
   auto sampled =

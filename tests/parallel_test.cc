@@ -11,7 +11,6 @@
 
 #include "core/determiner.h"
 #include "core/measure_provider.h"
-#include "core/special_cases.h"
 #include "data/generators.h"
 #include "matching/builder.h"
 #include "matching/serialization.h"
@@ -195,7 +194,8 @@ TEST(ParallelDeterminismTest, DeterminationBitIdenticalAcrossThreads) {
 TEST(ParallelDeterminismTest, SpecialCasesBitIdenticalAcrossThreads) {
   MatchingRelation m = testutil::RandomMatching(3, 6, 700, 55);
   const RuleSpec rule{{"a0", "a1"}, {"a2"}};
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   options.top_l = 3;
   const std::vector<std::size_t> thread_counts = TestThreadCounts();
   SetDefaultThreads(1);

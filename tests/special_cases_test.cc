@@ -1,4 +1,4 @@
-#include "core/special_cases.h"
+#include "core/determiner.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,8 @@ namespace {
 TEST(MfdTest, LhsPinnedToEquality) {
   MatchingRelation m = testutil::RandomMatching(2, 6, 300, 11);
   RuleSpec rule{{"a0"}, {"a1"}};
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   options.top_l = 3;
   auto result = DetermineMfdThresholds(m, rule, options);
   ASSERT_TRUE(result.ok());
@@ -33,7 +34,8 @@ TEST(MfdTest, MatchesFullDeterminerAtFixedLhs) {
   auto reference = FindBestRhs(&provider, 1, 6, 0.0, pa, nullptr);
 
   RuleSpec rule{{"a0"}, {"a1"}};
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   options.prior_sample_size = 0;  // Deterministic utility options.
   auto result = DetermineMfdThresholds(m, rule, options);
   ASSERT_TRUE(result.ok());
@@ -50,10 +52,12 @@ TEST(MfdTest, MatchesFullDeterminerAtFixedLhs) {
 TEST(MfdTest, PrunedAndExhaustiveAgree) {
   MatchingRelation m = testutil::RandomMatching(3, 5, 300, 17);
   RuleSpec rule{{"a0"}, {"a1", "a2"}};
-  SpecialCaseOptions pruned;
-  pruned.prune = true;
-  SpecialCaseOptions exhaustive;
-  exhaustive.prune = false;
+  DetermineOptions pruned;
+  pruned.order = ProcessingOrder::kMidFirst;
+  pruned.rhs_algorithm = RhsAlgorithm::kPap;
+  DetermineOptions exhaustive;
+  exhaustive.order = ProcessingOrder::kMidFirst;
+  exhaustive.rhs_algorithm = RhsAlgorithm::kPa;
   auto a = DetermineMfdThresholds(m, rule, pruned);
   auto b = DetermineMfdThresholds(m, rule, exhaustive);
   ASSERT_TRUE(a.ok());
@@ -67,7 +71,8 @@ TEST(MfdTest, PrunedAndExhaustiveAgree) {
 TEST(MdTest, RhsPinnedToEquality) {
   MatchingRelation m = testutil::RandomMatching(2, 6, 300, 19);
   RuleSpec rule{{"a0"}, {"a1"}};
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   options.top_l = 4;
   auto result = DetermineMdThresholds(m, rule, options);
   ASSERT_TRUE(result.ok());
@@ -92,7 +97,8 @@ TEST(MdTest, FindsSelectiveLhsOnStructuredData) {
     rows.push_back({5, static_cast<Level>(1 + (i % 5))});
   MatchingRelation m = testutil::MakeMatching({"x", "y"}, 6, rows);
   RuleSpec rule{{"x"}, {"y"}};
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   options.utility.prior_mean_cq = 0.2;
   options.prior_sample_size = 0;
   auto result = DetermineMdThresholds(m, rule, options);
@@ -107,7 +113,8 @@ TEST(MdTest, FindsSelectiveLhsOnStructuredData) {
 
 TEST(SpecialCasesTest, RejectsBadInput) {
   MatchingRelation m = testutil::RandomMatching(2, 5, 50, 3);
-  SpecialCaseOptions options;
+  DetermineOptions options;
+  options.order = ProcessingOrder::kMidFirst;
   EXPECT_FALSE(DetermineMfdThresholds(m, {{"nope"}, {"a1"}}, options).ok());
   EXPECT_FALSE(DetermineMdThresholds(m, {{"a0"}, {}}, options).ok());
   options.top_l = 0;

@@ -3,6 +3,7 @@
 #ifndef DD_TESTS_TEST_UTIL_H_
 #define DD_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/pattern.h"
 #include "core/rule.h"
 #include "data/generators.h"
 #include "matching/builder.h"
@@ -98,6 +100,122 @@ inline MatchingRelation NaiveMatching(
           resolved.scales[a], options.dmax);
     }
     out.AddTuple(i, j, levels);
+  }
+  return out;
+}
+
+// Which side of the rule a naive determination pins to equality.
+enum class NaivePin {
+  kNone,  // DD: every ϕ[X] × ϕ[Y] in C_X × C_Y
+  kLhs,   // MFD: ϕ[X] = <0,...,0>, every ϕ[Y] in C_Y
+  kRhs,   // MD: ϕ[Y] = <0,...,0>, every ϕ[X] in C_X
+};
+
+struct NaiveAnswer {
+  Levels lhs;
+  Levels rhs;
+  std::uint64_t lhs_count = 0;
+  std::uint64_t xy_count = 0;
+  double utility = 0.0;
+};
+
+struct NaiveDetermination {
+  // The top-l answers, descending Ū (ties in arbitrary order).
+  std::vector<NaiveAnswer> answers;
+  // Ū of every eligible candidate, descending.
+  std::vector<double> utilities;
+
+  // True when no other eligible candidate has exactly Ū = u, so the
+  // pattern at that utility is determined.
+  bool UtilityIsUnique(double u) const {
+    return std::count(utilities.begin(), utilities.end(), u) == 1;
+  }
+};
+
+// The determination by its definition, for oracle tests: enumerates the
+// candidate lattice, counts each pattern straight from the level
+// columns of M, and evaluates Ū with the closed form (k + a)/(n + a + b)
+// of expected_utility.h at the given prior. DD and MFD keep the top-l
+// by Ū among the candidates with C·Q > 0 (the searches only accept C·Q
+// strictly above a bound >= 0). MD ranks every ϕ[X], C = 0 included,
+// and drops answers with Ū <= 0.
+inline NaiveDetermination NaiveDetermine(const MatchingRelation& m,
+                                         const ResolvedRule& rule,
+                                         std::size_t top_l,
+                                         double prior_mean_cq,
+                                         double prior_strength,
+                                         NaivePin pin = NaivePin::kNone) {
+  const int dmax = m.dmax();
+  const std::uint64_t total = m.num_tuples();
+  // Every Levels of {0..dmax}^dims, or only the all-zero one if pinned.
+  auto lattice = [&](std::size_t dims, bool pinned) {
+    std::vector<Levels> cells;
+    Levels cursor(dims, 0);
+    for (;;) {
+      cells.push_back(cursor);
+      if (pinned) break;
+      std::size_t d = 0;
+      while (d < dims && cursor[d] == dmax) cursor[d++] = 0;
+      if (d == dims) break;
+      ++cursor[d];
+    }
+    return cells;
+  };
+  auto satisfies = [&](std::size_t row, const std::vector<std::size_t>& cols,
+                       const Levels& bounds) {
+    for (std::size_t a = 0; a < cols.size(); ++a) {
+      if (m.level(row, cols[a]) > bounds[a]) return false;
+    }
+    return true;
+  };
+  auto utility = [&](std::uint64_t n, double cq) {
+    const double mu = std::clamp(prior_mean_cq, 0.0, 1.0);
+    if (total == 0) return mu;
+    if (prior_strength <= 0.0 && n == 0) return mu;
+    const double k = cq * static_cast<double>(n);
+    const double a = prior_strength * static_cast<double>(total) * mu;
+    const double b = prior_strength * static_cast<double>(total) * (1.0 - mu);
+    return (k + a) / (static_cast<double>(n) + a + b);
+  };
+
+  std::vector<NaiveAnswer> candidates;
+  const std::vector<Levels> rhs_cells =
+      lattice(rule.rhs.size(), pin == NaivePin::kRhs);
+  for (const Levels& lhs : lattice(rule.lhs.size(), pin == NaivePin::kLhs)) {
+    std::vector<std::size_t> rows;
+    for (std::size_t r = 0; r < total; ++r) {
+      if (satisfies(r, rule.lhs, lhs)) rows.push_back(r);
+    }
+    for (const Levels& rhs : rhs_cells) {
+      NaiveAnswer c;
+      c.lhs = lhs;
+      c.rhs = rhs;
+      c.lhs_count = rows.size();
+      for (std::size_t r : rows) c.xy_count += satisfies(r, rule.rhs, rhs);
+      const double confidence =
+          c.lhs_count > 0 ? static_cast<double>(c.xy_count) /
+                                static_cast<double>(c.lhs_count)
+                          : 0.0;
+      long sum = 0;
+      for (int level : rhs) sum += level;
+      const double quality =
+          1.0 - static_cast<double>(sum) /
+                    (static_cast<double>(rhs.size()) * dmax);
+      const double cq = confidence * quality;
+      if (pin != NaivePin::kRhs && !(cq > 0.0)) continue;
+      c.utility = utility(c.lhs_count, cq);
+      candidates.push_back(std::move(c));
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const NaiveAnswer& a, const NaiveAnswer& b) {
+              return a.utility > b.utility;
+            });
+  NaiveDetermination out;
+  for (const NaiveAnswer& c : candidates) out.utilities.push_back(c.utility);
+  for (std::size_t i = 0; i < candidates.size() && i < top_l; ++i) {
+    if (pin == NaivePin::kRhs && candidates[i].utility <= 0.0) break;
+    out.answers.push_back(candidates[i]);
   }
   return out;
 }

@@ -250,7 +250,7 @@ dd::Result<dd::approx::ApproxOptions> ApproxFromFlags(
   }
   DD_ASSIGN_OR_RETURN(std::int64_t seed, args.GetInt("seed", 7));
   options.seed = static_cast<std::uint64_t>(seed);
-  options.lsh.enabled = !args.Has("no_blocking");
+  options.blocking = !args.Has("no_blocking");
   return options;
 }
 
