@@ -16,8 +16,16 @@
 //   BENCH_JSON {"bench": "micro_counting", "phase":
 //               "andcount_avx2_n2_r100000", "rows": N, "bitmaps": n,
 //               "elapsed_s": W, "speedup_vs_scalar": S, ...}
+// and AndCountWords over the same shapes at 200k rows with d% of the
+// words listed,
+//   BENCH_JSON {"bench": "micro_counting", "phase":
+//               "andcount_words_avx2_n2_d8_r200000", "rows": N,
+//               "bitmaps": n, "listed_words": K, "elapsed_s": W,
+//               "speedup_vs_scalar": S, "speedup_vs_dense": V, ...}
 // speedup_vs_scalar divides the scalar kernel's wall time for the same
-// shape by this row's (1.0 on scalar rows). Then the scan provider
+// shape by this row's (1.0 on scalar rows); speedup_vs_dense divides
+// the same kernel table's AndCount time over all the words per call by
+// this row's. Then the scan provider
 // times a full ϕ[Y] sweep (121 CountXY calls) at a broad ϕ[X] {10,10}
 // and a selective one {2,2}, on the active kernels:
 //   BENCH_JSON {"bench": "micro_counting", "phase":
@@ -35,6 +43,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -204,6 +213,27 @@ double TimeBest(int iters, const Fn& fn) {
   return best;
 }
 
+// Three row bitmaps of "level <= 7" over random levels at dmax 10, and
+// pointers to them in the AndCount input layout.
+struct Bitmaps {
+  explicit Bitmaps(std::size_t rows)
+      : words(3, std::vector<std::uint64_t>(dd::simd::MaskWords(rows))) {
+    dd::MatchingRelation m = RandomMatching(3, 10, rows, 1);
+    for (std::size_t a = 0; a < words.size(); ++a) {
+      const dd::simd::ColumnView view = dd::simd::View(m.column(a));
+      const std::uint8_t bound = 7;
+      dd::simd::MaskLeq(&view, &bound, 1, rows, words[a].data());
+      inputs.push_back(words[a].data());
+    }
+  }
+  // `inputs` points into `words`, so a copy would point into this one.
+  Bitmaps(const Bitmaps&) = delete;
+  Bitmaps& operator=(const Bitmaps&) = delete;
+
+  std::vector<std::vector<std::uint64_t>> words;
+  std::vector<const std::uint64_t*> inputs;
+};
+
 void EmitKernelMatrix() {
   using dd::simd::internal::Avx2Kernels;
   using dd::simd::internal::kScalarKernels;
@@ -299,17 +329,9 @@ void EmitKernelMatrix() {
   // AndCount over bitmaps of "level <= 7" at dmax 10 (8/11 of the rows
   // set), with no output store, as CountXY calls it.
   for (std::size_t rows : {std::size_t{100000}, std::size_t{1000000}}) {
-    dd::MatchingRelation m = RandomMatching(3, 10, rows, 1);
+    const Bitmaps bitmaps(rows);
+    const std::vector<const std::uint64_t*>& inputs = bitmaps.inputs;
     const std::size_t words = dd::simd::MaskWords(rows);
-    std::vector<std::vector<std::uint64_t>> bitmaps(
-        3, std::vector<std::uint64_t>(words));
-    std::vector<const std::uint64_t*> inputs;
-    for (std::size_t a = 0; a < bitmaps.size(); ++a) {
-      const dd::simd::ColumnView view = dd::simd::View(m.column(a));
-      const std::uint8_t bound = 7;
-      dd::simd::MaskLeq(&view, &bound, 1, rows, bitmaps[a].data());
-      inputs.push_back(bitmaps[a].data());
-    }
     // About 10M words per timed repetition.
     const int iters = static_cast<int>(10000000 / words);
     for (std::size_t n : {std::size_t{2}, std::size_t{3}}) {
@@ -337,6 +359,74 @@ void EmitKernelMatrix() {
             n, rows, rows, n, avx2_s, scalar_s / avx2_s, host_cores,
             run_id.c_str());
       }
+    }
+  }
+
+  // AndCountWords over the same kind of bitmaps at 200000 rows (3125
+  // words, the scan-search M) with d% of the words listed, ascending,
+  // as a sparse ϕ[X] mask's nonzero words reach CountXY.
+  // speedup_vs_dense divides the same table's AndCount time over all
+  // the words by this row's: CountXY's sparse path pays off where it
+  // is above 1 (ScanMeasureProvider::kSparseWordRatio).
+  {
+    constexpr std::size_t kRows = 200000;
+    const Bitmaps bitmaps(kRows);
+    const std::vector<const std::uint64_t*>& inputs = bitmaps.inputs;
+    const std::size_t words = dd::simd::MaskWords(kRows);
+    dd::Rng rng(3);
+    for (std::size_t n : {std::size_t{2}, std::size_t{3}}) {
+      const int dense_iters = static_cast<int>(10000000 / words);
+      std::uint64_t sink = 0;
+      const double dense_scalar_s = TimeBest(dense_iters, [&] {
+        sink += kScalarKernels.and_count(inputs.data(), n, words, nullptr);
+      });
+      const double dense_avx2_s =
+          avx2 == nullptr ? 0.0 : TimeBest(dense_iters, [&] {
+            sink += avx2->and_count(inputs.data(), n, words, nullptr);
+          });
+      for (unsigned density : {1u, 8u, 25u, 100u}) {
+        std::vector<std::uint32_t> listed;
+        for (std::size_t w = 0; w < words; ++w) {
+          if (rng.NextBounded(100) < density) {
+            listed.push_back(static_cast<std::uint32_t>(w));
+          }
+        }
+        // About 10M listed words per timed repetition, as above.
+        const int iters =
+            static_cast<int>(10000000 / std::max<std::size_t>(1, listed.size()));
+        const double scalar_s = TimeBest(iters, [&] {
+          sink += kScalarKernels.and_count_words(inputs.data(), n,
+                                                 listed.data(), listed.size());
+        });
+        const double avx2_s =
+            avx2 == nullptr ? 0.0 : TimeBest(iters, [&] {
+              sink += avx2->and_count_words(inputs.data(), n, listed.data(),
+                                            listed.size());
+            });
+        // Scales the dense time to `iters` calls.
+        const double call_ratio = static_cast<double>(iters) / dense_iters;
+        std::printf(
+            "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+            "\"andcount_words_scalar_n%zu_d%u_r%zu\", \"rows\": %zu, "
+            "\"bitmaps\": %zu, \"listed_words\": %zu, \"elapsed_s\": %.6f, "
+            "\"speedup_vs_scalar\": 1.000, \"speedup_vs_dense\": %.3f, "
+            "\"host_cores\": %u, \"run_id\": \"%s\"}\n",
+            n, density, kRows, kRows, n, listed.size(), scalar_s,
+            dense_scalar_s * call_ratio / scalar_s, host_cores, run_id.c_str());
+        if (avx2_s > 0.0) {
+          std::printf(
+              "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+              "\"andcount_words_avx2_n%zu_d%u_r%zu\", \"rows\": %zu, "
+              "\"bitmaps\": %zu, \"listed_words\": %zu, "
+              "\"elapsed_s\": %.6f, \"speedup_vs_scalar\": %.3f, "
+              "\"speedup_vs_dense\": %.3f, \"host_cores\": %u, "
+              "\"run_id\": \"%s\"}\n",
+              n, density, kRows, kRows, n, listed.size(), avx2_s,
+              scalar_s / avx2_s, dense_avx2_s * call_ratio / avx2_s, host_cores,
+              run_id.c_str());
+        }
+      }
+      if (sink == 0xdeadbeef) std::fprintf(stderr, "impossible\n");
     }
   }
   std::fflush(stdout);

@@ -1,6 +1,7 @@
 #include "approx/approx_provider.h"
 
 #include <cmath>
+#include <initializer_list>
 #include <utility>
 
 #include "common/logging.h"
@@ -79,12 +80,23 @@ Interval ApproxMeasureProvider::CountInterval(std::uint64_t near_count,
   return {near + p.lo * population, near + p.hi * population};
 }
 
-std::uint64_t ApproxMeasureProvider::InnerRowsScanned() const {
-  return near_->stats().rows_scanned + tail_->stats().rows_scanned;
+ProviderStats ApproxMeasureProvider::InnerScans() const {
+  ProviderStats sum;
+  for (const MeasureProvider* inner : {near_.get(), tail_.get()}) {
+    sum.rows_scanned += inner->stats().rows_scanned;
+    sum.words_scanned += inner->stats().words_scanned;
+  }
+  return sum;
+}
+
+void ApproxMeasureProvider::ChargeInnerScans(const ProviderStats& before) {
+  const ProviderStats after = InnerScans();
+  stats_.rows_scanned += after.rows_scanned - before.rows_scanned;
+  stats_.words_scanned += after.words_scanned - before.words_scanned;
 }
 
 void ApproxMeasureProvider::SetLhs(const Levels& lhs) {
-  const std::uint64_t before = InnerRowsScanned();
+  const ProviderStats before = InnerScans();
   near_->SetLhs(lhs);
   tail_->SetLhs(lhs);
   near_lhs_ = near_->lhs_count();
@@ -92,15 +104,15 @@ void ApproxMeasureProvider::SetLhs(const Levels& lhs) {
   lhs_count_ = Estimate(near_lhs_, tail_lhs_);
   current_lhs_ = lhs;
   ++stats_.lhs_evaluations;
-  stats_.rows_scanned += InnerRowsScanned() - before;
+  ChargeInnerScans(before);
 }
 
 std::uint64_t ApproxMeasureProvider::CountXY(const Levels& rhs) {
-  const std::uint64_t before = InnerRowsScanned();
+  const ProviderStats before = InnerScans();
   const std::uint64_t near_xy = near_->CountXY(rhs);
   const std::uint64_t tail_xy = tail_->CountXY(rhs);
   ++stats_.xy_evaluations;
-  stats_.rows_scanned += InnerRowsScanned() - before;
+  ChargeInnerScans(before);
   return Estimate(near_xy, tail_xy);
 }
 

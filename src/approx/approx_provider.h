@@ -75,7 +75,10 @@ class ApproxMeasureProvider : public MeasureProvider {
                          std::uint64_t tail_count) const;
   Interval CountInterval(std::uint64_t near_count,
                          std::uint64_t tail_count) const;
-  std::uint64_t InnerRowsScanned() const;
+  // rows_scanned and words_scanned of both inner providers, summed, and
+  // the charge of their growth since `before` to this provider's stats.
+  ProviderStats InnerScans() const;
+  void ChargeInnerScans(const ProviderStats& before);
 
   std::unique_ptr<MeasureProvider> near_;
   std::unique_ptr<MeasureProvider> tail_;

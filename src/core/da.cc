@@ -70,7 +70,7 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                                                      int dmax,
                                                      const DaOptions& options,
                                                      DaStats* stats) {
-  DD_CHECK_GE(options.top_l, 1u);
+  DD_CHECK_GE(options.pa.top_l, 1u);
   CandidateLattice lhs_lattice(lhs_dims, dmax);
   std::vector<std::uint32_t> lhs_order = CandidateLattice::MakeOrder(
       lhs_dims, dmax, ProcessingOrder::kLexicographic);
@@ -99,9 +99,8 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                      });
   }
 
-  TopL<DeterminedPattern, &DeterminedPattern::utility> top(options.top_l);
+  TopL<DeterminedPattern, &DeterminedPattern::utility> top(options.pa.top_l);
   PaOptions pa_options = options.pa;
-  pa_options.top_l = options.top_l;
 
   // Stats contract: accumulate into *stats, never reset (see da.h).
   DaStats unused;

@@ -32,10 +32,10 @@ struct DeterminedPattern {
 struct DaOptions {
   // false: Algorithm 3 (DA). true: Algorithm 4 (DAP).
   bool advanced_bound = false;
-  // Configuration of the per-LHS search (PA vs PAP and the C_Y order).
+  // Configuration of the per-LHS search (PA vs PAP, the C_Y order and
+  // pa.top_l, the number l of patterns with the largest expected
+  // utilities to return).
   PaOptions pa;
-  // Return the l patterns with the largest expected utilities.
-  std::size_t top_l = 1;
   UtilityOptions utility;
 
   // Concurrency (0 = DefaultThreads()), the only level of determination
@@ -88,9 +88,8 @@ std::vector<DeterminedPattern> DetermineForLhs(MeasureProvider* provider,
                                                const UtilityOptions& utility,
                                                PaStats* stats);
 
-// Runs the full determination over C_X × C_Y. `top_l` must match
-// options.pa.top_l for consistent bounds (the facade enforces this).
-// Results are sorted by descending utility; fewer than top_l entries are
+// Runs the full determination over C_X × C_Y. Results are sorted by
+// descending utility; fewer than options.pa.top_l entries are
 // returned when the remaining candidates cannot strictly improve on the
 // bound (e.g. all-zero confidence rules).
 //

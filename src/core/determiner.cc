@@ -42,6 +42,8 @@ void PublishDetermineMetrics(const DaStats& stats,
   registry.GetCounter("provider.xy_evaluations")
       .Add(provider_stats.xy_evaluations);
   registry.GetCounter("provider.rows_scanned").Add(provider_stats.rows_scanned);
+  registry.GetCounter("provider.words_scanned")
+      .Add(provider_stats.words_scanned);
   registry.GetGauge("determine.pruning_rate").Set(stats.PruningRate());
 }
 
@@ -68,7 +70,6 @@ void SearchDd(MeasureProvider* provider, std::size_t lhs_dims,
   DaOptions da;
   da.advanced_bound = options.lhs_algorithm == LhsAlgorithm::kDap;
   da.pa = PaOptionsOf(options);
-  da.top_l = options.top_l;
   da.utility = utility;
   da.threads = options.threads;
   result->patterns = DetermineBestPatterns(provider, lhs_dims, rhs_dims, dmax,

@@ -10,7 +10,8 @@
 // range-encoded level-bitmap index — one "level <= t" row bitmap per
 // rule attribute and level — so SetLhs ANDs the ϕ[X] bitmaps into a
 // row mask and each CountXY is one AND + popcount of that mask with
-// the ϕ[Y] bitmaps, M/64 words long. GridMeasureProvider is an
+// the ϕ[Y] bitmaps, over all M/64 words or, for a sparse mask, over
+// its nonzero words only. GridMeasureProvider is an
 // extension: a prefix-sum grid over the (dmax+1)^c threshold lattice
 // that answers each count in O(1) after an O(M + d^c) build, and folds
 // insert/delete deltas of M into that grid in O(|delta|·c + d^c). Both
@@ -51,6 +52,14 @@ struct ProviderStats {
   // and the provider.grid_cells gauge instead, keeping this field the
   // per-query scan work that the paper's pruning experiments plot.
   std::uint64_t rows_scanned = 0;
+  // Bitmap words the scan provider's AND kernels read at query time:
+  // per SetLhs, SetLhsWithKnownCount and CountXY, the number of ANDed
+  // bitmaps times the words read from each — all ⌈M/64⌉ of them, or
+  // only the ϕ[X] mask's nonzero words when CountXY takes the sparse
+  // path. Unlike rows_scanned, this is the work the scan actually does
+  // (so a known count's mask rebuild counts too). 0 for the grid
+  // provider.
+  std::uint64_t words_scanned = 0;
 };
 
 class MeasureProvider {
@@ -107,6 +116,7 @@ class MeasureProvider {
     stats_.lhs_evaluations += other.lhs_evaluations;
     stats_.xy_evaluations += other.xy_evaluations;
     stats_.rows_scanned += other.rows_scanned;
+    stats_.words_scanned += other.words_scanned;
   }
 
   // Stats contract (shared with DaStats/PaStats, see da.h / pa.h):
@@ -130,8 +140,22 @@ class MeasureProvider {
 // bitmap (every tuple passes) and a bound < 0 matches no tuple. The
 // index takes (|X|+|Y|)·dmax·⌈M/64⌉·8 bytes, is shared by clones and is
 // freed with the provider family.
+//
+// Each SetLhs also lists the ϕ[X] mask's nonzero words when fewer than
+// 1 in kSparseWordRatio of its words are nonzero (a sparse mask);
+// CountXY then ANDs and counts those words only (simd::AndCountWords)
+// instead of the whole mask (simd::AndCount). A mask whose count alone
+// puts it past that cut-off is dense and is not listed. The list is
+// per clone and takes at most 4 bytes per mask word.
 class ScanMeasureProvider : public MeasureProvider {
  public:
+  // The sparse-mask cut-off: a ϕ[X] mask is sparse when its nonzero
+  // words times this are fewer than its words. In micro_counting's
+  // andcount_words_* rows, AndCountWords over 1 in 4 of the words runs
+  // 2–4× faster than AndCount over all of them, and the two break even
+  // between 1 in 2 and every word listed (DESIGN.md §17).
+  static constexpr std::size_t kSparseWordRatio = 4;
+
   // Builds the index (trace span "scan_index_build", gauge
   // mem.scan_index_bytes). `matching` is not referenced afterwards.
   ScanMeasureProvider(const MatchingRelation& matching,
@@ -164,6 +188,9 @@ class ScanMeasureProvider : public MeasureProvider {
   bool AppendBitmaps(std::size_t first_slot, const Levels& levels);
   // Evaluates `lhs` into lhs_mask_ and returns its count.
   std::uint64_t BuildLhsMask(const Levels& lhs);
+  // Sets lhs_sparse_ for a mask of `count` rows and, when it is sparse,
+  // lists its nonzero words in lhs_words_ in one branch-free pass.
+  void RecordNonzeroWords(std::uint64_t count);
 
   std::uint64_t total_ = 0;
   int dmax_ = 0;
@@ -176,6 +203,12 @@ class ScanMeasureProvider : public MeasureProvider {
   std::uint64_t lhs_count_ = 0;
   // The current ϕ[X] as a row bitmap, owned per clone.
   std::vector<std::uint64_t> lhs_mask_;
+  // When lhs_sparse_, lhs_words_[0, lhs_word_count_) are the ascending
+  // indices of lhs_mask_'s nonzero words (per clone, sized words_ once
+  // a sparse mask first appears).
+  bool lhs_sparse_ = false;
+  std::vector<std::uint32_t> lhs_words_;
+  std::size_t lhs_word_count_ = 0;
   // AndCount inputs of the current call (reused to avoid allocation).
   std::vector<const std::uint64_t*> inputs_;
 };

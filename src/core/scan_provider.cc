@@ -1,11 +1,10 @@
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "core/measure_provider.h"
 #include "core/simd_count.h"
-#include "obs/metrics.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
@@ -13,12 +12,8 @@ namespace dd {
 
 namespace {
 
-// Latency histogram over individual O(M) counting passes. One Observe()
-// per pass (two clock reads) disappears against the pass itself.
-obs::Histogram& ScanLatencyHistogram() {
-  static obs::Histogram& histogram = obs::MetricsRegistry::Global().GetHistogram(
-      "provider.scan_ms", obs::DefaultLatencyBoundsMs());
-  return histogram;
+bool IsSparse(std::uint64_t nonzero_words, std::size_t words) {
+  return nonzero_words * ScanMeasureProvider::kSparseWordRatio < words;
 }
 
 }  // namespace
@@ -31,6 +26,8 @@ ScanMeasureProvider::ScanMeasureProvider(const MatchingRelation& matching,
       lhs_dims_(rule.lhs.size()),
       rhs_dims_(rule.rhs.size()) {
   obs::TraceSpan span("scan_index_build");
+  // Word indices of the sparse ϕ[X] list are uint32.
+  DD_CHECK_LE(words_, std::size_t{std::numeric_limits<std::uint32_t>::max()});
   std::vector<std::size_t> attrs = rule.lhs;
   attrs.insert(attrs.end(), rule.rhs.begin(), rule.rhs.end());
   const std::size_t levels = dmax_ > 0 ? static_cast<std::size_t>(dmax_) : 0;
@@ -66,23 +63,41 @@ std::uint64_t ScanMeasureProvider::BuildLhsMask(const Levels& lhs) {
   current_lhs_ = lhs;
   lhs_mask_.resize(words_);
   inputs_.clear();
+  std::uint64_t count = 0;
   if (!AppendBitmaps(0, lhs)) {
     std::fill(lhs_mask_.begin(), lhs_mask_.end(), std::uint64_t{0});
-    return 0;
+  } else if (inputs_.empty()) {
+    count = simd::MaskLeq(nullptr, nullptr, 0, total_, lhs_mask_.data());
+  } else {
+    stats_.words_scanned += inputs_.size() * words_;
+    count = simd::AndCount(inputs_.data(), inputs_.size(), words_,
+                           lhs_mask_.data());
   }
-  if (inputs_.empty()) {
-    return simd::MaskLeq(nullptr, nullptr, 0, total_, lhs_mask_.data());
+  RecordNonzeroWords(count);
+  return count;
+}
+
+void ScanMeasureProvider::RecordNonzeroWords(std::uint64_t count) {
+  // A word holds at most 64 rows, so a mask of `count` rows has at
+  // least ⌈count/64⌉ nonzero words: when that is past the cut-off, the
+  // mask is dense and the pass below is skipped.
+  lhs_word_count_ = 0;
+  lhs_sparse_ = IsSparse((count + 63) / 64, words_);
+  if (!lhs_sparse_ || count == 0) return;
+  lhs_words_.resize(words_);
+  std::size_t nonzero = 0;
+  for (std::size_t w = 0; w < words_; ++w) {
+    lhs_words_[nonzero] = static_cast<std::uint32_t>(w);
+    nonzero += static_cast<std::size_t>(lhs_mask_[w] != 0);
   }
-  return simd::AndCount(inputs_.data(), inputs_.size(), words_,
-                        lhs_mask_.data());
+  lhs_word_count_ = nonzero;
+  lhs_sparse_ = IsSparse(nonzero, words_);
 }
 
 void ScanMeasureProvider::SetLhs(const Levels& lhs) {
   ++stats_.lhs_evaluations;
   stats_.rows_scanned += total_;
-  Stopwatch scan_timer;
   lhs_count_ = BuildLhsMask(lhs);
-  ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
 }
 
 void ScanMeasureProvider::SetLhsWithKnownCount(const Levels& lhs,
@@ -101,14 +116,16 @@ std::uint64_t ScanMeasureProvider::CountXY(const Levels& rhs) {
   DD_CHECK_EQ(lhs_mask_.size(), words_);  // SetLhs came first.
   ++stats_.xy_evaluations;
   stats_.rows_scanned += total_;
-  Stopwatch scan_timer;
   inputs_.assign(1, lhs_mask_.data());
-  const std::uint64_t count =
-      AppendBitmaps(lhs_dims_, rhs)
-          ? simd::AndCount(inputs_.data(), inputs_.size(), words_, nullptr)
-          : 0;
-  ScanLatencyHistogram().Observe(scan_timer.ElapsedMillis());
-  return count;
+  if (!AppendBitmaps(lhs_dims_, rhs)) return 0;
+  if (lhs_sparse_) {
+    // The mask is 0 outside its listed words, so the AND is too.
+    stats_.words_scanned += inputs_.size() * lhs_word_count_;
+    return simd::AndCountWords(inputs_.data(), inputs_.size(),
+                               lhs_words_.data(), lhs_word_count_);
+  }
+  stats_.words_scanned += inputs_.size() * words_;
+  return simd::AndCount(inputs_.data(), inputs_.size(), words_, nullptr);
 }
 
 std::unique_ptr<MeasureProvider> ScanMeasureProvider::CloneForThread() const {

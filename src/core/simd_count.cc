@@ -56,6 +56,19 @@ std::uint64_t AndCountScalar(const std::uint64_t* const* inputs,
   return count;
 }
 
+std::uint64_t AndCountWordsScalar(const std::uint64_t* const* inputs,
+                                  std::size_t n, const std::uint32_t* word_idx,
+                                  std::size_t count) {
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t w = word_idx[k];
+    std::uint64_t word = inputs[0][w];
+    for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
+    total += static_cast<std::uint64_t>(std::popcount(word));
+  }
+  return total;
+}
+
 void GridIndicesScalar(const ColumnView* views, const std::uint32_t* strides,
                        std::size_t num_views, std::size_t begin,
                        std::size_t end, std::uint32_t* out) {
@@ -195,6 +208,11 @@ std::uint64_t AndCount(const std::uint64_t* const* inputs, std::size_t n,
   return internal::ActiveKernels().and_count(inputs, n, words, out);
 }
 
+std::uint64_t AndCountWords(const std::uint64_t* const* inputs, std::size_t n,
+                            const std::uint32_t* word_idx, std::size_t count) {
+  return internal::ActiveKernels().and_count_words(inputs, n, word_idx, count);
+}
+
 void GridIndices(const ColumnView* views, const std::uint32_t* strides,
                  std::size_t num_views, std::size_t begin, std::size_t end,
                  std::uint32_t* out) {
@@ -205,7 +223,7 @@ void GridIndices(const ColumnView* views, const std::uint32_t* strides,
 namespace internal {
 
 const KernelTable kScalarKernels = {MaskLeqScalar, AndCountScalar,
-                                    GridIndicesScalar};
+                                    AndCountWordsScalar, GridIndicesScalar};
 
 const KernelTable& ActiveKernels() {
   if (const KernelTable* table = g_active.load(std::memory_order_acquire);

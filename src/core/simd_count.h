@@ -1,7 +1,7 @@
 // SIMD counting kernels over packed level columns and row bitmaps, with
 // runtime dispatch.
 //
-// The determination hot loops reduce to three primitives:
+// The determination hot loops reduce to four primitives:
 //
 //   MaskLeq      rows r in [0, end) with level_i(r) <= bounds[i] for
 //                every column view i, written as a row bitmap (one
@@ -11,7 +11,12 @@
 //                bitmap;
 //   AndCount     the popcount of the AND of n row bitmaps, optionally
 //                stored — a ϕ[X] mask (ScanMeasureProvider SetLhs) or a
-//                ϕ[XY] count (CountXY) straight from that index;
+//                ϕ[XY] count (CountXY over a dense mask) straight
+//                from that index;
+//   AndCountWords  the same popcount over a listed subset of the words
+//                only — CountXY when the ϕ[X] mask is sparse, over the
+//                mask's nonzero words (ScanMeasureProvider records them
+//                at SetLhs);
 //   GridIndices  per-row linearized grid cell sum_i level_i(r)*strides[i]
 //                (the histogram pass of grid::AddRowsToHistograms, which
 //                GridMeasureProvider and the streaming exact build share).
@@ -87,6 +92,16 @@ std::uint64_t MaskLeq(const ColumnView* views, const std::uint8_t* bounds,
 std::uint64_t AndCount(const std::uint64_t* const* inputs, std::size_t n,
                        std::size_t words, std::uint64_t* out);
 
+// Returns the sum over k in [0, count) of the popcount of the AND of
+// the n >= 1 bitmaps inputs[0..n) at word word_idx[k]. Every index must
+// be a valid word of every input. The list may be in any order and may
+// repeat an index (a repeated word is counted once per listing); when
+// it holds each word of a bitmap's nonzero words exactly once and that
+// bitmap is among the inputs, the result equals AndCount over all
+// words.
+std::uint64_t AndCountWords(const std::uint64_t* const* inputs, std::size_t n,
+                            const std::uint32_t* word_idx, std::size_t count);
+
 // out[r - begin] = sum_i ViewLevel(views[i], r) * strides[i] for r in
 // [begin, end). Strides are uint32 — grid cell counts are capped well
 // below 2^32 (measure_provider.h max_cells); callers with larger grids
@@ -130,6 +145,8 @@ struct KernelTable {
                             std::size_t, std::size_t, std::uint64_t*);
   std::uint64_t (*and_count)(const std::uint64_t* const*, std::size_t,
                              std::size_t, std::uint64_t*);
+  std::uint64_t (*and_count_words)(const std::uint64_t* const*, std::size_t,
+                                   const std::uint32_t*, std::size_t);
   void (*grid_indices)(const ColumnView*, const std::uint32_t*, std::size_t,
                        std::size_t, std::size_t, std::uint32_t*);
 };

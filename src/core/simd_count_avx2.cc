@@ -13,7 +13,10 @@
 // MaskLeq stores that word as the row bitmap. AndCount works on such
 // bitmaps directly: 256 bits per step, ANDed across the inputs and
 // counted with the nibble-lookup popcount (Muła, Kurz and Lemire,
-// "Faster Population Counts Using AVX2 Instructions").
+// "Faster Population Counts Using AVX2 Instructions"). AndCountWords
+// visits listed words only, so it is an index loop with the popcnt
+// instruction this TU may use, unrolled over independent sums; a
+// vpgatherqq version measured slower in micro_counting.
 
 #include "core/simd_count.h"
 
@@ -169,6 +172,53 @@ std::uint64_t AndCountAvx2(const std::uint64_t* const* inputs, std::size_t n,
   return count;
 }
 
+// AND and popcount of the N bitmaps `in` at word w.
+template <std::size_t N>
+inline std::uint64_t AndWordCount(const std::uint64_t* const* in,
+                                  std::uint32_t w) {
+  std::uint64_t word = in[0][w];
+  for (std::size_t i = 1; i < N; ++i) word &= in[i][w];
+  return static_cast<std::uint64_t>(_mm_popcnt_u64(word));
+}
+
+// The index loop for a fixed input count, four words per step into
+// four sums so consecutive popcounts do not wait on one another.
+template <std::size_t N>
+std::uint64_t AndCountWordsN(const std::uint64_t* const* inputs,
+                             const std::uint32_t* word_idx,
+                             std::size_t count) {
+  const std::uint64_t* in[N];
+  for (std::size_t i = 0; i < N; ++i) in[i] = inputs[i];
+  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    s0 += AndWordCount<N>(in, word_idx[k]);
+    s1 += AndWordCount<N>(in, word_idx[k + 1]);
+    s2 += AndWordCount<N>(in, word_idx[k + 2]);
+    s3 += AndWordCount<N>(in, word_idx[k + 3]);
+  }
+  for (; k < count; ++k) s0 += AndWordCount<N>(in, word_idx[k]);
+  return s0 + s1 + s2 + s3;
+}
+
+std::uint64_t AndCountWordsAvx2(const std::uint64_t* const* inputs,
+                                std::size_t n, const std::uint32_t* word_idx,
+                                std::size_t count) {
+  switch (n) {
+    case 1:
+      return AndCountWordsN<1>(inputs, word_idx, count);
+    case 2:
+      return AndCountWordsN<2>(inputs, word_idx, count);
+    case 3:
+      return AndCountWordsN<3>(inputs, word_idx, count);
+    case 4:
+      return AndCountWordsN<4>(inputs, word_idx, count);
+    default:  // A ϕ[Y] of four or more bounded attributes.
+      return internal::kScalarKernels.and_count_words(inputs, n, word_idx,
+                                                      count);
+  }
+}
+
 // 32 levels of one view as bytes in row order (rows [row, row + 32));
 // `row` must be even for packed4 views.
 inline __m256i LoadLevels32(const ColumnView& view, std::size_t row) {
@@ -234,8 +284,8 @@ void GridIndicesAvx2(const ColumnView* views, const std::uint32_t* strides,
   }
 }
 
-const internal::KernelTable kAvx2Kernels = {MaskLeqAvx2, AndCountAvx2,
-                                            GridIndicesAvx2};
+const internal::KernelTable kAvx2Kernels = {
+    MaskLeqAvx2, AndCountAvx2, AndCountWordsAvx2, GridIndicesAvx2};
 
 }  // namespace
 

@@ -100,11 +100,11 @@ TEST_P(DaTopLTest, TopLUtilitiesMatchAcrossAlgorithms) {
   ScanMeasureProvider provider(m, rule);
 
   DaOptions da = BaseOptions(false, false);
-  da.top_l = l;
+  da.pa.top_l = l;
   auto reference = DetermineBestPatterns(&provider, 1, 1, 5, da, nullptr);
 
   DaOptions dap = BaseOptions(true, true, ProcessingOrder::kTopFirst);
-  dap.top_l = l;
+  dap.pa.top_l = l;
   auto pruned = DetermineBestPatterns(&provider, 1, 1, 5, dap, nullptr);
 
   ASSERT_EQ(reference.size(), pruned.size());

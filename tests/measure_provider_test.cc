@@ -1,10 +1,15 @@
 #include "core/measure_provider.h"
 
+#include <algorithm>
+#include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/measures.h"
+#include "core/simd_count.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
 
@@ -137,6 +142,97 @@ TEST(ScanProviderTest, IndexMatchesNaiveCount) {
   }
 }
 
+TEST(ScanProviderTest, SparseAndDenseMasksMatchNaiveCount) {
+  // 201 words, the last one a 37-row tail. Attribute 0's level is the
+  // row's word index mod 8, so ϕ[X] bound t on it keeps (t+1)/8 of the
+  // words: t = 0 is sparse (26 words), t = 1 just past the cut-off (51)
+  // and larger t dense. Attribute 1 thins rows within words (levels 1..10) and is 0
+  // at the last row only, whose attribute 0 is 9: ϕ[X] {10, 0} keeps
+  // one row in the tail word and {0, 0} none through the AND path.
+  constexpr int kDmax = 10;
+  constexpr std::size_t kWords = 201;
+  constexpr std::size_t kTuples = (kWords - 1) * 64 + 37;
+  std::mt19937 rng(77);
+  std::vector<std::vector<Level>> rows(kTuples, std::vector<Level>(4));
+  for (std::size_t r = 0; r < kTuples; ++r) {
+    rows[r][0] = static_cast<Level>((r / 64) % 8);
+    rows[r][1] = static_cast<Level>(1 + rng() % kDmax);
+    rows[r][2] = static_cast<Level>(rng() % (kDmax + 1));
+    rows[r][3] = static_cast<Level>(rng() % (kDmax + 1));
+  }
+  rows.back()[0] = 9;
+  rows.back()[1] = 0;
+  MatchingRelation m = MakeMatching({"a", "b", "c", "d"}, kDmax, rows);
+  const ResolvedRule rule{{0, 1}, {2, 3}};
+  ScanMeasureProvider provider(m, rule);
+  ScanMeasureProvider known(m, rule);
+  ASSERT_EQ(simd::MaskWords(provider.total()), kWords);
+
+  // The ϕ[X] mask's nonzero words, and how many index bitmaps `levels`
+  // select (0 when a bound is negative: nothing is read).
+  auto nonzero_words = [&](const Levels& lhs) {
+    std::vector<bool> nonzero(kWords, false);
+    for (std::size_t r = 0; r < kTuples; ++r) {
+      bool ok = true;
+      for (std::size_t a = 0; a < lhs.size(); ++a) {
+        ok = ok && static_cast<int>(m.level(r, rule.lhs[a])) <= lhs[a];
+      }
+      if (ok) nonzero[r / 64] = true;
+    }
+    return static_cast<std::uint64_t>(
+        std::count(nonzero.begin(), nonzero.end(), true));
+  };
+  auto bitmaps = [](const Levels& levels) -> std::uint64_t {
+    std::uint64_t n = 0;
+    for (int level : levels) {
+      if (level < 0) return 0;
+      if (level < kDmax) ++n;
+    }
+    return n;
+  };
+
+  std::size_t sparse_masks = 0;
+  std::size_t dense_masks = 0;
+  const std::vector<Levels> lhss = {{-1, 10}, {10, -1}, {0, 0}, {10, 0},
+                                    {0, 10},  {0, 5},   {1, 10}, {1, 5},
+                                    {2, 10},  {3, 3},   {7, 10}, {10, 10}};
+  for (const Levels& lhs : lhss) {
+    const std::string label =
+        "lhs " + std::to_string(lhs[0]) + "," + std::to_string(lhs[1]);
+    const std::uint64_t lhs_count = NaiveCount(m, rule.lhs, lhs);
+    const std::uint64_t nonzero = nonzero_words(lhs);
+    const bool sparse = nonzero * ScanMeasureProvider::kSparseWordRatio < kWords;
+    const std::uint64_t lhs_bitmaps = bitmaps(lhs);
+    const std::uint64_t words_before = provider.stats().words_scanned;
+    provider.SetLhs(lhs);
+    ASSERT_EQ(provider.lhs_count(), lhs_count) << label;
+    EXPECT_EQ(provider.stats().words_scanned - words_before,
+              lhs_bitmaps * kWords)
+        << label;
+    known.SetLhsWithKnownCount(lhs, lhs_count);
+    for (int y0 : {-1, 0, 3, 9, 10}) {
+      for (int y1 : {-1, 0, 5, 10}) {
+        const Levels rhs = {y0, y1};
+        const std::uint64_t expected =
+            NaiveCount(m, rule.lhs, lhs, rule.rhs, rhs);
+        const std::uint64_t before = provider.stats().words_scanned;
+        ASSERT_EQ(provider.CountXY(rhs), expected)
+            << label << " rhs " << y0 << "," << y1;
+        ASSERT_EQ(known.CountXY(rhs), expected) << label;
+        // The words read pin the branch: the nonzero words of a sparse
+        // mask, every word of a dense one.
+        const std::uint64_t inputs = y0 < 0 || y1 < 0 ? 0 : 1 + bitmaps(rhs);
+        EXPECT_EQ(provider.stats().words_scanned - before,
+                  inputs * (sparse ? nonzero : kWords))
+            << label << " rhs " << y0 << "," << y1;
+      }
+    }
+    ++(sparse ? sparse_masks : dense_masks);
+  }
+  EXPECT_GE(sparse_masks, 4u);
+  EXPECT_GE(dense_masks, 4u);
+}
+
 TEST(GridProviderTest, AgreesWithScanProviderExhaustively) {
   MatchingRelation m = RandomMatching(2, 6, 300, 23);
   ResolvedRule rule{{0}, {1}};
@@ -236,6 +332,9 @@ TEST(ProviderStatsTest, CountersTrackWork) {
   EXPECT_EQ(provider.stats().lhs_evaluations, 1u);
   EXPECT_EQ(provider.stats().xy_evaluations, 2u);
   EXPECT_EQ(provider.stats().rows_scanned, 18u);  // 3 scans x 6 rows
+  // ϕ[X] {2} is 4 rows, so its one-word mask is dense: SetLhs reads
+  // the one ϕ[X] bitmap word, each CountXY the mask and a ϕ[Y] bitmap.
+  EXPECT_EQ(provider.stats().words_scanned, 5u);
   provider.ResetStats();
   EXPECT_EQ(provider.stats().xy_evaluations, 0u);
   // A known count scans nothing; the CountXY after it still counts one
@@ -246,6 +345,9 @@ TEST(ProviderStatsTest, CountersTrackWork) {
   EXPECT_EQ(provider.stats().rows_scanned, 6u);
   EXPECT_EQ(provider.CountXY({4}), 3u);
   EXPECT_EQ(provider.stats().rows_scanned, 12u);
+  // Unlike rows, the known count's mask rebuild reads its word; ϕ[Y]
+  // {4} >= dmax needs no bitmap, so that CountXY reads the mask only.
+  EXPECT_EQ(provider.stats().words_scanned, 4u);
 }
 
 TEST(ProviderStatsTest, KnownCountPathCountsLhsEvaluations) {
@@ -286,6 +388,7 @@ TEST(ProviderStatsTest, GridNeverScansRows) {
     for (int y = 0; y <= 6; ++y) grid.value()->CountXY({y});
   }
   EXPECT_EQ(grid.value()->stats().rows_scanned, 0u);
+  EXPECT_EQ(grid.value()->stats().words_scanned, 0u);
   EXPECT_GT(grid.value()->stats().lhs_evaluations, 0u);
   EXPECT_GT(grid.value()->stats().xy_evaluations, 0u);
 }

@@ -8,6 +8,7 @@
 
 #include "core/simd_count.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -221,6 +222,87 @@ TEST(SimdCountTest, AndCountMatchesBruteForce) {
       // One all-zero input empties the AND of otherwise full bitmaps.
       ones[n - 1].assign(words, 0);
       CheckAndCount(ones, words, label + " ones+zero");
+    }
+  }
+}
+
+// AndCountWords of `bitmaps` over the listed words against a brute
+// AND and popcount of each listed word.
+void CheckAndCountWords(const std::vector<std::vector<std::uint64_t>>& bitmaps,
+                        const std::vector<std::uint32_t>& word_idx,
+                        const std::string& label) {
+  std::vector<const std::uint64_t*> inputs;
+  for (const auto& bitmap : bitmaps) inputs.push_back(bitmap.data());
+  std::uint64_t expected = 0;
+  for (std::uint32_t w : word_idx) {
+    std::uint64_t word = ~std::uint64_t{0};
+    for (const auto& bitmap : bitmaps) word &= bitmap[w];
+    for (std::size_t bit = 0; bit < 64; ++bit) expected += (word >> bit) & 1;
+  }
+  for (const auto& [name, table] : Tables()) {
+    EXPECT_EQ(table->and_count_words(inputs.data(), inputs.size(),
+                                     word_idx.data(), word_idx.size()),
+              expected)
+        << label << " " << name;
+  }
+}
+
+TEST(SimdCountTest, AndCountWordsMatchesBruteForce) {
+  const std::size_t word_counts[] = {0, 1, 63, 64, 65, 3125};
+  std::mt19937_64 rng(23);
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for (std::size_t words : word_counts) {
+      std::vector<std::vector<std::uint64_t>> bitmaps(
+          n, std::vector<std::uint64_t>(words));
+      for (auto& bitmap : bitmaps) {
+        for (auto& word : bitmap) word = rng() | rng();
+      }
+      // Index lists: empty, one word (the last), about 8% of the words,
+      // every word, and an unsorted one that repeats words.
+      std::vector<std::pair<const char*, std::vector<std::uint32_t>>> lists;
+      lists.emplace_back("empty", std::vector<std::uint32_t>{});
+      if (words > 0) {
+        const auto last = static_cast<std::uint32_t>(words - 1);
+        lists.emplace_back("one", std::vector<std::uint32_t>{last});
+        std::vector<std::uint32_t> sparse;
+        std::vector<std::uint32_t> all;
+        for (std::uint32_t w = 0; w < words; ++w) {
+          if (rng() % 100 < 8) sparse.push_back(w);
+          all.push_back(w);
+        }
+        lists.emplace_back("8%", sparse);
+        lists.emplace_back("all", all);
+        std::vector<std::uint32_t> shuffled = all;
+        shuffled.insert(shuffled.end(), sparse.begin(), sparse.end());
+        shuffled.push_back(last);
+        std::shuffle(shuffled.begin(), shuffled.end(), rng);
+        lists.emplace_back("unsorted+repeats", shuffled);
+      }
+      for (const auto& [kind, list] : lists) {
+        const std::string label = "n=" + std::to_string(n) +
+                                  " words=" + std::to_string(words) +
+                                  " list=" + kind;
+        CheckAndCountWords(bitmaps, list, label);
+      }
+      // Over the nonzero words of one input, the count equals AndCount's
+      // over every word.
+      if (words > 0) {
+        for (std::size_t w = 0; w < words; ++w) {
+          if (rng() % 100 >= 8) bitmaps[0][w] = 0;
+        }
+        std::vector<std::uint32_t> nonzero;
+        for (std::uint32_t w = 0; w < words; ++w) {
+          if (bitmaps[0][w] != 0) nonzero.push_back(w);
+        }
+        std::vector<const std::uint64_t*> inputs;
+        for (const auto& bitmap : bitmaps) inputs.push_back(bitmap.data());
+        for (const auto& [name, table] : Tables()) {
+          EXPECT_EQ(table->and_count_words(inputs.data(), n, nonzero.data(),
+                                           nonzero.size()),
+                    table->and_count(inputs.data(), n, words, nullptr))
+              << "n=" << n << " words=" << words << " " << name;
+        }
+      }
     }
   }
 }
