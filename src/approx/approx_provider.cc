@@ -117,13 +117,10 @@ std::uint64_t ApproxMeasureProvider::CountXY(const Levels& rhs) {
 }
 
 std::unique_ptr<MeasureProvider> ApproxMeasureProvider::CloneForThread() const {
-  std::unique_ptr<MeasureProvider> near_clone = near_->CloneForThread();
-  std::unique_ptr<MeasureProvider> tail_clone = tail_->CloneForThread();
-  if (near_clone == nullptr || tail_clone == nullptr) return nullptr;
   auto clone =
       std::unique_ptr<ApproxMeasureProvider>(new ApproxMeasureProvider());
-  clone->near_ = std::move(near_clone);
-  clone->tail_ = std::move(tail_clone);
+  clone->near_ = near_->CloneForThread();
+  clone->tail_ = tail_->CloneForThread();
   clone->total_pairs_ = total_pairs_;
   clone->tail_population_ = tail_population_;
   clone->tail_sampled_ = tail_sampled_;

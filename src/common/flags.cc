@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -55,14 +56,23 @@ std::vector<std::string> ArgParser::GetAll(const std::string& name) const {
 }
 
 Result<std::int64_t> ArgParser::GetInt(const std::string& name,
-                                       std::int64_t fallback) const {
+                                       std::int64_t fallback, std::int64_t lo,
+                                       std::int64_t hi) const {
   if (!Has(name)) return fallback;
   const std::string value = GetString(name);
   char* end = nullptr;
-  const std::int64_t parsed = std::strtoll(value.c_str(), &end, 10);
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0') {
     return Status::InvalidArgument("--" + name + " expects an integer, got '" +
                                    value + "'");
+  }
+  // ERANGE: the text lies past int64 and strtoll saturated.
+  if (errno == ERANGE || parsed < lo || parsed > hi) {
+    return Status::InvalidArgument(
+        StrFormat("--%s must be in [%lld, %lld], got '%s'", name.c_str(),
+                  static_cast<long long>(lo), static_cast<long long>(hi),
+                  value.c_str()));
   }
   return parsed;
 }

@@ -32,9 +32,13 @@ class ArgParser {
   // All values of a repeated flag, in order.
   std::vector<std::string> GetAll(const std::string& name) const;
 
-  // Typed accessors; fail with InvalidArgument on unparseable values.
-  Result<std::int64_t> GetInt(const std::string& name,
-                              std::int64_t fallback) const;
+  // --name as an integer in [lo, hi] (inclusive), or `fallback` when
+  // absent. Fails with InvalidArgument naming the flag on a value that
+  // does not parse or lies outside the range, so callers can narrow the
+  // result to the type they store without losing bits.
+  Result<std::int64_t> GetInt(const std::string& name, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) const;
+  // Fails with InvalidArgument on an unparseable value.
   Result<double> GetDouble(const std::string& name, double fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -65,6 +65,37 @@ bool ParseDouble(std::string_view s, double* out) {
   return true;
 }
 
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (unsigned char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -27,6 +27,10 @@ std::string_view Trim(std::string_view s);
 // True when `s` parses fully as a decimal floating-point number.
 bool ParseDouble(std::string_view s, double* out);
 
+// Escapes `text` for inclusion in a JSON string: quotes, backslashes,
+// \n, \r, \t, and \u00XX for the other control characters.
+std::string JsonEscape(const std::string& text);
+
 // Formats with printf semantics into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -13,22 +13,6 @@
 
 namespace dd {
 
-namespace {
-
-// One clone per ParallelFor chunk, or none when the provider cannot
-// clone (the caller then falls back to the sequential path).
-std::vector<std::unique_ptr<MeasureProvider>> MakeClones(
-    const MeasureProvider& provider, std::size_t chunks) {
-  std::vector<std::unique_ptr<MeasureProvider>> clones(chunks);
-  for (auto& clone : clones) {
-    clone = provider.CloneForThread();
-    if (clone == nullptr) return {};
-  }
-  return clones;
-}
-
-}  // namespace
-
 DeterminedPattern MakeDeterminedPattern(Levels lhs, Levels rhs,
                                         std::uint64_t total,
                                         std::uint64_t lhs_count,
@@ -129,27 +113,27 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
   // document's event order is reproducible.
   if (threads > 1 && !options.advanced_bound && rec == nullptr &&
       !InParallelChunk() && lhs_order.size() > 1) {
-    std::vector<std::unique_ptr<MeasureProvider>> clones =
-        MakeClones(*provider, EffectiveChunks(lhs_order.size(), threads));
-    if (!clones.empty()) {
-      std::vector<LhsOutcome> outcomes(lhs_order.size());
-      ParallelFor("da.lhs_search", lhs_order.size(), threads,
-                  [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                    MeasureProvider* p = clones[chunk].get();
-                    for (std::size_t pos = begin; pos < end; ++pos) {
-                      obs::TraceSpan lhs_span("lhs_search");
-                      const Levels lhs = lhs_lattice.LevelsOf(lhs_order[pos]);
-                      p->SetLhs(lhs);
-                      outcomes[pos].patterns =
-                          DetermineForLhs(p, lhs, rhs_dims, dmax, /*bound=*/0.0,
-                                          pa_options, options.utility,
-                                          &outcomes[pos].pa);
-                    }
-                  });
-      for (LhsOutcome& out : outcomes) merge(out);
-      for (const auto& clone : clones) provider->AddStats(clone->stats());
-      return std::move(top).Sorted();
-    }
+    // One clone per ParallelFor chunk.
+    std::vector<std::unique_ptr<MeasureProvider>> clones(
+        EffectiveChunks(lhs_order.size(), threads));
+    for (auto& clone : clones) clone = provider->CloneForThread();
+    std::vector<LhsOutcome> outcomes(lhs_order.size());
+    ParallelFor("da.lhs_search", lhs_order.size(), threads,
+                [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+                  MeasureProvider* p = clones[chunk].get();
+                  for (std::size_t pos = begin; pos < end; ++pos) {
+                    obs::TraceSpan lhs_span("lhs_search");
+                    const Levels lhs = lhs_lattice.LevelsOf(lhs_order[pos]);
+                    p->SetLhs(lhs);
+                    outcomes[pos].patterns =
+                        DetermineForLhs(p, lhs, rhs_dims, dmax, /*bound=*/0.0,
+                                        pa_options, options.utility,
+                                        &outcomes[pos].pa);
+                  }
+                });
+    for (LhsOutcome& out : outcomes) merge(out);
+    for (const auto& clone : clones) provider->AddStats(clone->stats());
+    return std::move(top).Sorted();
   }
 
   for (std::uint32_t idx : lhs_order) {

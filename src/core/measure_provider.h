@@ -103,12 +103,9 @@ class MeasureProvider {
   // Thread-private clone for across-LHS parallel determination: shares
   // the (immutable) counting structures with `this` but owns its LHS
   // state and stats. Valid only while the parent is alive and not
-  // mutated. nullptr = cloning unsupported; callers fall back to the
-  // sequential path. Clones start with zeroed stats; merge them back
-  // deterministically with AddStats.
-  virtual std::unique_ptr<MeasureProvider> CloneForThread() const {
-    return nullptr;
-  }
+  // mutated. Never nullptr. Clones start with zeroed stats; merge them
+  // back deterministically with AddStats.
+  virtual std::unique_ptr<MeasureProvider> CloneForThread() const = 0;
 
   // Merges a clone's accumulated stats (field-wise sums, so the merge
   // total is independent of merge order).

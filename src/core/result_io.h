@@ -11,10 +11,6 @@
 
 namespace dd {
 
-// Escapes a string for inclusion in a JSON document (quotes, control
-// characters, backslashes).
-std::string JsonEscape(const std::string& text);
-
 // {"rule": {...}, "prior_mean_cq": ..., "elapsed_seconds": ...,
 //  "pruning_rate": ..., "patterns": [{"lhs": [...], "rhs": [...],
 //  "d": ..., "confidence": ..., "support": ..., "quality": ...,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "obs/diag/symbolize.h"
 
 namespace dd::obs::diag {
@@ -41,33 +42,6 @@ std::vector<std::string> SplitWs(const std::string& line) {
   std::string tok;
   while (in >> tok) out.push_back(tok);
   return out;
-}
-
-void AppendJsonEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 std::string FormatHex(std::uint64_t v) {
@@ -313,10 +287,10 @@ std::string DiagDumpToJson(const DiagDump& dump) {
   std::string out = "{";
   out += "\"version\":" + std::to_string(dump.version);
   out += ",\"reason\":\"";
-  AppendJsonEscaped(out, dump.reason);
+  out += JsonEscape(dump.reason);
   out += "\",\"signal\":" + std::to_string(dump.signal);
   out += ",\"signal_name\":\"";
-  AppendJsonEscaped(out, dump.signal_name);
+  out += JsonEscape(dump.signal_name);
   out += "\",\"fault_addr\":\"" + FormatHex(dump.fault_addr) + "\"";
   out += ",\"pid\":" + std::to_string(dump.pid);
   out += ",\"tid\":" + std::to_string(dump.tid);
@@ -337,13 +311,13 @@ std::string DiagDumpToJson(const DiagDump& dump) {
       out += "{\"pc\":\"" + FormatHex(frame.pc) + "\"";
       if (!frame.module.empty()) {
         out += ",\"module\":\"";
-        AppendJsonEscaped(out, frame.module);
+        out += JsonEscape(frame.module);
         out += "\",\"module_offset\":\"" + FormatHex(frame.module_offset) +
                "\"";
       }
       if (!frame.symbol.empty()) {
         out += ",\"symbol\":\"";
-        AppendJsonEscaped(out, frame.symbol);
+        out += JsonEscape(frame.symbol);
         out += "\"";
       }
       out += "}";
@@ -357,7 +331,7 @@ std::string DiagDumpToJson(const DiagDump& dump) {
     const DiagHeartbeatLine& hb = dump.heartbeats[i];
     if (i != 0) out += ",";
     out += "{\"name\":\"";
-    AppendJsonEscaped(out, hb.name);
+    out += JsonEscape(hb.name);
     out += "\",\"armed\":" + std::to_string(hb.armed) +
            ",\"beats\":" + std::to_string(hb.beats) +
            ",\"age_ns\":" + std::to_string(hb.age_ns) +
@@ -372,9 +346,9 @@ std::string DiagDumpToJson(const DiagDump& dump) {
     out += "{\"tid\":" + std::to_string(ev.tid) +
            ",\"seq\":" + std::to_string(ev.seq) +
            ",\"t_ns\":" + std::to_string(ev.t_ns) + ",\"type\":\"";
-    AppendJsonEscaped(out, ev.type);
+    out += JsonEscape(ev.type);
     out += "\",\"name\":\"";
-    AppendJsonEscaped(out, ev.name);
+    out += JsonEscape(ev.name);
     out += "\",\"arg0\":" + std::to_string(ev.arg0) +
            ",\"arg1\":" + std::to_string(ev.arg1) + "}";
   }

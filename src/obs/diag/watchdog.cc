@@ -76,7 +76,6 @@ void CheckHeartbeats(WatchdogState& state) {
     // One dump per silent episode: mark first so a slow dump does not
     // retrigger on the next tick.
     hb->in_stall.store(true, std::memory_order_relaxed);
-    state.stalls.fetch_add(1, std::memory_order_relaxed);
     static dd::obs::Counter& stall_counter =
         MetricsRegistry::Global().GetCounter("diag.stalls_detected");
     stall_counter.Add(1);
@@ -84,6 +83,10 @@ void CheckHeartbeats(WatchdogState& state) {
     DD_LOG(WARN) << "watchdog: heartbeat '" << hb->name << "' silent for "
                   << (now - last) / 1000000 << " ms, writing stall dump";
     WriteStallDump(hb->name, now - last);
+    // Counted only once the dump file is closed: StallsDetected() is
+    // "stall dumps written", so a reader that sees the count rise can
+    // list the directory and find the file.
+    state.stalls.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -160,7 +163,7 @@ bool Watchdog::Running() {
 }
 
 std::uint64_t Watchdog::StallsDetected() {
-  return State().stalls.load(std::memory_order_relaxed);
+  return State().stalls.load(std::memory_order_acquire);
 }
 
 }  // namespace dd::obs::diag

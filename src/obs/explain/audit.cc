@@ -3,7 +3,6 @@
 #include <cinttypes>
 
 #include "common/string_util.h"
-#include "obs/json_util.h"
 
 namespace dd {
 
@@ -64,7 +63,7 @@ std::string AttrListToJson(const std::vector<std::string>& attrs) {
     // Sequential appends sidestep a GCC 12 -Wrestrict false positive
     // (PR105329) on "literal" + std::string.
     out += '"';
-    out += obs::JsonEscape(attrs[i]);
+    out += JsonEscape(attrs[i]);
     out += '"';
   }
   out += "]";
@@ -93,7 +92,7 @@ std::string ExplainAuditToJson(const obs::ExplainSnapshot& snapshot,
   std::string out = "{\n";
   out += "  \"name\": \"determination_explain\",\n";
   out += "  \"run\": \"";
-  out += obs::JsonEscape(snapshot.run_label);
+  out += JsonEscape(snapshot.run_label);
   out += "\",\n";
   out += StrFormat("  \"estimated\": %s,\n",
                    snapshot.estimated ? "true" : "false");
@@ -103,10 +102,8 @@ std::string ExplainAuditToJson(const obs::ExplainSnapshot& snapshot,
   out += AttrListToJson(rule.rhs);
   out += "},\n";
   out += StrFormat(
-      "  \"config\": {\"sample_every\": %zu, \"ring_capacity\": %zu, "
-      "\"track_skyline\": %s},\n",
-      snapshot.config.sample_every, snapshot.config.ring_capacity,
-      snapshot.config.track_skyline ? "true" : "false");
+      "  \"config\": {\"sample_every\": %zu, \"ring_capacity\": %zu},\n",
+      snapshot.config.sample_every, snapshot.config.ring_capacity);
   out += StrFormat("  \"lattice\": {\"rhs_dims\": %zu, \"dmax\": %d},\n",
                    snapshot.rhs_dims, snapshot.dmax);
   out += StrFormat(

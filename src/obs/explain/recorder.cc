@@ -104,7 +104,6 @@ void ExplainRecorder::Enable(const ExplainConfig& config) {
       config_.ring_capacity, 1, kMaxRingCapacity);
   sample_every_.store(config_.sample_every, std::memory_order_relaxed);
   ring_capacity_.store(config_.ring_capacity, std::memory_order_relaxed);
-  track_skyline_.store(config_.track_skyline, std::memory_order_relaxed);
   run_label_.clear();
   estimated_.store(false, std::memory_order_relaxed);
   rhs_dims_ = 0;
@@ -289,8 +288,7 @@ void ExplainRecorder::Push(ExplainEvent event, double skyline_support) {
   ThreadBuffer& tb = EnsureFresh(LocalBuffer());
 
   bool forced = event.offered;
-  if (event.outcome == ExplainOutcome::kEvaluated && skyline_support >= 0.0 &&
-      track_skyline_.load(std::memory_order_relaxed)) {
+  if (event.outcome == ExplainOutcome::kEvaluated && skyline_support >= 0.0) {
     const std::array<double, 3> point = {tb.current_d * event.confidence,
                                          event.confidence, event.quality};
     bool dominated = false;

@@ -74,10 +74,6 @@ struct ExplainConfig {
   // as dropped. Waterfall totals stay exact regardless. Enable() clamps
   // it to [1, kMaxRingCapacity].
   std::size_t ring_capacity = std::size_t{1} << 16;
-  // Always keep candidates on the running Pareto front of
-  // (support, confidence, quality) — the skyline the paper's
-  // introduction promises the answers come from.
-  bool track_skyline = true;
 };
 
 // One recorded decision. Plain data, fixed size: ϕ[Y] is identified by
@@ -236,7 +232,6 @@ class ExplainRecorder {
   // Config mirrors readable without the mutex (hot path).
   std::atomic<std::size_t> sample_every_{1};
   std::atomic<std::size_t> ring_capacity_{std::size_t{1} << 16};
-  std::atomic<bool> track_skyline_{true};
 
   // Exact waterfall totals (relaxed increments).
   std::atomic<std::uint64_t> lhs_seen_{0};

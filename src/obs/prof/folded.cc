@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "obs/diag/symbolize.h"
 
 namespace dd::obs::prof {
@@ -36,36 +37,9 @@ std::string HexFrame(std::uintptr_t pc) {
   return buf;
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& text) {
-  for (const char ch : text) {
-    switch (ch) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          *out += buf;
-        } else {
-          *out += ch;
-        }
-    }
-  }
-}
-
 void AppendJsonString(std::string* out, const std::string& text) {
   *out += '"';
-  AppendJsonEscaped(out, text);
+  *out += JsonEscape(text);
   *out += '"';
 }
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "obs/json_util.h"
 #include "obs/prof/profiler.h"
 #include "obs/resource.h"
 

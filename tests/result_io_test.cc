@@ -72,14 +72,6 @@ TEST(ResultFilterTest, EmptyInput) {
 
 // ----- JSON / CSV serialization -----
 
-TEST(ResultIoTest, JsonEscaping) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(JsonEscape(std::string("ctrl\x01", 5)), "ctrl\\u0001");
-}
-
 DetermineResult MakeResult() {
   DetermineResult result;
   result.prior_mean_cq = 0.125;

@@ -52,5 +52,15 @@ TEST(StrFormatTest, PrintfSemantics) {
   EXPECT_EQ(StrFormat("plain"), "plain");
 }
 
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(JsonEscape("cr\rlf"), "cr\\rlf");
+  EXPECT_EQ(JsonEscape("tab\tbed"), "tab\\tbed");
+  EXPECT_EQ(JsonEscape(std::string("ctrl\x01", 5)), "ctrl\\u0001");
+}
+
 }  // namespace
 }  // namespace dd

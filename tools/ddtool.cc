@@ -22,10 +22,12 @@
 //                    [--save-matching m.ddmr | --load-matching m.ddmr]
 //                    (persist / reuse the pairwise matching relation,
 //                     the expensive step, across invocations)
-//   ddtool explain   same matching/rule/search flags as determine, but
-//                    runs with the EXPLAIN decision recorder enabled
-//                    and renders the audit: pruning waterfall,
-//                    winner-vs-runner-up diff, per-candidate events
+//   ddtool explain   same matching/rule/search flags as determine
+//                    (--approx, --save-matching and --load-matching
+//                    included), but runs with the EXPLAIN decision
+//                    recorder enabled and renders the audit: pruning
+//                    waterfall, winner-vs-runner-up diff, per-candidate
+//                    events
 //                    [--explain_sample K] keep every K-th event
 //                     (winner / bound-advancing / skyline events are
 //                     always kept; waterfall totals stay exact)
@@ -99,6 +101,15 @@
 //   --profile_hz N       samples per second of each thread's CPU time
 //                        (default 99; implies --profile)
 //
+// Integer flags are range-checked, and a value outside the range (or
+// past int64) is refused with exit status 1 and an error naming the
+// flag and its range: --dmax 1..255; --max-pairs >= 0 (0 = all pairs);
+// --top >= 1 (discover: >= 0, 0 = every rule; prof: >= 1);
+// --max-lhs >= 0; --sample_target >= 1; --entities 0..2^32-1;
+// --batch >= 1; --retire >= 0; --explain_sample >= 1;
+// --ring_capacity 1..2^24; --threads >= 0; --stall_timeout_ms
+// 1..2^31-1; --profile_hz 1..10000; --seed any int64.
+//
 // A flag no subcommand reads (a typo, or a flag that was removed) is
 // refused with exit status 1.
 //
@@ -111,8 +122,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <optional>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -163,6 +173,9 @@ const std::vector<std::string> kKnownFlags = {
     "trace_json", "truth-out",
 };
 
+// Rows as MaintenanceEngine::ApplyBatch takes them.
+using Rows = std::vector<std::vector<std::string>>;
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -195,9 +208,12 @@ dd::Status ApplyMetricFlags(const dd::ArgParser& args,
 
 dd::Result<dd::MatchingOptions> MatchingFromFlags(const dd::ArgParser& args) {
   dd::MatchingOptions options;
-  DD_ASSIGN_OR_RETURN(std::int64_t dmax, args.GetInt("dmax", 10));
-  DD_ASSIGN_OR_RETURN(std::int64_t max_pairs, args.GetInt("max-pairs", 0));
-  DD_ASSIGN_OR_RETURN(std::int64_t seed, args.GetInt("seed", 1));
+  // The matching relation packs levels into a byte.
+  DD_ASSIGN_OR_RETURN(std::int64_t dmax, args.GetInt("dmax", 10, 1, 255));
+  DD_ASSIGN_OR_RETURN(std::int64_t max_pairs,
+                      args.GetInt("max-pairs", 0, 0, INT64_MAX));
+  DD_ASSIGN_OR_RETURN(std::int64_t seed,
+                      args.GetInt("seed", 1, INT64_MIN, INT64_MAX));
   options.dmax = static_cast<int>(dmax);
   options.max_pairs = static_cast<std::size_t>(max_pairs);
   options.seed = static_cast<std::uint64_t>(seed);
@@ -209,7 +225,7 @@ dd::Result<dd::MatchingOptions> MatchingFromFlags(const dd::ArgParser& args) {
 // --provider.
 dd::Result<dd::DetermineOptions> DetermineFromFlags(const dd::ArgParser& args) {
   dd::DetermineOptions options;
-  DD_ASSIGN_OR_RETURN(std::int64_t top, args.GetInt("top", 5));
+  DD_ASSIGN_OR_RETURN(std::int64_t top, args.GetInt("top", 5, 1, INT64_MAX));
   options.top_l = static_cast<std::size_t>(top);
   options.provider = args.GetString("provider", "scan");
   const std::string algo = args.GetString("algo", "DAP+PAP");
@@ -239,19 +255,27 @@ dd::Result<dd::approx::ApproxOptions> ApproxFromFlags(
     const dd::ArgParser& args) {
   dd::approx::ApproxOptions options;
   DD_ASSIGN_OR_RETURN(std::int64_t target,
-                      args.GetInt("sample_target", 100000));
-  if (target < 1) {
-    return dd::Status::InvalidArgument("--sample_target must be >= 1");
-  }
+                      args.GetInt("sample_target", 100000, 1, INT64_MAX));
   options.sample_target = static_cast<std::uint64_t>(target);
   DD_ASSIGN_OR_RETURN(options.epsilon, args.GetDouble("epsilon", 0.01));
   if (options.epsilon < 0) {
     return dd::Status::InvalidArgument("--epsilon must be >= 0");
   }
-  DD_ASSIGN_OR_RETURN(std::int64_t seed, args.GetInt("seed", 7));
+  DD_ASSIGN_OR_RETURN(std::int64_t seed,
+                      args.GetInt("seed", 7, INT64_MIN, INT64_MAX));
   options.seed = static_cast<std::uint64_t>(seed);
   options.blocking = !args.Has("no_blocking");
   return options;
+}
+
+// The rule X -> Y named by --lhs and --rhs.
+dd::Result<dd::RuleSpec> RuleFromFlags(const dd::ArgParser& args) {
+  dd::RuleSpec rule{dd::SplitFlagList(args.GetString("lhs")),
+                    dd::SplitFlagList(args.GetString("rhs"))};
+  if (rule.lhs.empty() || rule.rhs.empty()) {
+    return dd::Status::InvalidArgument("--lhs and --rhs required");
+  }
+  return rule;
 }
 
 // Writes the global span-tree + metrics run report when --trace_json
@@ -303,6 +327,18 @@ void PrintSearchStats(const dd::DetermineResult& result) {
               static_cast<unsigned long long>(p.rows_scanned));
 }
 
+// The exact result table shared by determine and explain.
+void PrintPatternTable(const std::vector<dd::DeterminedPattern>& patterns) {
+  std::printf("%-30s %8s %8s %8s %6s %9s\n", "pattern", "D", "C", "S", "Q",
+              "utility");
+  for (const auto& p : patterns) {
+    std::printf("%-30s %8.4f %8.4f %8.4f %6.2f %9.4f\n",
+                dd::PatternToString(p.pattern).c_str(), p.measures.d,
+                p.measures.confidence, p.measures.support, p.measures.quality,
+                p.utility);
+  }
+}
+
 // Parses "4,2->3,1" into a Pattern with the given arities.
 dd::Result<dd::Pattern> ParsePattern(const std::string& text,
                                      std::size_t lhs_size,
@@ -335,83 +371,82 @@ dd::Result<dd::Pattern> ParsePattern(const std::string& text,
   return pattern;
 }
 
-int RunGenerate(const dd::ArgParser& args) {
+// Writes (row_i, row_j) tuple pairs as a two-column CSV: generate's
+// --truth-out and detect's --out.
+dd::Status WritePairsCsv(const dd::PairList& pairs, const std::string& path) {
+  dd::Relation table(dd::Schema({{"row_i", dd::AttributeType::kNumeric},
+                                 {"row_j", dd::AttributeType::kNumeric}}));
+  for (const auto& [i, j] : pairs) {
+    DD_RETURN_IF_ERROR(
+        table.AddRow({dd::StrFormat("%u", i), dd::StrFormat("%u", j)}));
+  }
+  return dd::WriteCsvFile(table, path);
+}
+
+dd::Status RunGenerate(const dd::ArgParser& args) {
   const std::string dataset = args.GetString("dataset", "restaurant");
   const std::string out = args.GetString("out");
-  if (out.empty()) return Fail(dd::Status::InvalidArgument("--out required"));
-  auto entities = args.GetInt("entities", 200);
-  if (!entities.ok()) return Fail(entities.status());
-  auto seed = args.GetInt("seed", 42);
-  if (!seed.ok()) return Fail(seed.status());
+  if (out.empty()) return dd::Status::InvalidArgument("--out required");
+  // Each entity yields at least one row, and row ids are 32-bit.
+  DD_ASSIGN_OR_RETURN(const std::int64_t entities,
+                      args.GetInt("entities", 200, 0, UINT32_MAX));
+  DD_ASSIGN_OR_RETURN(const std::int64_t seed,
+                      args.GetInt("seed", 42, INT64_MIN, INT64_MAX));
 
   dd::GeneratedData data;
   if (dataset == "hotel") {
     data = dd::HotelExample();
   } else if (dataset == "cora") {
     dd::CoraOptions options;
-    options.num_entities = static_cast<std::size_t>(*entities);
-    options.seed = static_cast<std::uint64_t>(*seed);
+    options.num_entities = static_cast<std::size_t>(entities);
+    options.seed = static_cast<std::uint64_t>(seed);
     data = dd::GenerateCora(options);
   } else if (dataset == "restaurant") {
     dd::RestaurantOptions options;
-    options.num_entities = static_cast<std::size_t>(*entities);
-    options.seed = static_cast<std::uint64_t>(*seed);
+    options.num_entities = static_cast<std::size_t>(entities);
+    options.seed = static_cast<std::uint64_t>(seed);
     data = dd::GenerateRestaurant(options);
   } else if (dataset == "citeseer") {
     dd::CiteseerOptions options;
-    options.num_entities = static_cast<std::size_t>(*entities);
-    options.seed = static_cast<std::uint64_t>(*seed);
+    options.num_entities = static_cast<std::size_t>(entities);
+    options.seed = static_cast<std::uint64_t>(seed);
     data = dd::GenerateCiteseer(options);
   } else {
-    return Fail(dd::Status::InvalidArgument(
-        "--dataset must be hotel|cora|restaurant|citeseer"));
+    return dd::Status::InvalidArgument(
+        "--dataset must be hotel|cora|restaurant|citeseer");
   }
 
-  dd::Status write = dd::WriteCsvFile(data.relation, out);
-  if (!write.ok()) return Fail(write);
+  DD_RETURN_IF_ERROR(dd::WriteCsvFile(data.relation, out));
   std::printf("wrote %zu rows to %s\n", data.relation.num_rows(), out.c_str());
 
   const std::string dirty_out = args.GetString("dirty-out");
-  if (!dirty_out.empty()) {
-    auto fraction = args.GetDouble("corrupt-fraction", 0.05);
-    if (!fraction.ok()) return Fail(fraction.status());
-    std::vector<std::string> attrs =
-        dd::SplitFlagList(args.GetString("corrupt-attrs"));
-    if (attrs.empty()) {
-      return Fail(dd::Status::InvalidArgument(
-          "--dirty-out requires --corrupt-attrs a,b"));
-    }
-    dd::CorruptorOptions coptions;
-    coptions.corrupt_fraction = *fraction;
-    coptions.seed = static_cast<std::uint64_t>(*seed) + 1;
-    auto corrupted = dd::InjectViolations(data, attrs, coptions);
-    if (!corrupted.ok()) return Fail(corrupted.status());
-    write = dd::WriteCsvFile(corrupted->dirty, dirty_out);
-    if (!write.ok()) return Fail(write);
-    std::printf("wrote dirty copy (%zu corrupted rows) to %s\n",
-                corrupted->corrupted_rows.size(), dirty_out.c_str());
-
-    const std::string truth_out = args.GetString("truth-out");
-    if (!truth_out.empty()) {
-      dd::Schema schema({{"row_i", dd::AttributeType::kNumeric},
-                         {"row_j", dd::AttributeType::kNumeric}});
-      dd::Relation truth(schema);
-      for (const auto& [i, j] : corrupted->truth_pairs) {
-        dd::Status s = truth.AddRow(
-            {dd::StrFormat("%u", i), dd::StrFormat("%u", j)});
-        if (!s.ok()) return Fail(s);
-      }
-      write = dd::WriteCsvFile(truth, truth_out);
-      if (!write.ok()) return Fail(write);
-      std::printf("wrote %zu truth pairs to %s\n",
-                  corrupted->truth_pairs.size(), truth_out.c_str());
-    }
+  if (dirty_out.empty()) return dd::Status::Ok();
+  dd::CorruptorOptions coptions;
+  DD_ASSIGN_OR_RETURN(coptions.corrupt_fraction,
+                      args.GetDouble("corrupt-fraction", 0.05));
+  coptions.seed = static_cast<std::uint64_t>(seed) + 1;
+  std::vector<std::string> attrs =
+      dd::SplitFlagList(args.GetString("corrupt-attrs"));
+  if (attrs.empty()) {
+    return dd::Status::InvalidArgument(
+        "--dirty-out requires --corrupt-attrs a,b");
   }
-  return 0;
+  DD_ASSIGN_OR_RETURN(const dd::CorruptionResult corrupted,
+                      dd::InjectViolations(data, attrs, coptions));
+  DD_RETURN_IF_ERROR(dd::WriteCsvFile(corrupted.dirty, dirty_out));
+  std::printf("wrote dirty copy (%zu corrupted rows) to %s\n",
+              corrupted.corrupted_rows.size(), dirty_out.c_str());
+
+  const std::string truth_out = args.GetString("truth-out");
+  if (truth_out.empty()) return dd::Status::Ok();
+  DD_RETURN_IF_ERROR(WritePairsCsv(corrupted.truth_pairs, truth_out));
+  std::printf("wrote %zu truth pairs to %s\n", corrupted.truth_pairs.size(),
+              truth_out.c_str());
+  return dd::Status::Ok();
 }
 
-// Shared by determine / explain: the matching relation, either
-// deserialized from --load-matching or built from --input.
+// The matching relation, either deserialized from --load-matching or
+// built from --input.
 dd::Result<dd::MatchingRelation> LoadMatching(const dd::ArgParser& args,
                                               const dd::RuleSpec& rule) {
   dd::obs::TraceSpan span("load_input");
@@ -427,126 +462,122 @@ dd::Result<dd::MatchingRelation> LoadMatching(const dd::ArgParser& args,
   return dd::BuildMatchingRelation(relation, rule.AllAttributes(), moptions);
 }
 
-// The --approx leg of `ddtool determine`: progressive-refinement
-// determination over the stratified sample instead of the exact
-// matching relation.
-int RunDetermineApprox(const dd::ArgParser& args, const dd::RuleSpec& rule) {
+// One determine / explain run and the facts their headers print.
+struct Determination {
+  dd::RuleSpec rule;
+  dd::DetermineOptions options;
+  bool approx = false;
+  // Exact runs: the matching relation's size and level cap.
+  std::size_t tuples = 0;
+  int dmax = 0;
+  // --approx runs: the CSV's row count.
+  std::size_t rows = 0;
+  // The result is `outcome.determine`. The sampling fields (rounds,
+  // fraction, intervals, exhaustive) are filled by --approx runs only.
+  dd::approx::ApproxDetermineResult outcome;
+};
+
+// The determination step shared by determine and explain. Exact runs
+// search the matching relation (built from --input or read from
+// --load-matching, and written to --save-matching when given). --approx
+// runs refine over a stratified sample of the --input CSV and never
+// materialize the relation.
+dd::Result<Determination> Determine(const dd::ArgParser& args) {
+  Determination run;
+  DD_ASSIGN_OR_RETURN(run.rule, RuleFromFlags(args));
+  DD_ASSIGN_OR_RETURN(run.options, DetermineFromFlags(args));
+  run.approx = args.Has("approx");
+  if (!run.approx) {
+    DD_ASSIGN_OR_RETURN(dd::MatchingRelation matching,
+                        LoadMatching(args, run.rule));
+    run.tuples = matching.num_tuples();
+    run.dmax = matching.dmax();
+    const std::string save_matching = args.GetString("save-matching");
+    if (!save_matching.empty()) {
+      DD_RETURN_IF_ERROR(dd::WriteMatchingFile(matching, save_matching));
+    }
+    DD_ASSIGN_OR_RETURN(run.outcome.determine,
+                        dd::DetermineThresholds(matching, run.rule,
+                                                run.options));
+    return run;
+  }
   if (args.Has("save-matching") || args.Has("load-matching")) {
-    return Fail(dd::Status::InvalidArgument(
+    return dd::Status::InvalidArgument(
         "--approx never materializes the matching relation; "
-        "--save-matching/--load-matching require an exact run"));
+        "--save-matching/--load-matching require an exact run");
   }
   const std::string input = args.GetString("input");
-  if (input.empty()) {
-    return Fail(dd::Status::InvalidArgument("--input (CSV) required"));
-  }
-  auto relation = dd::ReadCsvFile(input);
-  if (!relation.ok()) return Fail(relation.status());
-
-  auto moptions = MatchingFromFlags(args);
-  if (!moptions.ok()) return Fail(moptions.status());
+  if (input.empty()) return dd::Status::InvalidArgument("--input (CSV) required");
+  DD_ASSIGN_OR_RETURN(dd::Relation relation, dd::ReadCsvFile(input));
+  run.rows = relation.num_rows();
+  DD_ASSIGN_OR_RETURN(dd::MatchingOptions moptions, MatchingFromFlags(args));
   dd::approx::ApproxDetermineOptions options;
-  auto doptions = DetermineFromFlags(args);
-  if (!doptions.ok()) return Fail(doptions.status());
-  options.determine = *doptions;
-  auto aoptions = ApproxFromFlags(args);
-  if (!aoptions.ok()) return Fail(aoptions.status());
-  options.approx = *aoptions;
-
-  auto result =
-      dd::approx::ApproxDetermineThresholds(*relation, rule, *moptions, options);
-  if (!result.ok()) return Fail(result.status());
-  dd::Status trace_status = MaybeWriteTraceReport(
-      args, "ddtool determine --approx " + args.GetString("algo", "DAP+PAP"),
-      RunId(args));
-  if (!trace_status.ok()) return Fail(trace_status);
-
-  if (args.Has("json")) {
-    std::printf("%s\n", dd::approx::ApproxResultToJson(*result, rule).c_str());
-    if (args.Has("print_stats")) PrintSearchStats(result->determine);
-    return 0;
-  }
-  std::printf(
-      "approx determination: %zu round(s), %s, sample fraction %.4f "
-      "(%llu near + %llu sampled of %llu pairs)%s\n",
-      result->rounds, result->converged ? "converged" : "round cap hit",
-      result->sample_fraction,
-      static_cast<unsigned long long>(result->near_pairs),
-      static_cast<unsigned long long>(result->sampled_pairs),
-      static_cast<unsigned long long>(result->total_pairs),
-      result->exhaustive ? " [exhaustive = exact]" : " [estimated]");
-  std::printf("determined %zu pattern(s) in %.3fs (prior CQ %.3f)\n",
-              result->determine.patterns.size(),
-              result->determine.elapsed_seconds,
-              result->determine.prior_mean_cq);
-  std::printf("%-30s %8s %8s %6s %9s %21s\n", "pattern", "D", "C", "Q",
-              "utility", "utility 95% bounds");
-  for (std::size_t i = 0; i < result->determine.patterns.size(); ++i) {
-    const auto& p = result->determine.patterns[i];
-    const auto& iv = result->intervals[i];
-    std::printf("%-30s %8.4f %8.4f %6.2f %9.4f   [%8.4f, %8.4f]\n",
-                dd::PatternToString(p.pattern).c_str(), p.measures.d,
-                p.measures.confidence, p.measures.quality, p.utility,
-                iv.utility.lo, iv.utility.hi);
-  }
-  if (args.Has("print_stats")) PrintSearchStats(result->determine);
-  return 0;
+  options.determine = run.options;
+  DD_ASSIGN_OR_RETURN(options.approx, ApproxFromFlags(args));
+  DD_ASSIGN_OR_RETURN(run.outcome, dd::approx::ApproxDetermineThresholds(
+                                       relation, run.rule, moptions, options));
+  return run;
 }
 
-int RunDetermine(const dd::ArgParser& args) {
-  std::vector<std::string> lhs = dd::SplitFlagList(args.GetString("lhs"));
-  std::vector<std::string> rhs = dd::SplitFlagList(args.GetString("rhs"));
-  if (lhs.empty() || rhs.empty()) {
-    return Fail(dd::Status::InvalidArgument("--lhs and --rhs required"));
+dd::Status RunDetermine(const dd::ArgParser& args) {
+  DD_ASSIGN_OR_RETURN(Determination run, Determine(args));
+  const dd::approx::ApproxDetermineResult& outcome = run.outcome;
+  dd::DetermineResult& result = run.outcome.determine;
+  if (!run.approx && args.Has("collapse")) {
+    result.patterns = dd::CollapseEquivalent(std::move(result.patterns));
   }
-  dd::RuleSpec rule{std::move(lhs), std::move(rhs)};
-  if (args.Has("approx")) return RunDetermineApprox(args, rule);
+  std::string run_name =
+      run.approx ? "ddtool determine --approx " : "ddtool determine ";
+  run_name += args.GetString("algo", "DAP+PAP");
+  DD_RETURN_IF_ERROR(MaybeWriteTraceReport(args, run_name, RunId(args)));
 
-  dd::Result<dd::MatchingRelation> matching = LoadMatching(args, rule);
-  if (!matching.ok()) return Fail(matching.status());
-  if (!args.Has("json")) {
-    // Keep stdout pure JSON under --json (pipe-friendly).
-    std::printf("matching relation: %zu tuples (dmax=%d)\n",
-                matching->num_tuples(), matching->dmax());
-  }
+  const bool json = args.Has("json");
   const std::string save_matching = args.GetString("save-matching");
+  // Keep stdout pure JSON under --json (pipe-friendly).
+  if (!run.approx && !json) {
+    std::printf("matching relation: %zu tuples (dmax=%d)\n", run.tuples,
+                run.dmax);
+  }
   if (!save_matching.empty()) {
-    dd::Status save = dd::WriteMatchingFile(*matching, save_matching);
-    if (!save.ok()) return Fail(save);
     std::printf("saved matching relation to %s\n", save_matching.c_str());
   }
-
-  auto doptions = DetermineFromFlags(args);
-  if (!doptions.ok()) return Fail(doptions.status());
-
-  auto result = dd::DetermineThresholds(*matching, rule, *doptions);
-  if (!result.ok()) return Fail(result.status());
-  if (args.Has("collapse")) {
-    result->patterns = dd::CollapseEquivalent(std::move(result->patterns));
+  if (json) {
+    const std::string doc =
+        run.approx ? dd::approx::ApproxResultToJson(outcome, run.rule)
+                   : dd::DetermineResultToJson(result, run.rule);
+    std::printf("%s\n", doc.c_str());
+  } else if (run.approx) {
+    std::printf(
+        "approx determination: %zu round(s), %s, sample fraction %.4f "
+        "(%llu near + %llu sampled of %llu pairs)%s\n",
+        outcome.rounds, outcome.converged ? "converged" : "round cap hit",
+        outcome.sample_fraction,
+        static_cast<unsigned long long>(outcome.near_pairs),
+        static_cast<unsigned long long>(outcome.sampled_pairs),
+        static_cast<unsigned long long>(outcome.total_pairs),
+        outcome.exhaustive ? " [exhaustive = exact]" : " [estimated]");
+    std::printf("determined %zu pattern(s) in %.3fs (prior CQ %.3f)\n",
+                result.patterns.size(), result.elapsed_seconds,
+                result.prior_mean_cq);
+    std::printf("%-30s %8s %8s %6s %9s %21s\n", "pattern", "D", "C", "Q",
+                "utility", "utility 95% bounds");
+    for (std::size_t i = 0; i < result.patterns.size(); ++i) {
+      const auto& p = result.patterns[i];
+      const auto& iv = outcome.intervals[i];
+      std::printf("%-30s %8.4f %8.4f %6.2f %9.4f   [%8.4f, %8.4f]\n",
+                  dd::PatternToString(p.pattern).c_str(), p.measures.d,
+                  p.measures.confidence, p.measures.quality, p.utility,
+                  iv.utility.lo, iv.utility.hi);
+    }
+  } else {
+    std::printf("determined %zu pattern(s) in %.3fs (pruning rate %.3f, prior "
+                "CQ %.3f)\n",
+                result.patterns.size(), result.elapsed_seconds,
+                result.stats.PruningRate(), result.prior_mean_cq);
+    PrintPatternTable(result.patterns);
   }
-  dd::Status trace_status = MaybeWriteTraceReport(
-      args, "ddtool determine " + args.GetString("algo", "DAP+PAP"),
-      RunId(args));
-  if (!trace_status.ok()) return Fail(trace_status);
-  if (args.Has("json")) {
-    std::printf("%s\n", dd::DetermineResultToJson(*result, rule).c_str());
-    if (args.Has("print_stats")) PrintSearchStats(*result);
-    return 0;
-  }
-  std::printf("determined %zu pattern(s) in %.3fs (pruning rate %.3f, prior "
-              "CQ %.3f)\n",
-              result->patterns.size(), result->elapsed_seconds,
-              result->stats.PruningRate(), result->prior_mean_cq);
-  std::printf("%-30s %8s %8s %8s %6s %9s\n", "pattern", "D", "C", "S", "Q",
-              "utility");
-  for (const auto& p : result->patterns) {
-    std::printf("%-30s %8.4f %8.4f %8.4f %6.2f %9.4f\n",
-                dd::PatternToString(p.pattern).c_str(), p.measures.d,
-                p.measures.confidence, p.measures.support, p.measures.quality,
-                p.utility);
-  }
-  if (args.Has("print_stats")) PrintSearchStats(*result);
-  return 0;
+  if (args.Has("print_stats")) PrintSearchStats(result);
+  return dd::Status::Ok();
 }
 
 // Writes `content` to `path` (overwriting), fopen-based like the obs
@@ -564,104 +595,48 @@ dd::Status WriteTextFile(const std::string& content, const std::string& path) {
   return dd::Status::Ok();
 }
 
+// Reads a whole file (`ddtool diag` and `ddtool prof` inputs).
+dd::Result<std::string> ReadTextFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return dd::Status::IoError("cannot open " + path);
+  }
+  std::string text;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) text.append(buf, n);
+  std::fclose(file);
+  return text;
+}
+
 // `ddtool explain`: a determination run with the EXPLAIN recorder on,
 // followed by the audit consumers — JSON audit document, pruning
-// waterfall, winner-vs-runner-up diff, utility-landscape export.
-int RunExplain(const dd::ArgParser& args) {
-  std::vector<std::string> lhs = dd::SplitFlagList(args.GetString("lhs"));
-  std::vector<std::string> rhs = dd::SplitFlagList(args.GetString("rhs"));
-  if (lhs.empty() || rhs.empty()) {
-    return Fail(dd::Status::InvalidArgument("--lhs and --rhs required"));
-  }
-  dd::RuleSpec rule{std::move(lhs), std::move(rhs)};
-
-  // --approx audits the sampled run instead: the snapshot carries the
-  // "estimated" marker and the waterfall totals come from estimated
-  // counts.
-  const bool approx_mode = args.Has("approx");
-  std::optional<dd::Relation> relation;
-  std::optional<dd::MatchingRelation> matching;
-  if (approx_mode) {
-    if (args.Has("save-matching") || args.Has("load-matching")) {
-      return Fail(dd::Status::InvalidArgument(
-          "--approx never materializes the matching relation; "
-          "--save-matching/--load-matching require an exact run"));
-    }
-    const std::string input = args.GetString("input");
-    if (input.empty()) {
-      return Fail(dd::Status::InvalidArgument("--input (CSV) required"));
-    }
-    auto rel = dd::ReadCsvFile(input);
-    if (!rel.ok()) return Fail(rel.status());
-    relation.emplace(std::move(*rel));
-  } else {
-    auto loaded = LoadMatching(args, rule);
-    if (!loaded.ok()) return Fail(loaded.status());
-    matching.emplace(std::move(*loaded));
-  }
-  auto doptions = DetermineFromFlags(args);
-  if (!doptions.ok()) return Fail(doptions.status());
-
+// waterfall, winner-vs-runner-up diff, utility-landscape export. Under
+// --approx the snapshot carries the "estimated" marker and the
+// waterfall totals come from estimated counts.
+dd::Status RunExplain(const dd::ArgParser& args) {
   dd::obs::ExplainConfig config;
-  auto sample = args.GetInt("explain_sample", 1);
-  if (!sample.ok()) return Fail(sample.status());
-  if (*sample < 1) {
-    return Fail(dd::Status::InvalidArgument("--explain_sample must be >= 1"));
-  }
-  config.sample_every = static_cast<std::size_t>(*sample);
-  auto ring = args.GetInt("ring_capacity", 1 << 16);
-  if (!ring.ok()) return Fail(ring.status());
-  if (*ring < 1 ||
-      static_cast<std::uint64_t>(*ring) > dd::obs::kMaxRingCapacity) {
-    return Fail(dd::Status::InvalidArgument(
-        "--ring_capacity must be in [1, " +
-        std::to_string(dd::obs::kMaxRingCapacity) + "]"));
-  }
-  config.ring_capacity = static_cast<std::size_t>(*ring);
+  DD_ASSIGN_OR_RETURN(config.sample_every,
+                      args.GetInt("explain_sample", 1, 1, INT64_MAX));
+  DD_ASSIGN_OR_RETURN(
+      config.ring_capacity,
+      args.GetInt("ring_capacity", 1 << 16, 1,
+                  static_cast<std::int64_t>(dd::obs::kMaxRingCapacity)));
 
   dd::obs::ExplainRecorder& recorder = dd::obs::ExplainRecorder::Global();
   recorder.Enable(config);
-  std::optional<dd::DetermineResult> result;
-  dd::Status run_status = dd::Status::Ok();
-  if (approx_mode) {
-    auto moptions = MatchingFromFlags(args);
-    if (!moptions.ok()) {
-      recorder.Disable();
-      return Fail(moptions.status());
-    }
-    dd::approx::ApproxDetermineOptions approx_options;
-    approx_options.determine = *doptions;
-    auto aoptions = ApproxFromFlags(args);
-    if (!aoptions.ok()) {
-      recorder.Disable();
-      return Fail(aoptions.status());
-    }
-    approx_options.approx = *aoptions;
-    auto approx_result = dd::approx::ApproxDetermineThresholds(
-        *relation, rule, *moptions, approx_options);
-    if (approx_result.ok()) {
-      result.emplace(std::move(approx_result->determine));
-    } else {
-      run_status = approx_result.status();
-    }
-  } else {
-    auto exact = dd::DetermineThresholds(*matching, rule, *doptions);
-    if (exact.ok()) {
-      result.emplace(std::move(*exact));
-    } else {
-      run_status = exact.status();
-    }
-  }
+  dd::Result<Determination> determined = Determine(args);
   const dd::obs::ExplainSnapshot snapshot = recorder.Snapshot();
   recorder.Disable();
-  if (!run_status.ok()) return Fail(run_status);
+  DD_ASSIGN_OR_RETURN(const Determination run, std::move(determined));
+  const dd::DetermineResult& result = run.outcome.determine;
+  const dd::UtilityOptions& utility = run.options.utility;
 
   const std::string audit =
-      dd::ExplainAuditToJson(snapshot, *result, rule, doptions->utility);
+      dd::ExplainAuditToJson(snapshot, result, run.rule, utility);
   const std::string audit_path = args.GetString("audit_json");
   if (!audit_path.empty()) {
-    dd::Status written = WriteTextFile(audit, audit_path);
-    if (!written.ok()) return Fail(written);
+    DD_RETURN_IF_ERROR(WriteTextFile(audit, audit_path));
     std::fprintf(stderr, "wrote audit document to %s\n", audit_path.c_str());
   }
   const std::string landscape_path = args.GetString("landscape");
@@ -670,131 +645,98 @@ int RunExplain(const dd::ArgParser& args) {
                        landscape_path.rfind(".jsonl") ==
                            landscape_path.size() - 6;
     const std::string landscape =
-        jsonl ? dd::LandscapeToJsonl(snapshot, rule, doptions->utility,
-                                     result->prior_mean_cq)
-              : dd::LandscapeToCsv(snapshot, rule, doptions->utility,
-                                   result->prior_mean_cq);
-    dd::Status written = WriteTextFile(landscape, landscape_path);
-    if (!written.ok()) return Fail(written);
+        jsonl ? dd::LandscapeToJsonl(snapshot, run.rule, utility,
+                                     result.prior_mean_cq)
+              : dd::LandscapeToCsv(snapshot, run.rule, utility,
+                                   result.prior_mean_cq);
+    DD_RETURN_IF_ERROR(WriteTextFile(landscape, landscape_path));
     std::fprintf(stderr, "wrote utility landscape to %s\n",
                  landscape_path.c_str());
   }
 
-  dd::Status trace_status = MaybeWriteTraceReport(
+  DD_RETURN_IF_ERROR(MaybeWriteTraceReport(
       args, "ddtool explain " + args.GetString("algo", "DAP+PAP"),
-      RunId(args));
-  if (!trace_status.ok()) return Fail(trace_status);
+      RunId(args)));
 
   if (args.Has("json")) {
     std::printf("%s", audit.c_str());
-    return 0;
+    return dd::Status::Ok();
   }
-  if (approx_mode) {
-    std::printf("approx run over %zu rows%s\n", relation->num_rows(),
+  if (run.approx) {
+    std::printf("approx run over %zu rows%s\n", run.rows,
                 snapshot.estimated ? " [estimated counts]" : "");
   } else {
-    std::printf("matching relation: %zu tuples (dmax=%d)\n",
-                matching->num_tuples(), matching->dmax());
+    std::printf("matching relation: %zu tuples (dmax=%d)\n", run.tuples,
+                run.dmax);
   }
   std::printf("%s: %" PRIu64 " event(s) recorded, %" PRIu64
               " sampled out, %" PRIu64 " dropped (sample_every=%zu)\n",
               snapshot.run_label.c_str(), snapshot.recorded,
               snapshot.sampled_out, snapshot.dropped,
               snapshot.config.sample_every);
-  std::printf("\n%s", dd::PruningWaterfallToText(snapshot, *result).c_str());
-  std::printf("\n%s", dd::WhyChosenToText(*result).c_str());
-  std::printf("\n%-30s %8s %8s %8s %6s %9s\n", "pattern", "D", "C", "S", "Q",
-              "utility");
-  for (const auto& p : result->patterns) {
-    std::printf("%-30s %8.4f %8.4f %8.4f %6.2f %9.4f\n",
-                dd::PatternToString(p.pattern).c_str(), p.measures.d,
-                p.measures.confidence, p.measures.support, p.measures.quality,
-                p.utility);
-  }
-  if (args.Has("print_stats")) PrintSearchStats(*result);
-  return 0;
+  std::printf("\n%s", dd::PruningWaterfallToText(snapshot, result).c_str());
+  std::printf("\n%s", dd::WhyChosenToText(result).c_str());
+  std::printf("\n");
+  PrintPatternTable(result.patterns);
+  if (args.Has("print_stats")) PrintSearchStats(result);
+  return dd::Status::Ok();
 }
 
-int RunDetect(const dd::ArgParser& args) {
+dd::Status RunDetect(const dd::ArgParser& args) {
   const std::string input = args.GetString("input");
-  if (input.empty()) return Fail(dd::Status::InvalidArgument("--input required"));
-  std::vector<std::string> lhs = dd::SplitFlagList(args.GetString("lhs"));
-  std::vector<std::string> rhs = dd::SplitFlagList(args.GetString("rhs"));
-  if (lhs.empty() || rhs.empty()) {
-    return Fail(dd::Status::InvalidArgument("--lhs and --rhs required"));
-  }
-  auto relation = dd::ReadCsvFile(input);
-  if (!relation.ok()) return Fail(relation.status());
-  auto moptions = MatchingFromFlags(args);
-  if (!moptions.ok()) return Fail(moptions.status());
-  auto pattern =
-      ParsePattern(args.GetString("pattern"), lhs.size(), rhs.size());
-  if (!pattern.ok()) return Fail(pattern.status());
+  if (input.empty()) return dd::Status::InvalidArgument("--input required");
+  DD_ASSIGN_OR_RETURN(const dd::RuleSpec rule, RuleFromFlags(args));
+  DD_ASSIGN_OR_RETURN(const dd::Relation relation, dd::ReadCsvFile(input));
+  DD_ASSIGN_OR_RETURN(const dd::MatchingOptions moptions,
+                      MatchingFromFlags(args));
+  DD_ASSIGN_OR_RETURN(const dd::Pattern pattern,
+                      ParsePattern(args.GetString("pattern"), rule.lhs.size(),
+                                   rule.rhs.size()));
 
-  dd::RuleSpec rule{std::move(lhs), std::move(rhs)};
-  auto found = dd::DetectViolations(*relation, rule, *pattern, *moptions);
-  if (!found.ok()) return Fail(found.status());
-  dd::Status trace_status =
-      MaybeWriteTraceReport(args, "ddtool detect", RunId(args));
-  if (!trace_status.ok()) return Fail(trace_status);
-  std::printf("%zu violating pair(s)\n", found->size());
+  DD_ASSIGN_OR_RETURN(const dd::PairList found,
+                      dd::DetectViolations(relation, rule, pattern, moptions));
+  DD_RETURN_IF_ERROR(MaybeWriteTraceReport(args, "ddtool detect", RunId(args)));
+  std::printf("%zu violating pair(s)\n", found.size());
 
   const std::string out = args.GetString("out");
   if (!out.empty()) {
-    dd::Schema schema({{"row_i", dd::AttributeType::kNumeric},
-                       {"row_j", dd::AttributeType::kNumeric}});
-    dd::Relation pairs(schema);
-    for (const auto& [i, j] : *found) {
-      dd::Status s =
-          pairs.AddRow({dd::StrFormat("%u", i), dd::StrFormat("%u", j)});
-      if (!s.ok()) return Fail(s);
-    }
-    dd::Status write = dd::WriteCsvFile(pairs, out);
-    if (!write.ok()) return Fail(write);
+    DD_RETURN_IF_ERROR(WritePairsCsv(found, out));
     std::printf("wrote pairs to %s\n", out.c_str());
   } else {
-    for (std::size_t k = 0; k < found->size() && k < 20; ++k) {
-      std::printf("  (%u, %u)\n", (*found)[k].first, (*found)[k].second);
+    for (std::size_t k = 0; k < found.size() && k < 20; ++k) {
+      std::printf("  (%u, %u)\n", found[k].first, found[k].second);
     }
-    if (found->size() > 20) std::printf("  ... (%zu more)\n", found->size() - 20);
+    if (found.size() > 20) std::printf("  ... (%zu more)\n", found.size() - 20);
   }
-  return 0;
+  return dd::Status::Ok();
 }
 
-int RunDiscover(const dd::ArgParser& args) {
+dd::Status RunDiscover(const dd::ArgParser& args) {
   const std::string input = args.GetString("input");
-  if (input.empty()) return Fail(dd::Status::InvalidArgument("--input required"));
-  auto relation = dd::ReadCsvFile(input);
-  if (!relation.ok()) return Fail(relation.status());
+  if (input.empty()) return dd::Status::InvalidArgument("--input required");
+  DD_ASSIGN_OR_RETURN(const dd::Relation relation, dd::ReadCsvFile(input));
 
   dd::ExploreOptions options;
-  auto moptions = MatchingFromFlags(args);
-  if (!moptions.ok()) return Fail(moptions.status());
-  options.matching = *moptions;
+  DD_ASSIGN_OR_RETURN(options.matching, MatchingFromFlags(args));
   if (args.Has("approx")) {
     // The stratified sample owns the pair budget (--sample_target);
     // --max-pairs would make the build reject below.
     options.approx = true;
-    auto aoptions = ApproxFromFlags(args);
-    if (!aoptions.ok()) return Fail(aoptions.status());
-    options.approx_options = *aoptions;
+    DD_ASSIGN_OR_RETURN(options.approx_options, ApproxFromFlags(args));
   } else if (options.matching.max_pairs == 0) {
     options.matching.max_pairs = 50000;
   }
-  auto max_lhs = args.GetInt("max-lhs", 2);
-  if (!max_lhs.ok()) return Fail(max_lhs.status());
-  options.max_lhs_size = static_cast<std::size_t>(*max_lhs);
-  auto top = args.GetInt("top", 10);
-  if (!top.ok()) return Fail(top.status());
-  options.top_rules = static_cast<std::size_t>(*top);
+  DD_ASSIGN_OR_RETURN(options.max_lhs_size,
+                      args.GetInt("max-lhs", 2, 0, INT64_MAX));
+  // 0 keeps every rule.
+  DD_ASSIGN_OR_RETURN(options.top_rules, args.GetInt("top", 10, 0, INT64_MAX));
 
-  auto rules = dd::DiscoverRules(*relation, options);
-  if (!rules.ok()) return Fail(rules.status());
-  dd::Status trace_status =
-      MaybeWriteTraceReport(args, "ddtool discover", RunId(args));
-  if (!trace_status.ok()) return Fail(trace_status);
-  std::printf("%zu rule(s):\n", rules->size());
-  for (const auto& r : *rules) {
+  DD_ASSIGN_OR_RETURN(const std::vector<dd::DiscoveredRule> rules,
+                      dd::DiscoverRules(relation, options));
+  DD_RETURN_IF_ERROR(
+      MaybeWriteTraceReport(args, "ddtool discover", RunId(args)));
+  std::printf("%zu rule(s):\n", rules.size());
+  for (const auto& r : rules) {
     if (r.estimated) {
       std::printf(
           "  [%s] -> [%s]  pattern %s  C=%.3f Q=%.2f utility~%.4f "
@@ -813,16 +755,15 @@ int RunDiscover(const dd::ArgParser& args) {
                   r.best.utility);
     }
   }
-  return 0;
+  return dd::Status::Ok();
 }
-
 // Streams one change-feed line per applied batch (watch / serve).
 // JSON lines are stamped with the run_id and a monotonically
 // increasing seq so they join against the --trace_json run report.
 class FeedPrinter {
  public:
-  FeedPrinter(bool json, std::string run_id)
-      : json_(json), run_id_(std::move(run_id)) {}
+  FeedPrinter(bool json, const std::string& run_id)
+      : json_(json), run_id_json_(dd::JsonEscape(run_id)) {}
 
   void Print(const dd::MaintenanceEngine& engine, const dd::BatchOutcome& o,
              std::size_t inserts, std::size_t deletes) {
@@ -836,7 +777,7 @@ class FeedPrinter {
           "\"deletes\":%zu,\"pairs_computed\":%zu,\"rows_removed\":%zu,"
           "\"drift\":%.6g,\"bound\":%.6g,\"redetermined\":%s,"
           "\"published\":\"%s\",\"utility\":%.6g}\n",
-          run_id_.c_str(), static_cast<unsigned long long>(seq_),
+          run_id_json_.c_str(), static_cast<unsigned long long>(seq_),
           static_cast<unsigned long long>(o.batch_seq), inserts, deletes,
           o.pairs_computed, o.matching_removed, o.drift, o.bound,
           o.redetermined ? "true" : "false", pattern.c_str(),
@@ -855,29 +796,24 @@ class FeedPrinter {
 
  private:
   bool json_;
-  std::string run_id_;
+  std::string run_id_json_;  // JSON-escaped
   std::uint64_t seq_ = 0;
 };
 
 // Engine construction shared by append / watch / serve.
 dd::Result<dd::MaintenanceEngine> EngineFromFlags(const dd::ArgParser& args,
                                                   const dd::Schema& schema) {
-  std::vector<std::string> lhs = dd::SplitFlagList(args.GetString("lhs"));
-  std::vector<std::string> rhs = dd::SplitFlagList(args.GetString("rhs"));
-  if (lhs.empty() || rhs.empty()) {
-    return dd::Status::InvalidArgument("--lhs and --rhs required");
-  }
+  DD_ASSIGN_OR_RETURN(dd::RuleSpec rule, RuleFromFlags(args));
   dd::MaintenanceOptions options;
   DD_ASSIGN_OR_RETURN(options.incremental.matching, MatchingFromFlags(args));
   DD_ASSIGN_OR_RETURN(options.determine, DetermineFromFlags(args));
   DD_ASSIGN_OR_RETURN(options.drift_fraction, args.GetDouble("drift", 0.5));
-  return dd::MaintenanceEngine::Create(
-      schema, dd::RuleSpec{std::move(lhs), std::move(rhs)}, options);
+  return dd::MaintenanceEngine::Create(schema, std::move(rule), options);
 }
 
 // Prints the end-of-run summary shared by append / watch / serve.
-int PrintFinalState(const dd::MaintenanceEngine& engine, bool watch,
-                    bool json) {
+void PrintFinalState(const dd::MaintenanceEngine& engine, bool watch,
+                     bool json) {
   const dd::DeterminedPattern* pub = engine.published();
   const std::string pattern =
       pub ? dd::PatternToString(pub->pattern) : std::string("none");
@@ -893,7 +829,7 @@ int PrintFinalState(const dd::MaintenanceEngine& engine, bool watch,
           static_cast<unsigned long long>(engine.skipped()),
           engine.updates().size(), pattern.c_str(), pub ? pub->utility : 0.0);
     }
-    return 0;  // Watch keeps stdout to feed lines only under --json.
+    return;  // Watch keeps stdout to feed lines only under --json.
   }
   std::printf(
       "final: %zu live tuples, %zu matching tuples, %llu re-determinations "
@@ -910,172 +846,28 @@ int PrintFinalState(const dd::MaintenanceEngine& engine, bool watch,
   } else {
     std::printf("no threshold published (empty instance)\n");
   }
-  return 0;
 }
 
-// Shared driver of `append` (prints the final state) and `watch`
-// (streams one change-feed line per batch). Feeds --input as the first
-// batch, then --rows in --batch-row chunks; --retire k deletes the k
-// oldest live tuples with every chunk to exercise the delete path.
-int RunIncremental(const dd::ArgParser& args, bool watch) {
-  if (args.Has("approx")) {
-    return Fail(dd::Status::InvalidArgument(
-        "--approx is not supported for append/watch: incremental "
-        "maintenance needs the exact matching relation it maintains "
-        "(run determine or discover with --approx instead)"));
-  }
-  const std::string rows_path = args.GetString("rows");
-  if (rows_path.empty()) {
-    return Fail(
-        dd::Status::InvalidArgument("--rows (CSV of rows to append) required"));
-  }
-  auto rows = dd::ReadCsvFile(rows_path);
-  if (!rows.ok()) return Fail(rows.status());
-
-  dd::Relation base;
-  const std::string input = args.GetString("input");
-  if (!input.empty()) {
-    auto base_rel = dd::ReadCsvFile(input);
-    if (!base_rel.ok()) return Fail(base_rel.status());
-    if (!(base_rel->schema() == rows->schema())) {
-      return Fail(dd::Status::InvalidArgument(
-          "--input and --rows disagree on schema: " +
-          base_rel->schema().ToString() + " vs " + rows->schema().ToString()));
-    }
-    base = std::move(*base_rel);
-  }
-
-  auto batch = args.GetInt("batch", 16);
-  if (!batch.ok()) return Fail(batch.status());
-  if (*batch < 1) {
-    return Fail(dd::Status::InvalidArgument("--batch must be >= 1"));
-  }
-  auto retire = args.GetInt("retire", 0);
-  if (!retire.ok()) return Fail(retire.status());
-  const std::size_t batch_rows = static_cast<std::size_t>(*batch);
-  const std::size_t retire_rows =
-      *retire < 0 ? 0 : static_cast<std::size_t>(*retire);
-
-  auto engine = EngineFromFlags(args, rows->schema());
-  if (!engine.ok()) return Fail(engine.status());
-  const std::string run_id = RunId(args);
-
-  const bool json = args.Has("json");
-  FeedPrinter printer(json, run_id);
-  // The heartbeat is armed only while a batch is being applied: the
-  // feed loop legitimately idles between batches, and an armed-but-idle
-  // heartbeat would read as a stall to the watchdog.
-  static dd::obs::diag::Heartbeat* feed_heartbeat =
-      dd::obs::diag::RegisterHeartbeat("feed.loop");
-  auto feed = [&](const std::vector<std::vector<std::string>>& inserts,
-                  const std::vector<std::uint32_t>& deletes) -> dd::Status {
-    dd::obs::diag::ScopedHeartbeat scoped_heartbeat(feed_heartbeat);
-    auto outcome = engine->ApplyBatch(inserts, deletes);
-    if (!outcome.ok()) return outcome.status();
-    dd::obs::diag::FlightRecord(dd::obs::diag::EventType::kServe, "feed_batch",
-                                outcome->batch_seq, inserts.size());
-    if (watch) printer.Print(*engine, *outcome, inserts.size(), deletes.size());
-    return dd::Status::Ok();
-  };
-
-  if (base.num_rows() > 0) {
-    std::vector<std::vector<std::string>> inserts;
-    inserts.reserve(base.num_rows());
-    for (std::size_t r = 0; r < base.num_rows(); ++r) {
-      inserts.push_back(base.row(r));
-    }
-    dd::Status fed = feed(inserts, {});
-    if (!fed.ok()) return Fail(fed);
-  }
-  for (std::size_t begin = 0; begin < rows->num_rows(); begin += batch_rows) {
-    const std::size_t end = std::min(begin + batch_rows, rows->num_rows());
-    std::vector<std::vector<std::string>> inserts;
-    inserts.reserve(end - begin);
-    for (std::size_t r = begin; r < end; ++r) inserts.push_back(rows->row(r));
-    std::vector<std::uint32_t> deletes;
-    if (retire_rows > 0) {
-      const std::vector<std::uint32_t> live = engine->builder().store().LiveIds();
-      deletes.assign(live.begin(),
-                     live.begin() + std::min(retire_rows, live.size()));
-    }
-    dd::Status fed = feed(inserts, deletes);
-    if (!fed.ok()) return Fail(fed);
-  }
-
-  dd::Status trace_status =
-      MaybeWriteTraceReport(args, watch ? "ddtool watch" : "ddtool append",
-                            run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-
-  return PrintFinalState(*engine, watch, json);
+// Rows [begin, end) of `relation`.
+Rows RowsOf(const dd::Relation& relation, std::size_t begin, std::size_t end) {
+  Rows rows;
+  rows.reserve(end - begin);
+  for (std::size_t r = begin; r < end; ++r) rows.push_back(relation.row(r));
+  return rows;
 }
 
-// Long-running daemon: base instance from --input, then headerless CSV
-// rows from stdin in --batch-row chunks until EOF. SIGUSR2 with
-// --diag_dir dumps its state on demand.
-int RunServe(const dd::ArgParser& args) {
-  if (args.Has("approx")) {
-    return Fail(dd::Status::InvalidArgument(
-        "--approx is not supported for serve: incremental maintenance "
-        "needs the exact matching relation it maintains (run determine "
-        "or discover with --approx instead)"));
-  }
-  const std::string input = args.GetString("input");
-  if (input.empty()) {
-    return Fail(dd::Status::InvalidArgument(
-        "--input (base CSV; also fixes the schema for stdin rows) required"));
-  }
-  auto base = dd::ReadCsvFile(input);
-  if (!base.ok()) return Fail(base.status());
-
-  auto batch = args.GetInt("batch", 16);
-  if (!batch.ok()) return Fail(batch.status());
-  if (*batch < 1) {
-    return Fail(dd::Status::InvalidArgument("--batch must be >= 1"));
-  }
-  const std::size_t batch_rows = static_cast<std::size_t>(*batch);
-
-  auto engine = EngineFromFlags(args, base->schema());
-  if (!engine.ok()) return Fail(engine.status());
-  const std::string run_id = RunId(args);
-
-  const bool json = args.Has("json");
-  FeedPrinter printer(json, run_id);
-  // Armed only while applying: serve blocks on stdin indefinitely
-  // between batches, which must not look like a stall.
-  static dd::obs::diag::Heartbeat* serve_heartbeat =
-      dd::obs::diag::RegisterHeartbeat("serve.loop");
-  auto apply = [&](const std::vector<std::vector<std::string>>& inserts)
-      -> dd::Status {
-    dd::obs::diag::ScopedHeartbeat scoped_heartbeat(serve_heartbeat);
-    auto outcome = engine->ApplyBatch(inserts, {});
-    if (!outcome.ok()) return outcome.status();
-    dd::obs::diag::FlightRecord(dd::obs::diag::EventType::kServe, "serve_batch",
-                                outcome->batch_seq, inserts.size());
-    printer.Print(*engine, *outcome, inserts.size(), 0);
-    return dd::Status::Ok();
-  };
-
-  if (base->num_rows() > 0) {
-    std::vector<std::vector<std::string>> inserts;
-    inserts.reserve(base->num_rows());
-    for (std::size_t r = 0; r < base->num_rows(); ++r) {
-      inserts.push_back(base->row(r));
-    }
-    dd::Status fed = apply(inserts);
-    if (!fed.ok()) return Fail(fed);
-  }
-
-  const std::size_t columns = base->schema().num_attributes();
+// serve's batch source: headerless CSV rows from stdin, handed to
+// `apply` in `batch_rows` chunks until EOF. A malformed row
+// (unparseable CSV, wrong column count) must not kill a long-running
+// daemon, and must not vanish silently either: log a structured
+// warning naming the line, count it, and keep serving.
+dd::Status FeedStdin(std::size_t columns, std::size_t batch_rows,
+                     const std::function<dd::Status(const Rows&)>& apply) {
   dd::CsvOptions line_options;
   line_options.has_header = false;
-  std::vector<std::vector<std::string>> pending;
+  Rows pending;
   std::string line;
   std::uint64_t line_number = 0;
-  // A malformed stdin row (unparseable CSV, wrong column count) must
-  // not kill a long-running daemon, and must not vanish silently
-  // either: log a structured warning naming the line, count it, and
-  // keep serving.
   static dd::obs::Counter& rejected_counter =
       dd::obs::MetricsRegistry::Global().GetCounter("serve.rows_rejected");
   auto reject = [&](const std::string& why) {
@@ -1108,51 +900,126 @@ int RunServe(const dd::ArgParser& args) {
     }
     line.clear();
     if (pending.size() >= batch_rows) {
-      dd::Status fed = apply(pending);
-      if (!fed.ok()) return Fail(fed);
+      DD_RETURN_IF_ERROR(apply(pending));
       pending.clear();
     }
   }
-  if (!pending.empty()) {
-    dd::Status fed = apply(pending);
-    if (!fed.ok()) return Fail(fed);
+  if (!pending.empty()) return apply(pending);
+  return dd::Status::Ok();
+}
+
+// The feed driver of append (prints the final state), watch (streams
+// one change-feed line per batch) and serve (the same feed lines;
+// SIGUSR2 with --diag_dir dumps its state on demand). Feeds the base
+// instance (--input) as the first batch, then either --rows in
+// --batch-row chunks, where --retire k deletes the k oldest live tuples
+// with every chunk to exercise the delete path (append / watch), or
+// the rows read from stdin (serve).
+dd::Status RunFeed(const dd::ArgParser& args, const std::string& command) {
+  const bool serve = command == "serve";
+  const bool watch = command != "append";
+  if (args.Has("approx")) {
+    return dd::Status::InvalidArgument(
+        std::string("--approx is not supported for ") +
+        (serve ? "serve" : "append/watch") +
+        ": incremental maintenance needs the exact matching relation it "
+        "maintains (run determine or discover with --approx instead)");
+  }
+  dd::Relation rows;
+  std::size_t retire_rows = 0;
+  if (!serve) {
+    const std::string rows_path = args.GetString("rows");
+    if (rows_path.empty()) {
+      return dd::Status::InvalidArgument(
+          "--rows (CSV of rows to append) required");
+    }
+    DD_ASSIGN_OR_RETURN(rows, dd::ReadCsvFile(rows_path));
+    DD_ASSIGN_OR_RETURN(retire_rows, args.GetInt("retire", 0, 0, INT64_MAX));
+  }
+  const std::string input = args.GetString("input");
+  if (serve && input.empty()) {
+    return dd::Status::InvalidArgument(
+        "--input (base CSV; also fixes the schema for stdin rows) required");
+  }
+  dd::Relation base;
+  if (!input.empty()) {
+    DD_ASSIGN_OR_RETURN(base, dd::ReadCsvFile(input));
+    if (!serve && !(base.schema() == rows.schema())) {
+      return dd::Status::InvalidArgument(
+          "--input and --rows disagree on schema: " + base.schema().ToString() +
+          " vs " + rows.schema().ToString());
+    }
+  }
+  const dd::Schema& schema = serve ? base.schema() : rows.schema();
+  DD_ASSIGN_OR_RETURN(const std::size_t batch_rows,
+                      args.GetInt("batch", 16, 1, INT64_MAX));
+  DD_ASSIGN_OR_RETURN(dd::MaintenanceEngine engine,
+                      EngineFromFlags(args, schema));
+  const std::string run_id = RunId(args);
+
+  const bool json = args.Has("json");
+  FeedPrinter printer(json, run_id);
+  // The heartbeat is armed only while a batch is being applied: the
+  // loop legitimately idles between batches (serve blocks on stdin
+  // indefinitely), and an armed-but-idle heartbeat would read as a
+  // stall to the watchdog.
+  dd::obs::diag::Heartbeat* heartbeat =
+      dd::obs::diag::RegisterHeartbeat(serve ? "serve.loop" : "feed.loop");
+  auto apply = [&](const Rows& inserts,
+                   const std::vector<std::uint32_t>& deletes) -> dd::Status {
+    dd::obs::diag::ScopedHeartbeat scoped_heartbeat(heartbeat);
+    DD_ASSIGN_OR_RETURN(const dd::BatchOutcome outcome,
+                        engine.ApplyBatch(inserts, deletes));
+    dd::obs::diag::FlightRecord(dd::obs::diag::EventType::kServe,
+                                serve ? "serve_batch" : "feed_batch",
+                                outcome.batch_seq, inserts.size());
+    if (watch) printer.Print(engine, outcome, inserts.size(), deletes.size());
+    return dd::Status::Ok();
+  };
+
+  if (base.num_rows() > 0) {
+    DD_RETURN_IF_ERROR(apply(RowsOf(base, 0, base.num_rows()), {}));
+  }
+  if (serve) {
+    DD_RETURN_IF_ERROR(
+        FeedStdin(schema.num_attributes(), batch_rows,
+                  [&](const Rows& inserts) { return apply(inserts, {}); }));
+  }
+  for (std::size_t begin = 0; begin < rows.num_rows(); begin += batch_rows) {
+    std::vector<std::uint32_t> deletes;
+    if (retire_rows > 0) {
+      deletes = engine.builder().store().LiveIds();
+      deletes.resize(std::min(retire_rows, deletes.size()));
+    }
+    const std::size_t end = std::min(begin + batch_rows, rows.num_rows());
+    DD_RETURN_IF_ERROR(apply(RowsOf(rows, begin, end), deletes));
   }
 
-  dd::Status trace_status =
-      MaybeWriteTraceReport(args, "ddtool serve", run_id);
-  if (!trace_status.ok()) return Fail(trace_status);
-
-  return PrintFinalState(*engine, /*watch=*/true, json);
+  DD_RETURN_IF_ERROR(MaybeWriteTraceReport(args, "ddtool " + command, run_id));
+  PrintFinalState(engine, watch, json);
+  return dd::Status::Ok();
 }
 
 // Offline reader for .dddump files (crash, stall, on-demand, or live
 // dumps — they share one format). Parses, symbolizes against the
-// modules loaded in this process, and pretty-prints. Exit 0 only when
+// modules loaded in this process, and pretty-prints. Succeeds only when
 // the dump is complete and carries at least one backtrace frame — the
 // contract the crash-injection smoke test asserts.
-int RunDiag(const dd::ArgParser& args) {
+dd::Status RunDiag(const dd::ArgParser& args) {
   std::string path = args.GetString("input");
   if (path.empty() && !args.positional().empty()) {
     path = args.positional().front();
   }
   if (path.empty()) {
-    return Fail(dd::Status::InvalidArgument(
-        "usage: ddtool diag <dump.dddump> [--json] [--no_symbolize]"));
+    return dd::Status::InvalidArgument(
+        "usage: ddtool diag <dump.dddump> [--json] [--no_symbolize]");
   }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Fail(dd::Status::IoError("cannot open dump file: " + path));
-  }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) text.append(buf, n);
-  std::fclose(file);
+  DD_ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path));
 
   dd::obs::diag::DiagDump dump;
   std::string error;
   if (!dd::obs::diag::ParseDiagDump(text, &dump, &error)) {
-    return Fail(dd::Status::InvalidArgument(path + ": " + error));
+    return dd::Status::InvalidArgument(path + ": " + error);
   }
   if (!args.Has("no_symbolize")) dd::obs::diag::SymbolizeDump(&dump);
 
@@ -1167,28 +1034,13 @@ int RunDiag(const dd::ArgParser& args) {
   std::fprintf(stderr, "flight recorder events: %zu\n",
                dump.flight_events.size());
   if (!dump.complete) {
-    std::fprintf(stderr, "ddtool diag: dump is truncated (no --- end)\n");
-    return 1;
+    return dd::Status::InvalidArgument(path +
+                                       ": dump is truncated (no --- end)");
   }
   if (dump.TotalFrames() == 0) {
-    std::fprintf(stderr, "ddtool diag: dump has no backtrace frames\n");
-    return 1;
+    return dd::Status::InvalidArgument(path + ": dump has no backtrace frames");
   }
-  return 0;
-}
-
-// Reads a whole file (for `ddtool prof` inputs).
-dd::Result<std::string> ReadTextFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return dd::Status::IoError("cannot open " + path);
-  }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) text.append(buf, n);
-  std::fclose(file);
-  return text;
+  return dd::Status::Ok();
 }
 
 dd::Result<dd::obs::prof::FoldedProfile> LoadFolded(const std::string& path) {
@@ -1204,49 +1056,43 @@ dd::Result<dd::obs::prof::FoldedProfile> LoadFolded(const std::string& path) {
 // `ddtool prof`: offline consumer of folded profiles — render the
 // hot-function table (or JSON summary) of one or more merged inputs,
 // persist the merge, or diff two captures.
-int RunProf(const dd::ArgParser& args) {
-  auto top = args.GetInt("top", 20);
-  if (!top.ok()) return Fail(top.status());
-  if (*top < 1) {
-    return Fail(dd::Status::InvalidArgument("--top must be >= 1"));
-  }
-  const std::size_t top_n = static_cast<std::size_t>(*top);
+dd::Status RunProf(const dd::ArgParser& args) {
+  DD_ASSIGN_OR_RETURN(const std::size_t top_n,
+                      args.GetInt("top", 20, 1, INT64_MAX));
 
   if (args.Has("diff")) {
     // --diff swallows the "before" file as its value; "after" is the
     // one remaining positional.
     const std::string before_path = args.GetString("diff");
     if (before_path.empty() || args.positional().size() != 1) {
-      return Fail(dd::Status::InvalidArgument(
-          "usage: ddtool prof --diff before.folded after.folded [--top N]"));
+      return dd::Status::InvalidArgument(
+          "usage: ddtool prof --diff before.folded after.folded [--top N]");
     }
-    auto before = LoadFolded(before_path);
-    if (!before.ok()) return Fail(before.status());
-    auto after = LoadFolded(args.positional().front());
-    if (!after.ok()) return Fail(after.status());
-    std::fputs(dd::obs::prof::DiffToText(*before, *after, top_n).c_str(),
+    DD_ASSIGN_OR_RETURN(const dd::obs::prof::FoldedProfile before,
+                        LoadFolded(before_path));
+    DD_ASSIGN_OR_RETURN(const dd::obs::prof::FoldedProfile after,
+                        LoadFolded(args.positional().front()));
+    std::fputs(dd::obs::prof::DiffToText(before, after, top_n).c_str(),
                stdout);
-    return 0;
+    return dd::Status::Ok();
   }
 
   if (args.positional().empty()) {
-    return Fail(dd::Status::InvalidArgument(
+    return dd::Status::InvalidArgument(
         "usage: ddtool prof <a.folded> [b.folded ...] [--top N] [--json] "
-        "[--merge out.folded]  |  ddtool prof --diff A B"));
+        "[--merge out.folded]  |  ddtool prof --diff A B");
   }
   std::vector<dd::obs::prof::FoldedProfile> inputs;
   for (const std::string& path : args.positional()) {
-    auto folded = LoadFolded(path);
-    if (!folded.ok()) return Fail(folded.status());
-    inputs.push_back(std::move(*folded));
+    DD_ASSIGN_OR_RETURN(dd::obs::prof::FoldedProfile folded, LoadFolded(path));
+    inputs.push_back(std::move(folded));
   }
   const dd::obs::prof::FoldedProfile merged =
       dd::obs::prof::MergeFolded(inputs);
   const std::string merge_out = args.GetString("merge");
   if (!merge_out.empty()) {
-    dd::Status written =
-        WriteTextFile(dd::obs::prof::FoldedToString(merged), merge_out);
-    if (!written.ok()) return Fail(written);
+    DD_RETURN_IF_ERROR(
+        WriteTextFile(dd::obs::prof::FoldedToString(merged), merge_out));
     std::fprintf(stderr, "ddtool prof: merged %zu profiles -> %s\n",
                  inputs.size(), merge_out.c_str());
   }
@@ -1256,7 +1102,7 @@ int RunProf(const dd::ArgParser& args) {
   } else {
     std::fputs(dd::obs::prof::TopTableToText(merged, top_n).c_str(), stdout);
   }
-  return 0;
+  return dd::Status::Ok();
 }
 
 }  // namespace
@@ -1285,11 +1131,8 @@ int main(int argc, char** argv) {
   // inherit (0 restores the DD_THREADS/hardware default). Results are
   // bit-identical at any value.
   if (args.Has("threads")) {
-    auto threads = args.GetInt("threads", 0);
+    auto threads = args.GetInt("threads", 0, 0, INT64_MAX);
     if (!threads.ok()) return Fail(threads.status());
-    if (*threads < 0) {
-      return Fail(dd::Status::InvalidArgument("--threads must be >= 0"));
-    }
     dd::SetDefaultThreads(static_cast<std::size_t>(*threads));
   }
   // --simd applies to every subcommand: it picks the counting-kernel
@@ -1322,11 +1165,8 @@ int main(int argc, char** argv) {
     if (diag_options.dir.empty()) {
       return Fail(dd::Status::InvalidArgument("--diag_dir needs a directory"));
     }
-    auto stall = args.GetInt("stall_timeout_ms", 30000);
+    auto stall = args.GetInt("stall_timeout_ms", 30000, 1, INT32_MAX);
     if (!stall.ok()) return Fail(stall.status());
-    if (*stall < 1) {
-      return Fail(dd::Status::InvalidArgument("--stall_timeout_ms must be >= 1"));
-    }
     diag_options.stall_timeout_ms = static_cast<int>(*stall);
     if (!dd::obs::diag::EnableDiagnostics(diag_options)) {
       return Fail(dd::Status::IoError("cannot enable diagnostics in " +
@@ -1339,28 +1179,28 @@ int main(int argc, char** argv) {
   // with profiling on or off.
   const bool profile = args.Has("profile") || args.Has("profile_hz");
   if (profile) {
-    auto hz = args.GetInt("profile_hz", 99);
+    auto hz = args.GetInt("profile_hz", 99, 1, 10000);
     if (!hz.ok()) return Fail(hz.status());
     dd::obs::prof::ProfilerOptions options;
     options.hz = static_cast<int>(*hz);
     dd::Status started = dd::obs::prof::Profiler::Global().Start(options);
     if (!started.ok()) return Fail(started);
   }
-  int rc;
-  if (command == "generate") rc = RunGenerate(args);
-  else if (command == "determine") rc = RunDetermine(args);
-  else if (command == "explain") rc = RunExplain(args);
-  else if (command == "detect") rc = RunDetect(args);
-  else if (command == "discover") rc = RunDiscover(args);
-  else if (command == "append") rc = RunIncremental(args, /*watch=*/false);
-  else if (command == "watch") rc = RunIncremental(args, /*watch=*/true);
-  else if (command == "serve") rc = RunServe(args);
-  else if (command == "diag") rc = RunDiag(args);
-  else if (command == "prof") rc = RunProf(args);
+  dd::Status status;
+  if (command == "generate") status = RunGenerate(args);
+  else if (command == "determine") status = RunDetermine(args);
+  else if (command == "explain") status = RunExplain(args);
+  else if (command == "detect") status = RunDetect(args);
+  else if (command == "discover") status = RunDiscover(args);
+  else if (command == "append" || command == "watch" || command == "serve")
+    status = RunFeed(args, command);
+  else if (command == "diag") status = RunDiag(args);
+  else if (command == "prof") status = RunProf(args);
   else {
     if (profile) dd::obs::prof::Profiler::Global().Stop();
     return Usage();
   }
+  const int rc = status.ok() ? 0 : Fail(status);
   if (profile) {
     const dd::obs::prof::Profile captured =
         dd::obs::prof::Profiler::Global().Stop();
