@@ -177,8 +177,8 @@ void BM_ExplainRecordEvaluated(benchmark::State& state) {
   config.ring_capacity = 1 << 12;
   recorder.Enable(config);
   recorder.SetRhsGeometry(2, 10);
-  const std::uint32_t lhs_seq = recorder.BeginLhs({5, 5}, 100, 2000, 0.0,
-                                                  /*advanced=*/false);
+  const std::uint32_t lhs_seq = recorder.BeginLhs(
+      {5, 5}, 100, 2000, 0.0, dd::obs::ExplainBound::kInitial);
   std::uint32_t rhs_index = 0;
   double confidence = 0.05;
   for (auto _ : state) {

@@ -13,6 +13,53 @@
 
 namespace dd {
 
+namespace {
+
+// DAP's treatment of one ϕ[X] with n = lhs_count of `total` tuples,
+// given the current l-th best answer `ref`.
+struct DapSeed {
+  bool skip = false;  // no ϕ[Y] can lift this ϕ[X] into the top-l
+  double bound = 0.0;
+  obs::ExplainBound kind = obs::ExplainBound::kInitial;
+};
+
+// Algorithm 4 seeds PAP with formula 6 (Theorem 3):
+//   Vmax = 1 − (D(ϕmax)/D(ϕi)) · (1 − C(ϕmax)Q(ϕmax)).
+// Under the closed-form utility the exact threshold is known as well:
+// the skip drops ϕ[X] when even C·Q = 1 gives Ū <= Ū_l (rounding is
+// monotone in each step of the closed form, and TopL rejects ties), and
+// otherwise the search starts from max(formula 6, τ) with τ the least
+// C·Q whose Ū can beat Ū_l (ClosedFormCqThreshold). Numeric integration
+// keeps the paper's formula 6 alone.
+DapSeed SeedDap(const DeterminedPattern& ref, std::uint64_t total,
+                std::uint64_t n, const UtilityOptions& utility) {
+  DapSeed seed;
+  const bool closed_form = utility.method == UtilityMethod::kClosedForm;
+  if (closed_form &&
+      ExpectedUtility(total, n, 1.0, 1.0, utility) <= ref.utility) {
+    seed.skip = true;
+    return seed;
+  }
+  if (n == 0) return seed;
+  // Descending-D processing guarantees ref.lhs_count >= n.
+  const double ratio = static_cast<double>(ref.measures.lhs_count) /
+                       static_cast<double>(n);
+  const double ref_cq = ref.measures.confidence * ref.measures.quality;
+  // Paper: negative bounds become 0.
+  seed.bound = std::max(1.0 - ratio * (1.0 - ref_cq), 0.0);
+  if (seed.bound > 0.0) seed.kind = obs::ExplainBound::kAdvanced;
+  if (closed_form) {
+    const double tau = ClosedFormCqThreshold(total, n, ref.utility, utility);
+    if (tau > seed.bound) {
+      seed.bound = tau;
+      seed.kind = obs::ExplainBound::kUtility;
+    }
+  }
+  return seed;
+}
+
+}  // namespace
+
 DeterminedPattern MakeDeterminedPattern(Levels lhs, Levels rhs,
                                         std::uint64_t total,
                                         std::uint64_t lhs_count,
@@ -136,8 +183,22 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
     return std::move(top).Sorted();
   }
 
+  // The C_Y cells a skipped ϕ[X] adds to rhs.lattice_size and
+  // rhs.pruned, so the pruning rate stays a fraction of C_X × C_Y.
+  const std::size_t rhs_cells = CandidateLattice(rhs_dims, dmax).size();
   for (std::uint32_t idx : lhs_order) {
-    // Aggregated per-LHS phase: one span node, |C_X| entries.
+    DapSeed seed;
+    if (options.advanced_bound && top.Full()) {
+      seed = SeedDap(top.Min(), provider->total(), lhs_counts[idx],
+                     options.utility);
+    }
+    if (seed.skip) {
+      ++acc.lhs_bounded;
+      acc.rhs.Add({rhs_cells, 0, rhs_cells});
+      if (rec != nullptr) rec->NoteLhsSkipped();
+      continue;
+    }
+    // Aggregated per-LHS phase: one span node, one entry per search.
     obs::TraceSpan lhs_span("lhs_search");
     const Levels lhs = lhs_lattice.LevelsOf(idx);
     if (options.advanced_bound) {
@@ -145,24 +206,13 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
     } else {
       provider->SetLhs(lhs);
     }
-    const std::uint64_t n = provider->lhs_count();
+    DD_VLOG(1) << "lhs candidate " << idx
+               << ": count=" << provider->lhs_count()
+               << " initial_bound=" << seed.bound;
 
-    double bound = 0.0;
-    if (options.advanced_bound && top.Full() && n > 0) {
-      const DeterminedPattern& ref = top.Min();
-      // Descending-D processing guarantees ref.lhs_count >= n.
-      const double ratio = static_cast<double>(ref.measures.lhs_count) /
-                           static_cast<double>(n);
-      const double ref_cq = ref.measures.confidence * ref.measures.quality;
-      bound = 1.0 - ratio * (1.0 - ref_cq);
-      if (bound < 0.0) bound = 0.0;  // Paper: negative bounds become 0.
-    }
-    DD_VLOG(1) << "lhs candidate " << idx << ": count=" << n
-               << " advanced_bound=" << bound;
-
-    pa_options.initial_bound_advanced = options.advanced_bound && bound > 0.0;
+    pa_options.initial_bound_kind = seed.kind;
     LhsOutcome out;
-    out.patterns = DetermineForLhs(provider, lhs, rhs_dims, dmax, bound,
+    out.patterns = DetermineForLhs(provider, lhs, rhs_dims, dmax, seed.bound,
                                    pa_options, options.utility, &out.pa);
     if (rec != nullptr && out.patterns.empty()) rec->NoteLhsBoundedOut();
     merge(out);

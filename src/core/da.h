@@ -8,6 +8,17 @@
 // the advanced bound of Theorem 3 / formula 6:
 //   Vmax = 1 - (D(ϕmax)/D(ϕi)) · (1 - C(ϕmax)Q(ϕmax))
 // computed from the current l-th best answer ϕmax).
+//
+// Under the closed-form utility (UtilityMethod::kClosedForm, the
+// default) DAP bounds each ϕ[X] with the exact Ū threshold as well,
+// once the top-l heap is full: a ϕ[X] whose Ū at C·Q = 1 cannot beat
+// the l-th best Ū_l is skipped with no mask built and no PAP call
+// (DaStats::lhs_bounded), and every other search is seeded with
+// max(formula 6, τ), τ = (Ū_l·(n + a + b) − a)/n lowered by a rounding
+// margin (ClosedFormCqThreshold, expected_utility.h). Formula 6 is only
+// the sufficient condition of Theorem 3; τ is the C·Q the pattern
+// actually needs. Under kNumericIntegration DAP is the paper's
+// formula-6 Algorithm 4 unchanged. DA never uses either bound.
 
 #ifndef DD_CORE_DA_H_
 #define DD_CORE_DA_H_
@@ -54,7 +65,12 @@ struct DaOptions {
 
 struct DaStats {
   std::size_t lhs_total = 0;      // |C_X|
-  std::size_t lhs_evaluated = 0;  // LHS candidates processed
+  std::size_t lhs_evaluated = 0;  // LHS candidates searched
+  // LHS candidates DAP skipped unsearched: no ϕ[Y] could lift their
+  // closed-form Ū above the l-th best. lhs_evaluated + lhs_bounded ==
+  // lhs_total, and each skipped LHS adds its |C_Y| cells to
+  // rhs.lattice_size and rhs.pruned.
+  std::size_t lhs_bounded = 0;
   PaStats rhs;                    // aggregated over all PA/PAP calls
 
   // Fraction of C_X × C_Y candidates that avoided confidence

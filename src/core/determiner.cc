@@ -34,6 +34,7 @@ void PublishDetermineMetrics(const DaStats& stats,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("determine.runs").Increment();
   registry.GetCounter("determine.lhs_evaluated").Add(stats.lhs_evaluated);
+  registry.GetCounter("determine.lhs_bounded").Add(stats.lhs_bounded);
   registry.GetCounter("determine.rhs_lattice").Add(stats.rhs.lattice_size);
   registry.GetCounter("determine.rhs_evaluated").Add(stats.rhs.evaluated);
   registry.GetCounter("determine.rhs_pruned").Add(stats.rhs.pruned);
@@ -114,7 +115,8 @@ void SearchMd(MeasureProvider* provider, std::size_t lhs_dims,
       // satisfies the accounting identity.
       rec->AddCandidates(1);
       const std::uint32_t lhs_seq =
-          rec->BeginLhs(lhs, n, provider->total(), 0.0, false);
+          rec->BeginLhs(lhs, n, provider->total(), 0.0,
+                        obs::ExplainBound::kInitial);
       rec->RecordEvaluated(lhs_seq, /*rhs_index=*/0, /*rank=*/0, xy,
                            p.measures.confidence, p.measures.quality,
                            p.measures.confidence * p.measures.quality,

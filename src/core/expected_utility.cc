@@ -11,6 +11,20 @@ namespace dd {
 
 namespace {
 
+// The Beta prior's pseudo-counts over a matching relation of `total`
+// tuples: a = h·M·CQ̄ successes and b = h·M·(1 − CQ̄) failures.
+struct PriorCounts {
+  double a;
+  double b;
+};
+
+PriorCounts PriorPseudoCounts(std::uint64_t total,
+                              const UtilityOptions& options) {
+  const double mu = Clamp(options.prior_mean_cq, 0.0, 1.0);
+  const double hm = options.prior_strength * static_cast<double>(total);
+  return {hm * mu, hm * (1.0 - mu)};
+}
+
 // Posterior mean of the Beta(k + a, n - k + b) distribution evaluated by
 // max-normalized Simpson integration in log space; cross-validates the
 // closed form (k + a) / (n + a + b).
@@ -44,7 +58,6 @@ double ExpectedUtility(std::uint64_t total, std::uint64_t lhs_count,
   const double mu = Clamp(options.prior_mean_cq, 0.0, 1.0);
   if (total == 0) return mu;
   DD_CHECK_LE(lhs_count, total);
-  const double m = static_cast<double>(total);
   const double n = static_cast<double>(lhs_count);
   const double cq = Clamp(confidence, 0.0, 1.0) * Clamp(quality, 0.0, 1.0);
   const double k = cq * n;
@@ -52,8 +65,7 @@ double ExpectedUtility(std::uint64_t total, std::uint64_t lhs_count,
   const double h = options.prior_strength;
   DD_CHECK_GE(h, 0.0);
   if (h <= 0.0 && lhs_count == 0) return mu;  // No data, no prior.
-  const double a = h * m * mu;        // Prior pseudo-successes.
-  const double b = h * m * (1.0 - mu);  // Prior pseudo-failures.
+  const auto [a, b] = PriorPseudoCounts(total, options);
 
   if (options.method == UtilityMethod::kNumericIntegration) {
     return IntegratePosteriorMean(k, n, a, b, options);
@@ -61,6 +73,18 @@ double ExpectedUtility(std::uint64_t total, std::uint64_t lhs_count,
   // Closed form: Beta-Binomial posterior mean. In fractions of M this
   // is (D·C·Q + h·CQ̄) / (D + h).
   return (k + a) / (n + a + b);
+}
+
+double ClosedFormCqThreshold(std::uint64_t total, std::uint64_t lhs_count,
+                             double utility_floor,
+                             const UtilityOptions& options) {
+  DD_CHECK_GT(lhs_count, 0u);
+  DD_CHECK_LE(lhs_count, total);
+  const double n = static_cast<double>(lhs_count);
+  const auto [a, b] = PriorPseudoCounts(total, options);
+  const double scaled_floor = utility_floor * (n + a + b);
+  const double margin = 1e-9 * (std::abs(scaled_floor) + a) / n;
+  return (scaled_floor - a) / n - margin;
 }
 
 double EstimatePriorMeanCq(MeasureProvider* provider, std::size_t lhs_dims,

@@ -66,6 +66,18 @@ double ExpectedUtility(std::uint64_t total, std::uint64_t lhs_count,
                        double confidence, double quality,
                        const UtilityOptions& options);
 
+// The C·Q that a pattern with n = lhs_count of `total` tuples must
+// strictly exceed for its closed-form Ū to strictly exceed
+// `utility_floor`: τ = (Ū_floor·(n + a + b) − a)/n with the prior
+// pseudo-counts a, b of ExpectedUtility, lowered by a rounding margin of
+// 1e-9 relative to the terms of τ (far above the few ulps the two
+// computations can differ by), so that every C·Q at or below the
+// returned value has ExpectedUtility <= utility_floor. DAP seeds PAP
+// with it (da.h). Closed form only; requires 0 < lhs_count <= total.
+double ClosedFormCqThreshold(std::uint64_t total, std::uint64_t lhs_count,
+                             double utility_floor,
+                             const UtilityOptions& options);
+
 // Estimates the prior mean CQ̄ as the average C·Q over `sample_size`
 // pseudo-random candidate patterns (the paper models the prior from the
 // histogram of observed CQ). Deterministic given `seed`. Costs

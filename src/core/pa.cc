@@ -29,9 +29,8 @@ RhsCandidate Evaluate(MeasureProvider* provider, Levels rhs, int dmax) {
 
 // Which bound governs decisions right now: once the heap is full the
 // running top-l cutoff took over from the caller's initial bound.
-obs::ExplainBound BoundKindNow(bool heap_full, bool advanced) {
-  if (heap_full) return obs::ExplainBound::kTopL;
-  return advanced ? obs::ExplainBound::kAdvanced : obs::ExplainBound::kInitial;
+obs::ExplainBound BoundKindNow(bool heap_full, obs::ExplainBound initial) {
+  return heap_full ? obs::ExplainBound::kTopL : initial;
 }
 
 }  // namespace
@@ -63,7 +62,7 @@ std::vector<RhsCandidate> FindBestRhs(MeasureProvider* provider,
     rec->AddCandidates(lattice.size());
     lhs_seq = rec->BeginLhs(provider->current_lhs(), provider->lhs_count(),
                             provider->total(), initial_bound,
-                            options.initial_bound_advanced);
+                            options.initial_bound_kind);
   }
 
   // One loop for both algorithms: Algorithm 1 (PA) evaluates every
@@ -91,14 +90,14 @@ std::vector<RhsCandidate> FindBestRhs(MeasureProvider* provider,
       rec->RecordEvaluated(
           lhs_seq, idx, rank, c.xy_count, c.confidence, c.quality, c.cq,
           vmax_before,
-          BoundKindNow(top.Full(), options.initial_bound_advanced), offered,
+          BoundKindNow(top.Full(), options.initial_bound_kind), offered,
           eval_ns);
     }
     if (offered) top.Offer(c);
     if (!options.prune) continue;
     const double vmax = bound();
     const obs::ExplainBound bound_kind =
-        BoundKindNow(top.Full(), options.initial_bound_advanced);
+        BoundKindNow(top.Full(), options.initial_bound_kind);
     // Attributes every cell a prune kills to that prune and to this
     // candidate. Empty, so Prune does no per-cell work for it, unless a
     // recording is active.

@@ -18,6 +18,7 @@
 #include "core/candidate_lattice.h"
 #include "core/measure_provider.h"
 #include "core/pattern.h"
+#include "obs/explain/recorder.h"
 
 namespace dd {
 
@@ -39,10 +40,11 @@ struct PaOptions {
   ProcessingOrder order = ProcessingOrder::kMidFirst;
   // Return the l best candidates (paper §V "Algorithm Extensions").
   std::size_t top_l = 1;
-  // Provenance of `initial_bound` for the EXPLAIN recorder: true when
-  // the caller seeded it from DAP's Theorem-3 advanced bound (da.cc).
-  // Observational only — does not change the search.
-  bool initial_bound_advanced = false;
+  // Provenance of `initial_bound` for the EXPLAIN recorder: kAdvanced
+  // when the caller seeded it from DAP's Theorem-3 bound, kUtility from
+  // DAP's closed-form Ū threshold (da.cc). Observational only — does
+  // not change the search.
+  obs::ExplainBound initial_bound_kind = obs::ExplainBound::kInitial;
 };
 
 struct PaStats {

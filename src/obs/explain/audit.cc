@@ -108,13 +108,13 @@ std::string ExplainAuditToJson(const obs::ExplainSnapshot& snapshot,
                    snapshot.rhs_dims, snapshot.dmax);
   out += StrFormat(
       "  \"waterfall\": {\"lhs_seen\": %" PRIu64 ", \"lhs_bounded_out\": %"
-      PRIu64 ", \"candidates\": %" PRIu64 ", \"evaluated\": %" PRIu64
-      ", \"pruned_s0\": %" PRIu64 ", \"pruned_s1\": %" PRIu64
-      ", \"pruned_zero_conf\": %" PRIu64 ", \"offered\": %" PRIu64
-      ", \"answers\": %zu, \"accounted\": %s},\n",
-      w.lhs_seen, w.lhs_bounded_out, w.candidates, w.evaluated, w.pruned_s0,
-      w.pruned_s1, w.pruned_zero_conf, w.offered, result.patterns.size(),
-      w.Accounted() ? "true" : "false");
+      PRIu64 ", \"lhs_skipped\": %" PRIu64 ", \"candidates\": %" PRIu64
+      ", \"evaluated\": %" PRIu64 ", \"pruned_s0\": %" PRIu64
+      ", \"pruned_s1\": %" PRIu64 ", \"pruned_zero_conf\": %" PRIu64
+      ", \"offered\": %" PRIu64 ", \"answers\": %zu, \"accounted\": %s},\n",
+      w.lhs_seen, w.lhs_bounded_out, w.lhs_skipped, w.candidates,
+      w.evaluated, w.pruned_s0, w.pruned_s1, w.pruned_zero_conf, w.offered,
+      result.patterns.size(), w.Accounted() ? "true" : "false");
   out += StrFormat(
       "  \"recorder\": {\"recorded\": %" PRIu64 ", \"sampled_out\": %" PRIu64
       ", \"dropped\": %" PRIu64 "},\n",
@@ -157,10 +157,11 @@ std::string ExplainAuditToJson(const obs::ExplainSnapshot& snapshot,
     const obs::ExplainLhsInfo& info = snapshot.lhs[i];
     out += StrFormat(
         "    {\"seq\": %u, \"levels\": %s, \"count\": %" PRIu64
-        ", \"total\": %" PRIu64 ", \"initial_bound\": %s, \"advanced\": %s}%s\n",
+        ", \"total\": %" PRIu64 ", \"initial_bound\": %s, \"bound_kind\": "
+        "\"%s\"}%s\n",
         info.seq, LevelsToJson(info.levels).c_str(), info.lhs_count,
         info.total, Full(info.initial_bound).c_str(),
-        info.advanced ? "true" : "false",
+        obs::ExplainBoundName(info.initial_kind),
         i + 1 < snapshot.lhs.size() ? "," : "");
   }
   out += "  ],\n";
@@ -224,8 +225,9 @@ std::string PruningWaterfallToText(const obs::ExplainSnapshot& snapshot,
   out += StrFormat("  %-30s %12" PRIu64 "\n", "entered top-l heap", w.offered);
   out += StrFormat("  %-30s %12zu\n", "answers returned",
                    result.patterns.size());
-  out += StrFormat("  LHS searched: %" PRIu64 " (bounded out: %" PRIu64 ")\n",
-                   w.lhs_seen, w.lhs_bounded_out);
+  out += StrFormat("  LHS searched: %" PRIu64 " (bounded out: %" PRIu64
+                   "); skipped by the utility bound: %" PRIu64 "\n",
+                   w.lhs_seen, w.lhs_bounded_out, w.lhs_skipped);
   if (!w.Accounted()) {
     out += StrFormat("  WARNING: accounting mismatch: evaluated + pruned = %"
                      PRIu64 " != candidates = %" PRIu64 "\n",

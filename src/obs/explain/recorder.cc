@@ -43,6 +43,8 @@ const char* ExplainBoundName(ExplainBound bound) {
       return "advanced";
     case ExplainBound::kTopL:
       return "top_l";
+    case ExplainBound::kUtility:
+      return "utility";
   }
   return "unknown";
 }
@@ -111,6 +113,7 @@ void ExplainRecorder::Enable(const ExplainConfig& config) {
   lhs_.clear();
   lhs_seen_.store(0, std::memory_order_relaxed);
   lhs_bounded_out_.store(0, std::memory_order_relaxed);
+  lhs_skipped_.store(0, std::memory_order_relaxed);
   candidates_.store(0, std::memory_order_relaxed);
   evaluated_.store(0, std::memory_order_relaxed);
   pruned_s0_.store(0, std::memory_order_relaxed);
@@ -134,6 +137,8 @@ void ExplainRecorder::Disable() {
       .Add(lhs_seen_.load(std::memory_order_relaxed));
   registry.GetCounter("explain.lhs_bounded_out")
       .Add(lhs_bounded_out_.load(std::memory_order_relaxed));
+  registry.GetCounter("explain.lhs_skipped")
+      .Add(lhs_skipped_.load(std::memory_order_relaxed));
   registry.GetCounter("explain.candidates")
       .Add(candidates_.load(std::memory_order_relaxed));
   registry.GetCounter("explain.evaluated")
@@ -179,7 +184,8 @@ void ExplainRecorder::AddCandidates(std::uint64_t n) {
 std::uint32_t ExplainRecorder::BeginLhs(const ExplainLevels& levels,
                                         std::uint64_t lhs_count,
                                         std::uint64_t total,
-                                        double initial_bound, bool advanced) {
+                                        double initial_bound,
+                                        ExplainBound initial_kind) {
   lhs_seen_.fetch_add(1, std::memory_order_relaxed);
 
   ThreadBuffer& tb = EnsureFresh(LocalBuffer());
@@ -194,7 +200,7 @@ std::uint32_t ExplainRecorder::BeginLhs(const ExplainLevels& levels,
   info.lhs_count = lhs_count;
   info.total = total;
   info.initial_bound = initial_bound;
-  info.advanced = advanced;
+  info.initial_kind = initial_kind;
   lhs_.push_back(std::move(info));
   return lhs_.back().seq;
 }
@@ -268,6 +274,10 @@ void ExplainRecorder::RecordPruned(std::uint32_t lhs_seq,
 
 void ExplainRecorder::NoteLhsBoundedOut() {
   lhs_bounded_out_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ExplainRecorder::NoteLhsSkipped() {
+  lhs_skipped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ExplainRecorder::ThreadBuffer& ExplainRecorder::LocalBuffer() {
@@ -372,6 +382,8 @@ ExplainSnapshot ExplainRecorder::Snapshot() const {
   snapshot.waterfall.lhs_seen = lhs_seen_.load(std::memory_order_relaxed);
   snapshot.waterfall.lhs_bounded_out =
       lhs_bounded_out_.load(std::memory_order_relaxed);
+  snapshot.waterfall.lhs_skipped =
+      lhs_skipped_.load(std::memory_order_relaxed);
   snapshot.waterfall.candidates = candidates_.load(std::memory_order_relaxed);
   snapshot.waterfall.evaluated = evaluated_.load(std::memory_order_relaxed);
   snapshot.waterfall.pruned_s0 = pruned_s0_.load(std::memory_order_relaxed);

@@ -60,6 +60,7 @@ enum class ExplainBound : std::uint8_t {
   kInitial = 0,   // the caller's initial bound (0 under DA)
   kAdvanced = 1,  // DAP's Theorem-3 advanced bound seeded the search
   kTopL = 2,      // the running top-l cutoff (l-th best C·Q so far)
+  kUtility = 3,   // DAP's closed-form Ū threshold τ seeded the search
 };
 
 const char* ExplainOutcomeName(ExplainOutcome outcome);
@@ -107,13 +108,18 @@ struct ExplainLhsInfo {
   std::uint64_t lhs_count = 0;
   std::uint64_t total = 0;
   double initial_bound = 0.0;
-  bool advanced = false;  // initial_bound came from Theorem 3 (DAP)
+  // Where initial_bound came from: kInitial (0, or the caller's bound),
+  // kAdvanced (DAP's Theorem 3) or kUtility (DAP's Ū threshold τ).
+  ExplainBound initial_kind = ExplainBound::kInitial;
 };
 
 // Exact per-run totals, independent of sampling and ring capacity.
 struct ExplainWaterfall {
   std::uint64_t lhs_seen = 0;
   std::uint64_t lhs_bounded_out = 0;  // LHS whose RHS search returned empty
+  // LHS that DAP skipped without a search (no ϕ[Y] could lift their Ū
+  // above the l-th best); their C_Y cells are not among `candidates`.
+  std::uint64_t lhs_skipped = 0;
   std::uint64_t candidates = 0;       // Σ lattice sizes over all searches
   std::uint64_t evaluated = 0;
   std::uint64_t pruned_s0 = 0;
@@ -181,7 +187,7 @@ class ExplainRecorder {
   // D(ϕ[X]) used for skyline tracking.
   std::uint32_t BeginLhs(const ExplainLevels& levels, std::uint64_t lhs_count,
                          std::uint64_t total, double initial_bound,
-                         bool advanced);
+                         ExplainBound initial_kind);
 
   // True when the next event on this thread passes the sampling gate —
   // callers use it to decide whether to time the evaluation (so latency
@@ -201,6 +207,10 @@ class ExplainRecorder {
   // Marks the current LHS as bounded out (its RHS search returned no
   // candidate above the bound — DAP Algorithm 4, line 6).
   void NoteLhsBoundedOut();
+
+  // Counts a ϕ[X] that DAP skipped before any RHS search (its best
+  // possible Ū cannot beat the l-th best answer).
+  void NoteLhsSkipped();
 
   // Merged view of the current recording. Safe to call while enabled;
   // the audit consumers call it after the run completes.
@@ -236,6 +246,7 @@ class ExplainRecorder {
   // Exact waterfall totals (relaxed increments).
   std::atomic<std::uint64_t> lhs_seen_{0};
   std::atomic<std::uint64_t> lhs_bounded_out_{0};
+  std::atomic<std::uint64_t> lhs_skipped_{0};
   std::atomic<std::uint64_t> candidates_{0};
   std::atomic<std::uint64_t> evaluated_{0};
   std::atomic<std::uint64_t> pruned_s0_{0};

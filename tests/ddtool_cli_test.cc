@@ -176,6 +176,19 @@ TEST_F(DdtoolCliTest, ExplainSaveMatchingWritesWhatLoadMatchingReads) {
   EXPECT_EQ(from_file, from_csv);
 }
 
+// Under --json, stdout is the JSON document alone, with --save-matching
+// too: its confirmation line goes to stderr.
+TEST_F(DdtoolCliTest, DetermineJsonSaveMatchingKeepsStdoutJson) {
+  CliRun run = Run("determine " + Rest() + " --json --save-matching " +
+                   Path("m.ddmr"));
+  ASSERT_EQ(run.rc, 0) << run.err;
+  EXPECT_TRUE(ValidJson(run.out)) << run.out;
+  EXPECT_TRUE(Contains(run.err, "saved matching relation to " +
+                                    Path("m.ddmr")))
+      << run.err;
+  EXPECT_TRUE(std::filesystem::exists(Path("m.ddmr")));
+}
+
 TEST_F(DdtoolCliTest, DetectWritesPairsCsv) {
   CliRun run = Run("detect --input " + Path("rest.csv") +
                    " --lhs address --rhs city --pattern \"4->2\" --dmax 6 "
@@ -234,6 +247,49 @@ TEST_F(DdtoolCliTest, FeedSubcommandsPrintParseableLines) {
     if (Contains(line, "serve: rejected stdin line")) ++rejected;
   }
   EXPECT_EQ(rejected, 2u) << serve.err;
+}
+
+// serve reads a last stdin row that has no trailing newline: the base
+// instance's 189 rows plus 3 stdin rows end at 192 live tuples.
+TEST_F(DdtoolCliTest, ServeReadsAnUnterminatedLastRow) {
+  ASSERT_EQ(Run("generate --dataset restaurant --entities 40 --seed 3 "
+                "--out " + Path("new.csv")).rc,
+            0);
+  const std::vector<std::string> rows = Lines(ReadFile(Path("new.csv")));
+  ASSERT_GE(rows.size(), 4u);
+  std::ofstream stdin_rows(Path("stdin.csv"));
+  stdin_rows << rows[1] << "\n" << rows[2] << "\n" << rows[3];
+  stdin_rows.close();
+  CliRun serve = Run("serve --input " + Path("rest.csv") +
+                         " --lhs name,address --rhs city,type --dmax 6",
+                     Path("stdin.csv"));
+  ASSERT_EQ(serve.rc, 0) << serve.err;
+  EXPECT_TRUE(Contains(serve.out, "final: 192 live tuples,")) << serve.out;
+}
+
+// A stdin line that starts with a NUL byte is rejected and counted; the
+// rows around it are applied: 189 + 2 live tuples.
+TEST_F(DdtoolCliTest, ServeRejectsALineStartingWithNul) {
+  ASSERT_EQ(Run("generate --dataset restaurant --entities 40 --seed 3 "
+                "--out " + Path("new.csv")).rc,
+            0);
+  const std::vector<std::string> rows = Lines(ReadFile(Path("new.csv")));
+  ASSERT_GE(rows.size(), 4u);
+  std::ofstream stdin_rows(Path("stdin.csv"), std::ios::binary);
+  stdin_rows << rows[1] << "\n" << '\0' << rows[2] << "\n" << rows[3] << "\n";
+  stdin_rows.close();
+  CliRun serve = Run("serve --input " + Path("rest.csv") +
+                         " --lhs name,address --rhs city,type --dmax 6",
+                     Path("stdin.csv"));
+  ASSERT_EQ(serve.rc, 0) << serve.err;
+  EXPECT_TRUE(Contains(serve.out, "final: 191 live tuples,")) << serve.out;
+  std::size_t rejected = 0;
+  for (const std::string& line : Lines(serve.err)) {
+    if (Contains(line, "serve: rejected stdin line 2: line contains a NUL")) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 1u) << serve.err;
 }
 
 TEST_F(DdtoolCliTest, OutOfRangeIntegerFlagsAreRefused) {

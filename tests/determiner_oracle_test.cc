@@ -1,10 +1,12 @@
 // Every determination path against the naive determiner
 // (testutil::NaiveDetermine): DA/DAP × PA/PAP × {scan, grid, grid
 // brought to M through Apply} at 1 and 4 threads, two C_Y orders and
-// l ∈ {1, 4, 1000}, plus the pinned-side MFD and MD entry points. Utility sequences must be bit-equal to the
-// oracle's, patterns must match wherever a utility is unique among the
-// eligible candidates, and the search stats must account for every
-// lattice cell.
+// l ∈ {1, 4, 1000}, plus the pinned-side MFD and MD entry points.
+// Utility sequences must be bit-equal to the oracle's, patterns must
+// match wherever a utility is unique among the eligible candidates, and
+// the search stats must account for every lattice cell: every ϕ[X] is
+// either searched or skipped by DAP's utility bound, and a skipped one
+// still counts its C_Y cells.
 
 #include <bit>
 #include <cstdint>
@@ -18,7 +20,10 @@
 #include "common/rng.h"
 #include "core/determiner.h"
 #include "core/measure_provider.h"
+#include "data/generators.h"
+#include "matching/builder.h"
 #include "matching/delta.h"
+#include "obs/explain/recorder.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -54,16 +59,23 @@ void ExpectMatchesOracle(const DetermineResult& got,
   }
 }
 
+// `rhs_cells` is the size of each per-LHS search's lattice. Only DAP
+// under the closed-form utility may skip a ϕ[X] (`may_skip`); every
+// other path searches all of C_X.
 void ExpectAccounted(const DaStats& stats, std::size_t lhs_cells,
-                     std::size_t rhs_lattice, bool pruning,
+                     std::size_t rhs_cells, bool pruning, bool may_skip,
                      const std::string& label) {
   SCOPED_TRACE(label);
   EXPECT_EQ(stats.lhs_total, lhs_cells);
-  EXPECT_EQ(stats.lhs_evaluated, lhs_cells);
-  EXPECT_EQ(stats.rhs.lattice_size, rhs_lattice);
+  if (!may_skip) {
+    EXPECT_EQ(stats.lhs_bounded, 0u);
+  }
+  EXPECT_EQ(stats.lhs_evaluated + stats.lhs_bounded, stats.lhs_total);
+  EXPECT_EQ(stats.rhs.lattice_size, lhs_cells * rhs_cells);
   EXPECT_EQ(stats.rhs.evaluated + stats.rhs.pruned, stats.rhs.lattice_size);
   if (!pruning) {
-    EXPECT_EQ(stats.rhs.pruned, 0u);
+    // Only the cells of skipped LHS candidates go unevaluated.
+    EXPECT_EQ(stats.rhs.pruned, stats.lhs_bounded * rhs_cells);
   }
 }
 
@@ -169,8 +181,11 @@ void CheckAgainstOracle(const MatchingRelation& m, const RuleSpec& rule,
                 }
               }
               ExpectMatchesOracle(*got, want[0], label);
-              ExpectAccounted(got->stats, lhs_cells, lhs_cells * rhs_cells,
-                              rhs == RhsAlgorithm::kPap, label);
+              ExpectAccounted(
+                  got->stats, lhs_cells, rhs_cells, rhs == RhsAlgorithm::kPap,
+                  lhs == LhsAlgorithm::kDap &&
+                      base.utility.method == UtilityMethod::kClosedForm,
+                  label);
             }
           }
         }
@@ -192,13 +207,13 @@ void CheckAgainstOracle(const MatchingRelation& m, const RuleSpec& rule,
         EXPECT_EQ(mfd->prior_mean_cq, *prior) << label;
         ExpectMatchesOracle(*mfd, want[1], "MFD " + label);
         ExpectAccounted(mfd->stats, 1, rhs_cells, rhs == RhsAlgorithm::kPap,
-                        "MFD " + label);
+                        /*may_skip=*/false, "MFD " + label);
         auto md = DetermineMdThresholds(m, rule, options);
         ASSERT_TRUE(md.ok()) << label;
         EXPECT_EQ(md->prior_mean_cq, *prior) << label;
         ExpectMatchesOracle(*md, want[2], "MD " + label);
-        ExpectAccounted(md->stats, lhs_cells, lhs_cells, /*pruning=*/false,
-                        "MD " + label);
+        ExpectAccounted(md->stats, lhs_cells, 1, /*pruning=*/false,
+                        /*may_skip=*/false, "MD " + label);
       }
     }
   }
@@ -244,6 +259,95 @@ TEST(DetermineOracleTest, AllIdenticalRelation) {
       std::vector<std::vector<Level>>(50, std::vector<Level>{5, 2, 9}));
   for (const RuleSpec& rule : ThreeAttributeRules()) {
     CheckAgainstOracle(m, rule, DetermineOptions{}, "all identical");
+  }
+}
+
+// Skewed support, where DAP's utility bound bites: a generated
+// restaurant M has a few ϕ[X] of high D and a long tail of low-D ones
+// whose best possible Ū cannot reach the top-l. Every path still
+// agrees with the oracle, DAP skips part of C_X, and at l ∈ {1, 4} the
+// exact threshold τ seeds some search above formula 6. Under numeric
+// integration the same runs skip nothing.
+TEST(DetermineOracleTest, SkewedSupportRestaurant) {
+  RestaurantOptions generate;
+  generate.num_entities = 40;
+  generate.seed = 7;
+  const GeneratedData data = GenerateRestaurant(generate);
+  MatchingOptions matching;
+  matching.dmax = 6;
+  matching.max_pairs = 600;
+  auto m = BuildMatchingRelation(data.relation,
+                                 {"name", "address", "city", "type"},
+                                 matching);
+  ASSERT_TRUE(m.ok()) << m.status().message();
+  const RuleSpec rule{{"name", "address"}, {"city", "type"}};
+  CheckAgainstOracle(*m, rule, DetermineOptions{}, "restaurant");
+
+  for (std::size_t top_l : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("l=" + std::to_string(top_l));
+    DetermineOptions options;  // DAP+PAP over the scan provider
+    options.top_l = top_l;
+    obs::ExplainRecorder& recorder = obs::ExplainRecorder::Global();
+    recorder.Enable(obs::ExplainConfig{});
+    auto got = DetermineThresholds(*m, rule, options);
+    const obs::ExplainSnapshot snapshot = recorder.Snapshot();
+    recorder.Disable();
+    ASSERT_TRUE(got.ok());
+    EXPECT_GT(got->stats.lhs_bounded, 0u);
+    EXPECT_EQ(snapshot.waterfall.lhs_skipped, got->stats.lhs_bounded);
+    std::size_t tau_seeded = 0;
+    for (const obs::ExplainLhsInfo& lhs : snapshot.lhs) {
+      tau_seeded += lhs.initial_kind == obs::ExplainBound::kUtility;
+    }
+    EXPECT_GT(tau_seeded, 0u);
+
+    // Under the numeric-integration utility DAP is the paper's
+    // formula-6 DAP: the same M skips no ϕ[X].
+    options.utility.method = UtilityMethod::kNumericIntegration;
+    for (RhsAlgorithm rhs : {RhsAlgorithm::kPa, RhsAlgorithm::kPap}) {
+      options.rhs_algorithm = rhs;
+      auto numeric = DetermineThresholds(*m, rule, options);
+      ASSERT_TRUE(numeric.ok());
+      ExpectAccounted(numeric->stats, LatticeCells(2, m->dmax()),
+                      LatticeCells(2, m->dmax()), rhs == RhsAlgorithm::kPap,
+                      /*may_skip=*/false,
+                      std::string("numeric DAP+") + RhsAlgorithmName(rhs));
+    }
+  }
+}
+
+// The skip's boundary: every row with a0 <= 3 (about a tenth of M) has
+// a2 = 0, so each ϕ[X] with ϕ[a0] <= 3 has a ϕ[Y] = <0> with C·Q = 1
+// exactly, whose Ū is the skip bound Ū(n, 1) itself. The top-l then
+// holds such low-support patterns, and many ϕ[X] of similar support are
+// decided by the skip or by τ alone. DAP must skip and agree with the
+// oracle.
+TEST(DetermineOracleTest, PerfectDependencyAtLowSupport) {
+  constexpr int kDmax = 10;
+  Rng rng(13);
+  std::vector<std::vector<Level>> rows;
+  for (int r = 0; r < 400; ++r) {
+    const bool near = rng.NextBool(0.1);
+    const auto level = [&](std::uint64_t lo, std::uint64_t hi) {
+      return static_cast<Level>(lo + rng.NextBounded(hi - lo + 1));
+    };
+    rows.push_back({near ? level(0, 3) : level(4, kDmax), level(0, kDmax),
+                    near ? Level{0} : level(0, kDmax)});
+  }
+  const MatchingRelation m =
+      testutil::MakeMatching({"a0", "a1", "a2"}, kDmax, rows);
+  const std::vector<RuleSpec> rules = {{{"a0"}, {"a2"}},
+                                       {{"a0", "a1"}, {"a2"}}};
+  for (const RuleSpec& rule : rules) {
+    const std::string name = "perfect " + rule.lhs.back() + "->a2";
+    CheckAgainstOracle(m, rule, DetermineOptions{}, name);
+    for (std::size_t top_l : {std::size_t{1}, std::size_t{4}}) {
+      DetermineOptions options;
+      options.top_l = top_l;
+      auto got = DetermineThresholds(m, rule, options);
+      ASSERT_TRUE(got.ok());
+      EXPECT_GT(got->stats.lhs_bounded, 0u) << name << " l=" << top_l;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -164,6 +165,44 @@ TEST(ExpectedUtilityTest, Theorem3BoundHoldsExactly) {
           EXPECT_LE(u2, u1 + 1e-9)
               << "d1=" << d1 << " d2=" << d2 << " cq1=" << cq1
               << " cq2=" << cq2;
+        }
+      }
+    }
+  }
+}
+
+// DAP's seed: no C·Q at or below ClosedFormCqThreshold can lift Ū
+// above the floor (Ū is monotone in C·Q, so checking C·Q = τ covers
+// them all), and the threshold sits just under the exact one. Floors
+// are other patterns' utilities, so exact ties occur; supports reach
+// past 2^32 tuples.
+TEST(ExpectedUtilityTest, ClosedFormCqThresholdNeverExceedsExact) {
+  Rng rng(5);
+  for (std::uint64_t total : {1ull, 7ull, 100000ull, 6000000000ull}) {
+    for (double h : {0.0, 0.05, 0.2}) {
+      UtilityOptions opts = DefaultOptions();
+      opts.prior_strength = h;
+      for (int trial = 0; trial < 400; ++trial) {
+        opts.prior_mean_cq = rng.NextDouble();
+        const std::uint64_t n = 1 + rng.NextBounded(total);
+        const std::uint64_t ref_n = 1 + rng.NextBounded(total);
+        const double ref_cq = rng.NextDouble();
+        const double floor = ExpectedUtility(total, ref_n, ref_cq, 1.0, opts);
+        const double tau = ClosedFormCqThreshold(total, n, floor, opts);
+        SCOPED_TRACE(testing::Message() << "total=" << total << " h=" << h
+                                        << " n=" << n << " floor=" << floor);
+        // τ < 0: every C·Q beats the floor; τ >= 1: none does.
+        if (tau < 0.0 || tau >= 1.0) continue;
+        EXPECT_LE(ExpectedUtility(total, n, tau, 1.0, opts), floor);
+        // Within a few units of the 1e-9 relative margin of the exact
+        // threshold: C·Q a little above τ can beat the floor.
+        const double a = h * static_cast<double>(total) * opts.prior_mean_cq;
+        const double slack = 1e-8 * (floor * (static_cast<double>(n) +
+                                              h * static_cast<double>(total)) +
+                                     a) /
+                             static_cast<double>(n);
+        if (tau + slack < 1.0) {
+          EXPECT_GT(ExpectedUtility(total, n, tau + slack, 1.0, opts), floor);
         }
       }
     }

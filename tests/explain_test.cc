@@ -146,10 +146,20 @@ TEST(ExplainAccountingTest, AccountsEveryCandidateExactlyOnce) {
           << "evaluated " << w.evaluated << " + pruned " << w.Pruned()
           << " != candidates " << w.candidates;
       // …and against the aggregate stats the algorithms always kept.
-      EXPECT_EQ(w.candidates, explained.result.stats.rhs.lattice_size);
-      EXPECT_EQ(w.evaluated, explained.result.stats.rhs.evaluated);
-      EXPECT_EQ(w.Pruned(), explained.result.stats.rhs.pruned);
-      EXPECT_EQ(w.lhs_seen, explained.result.stats.lhs_evaluated);
+      // An LHS that DAP skipped unsearched counts its C_Y cells as
+      // pruned in the stats but never enters the recorder's lattices.
+      const DaStats& stats = explained.result.stats;
+      std::uint64_t rhs_cells = 1;
+      for (std::size_t d = 0; d < explained.snapshot.rhs_dims; ++d) {
+        rhs_cells *= static_cast<std::uint64_t>(explained.snapshot.dmax) + 1;
+      }
+      const std::uint64_t skipped_cells = w.lhs_skipped * rhs_cells;
+      EXPECT_EQ(w.candidates + skipped_cells, stats.rhs.lattice_size);
+      EXPECT_EQ(w.evaluated, stats.rhs.evaluated);
+      EXPECT_EQ(w.Pruned() + skipped_cells, stats.rhs.pruned);
+      EXPECT_EQ(w.lhs_seen, stats.lhs_evaluated);
+      EXPECT_EQ(w.lhs_skipped, stats.lhs_bounded);
+      EXPECT_EQ(w.lhs_seen + w.lhs_skipped, stats.lhs_total);
       // Recording on vs off returns identical answers.
       ExpectSamePatterns(plain->patterns, explained.result.patterns);
       // With sample_every == 1 every candidate decision is in the ring.
@@ -233,6 +243,7 @@ TEST(ExplainAuditTest, WaterfallGoldenText) {
   snapshot.run_label = "golden";
   snapshot.waterfall.lhs_seen = 4;
   snapshot.waterfall.lhs_bounded_out = 1;
+  snapshot.waterfall.lhs_skipped = 3;
   snapshot.waterfall.candidates = 100;
   snapshot.waterfall.pruned_s0 = 40;
   snapshot.waterfall.pruned_s1 = 25;
@@ -252,7 +263,7 @@ TEST(ExplainAuditTest, WaterfallGoldenText) {
       "  = evaluated                              30\n"
       "  entered top-l heap                        6\n"
       "  answers returned                          2\n"
-      "  LHS searched: 4 (bounded out: 1)\n";
+      "  LHS searched: 4 (bounded out: 1); skipped by the utility bound: 3\n";
   EXPECT_EQ(PruningWaterfallToText(snapshot, result), expected);
 }
 

@@ -123,6 +123,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -315,6 +316,7 @@ void PrintSearchStats(const dd::DetermineResult& result) {
   std::fprintf(stderr, "search stats:\n");
   std::fprintf(stderr, "  lhs candidates evaluated   %zu of %zu\n", s.lhs_evaluated,
               s.lhs_total);
+  std::fprintf(stderr, "  lhs candidates skipped     %zu\n", s.lhs_bounded);
   std::fprintf(stderr, "  rhs lattice size           %zu\n", s.rhs.lattice_size);
   std::fprintf(stderr, "  rhs candidates evaluated   %zu\n", s.rhs.evaluated);
   std::fprintf(stderr, "  rhs candidates pruned      %zu\n", s.rhs.pruned);
@@ -539,7 +541,8 @@ dd::Status RunDetermine(const dd::ArgParser& args) {
                 run.dmax);
   }
   if (!save_matching.empty()) {
-    std::printf("saved matching relation to %s\n", save_matching.c_str());
+    std::fprintf(json ? stderr : stdout, "saved matching relation to %s\n",
+                 save_matching.c_str());
   }
   if (json) {
     const std::string doc =
@@ -875,15 +878,14 @@ dd::Status FeedStdin(std::size_t columns, std::size_t batch_rows,
     DD_LOG(WARN) << "serve: rejected stdin line " << line_number << ": "
                  << why;
   };
-  char buf[4096];
-  while (std::fgets(buf, sizeof(buf), stdin) != nullptr) {
-    line += buf;
-    if (!line.empty() && line.back() != '\n') continue;  // Long line.
+  // std::getline keeps embedded NUL bytes and also returns a last line
+  // that has no trailing newline.
+  while (std::getline(std::cin, line)) {
     ++line_number;
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    if (!line.empty()) {
+    while (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.find('\0') != std::string::npos) {
+      reject("line contains a NUL byte");
+    } else if (!line.empty()) {
       auto row = dd::ParseCsv(line, line_options);
       if (!row.ok()) {
         reject(row.status().ToString());
@@ -898,7 +900,6 @@ dd::Status FeedStdin(std::size_t columns, std::size_t batch_rows,
         }
       }
     }
-    line.clear();
     if (pending.size() >= batch_rows) {
       DD_RETURN_IF_ERROR(apply(pending));
       pending.clear();
