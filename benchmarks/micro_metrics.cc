@@ -1,16 +1,21 @@
 // Micro-benchmarks of the distance metric substrate: exact and capped
-// Levenshtein, the kernel one-vs-many against per-pair, q-gram, Jaccard
-// and cosine throughput on realistic attribute values.
+// Levenshtein, the kernel one-vs-many against per-pair, the prepared
+// column's count-sketch filter against the bare kernel on citeseer
+// descriptions, q-gram, Jaccard and cosine throughput on realistic
+// attribute values.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/generators.h"
 #include "metric/levenshtein.h"
 #include "metric/metric.h"
 
@@ -79,8 +84,9 @@ BENCHMARK(BM_LevKernelReferenceDp)->Arg(16)->Arg(64)->Arg(200);
 // One value against a row of 64 others at cap 10 — the value-pair level
 // table's shape — at about the arg length (±2). Half the row are near
 // copies of the pattern (a few substitutions), half unrelated strings.
-// The one-vs-many form builds the pattern masks once for the row; the
-// per-pair form calls BoundedDistance for each. Items are pairs.
+// The one-vs-many form asks the prepared column for the row, which
+// builds the pattern masks once; the per-pair form calls BoundedDistance
+// for each. Items are pairs.
 std::vector<std::string> KernelRow(std::size_t length) {
   dd::Rng rng(length * 40503u + 5);
   auto make = [&] {
@@ -102,15 +108,18 @@ std::vector<std::string> KernelRow(std::size_t length) {
 void BM_LevOneVsMany(benchmark::State& state) {
   dd::LevenshteinMetric lev;
   const auto row = KernelRow(static_cast<std::size_t>(state.range(0)));
-  const std::vector<std::string_view> texts(row.begin() + 1, row.end());
-  std::vector<double> out(texts.size());
+  const std::vector<std::string_view> values(row.begin(), row.end());
+  const auto column = lev.Prepare(values);
+  std::vector<std::uint32_t> ids(values.size() - 1);
+  for (std::uint32_t k = 0; k < ids.size(); ++k) ids[k] = k + 1;
+  std::vector<double> out(ids.size());
   for (auto _ : state) {
-    lev.BoundedDistanceMany(row[0], texts, 10.0, out);
+    column->BoundedDistanceMany(0, ids, 10.0, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(texts.size()));
+                          static_cast<std::int64_t>(ids.size()));
 }
 BENCHMARK(BM_LevOneVsMany)->Arg(17)->Arg(30)->Arg(55)->Arg(90);
 
@@ -126,6 +135,69 @@ void BM_LevPerPair(benchmark::State& state) {
                           static_cast<std::int64_t>(row.size() - 1));
 }
 BENCHMARK(BM_LevPerPair)->Arg(17)->Arg(30)->Arg(55)->Arg(90);
+
+// The distinct descriptions of a 485-row citeseer slice (csv-determine's
+// instance size): word soups over per-topic vocabularies, 30-85 bytes.
+std::vector<std::string> CiteseerDescriptions() {
+  dd::CiteseerOptions options;
+  options.num_entities = 250;
+  const dd::Relation relation = dd::GenerateCiteseer(options).relation;
+  std::vector<std::string> values;
+  for (std::size_t r = 0; r < relation.num_rows() && r < 485; ++r) {
+    const std::string& v = relation.at(r, 2);
+    if (std::find(values.begin(), values.end(), v) == values.end()) {
+      values.push_back(v);
+    }
+  }
+  return values;
+}
+
+// Every distinct-value pair of the descriptions at cap 10, the value-
+// pair level table's work, as pairs/s. Per-pair: one lev::Pattern per
+// value, run on every later value. Prepared: the column's one call per
+// value, which settles most pairs by their count sketches.
+void BM_LevCiteseerPerPair(benchmark::State& state) {
+  const auto values = CiteseerDescriptions();
+  std::vector<dd::lev::Pattern> patterns(values.begin(), values.end());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      for (std::size_t j = i + 1; j < values.size(); ++j) {
+        benchmark::DoNotOptimize(patterns[i].BoundedDistance(values[j], 10));
+      }
+    }
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(values.size() * (values.size() - 1) / 2));
+}
+BENCHMARK(BM_LevCiteseerPerPair);
+
+void BM_LevCiteseerPrepared(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const auto values = CiteseerDescriptions();
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  const auto column = lev.Prepare(views);
+  std::vector<std::uint32_t> ids(views.size());
+  for (std::uint32_t k = 0; k < ids.size(); ++k) ids[k] = k;
+  std::vector<double> out(views.size());
+  std::uint64_t bounded = 0;
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < views.size(); ++i) {
+      const std::size_t run = views.size() - i - 1;
+      bounded += column->BoundedDistanceMany(
+          i, std::span(ids).subspan(i + 1, run), 10.0,
+          std::span(out).first(run));
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  const auto pairs =
+      static_cast<std::int64_t>(views.size() * (views.size() - 1) / 2);
+  state.SetItemsProcessed(state.iterations() * pairs);
+  state.counters["bounded_share"] =
+      static_cast<double>(bounded) /
+      static_cast<double>(state.iterations() * pairs);
+}
+BENCHMARK(BM_LevCiteseerPrepared);
 
 void BM_QGram(benchmark::State& state) {
   dd::QGramMetric qgram(static_cast<std::size_t>(state.range(0)));

@@ -1,8 +1,8 @@
 #include "approx/exact_stream.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -52,7 +52,8 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
       chunks, std::vector<std::uint64_t>(joint_cells, 0));
   std::vector<std::vector<std::uint64_t>> lhs_per_chunk(
       chunks, std::vector<std::uint64_t>(lhs_cells, 0));
-  std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
+  std::mutex mu;
+  MetricWork total = source.precomputed();
 
   // The pair levels are in rule order, lhs attributes first.
   std::vector<std::size_t> columns(dims);
@@ -62,19 +63,20 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
       "approx_exact_stream.pairs", total_pairs, threads,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         std::vector<Level> run_levels;  // row-major pair levels
-        std::uint64_t calls = 0;
+        MetricWork work;
         ForEachTriangularRun(
             begin, end, n,
             [&](std::uint64_t, std::uint32_t i, std::uint32_t j_begin,
                 std::uint32_t j_end) {
               run_levels.resize((j_end - j_begin) * dims);
-              source.Levels(i, j_begin, j_end, run_levels.data(), &calls);
+              source.Levels(i, j_begin, j_end, run_levels.data(), &work);
               grid::AddLevelRowsToHistograms(
                   run_levels.data(), j_end - j_begin, dims, columns, lhs_dims,
                   base, 1, joint_per_chunk[chunk].data(),
                   lhs_per_chunk[chunk].data());
             });
-        metric_calls.fetch_add(calls, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(mu);
+        total += work;
       });
 
   std::vector<std::uint64_t> joint(joint_cells, 0);
@@ -88,9 +90,7 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
     }
   }
 
-  obs::MetricsRegistry::Global()
-      .GetCounter("matching.distances_computed")
-      .Add(metric_calls.load(std::memory_order_relaxed));
+  PublishMetricWork(total);
   DD_LOG(INFO) << "streaming grid built: " << total_pairs << " pairs into "
                << joint_cells << " cells, threads=" << threads;
   DD_ASSIGN_OR_RETURN(

@@ -47,7 +47,7 @@ std::uint64_t HashBytes(std::string_view s, std::uint64_t seed) {
   return Mix(h ^ seed);
 }
 
-void TokenFeatures(const std::string& value, std::uint64_t seed,
+void TokenFeatures(std::string_view value, std::uint64_t seed,
                    std::vector<std::uint64_t>* out) {
   std::size_t i = 0;
   const std::size_t n = value.size();
@@ -56,20 +56,19 @@ void TokenFeatures(const std::string& value, std::uint64_t seed,
     std::size_t start = i;
     while (i < n && !std::isspace(static_cast<unsigned char>(value[i]))) ++i;
     if (i > start) {
-      out->push_back(
-          HashBytes(std::string_view(value).substr(start, i - start), seed));
+      out->push_back(HashBytes(value.substr(start, i - start), seed));
     }
   }
 }
 
-void QGramFeatures(const std::string& value, std::size_t q, std::uint64_t seed,
+void QGramFeatures(std::string_view value, std::size_t q, std::uint64_t seed,
                    std::vector<std::uint64_t>* out) {
   if (value.size() < q) {
     out->push_back(HashBytes(value, seed));
     return;
   }
   for (std::size_t i = 0; i + q <= value.size(); ++i) {
-    out->push_back(HashBytes(std::string_view(value).substr(i, q), seed));
+    out->push_back(HashBytes(value.substr(i, q), seed));
   }
 }
 
@@ -129,7 +128,7 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
       parsed.reserve(distinct);
       for (std::size_t v = 0; v < distinct; ++v) {
         char* end = nullptr;
-        const std::string& s = *index.values[v];
+        const std::string s(index.values[v]);
         const double d = std::strtod(s.c_str(), &end);
         if (end == s.c_str() || *end != '\0') continue;  // unparsable: skip
         parsed.emplace_back(d, static_cast<std::uint32_t>(v));
@@ -173,9 +172,9 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
       for (std::size_t v = 0; v < distinct; ++v) {
         features.clear();
         if (family == BlockingFamily::kTokenSet) {
-          TokenFeatures(*index.values[v], attr_seed, &features);
+          TokenFeatures(index.values[v], attr_seed, &features);
         } else {
-          QGramFeatures(*index.values[v], q, attr_seed, &features);
+          QGramFeatures(index.values[v], q, attr_seed, &features);
         }
         MinhashSignature(features, num_hashes, attr_seed, &sig);
         for (std::size_t band = 0; band < kBands; ++band) {
@@ -184,7 +183,8 @@ std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
             key = Mix(key ^ sig[band * kBandRows + r]);
           }
           if (family == BlockingFamily::kEdit) {
-            const std::uint64_t lb = index.values[v]->size() / length_bucket_width;
+            const std::uint64_t lb =
+                index.values[v].size() / length_bucket_width;
             buckets[Mix(key ^ (lb * 2 + 2))].push_back(
                 static_cast<std::uint32_t>(v));
             buckets[Mix(key ^ ((lb + 1) * 2 + 3))].push_back(

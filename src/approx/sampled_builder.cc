@@ -51,11 +51,10 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
 
   {
     obs::TraceSpan near_span("approx_near_build");
-    obs::MetricsRegistry::Global()
-        .GetCounter("matching.distances_computed")
-        .Add(builder->source_->precomputed_distances() +
-             FillSampledPairs(*builder->source_, n, near_ks,
-                              builder->threads_, &builder->near_));
+    MetricWork work = builder->source_->precomputed();
+    work += FillSampledPairs(*builder->source_, n, near_ks, builder->threads_,
+                             &builder->near_);
+    PublishMetricWork(work);
   }
   builder->sampler_ = std::make_unique<PairSampler>(
       builder->total_pairs_, approx.seed, std::move(near_ks));
@@ -79,8 +78,8 @@ std::uint64_t SampledMatchingBuilder::GrowTo(std::uint64_t target) {
   const std::vector<std::uint64_t> fresh = sampler_->GrowTo(target);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (!fresh.empty()) {
-    registry.GetCounter("matching.distances_computed")
-        .Add(FillSampledPairs(*source_, num_rows_, fresh, threads_, &tail_));
+    PublishMetricWork(
+        FillSampledPairs(*source_, num_rows_, fresh, threads_, &tail_));
   }
   registry.GetCounter("approx.sampled_pairs").Add(fresh.size());
   registry.GetGauge("approx.sample_fraction").Set(sample_fraction());

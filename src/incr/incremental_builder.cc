@@ -1,8 +1,8 @@
 #include "incr/incremental_builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 
 #include "common/logging.h"
@@ -67,8 +67,6 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_removed");
   static obs::Counter& moved_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_moved");
-  static obs::Counter& distance_counter =
-      obs::MetricsRegistry::Global().GetCounter("matching.distances_computed");
 
   // Validate the whole batch before mutating anything.
   const std::size_t arity = store_.schema().num_attributes();
@@ -157,13 +155,14 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
     // Scoped so its level tables are freed before M grows below.
     const PairLevelSource source(store_.relation(), rows, resolved_, total_new,
                                  options_.matching.threads);
-    std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
+    std::mutex mu;
+    MetricWork total = source.precomputed();
     // New tuple k is one run: positions [0, old + k) against position
     // old + k, starting at pair old * k + k(k-1)/2.
     ParallelFor(
         "incr.delta_levels", total_new, options_.matching.threads,
         [&](std::size_t, std::size_t begin, std::size_t end) {
-          std::uint64_t calls = 0;
+          MetricWork work;
           std::uint64_t p = old;  // position of the run's new tuple
           std::uint64_t start = 0;
           while (start + p <= begin) start += p++;
@@ -172,12 +171,13 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
             source.Levels(static_cast<std::uint32_t>(p),
                           static_cast<std::uint32_t>(t - start),
                           static_cast<std::uint32_t>(stop - start),
-                          &delta.added_levels[t * attrs], &calls);
+                          &delta.added_levels[t * attrs], &work);
             t = stop;
           }
-          metric_calls.fetch_add(calls, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(mu);
+          total += work;
         });
-    distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
+    PublishMetricWork(total);
   }
 
   matching_.AppendRows(delta.added_pairs, delta.added_levels.data());

@@ -1,9 +1,9 @@
 #include "matching/builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
+#include <mutex>
 
 #include "common/parallel.h"
 #include "common/string_util.h"
@@ -24,24 +24,36 @@ PairLevelSource::PairLevelSource(const Relation& relation,
                                  std::size_t threads)
     : resolved_(resolved), attrs_(resolved.num_attributes()) {
   for (std::size_t a = 0; a < attrs_.size(); ++a) {
-    attrs_[a].index = InternColumn(relation, rows, resolved.attr_idx[a]);
-    attrs_[a].table = ValuePairLevelTable::Build(
-        attrs_[a].index, *resolved.metrics[a], resolved.scales[a],
-        resolved.dmax, pairs_to_compute, threads);
-    if (attrs_[a].table != nullptr) {
-      precomputed_distances_ += attrs_[a].table->distances_computed();
+    AttrLevelSource& attr = attrs_[a];
+    attr.index = InternColumn(relation, rows, resolved.attr_idx[a]);
+    attr.column = resolved.metrics[a]->Prepare(attr.index.values);
+    attr.table = ValuePairLevelTable::Build(attr.index, *attr.column,
+                                            resolved.scales[a], resolved.dmax,
+                                            pairs_to_compute, threads);
+    if (attr.table != nullptr) {
+      precomputed_.computed += attr.table->distances_computed();
+      precomputed_.bounded += attr.table->distances_bounded();
     }
   }
 }
 
+void PublishMetricWork(const MetricWork& work) {
+  static obs::Counter& computed =
+      obs::MetricsRegistry::Global().GetCounter("matching.distances_computed");
+  static obs::Counter& bounded =
+      obs::MetricsRegistry::Global().GetCounter("matching.distances_bounded");
+  computed.Add(work.computed);
+  bounded.Add(work.bounded);
+}
+
 void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
                              std::uint32_t j_end, Level* out,
-                             std::uint64_t* metric_calls) const {
+                             MetricWork* work) const {
   const std::size_t num_attrs = attrs_.size();
   const std::size_t run = j_end - j_begin;
   // The metric route's operands; per thread, so concurrent callers
   // never share them and a run allocates nothing once warm.
-  thread_local std::vector<std::string_view> others;
+  thread_local std::vector<std::uint32_t> others;
   thread_local std::vector<double> raw;
   for (std::size_t a = 0; a < num_attrs; ++a) {
     const AttrLevelSource& attr = attrs_[a];
@@ -56,21 +68,15 @@ void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
     }
     others.clear();
     for (std::size_t r = 0; r < run; ++r) {
-      if (ids[r] != id_i) others.emplace_back(*attr.index.values[ids[r]]);
+      if (ids[r] != id_i) others.push_back(ids[r]);
     }
-    const DistanceMetric& metric = *resolved_.metrics[a];
     const double scale = resolved_.scales[a];
-    const std::string_view value = *attr.index.values[id_i];
     // Any raw distance mapping to >= dmax is equivalent, so the metric
     // may stop early at raw cap = dmax / scale.
     const double cap = static_cast<double>(resolved_.dmax) / scale;
     raw.resize(others.size());
-    if (others.size() == 1) {
-      raw[0] = metric.BoundedDistance(value, others[0], cap);
-    } else if (!others.empty()) {
-      metric.BoundedDistanceMany(value, others, cap, raw);
-    }
-    *metric_calls += others.size();
+    work->computed += others.size();
+    work->bounded += attr.column->BoundedDistanceMany(id_i, others, cap, raw);
     for (std::size_t r = 0, k = 0; r < run; ++r) {
       column[r * num_attrs] =  // d(x, x) = 0, a metric axiom.
           ids[r] == id_i ? 0 : BucketDistance(raw[k++], scale, resolved_.dmax);
@@ -78,53 +84,57 @@ void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
   }
 }
 
-std::uint64_t FillAllPairs(const PairLevelSource& source,
-                           std::span<const std::uint32_t> rows,
-                           std::size_t threads, MatchingRelation* out) {
+MetricWork FillAllPairs(const PairLevelSource& source,
+                        std::span<const std::uint32_t> rows,
+                        std::size_t threads, MatchingRelation* out) {
   const std::uint64_t n = rows.size();
   const std::uint64_t total_pairs = n * (n - 1) / 2;
   const std::size_t num_attrs = out->num_attributes();
   out->ResizeRows(total_pairs);
-  std::atomic<std::uint64_t> metric_calls{0};
+  std::mutex mu;
+  MetricWork total;
   ParallelFor("matching_build.pairs", total_pairs, threads,
               [&](std::size_t, std::size_t begin, std::size_t end) {
                 std::vector<Level> levels;
-                std::uint64_t calls = 0;
+                MetricWork work;
                 ForEachTriangularRun(
                     begin, end, n,
                     [&](std::uint64_t k, std::uint32_t i, std::uint32_t j_begin,
                         std::uint32_t j_end) {
                       levels.resize((j_end - j_begin) * num_attrs);
-                      source.Levels(i, j_begin, j_end, levels.data(), &calls);
+                      source.Levels(i, j_begin, j_end, levels.data(), &work);
                       for (std::uint32_t j = j_begin; j < j_end; ++j) {
                         out->SetTuple(k + (j - j_begin), rows[i], rows[j],
                                       &levels[(j - j_begin) * num_attrs]);
                       }
                     });
-                metric_calls.fetch_add(calls, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(mu);
+                total += work;
               });
-  return metric_calls.load(std::memory_order_relaxed);
+  return total;
 }
 
-std::uint64_t FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
-                               std::span<const std::uint64_t> ks,
-                               std::size_t threads, MatchingRelation* out) {
+MetricWork FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
+                            std::span<const std::uint64_t> ks,
+                            std::size_t threads, MatchingRelation* out) {
   const std::size_t offset = out->num_tuples();
   const std::size_t num_attrs = out->num_attributes();
   out->ResizeRows(offset + ks.size());
-  std::atomic<std::uint64_t> metric_calls{0};
+  std::mutex mu;
+  MetricWork total;
   ParallelFor("matching_build.sampled", ks.size(), threads,
               [&](std::size_t, std::size_t begin, std::size_t end) {
                 std::vector<Level> levels(num_attrs);
-                std::uint64_t calls = 0;
+                MetricWork work;
                 for (std::size_t r = begin; r < end; ++r) {
                   auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source.Levels(i, j, j + 1, levels.data(), &calls);
+                  source.Levels(i, j, j + 1, levels.data(), &work);
                   out->SetTuple(offset + r, i, j, levels.data());
                 }
-                metric_calls.fetch_add(calls, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(mu);
+                total += work;
               });
-  return metric_calls.load(std::memory_order_relaxed);
+  return total;
 }
 
 std::pair<std::uint32_t, std::uint32_t> DecodeTriangularPair(std::uint64_t k,
@@ -206,8 +216,6 @@ Result<MatchingRelation> BuildMatchingRelation(
   obs::TraceSpan span("matching_build");
   static obs::Counter& pairs_counter =
       obs::MetricsRegistry::Global().GetCounter("matching.pairs_computed");
-  static obs::Counter& distance_counter =
-      obs::MetricsRegistry::Global().GetCounter("matching.distances_computed");
   DD_ASSIGN_OR_RETURN(
       ResolvedMetrics resolved,
       ResolveMatchingMetrics(relation.schema(), attributes, options));
@@ -225,17 +233,17 @@ Result<MatchingRelation> BuildMatchingRelation(
   const std::vector<std::uint32_t> rows = AllRows(n);
   const PairLevelSource source(relation, rows, resolved, pairs_to_compute,
                                threads);
-  std::uint64_t metric_calls = source.precomputed_distances();
+  MetricWork work = source.precomputed();
   if (full) {
-    metric_calls += FillAllPairs(source, rows, threads, &out);
+    work += FillAllPairs(source, rows, threads, &out);
   } else {
     // Uniform sample without replacement over the triangular enumeration.
     const std::vector<std::uint64_t> ks =
         PairSampler(total_pairs, options.seed, {}).GrowTo(options.max_pairs);
-    metric_calls += FillSampledPairs(source, n, ks, threads, &out);
+    work += FillSampledPairs(source, n, ks, threads, &out);
   }
   pairs_counter.Add(out.num_tuples());
-  distance_counter.Add(metric_calls);
+  PublishMetricWork(work);
   DD_LOG(INFO) << "matching relation built: " << out.num_tuples() << " of "
                << total_pairs << " pairs over " << n << " rows, "
                << attributes.size() << " attribute(s), dmax=" << options.dmax

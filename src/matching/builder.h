@@ -76,12 +76,32 @@ Result<ResolvedMetrics> ResolveMatchingMetrics(
     const Schema& schema, const std::vector<std::string>& attributes,
     const MatchingOptions& options);
 
-// Per-attribute state of a PairLevelSource: the interned values and,
-// when it pays off, the distinct-pair level table.
+// Per-attribute state of a PairLevelSource: the interned values, the
+// metric prepared over them and, when it pays off, the distinct-pair
+// level table.
 struct AttrLevelSource {
   AttributeValueIndex index;
+  std::unique_ptr<PreparedColumn> column;      // views index.values
   std::unique_ptr<ValuePairLevelTable> table;  // may be null
 };
+
+// Metric work of a matching producer: `computed` counts the pairs a
+// metric answered (level-table cells plus queries), `bounded` the subset
+// a lower bound settled without running the distance kernel.
+struct MetricWork {
+  std::uint64_t computed = 0;
+  std::uint64_t bounded = 0;
+
+  MetricWork& operator+=(const MetricWork& other) {
+    computed += other.computed;
+    bounded += other.bounded;
+    return *this;
+  }
+};
+
+// Adds `work` to the matching.distances_computed and
+// matching.distances_bounded counters; each producer calls it once.
+void PublishMetricWork(const MetricWork& work);
 
 // The pair-level kernel behind every matching producer: the one-shot
 // build below, the streaming exact grid build and the sampled builder
@@ -104,16 +124,14 @@ class PairLevelSource {
   // Levels of the position pairs (i, j) for j in [j_begin, j_end),
   // row-major [pair][attribute] into `out`. Per attribute a pair is a
   // table lookup, level 0 for equal values, or a metric evaluation: one
-  // BoundedDistanceMany of value i over the run's remaining values
-  // (BoundedDistance for one). Adds the metric evaluations to
-  // *metric_calls. Safe to call concurrently.
+  // PreparedColumn::BoundedDistanceMany of value i over the run's
+  // remaining values. Adds the metric evaluations to *work. Safe to call
+  // concurrently.
   void Levels(std::uint32_t i, std::uint32_t j_begin, std::uint32_t j_end,
-              Level* out, std::uint64_t* metric_calls) const;
+              Level* out, MetricWork* work) const;
 
-  // Metric evaluations spent on the level tables.
-  std::uint64_t precomputed_distances() const {
-    return precomputed_distances_;
-  }
+  // Metric work spent on the level tables.
+  const MetricWork& precomputed() const { return precomputed_; }
 
   std::size_t tables_built() const {
     std::size_t n = 0;
@@ -121,10 +139,12 @@ class PairLevelSource {
     return n;
   }
 
-  // Heap bytes across the per-attribute level tables (mem.value_cache).
+  // Heap bytes across the per-attribute level tables and prepared
+  // columns (mem.value_cache).
   std::size_t cache_bytes() const {
     std::size_t bytes = 0;
     for (const auto& a : attrs_) {
+      bytes += a.column->MemoryUsageBytes();
       if (a.table != nullptr) bytes += a.table->MemoryUsageBytes();
     }
     return bytes;
@@ -133,23 +153,23 @@ class PairLevelSource {
  private:
   const ResolvedMetrics& resolved_;
   std::vector<AttrLevelSource> attrs_;
-  std::uint64_t precomputed_distances_ = 0;
+  MetricWork precomputed_;
 };
 
 // Fills `out` with every position pair of `source` in row-major
 // triangular order, as tuple pairs (rows[i], rows[j]). Parallel over
 // `threads`; the result is bit-identical at any thread count. Returns
-// the metric evaluations of the queries (table cells not included).
-std::uint64_t FillAllPairs(const PairLevelSource& source,
-                           std::span<const std::uint32_t> rows,
-                           std::size_t threads, MatchingRelation* out);
+// the metric work of the queries (table cells not included).
+MetricWork FillAllPairs(const PairLevelSource& source,
+                        std::span<const std::uint32_t> rows,
+                        std::size_t threads, MatchingRelation* out);
 
 // Appends to `out` the pairs at the sorted triangular indices `ks` over
 // `n` positions, which equal tuple ids (a whole-relation source). Each
-// pair is a run of one. Returns the metric evaluations of the queries.
-std::uint64_t FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
-                               std::span<const std::uint64_t> ks,
-                               std::size_t threads, MatchingRelation* out);
+// pair is a run of one. Returns the metric work of the queries.
+MetricWork FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
+                            std::span<const std::uint64_t> ks,
+                            std::size_t threads, MatchingRelation* out);
 
 // Builds M over `attributes` (the union of the rule's X and Y). Fails on
 // unknown attributes/metrics or a dmax outside [1, 255].

@@ -1,6 +1,7 @@
 #include "matching/value_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <span>
 #include <string_view>
@@ -28,14 +29,14 @@ AttributeValueIndex InternColumn(const Relation& relation,
     const std::string& value = relation.at(rows[pos], attr_idx);
     const auto [it, inserted] = ids.emplace(
         std::string_view(value), static_cast<std::uint32_t>(index.values.size()));
-    if (inserted) index.values.push_back(&value);
+    if (inserted) index.values.push_back(it->first);
     index.row_ids[pos] = it->second;
   }
   return index;
 }
 
 std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
-    const AttributeValueIndex& index, const DistanceMetric& metric,
+    const AttributeValueIndex& index, const PreparedColumn& column,
     double scale, int dmax, std::uint64_t pairs_to_compute,
     std::size_t threads) {
   const std::uint64_t d = index.distinct();
@@ -48,27 +49,30 @@ std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
   table->table_.resize(cells);
   const double cap = static_cast<double>(dmax) / scale;
   Level* out = table->table_.data();
-  std::vector<std::string_view> values;
-  values.reserve(d);
-  for (const std::string* v : index.values) values.emplace_back(*v);
+  std::vector<std::uint32_t> ids(d);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  std::atomic<std::uint64_t> bounded{0};
   ParallelFor("value_cache.build", cells, threads,
               [&](std::size_t, std::size_t begin, std::size_t end) {
                 // One BoundedDistanceMany call per run lets the metric
                 // prepare values[i] once.
                 std::vector<double> raw(std::min<std::uint64_t>(end - begin, d));
+                std::uint64_t chunk_bounded = 0;
                 ForEachTriangularRun(
                     begin, end, d,
                     [&](std::uint64_t k, std::uint32_t i, std::uint32_t j_begin,
                         std::uint32_t j_end) {
                       const std::size_t run = j_end - j_begin;
-                      metric.BoundedDistanceMany(
-                          values[i], std::span(values).subspan(j_begin, run),
-                          cap, std::span(raw).first(run));
+                      chunk_bounded += column.BoundedDistanceMany(
+                          i, std::span(ids).subspan(j_begin, run), cap,
+                          std::span(raw).first(run));
                       for (std::size_t r = 0; r < run; ++r) {
                         out[k + r] = BucketDistance(raw[r], scale, dmax);
                       }
                     });
+                bounded.fetch_add(chunk_bounded, std::memory_order_relaxed);
               });
+  table->bounded_ = bounded.load(std::memory_order_relaxed);
   return table;
 }
 

@@ -11,9 +11,10 @@
 //
 // Determinism: the table is a pure function of the column contents and
 // the metric configuration — the same cap and BucketDistance mapping the
-// kernel's metric route uses, through BoundedDistanceMany, whose
-// contract is BoundedDistance's — so a lookup returns the level the
-// metric would, at any thread count.
+// kernel's metric route uses, through the same prepared column
+// (PreparedColumn::BoundedDistanceMany, whose contract is
+// BoundedDistance's) — so a lookup returns the level the metric would,
+// at any thread count.
 
 #ifndef DD_MATCHING_VALUE_CACHE_H_
 #define DD_MATCHING_VALUE_CACHE_H_
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,11 +40,11 @@ inline constexpr std::uint64_t kMaxLevelTableCells = std::uint64_t{1} << 26;
 
 // Distinct-value interning for one attribute column over a list of
 // rows: row_ids[pos] is the id of the value of rows[pos]; values[id]
-// points at a representative occurrence inside the relation (stable for
-// the relation's lifetime).
+// views a representative occurrence inside the relation (stable for the
+// relation's lifetime).
 struct AttributeValueIndex {
   std::vector<std::uint32_t> row_ids;
-  std::vector<const std::string*> values;
+  std::vector<std::string_view> values;
 
   std::size_t distinct() const { return values.size(); }
 };
@@ -61,13 +63,14 @@ AttributeValueIndex InternColumn(const Relation& relation,
 // answer level 0 without a lookup (d(x, x) = 0 is a metric axiom).
 class ValuePairLevelTable {
  public:
-  // Precomputes the table with `metric`/`scale`/`dmax` (the same cap
-  // and bucketing matching/builder.cc applies per pair), parallelized
-  // over `threads`. Returns nullptr when the table would not pay off:
-  // at least as many cells as `pairs_to_compute` row pairs, or more
-  // than kMaxLevelTableCells cells.
+  // Precomputes the table from `column`, the metric prepared over
+  // index.values, with `scale`/`dmax` (the same cap and bucketing
+  // matching/builder.cc applies per pair), parallelized over `threads`.
+  // Returns nullptr when the table would not pay off: at least as many
+  // cells as `pairs_to_compute` row pairs, or more than
+  // kMaxLevelTableCells cells.
   static std::unique_ptr<ValuePairLevelTable> Build(
-      const AttributeValueIndex& index, const DistanceMetric& metric,
+      const AttributeValueIndex& index, const PreparedColumn& column,
       double scale, int dmax, std::uint64_t pairs_to_compute,
       std::size_t threads);
 
@@ -77,8 +80,10 @@ class ValuePairLevelTable {
     return table_[TriIndex(lo, hi)];
   }
 
-  // Number of metric evaluations the precomputation performed.
+  // Number of metric evaluations the precomputation performed, and how
+  // many of them a lower bound settled.
   std::uint64_t distances_computed() const { return table_.size(); }
+  std::uint64_t distances_bounded() const { return bounded_; }
 
   // Heap bytes of the triangular level table (one byte per cell).
   // Feeds the mem.value_cache_bytes gauge (obs/resource.h).
@@ -94,6 +99,7 @@ class ValuePairLevelTable {
   }
 
   std::uint64_t d_;
+  std::uint64_t bounded_ = 0;
   std::vector<Level> table_;
 };
 

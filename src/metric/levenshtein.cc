@@ -2,6 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <span>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "metric/metric.h"
 
@@ -145,6 +152,42 @@ std::size_t Pattern::BoundedDistance(std::string_view text, std::size_t cap) {
   return Blocks(peq_.data(), m_, words_, text, cap, vp_.data(), vn_.data());
 }
 
+CountSketch Sketch(std::string_view value) {
+  CountSketch sketch = {};
+  for (const char c : value) {
+    std::uint8_t& count =
+        sketch.counts[ByteClass(static_cast<unsigned char>(c))];
+    if (count != 255) ++count;
+  }
+  return sketch;
+}
+
+std::size_t SketchLowerBound(const CountSketch& a, std::size_t m,
+                             const CountSketch& b, std::size_t n) {
+  std::size_t sum = m > n ? m - n : n - m;
+#if defined(__SSE2__)
+  // psadbw: per 8-byte half, the sum of absolute byte differences.
+  __m128i acc = _mm_setzero_si128();
+  for (std::size_t k = 0; k < 64; k += 16) {
+    const __m128i x =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(a.counts + k));
+    const __m128i y =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(b.counts + k));
+    acc = _mm_add_epi64(acc, _mm_sad_epu8(x, y));
+  }
+  // Each 64-bit half holds at most 32 * 255, so its low word is exact.
+  sum += static_cast<std::size_t>(_mm_cvtsi128_si32(acc)) +
+         static_cast<std::size_t>(
+             _mm_cvtsi128_si32(_mm_unpackhi_epi64(acc, acc)));
+#else
+  for (std::size_t k = 0; k < 64; ++k) {
+    sum += a.counts[k] > b.counts[k] ? a.counts[k] - b.counts[k]
+                                     : b.counts[k] - a.counts[k];
+  }
+#endif
+  return sum / 2;
+}
+
 std::size_t BoundedDistance(std::string_view a, std::string_view b,
                             std::size_t cap) {
   if (a == b) return 0;
@@ -196,17 +239,70 @@ double LevenshteinMetric::BoundedDistance(std::string_view a,
   return FromKernel(lev::BoundedDistance(a, b, kernel_cap), kernel_cap, cap);
 }
 
-void LevenshteinMetric::BoundedDistanceMany(
-    std::string_view a, std::span<const std::string_view> bs, double cap,
-    std::span<double> out) const {
-  cap = SanitizeCap(cap);
-  lev::Pattern pattern(a);
-  for (std::size_t k = 0; k < bs.size(); ++k) {
-    const std::size_t kernel_cap =
-        KernelCap(cap, std::max(a.size(), bs[k].size()));
-    out[k] = FromKernel(pattern.BoundedDistance(bs[k], kernel_cap),
-                        kernel_cap, cap);
+namespace {
+
+// Count sketches of every value; each query value's pattern masks are
+// built once per call, on the first pair the lengths and the sketches
+// leave to the kernel.
+class LevenshteinColumn : public PreparedColumn {
+ public:
+  explicit LevenshteinColumn(std::span<const std::string_view> values)
+      : values_(values) {
+    sketches_.reserve(values.size());
+    for (const std::string_view v : values) sketches_.push_back(lev::Sketch(v));
   }
+
+  std::uint64_t BoundedDistanceMany(std::uint32_t id_a,
+                                    std::span<const std::uint32_t> ids_b,
+                                    double cap,
+                                    std::span<double> out) const override {
+    cap = SanitizeCap(cap);
+    const std::string_view a = values_[id_a];
+    const lev::CountSketch& sketch_a = sketches_[id_a];
+    std::optional<lev::Pattern> pattern;
+    std::uint64_t bounded = 0;
+    for (std::size_t k = 0; k < ids_b.size(); ++k) {
+      const std::string_view b = values_[ids_b[k]];
+      const std::size_t kernel_cap =
+          KernelCap(cap, std::max(a.size(), b.size()));
+      const std::size_t diff =
+          a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+      if (diff > kernel_cap) {  // what the kernel's length check returns
+        out[k] = cap + 1.0;
+        continue;
+      }
+      if (lev::SketchLowerBound(sketch_a, a.size(), sketches_[ids_b[k]],
+                                b.size()) > kernel_cap) {
+        out[k] = cap + 1.0;
+        ++bounded;
+        continue;
+      }
+      std::size_t d = 0;
+      if (ids_b.size() == 1) {
+        d = lev::BoundedDistance(a, b, kernel_cap);
+      } else {
+        if (!pattern.has_value()) pattern.emplace(a);
+        d = pattern->BoundedDistance(b, kernel_cap);
+      }
+      out[k] = FromKernel(d, kernel_cap, cap);
+    }
+    return bounded;
+  }
+
+  std::size_t MemoryUsageBytes() const override {
+    return sketches_.capacity() * sizeof(lev::CountSketch);
+  }
+
+ private:
+  std::span<const std::string_view> values_;
+  std::vector<lev::CountSketch> sketches_;
+};
+
+}  // namespace
+
+std::unique_ptr<PreparedColumn> LevenshteinMetric::Prepare(
+    std::span<const std::string_view> values) const {
+  return std::make_unique<LevenshteinColumn>(values);
 }
 
 }  // namespace dd

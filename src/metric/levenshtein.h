@@ -16,6 +16,12 @@
 // Bytes are the unit: a multi-byte (UTF-8) sequence counts one unit per
 // byte, which is invisible to level bucketing.
 //
+// Before the kernel runs, a character-count sketch (CountSketch) can
+// settle a pair: the bag distance of Bartolini, Ciaccia & Patella (SPIRE
+// 2002), max(|A \ B|, |B \ A|) over the values' byte multisets,
+// lower-bounds the edit distance, because one edit shrinks it by at most
+// one.
+//
 // ReferenceDp, the O(|a|·|b|) two-row dynamic program, is the oracle the
 // tests and microbenchmarks compare the kernel against; the library does
 // not call it.
@@ -53,6 +59,24 @@ class Pattern {
   std::vector<std::uint64_t> vp_;   // per-block deltas, words_ > 1 only
   std::vector<std::uint64_t> vn_;
 };
+
+// Byte counts of one value over 64 classes (byte & 63), each saturating
+// at 255: 64 bytes per value, built once and compared many times.
+struct alignas(16) CountSketch {
+  std::uint8_t counts[64];
+};
+
+// The class of a byte in a CountSketch.
+constexpr unsigned ByteClass(unsigned char c) { return c & 63u; }
+
+CountSketch Sketch(std::string_view value);
+
+// floor((sum over classes of |a - b| + |m - n|) / 2) for the sketches of
+// an m-byte and an n-byte value: their bag distance, which never exceeds
+// their edit distance. Folding bytes into classes and saturating counts
+// only shrink the sum, so the bound holds for the sketches too.
+std::size_t SketchLowerBound(const CountSketch& a, std::size_t m,
+                             const CountSketch& b, std::size_t n);
 
 // Edit distance of one pair when it is <= cap, else cap + 1. The
 // shorter value is the pattern; when it fits one word its masks live on

@@ -8,6 +8,7 @@
 #ifndef DD_METRIC_METRIC_H_
 #define DD_METRIC_METRIC_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -29,6 +30,30 @@ namespace dd {
 // never depends on WHICH pairs the blocker surfaces, only variance
 // does.
 enum class BlockingFamily { kNone, kTokenSet, kQGram, kEdit, kNumeric };
+
+// A column of distinct values prepared once for many bounded-distance
+// queries: the shape of the matching build, which compares each interned
+// value against runs of others (matching/builder.h). A metric may keep
+// per-value state here (the Levenshtein count sketches) and prepare the
+// query value once per call (its pattern masks, its q-gram profile).
+// Keeps views of the values span, the bytes it points at and the metric
+// that prepared it; all must outlive the column. Safe to query from
+// several threads at once.
+class PreparedColumn {
+ public:
+  virtual ~PreparedColumn() = default;
+
+  // out[k] = BoundedDistance(values[id_a], values[ids_b[k]], cap) under
+  // BoundedDistance's contract, for out.size() == ids_b.size(). Returns
+  // how many of the pairs a lower bound settled above the cap without
+  // running the distance kernel.
+  virtual std::uint64_t BoundedDistanceMany(
+      std::uint32_t id_a, std::span<const std::uint32_t> ids_b, double cap,
+      std::span<double> out) const = 0;
+
+  // Heap bytes of the per-value state.
+  virtual std::size_t MemoryUsageBytes() const { return 0; }
+};
 
 // A distance function on attribute values. Implementations must be
 // symmetric, non-negative, and return 0 for identical inputs.
@@ -60,17 +85,11 @@ class DistanceMetric {
     return Distance(a, b);
   }
 
-  // One value against many: out[k] = BoundedDistance(a, bs[k], cap)
-  // under the same contract, for out.size() == bs.size(). Metrics
-  // override it to prepare `a` once (the Levenshtein pattern masks, the
-  // q-gram profile); the value-pair level table calls it per row.
-  virtual void BoundedDistanceMany(std::string_view a,
-                                   std::span<const std::string_view> bs,
-                                   double cap, std::span<double> out) const {
-    for (std::size_t k = 0; k < bs.size(); ++k) {
-      out[k] = BoundedDistance(a, bs[k], cap);
-    }
-  }
+  // Prepares `values` for BoundedDistance queries by id; see
+  // PreparedColumn. The default column answers each pair with
+  // BoundedDistance.
+  virtual std::unique_ptr<PreparedColumn> Prepare(
+      std::span<const std::string_view> values) const;
 
   // True when distances always lie in [0, 1].
   virtual bool is_normalized() const { return false; }
@@ -86,17 +105,19 @@ class DistanceMetric {
 // kernel answers every call (metric/levenshtein.h): bit-vector Myers in
 // ceil(m/64) words, exact for any length, which returns cap + 1 as soon
 // as the length difference or the running score proves the distance
-// exceeds the cap. BoundedDistanceMany builds the pattern masks of `a`
-// once for the whole batch.
+// exceeds the cap. The prepared column keeps a 64-byte count sketch per
+// value and settles a pair at cap + 1 without the kernel when the
+// sketches' lower bound already exceeds the cap; it builds the pattern
+// masks of the query value once per call, for the first pair the
+// sketch leaves.
 class LevenshteinMetric : public DistanceMetric {
  public:
   std::string_view name() const override { return "levenshtein"; }
   double Distance(std::string_view a, std::string_view b) const override;
   double BoundedDistance(std::string_view a, std::string_view b,
                          double cap) const override;
-  void BoundedDistanceMany(std::string_view a,
-                           std::span<const std::string_view> bs, double cap,
-                           std::span<double> out) const override;
+  std::unique_ptr<PreparedColumn> Prepare(
+      std::span<const std::string_view> values) const override;
   BlockingFamily blocking_family() const override {
     return BlockingFamily::kEdit;
   }
@@ -106,16 +127,15 @@ class LevenshteinMetric : public DistanceMetric {
 // q-gram profiles (strings padded with q-1 sentinel characters), a
 // standard DBMS-friendly approximation of edit distance [Gravano et al.].
 // A profile is the sorted list of the value's grams, each packed into
-// one 64-bit word (so q <= 8); the distance is a merge count.
-// BoundedDistanceMany builds the profile of `a` once for the batch.
+// one 64-bit word (so q <= 8); the distance is a merge count. The
+// prepared column builds the profile of the query value once per call.
 class QGramMetric : public DistanceMetric {
  public:
   explicit QGramMetric(std::size_t q = 2);
   std::string_view name() const override { return "qgram"; }
   double Distance(std::string_view a, std::string_view b) const override;
-  void BoundedDistanceMany(std::string_view a,
-                           std::span<const std::string_view> bs, double cap,
-                           std::span<double> out) const override;
+  std::unique_ptr<PreparedColumn> Prepare(
+      std::span<const std::string_view> values) const override;
   std::size_t q() const { return q_; }
   BlockingFamily blocking_family() const override {
     return BlockingFamily::kQGram;

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -56,6 +59,32 @@ double ProfileDistance(const std::vector<std::uint64_t>& x,
   return static_cast<double>(x.size() + y.size() - 2 * shared);
 }
 
+// Builds the query value's profile once per call and returns exact
+// distances, which BoundedDistance's contract allows at any cap.
+class QGramColumn : public PreparedColumn {
+ public:
+  QGramColumn(std::size_t q, std::span<const std::string_view> values)
+      : q_(q), values_(values) {}
+
+  std::uint64_t BoundedDistanceMany(std::uint32_t id_a,
+                                    std::span<const std::uint32_t> ids_b,
+                                    double,
+                                    std::span<double> out) const override {
+    std::vector<std::uint64_t> ga;
+    std::vector<std::uint64_t> gb;
+    BuildProfile(values_[id_a], q_, &ga);
+    for (std::size_t k = 0; k < ids_b.size(); ++k) {
+      BuildProfile(values_[ids_b[k]], q_, &gb);
+      out[k] = ProfileDistance(ga, gb);
+    }
+    return 0;
+  }
+
+ private:
+  std::size_t q_;
+  std::span<const std::string_view> values_;
+};
+
 }  // namespace
 
 double QGramMetric::Distance(std::string_view a, std::string_view b) const {
@@ -67,18 +96,9 @@ double QGramMetric::Distance(std::string_view a, std::string_view b) const {
   return ProfileDistance(ga, gb);
 }
 
-void QGramMetric::BoundedDistanceMany(std::string_view a,
-                                      std::span<const std::string_view> bs,
-                                      double cap,
-                                      std::span<double> out) const {
-  (void)cap;
-  std::vector<std::uint64_t> ga;
-  std::vector<std::uint64_t> gb;
-  BuildProfile(a, q_, &ga);
-  for (std::size_t k = 0; k < bs.size(); ++k) {
-    BuildProfile(bs[k], q_, &gb);
-    out[k] = ProfileDistance(ga, gb);
-  }
+std::unique_ptr<PreparedColumn> QGramMetric::Prepare(
+    std::span<const std::string_view> values) const {
+  return std::make_unique<QGramColumn>(q_, values);
 }
 
 }  // namespace dd

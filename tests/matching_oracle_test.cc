@@ -108,6 +108,12 @@ std::uint64_t DistanceCounter() {
       .value();
 }
 
+std::uint64_t BoundedCounter() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("matching.distances_bounded")
+      .value();
+}
+
 // Full and sampled builds at threads 1/2/4 and dmax 10/14/15 — the last
 // two straddle the 4-/8-bit packing boundary.
 TEST(MatchingOracleTest, BuildMatchingRelationMatchesNaive) {
@@ -217,34 +223,183 @@ TEST(MatchingOracleTest, StreamingGridMatchesNaive) {
   }
 }
 
+// Long values over disjoint vocabularies, as in citeseer's
+// descriptions: two texts of different topics differ in most bytes at
+// similar lengths, so the Levenshtein count sketches settle most of
+// their pairs without the kernel, and texts of one topic go to it.
+// `text` is all distinct (one-vs-many runs in a full build, partly
+// longer than one 64-bit word), `topic` has a few spellings per topic (a
+// level table), and `tag` repeats (equal-value shortcuts and a table).
+const std::vector<std::string> kWordAttrs = {"text", "topic", "tag"};
+
+Relation DisjointWordsRelation(std::size_t n, std::uint64_t seed) {
+  Relation relation(Schema({{"text", AttributeType::kString},
+                            {"topic", AttributeType::kString},
+                            {"tag", AttributeType::kString}}));
+  const std::vector<std::vector<std::string>> vocab = {
+      {"query", "index", "join", "transaction", "schema", "relational"},
+      {"kernel", "scheduling", "filesystem", "virtual", "process", "driver"},
+      {"routing", "packet", "wireless", "latency", "topology", "bandwidth"},
+      {"automata", "complexity", "hardness", "proof", "reduction", "bound"}};
+  const std::vector<std::string> topics = {"Databases", "Operating Systems",
+                                           "Networks", "Theory"};
+  Rng rng(seed);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t t = rng.NextBounded(vocab.size());
+    std::string text;
+    for (std::size_t w = 3 + rng.NextBounded(12); w > 0; --w) {
+      if (!text.empty()) text += ' ';
+      text += vocab[t][rng.NextBounded(vocab[t].size())];
+    }
+    if (rng.NextBool(0.5)) text[rng.NextBounded(text.size())] = 'x';
+    std::string topic = topics[t];
+    if (rng.NextBool(0.3)) topic += 's';
+    std::string tag = "t";
+    tag += std::to_string(rng.NextBounded(3));
+    EXPECT_TRUE(relation.AddRow({text, topic, tag}).ok());
+  }
+  return relation;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> PairsOf(
+    const MatchingRelation& m) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::size_t r = 0; r < m.num_tuples(); ++r) pairs.push_back(m.pair(r));
+  return pairs;
+}
+
+// Every producer over the disjoint-vocabulary family: the full and
+// sampled builds, the incremental builder and its Rebuild(), the
+// streamed grid and both strata of the sampled builder equal the naive
+// relation, while the sketches settle part of the metric work.
+TEST(MatchingOracleTest, DisjointWordSetsMatchNaiveInEveryProducer) {
+  const Relation relation = DisjointWordsRelation(80, 16);
+  const std::uint64_t n = relation.num_rows();
+  for (const int dmax : {10, 15}) {
+    MatchingOptions base;
+    base.dmax = dmax;
+    const std::string full_bytes = SerializeMatchingRelation(NaiveMatching(
+        relation, kWordAttrs, base, AllPairs(AllRows(n))));
+    const std::string sampled_bytes = SerializeMatchingRelation(NaiveMatching(
+        relation, kWordAttrs, base, NaiveSample(n, 200, base.seed)));
+    for (const std::size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dmax=" << dmax << " threads=" << threads);
+      MatchingOptions options = base;
+      options.threads = threads;
+      const std::uint64_t computed_before = DistanceCounter();
+      const std::uint64_t bounded_before = BoundedCounter();
+      auto full = BuildMatchingRelation(relation, kWordAttrs, options);
+      ASSERT_TRUE(full.ok()) << full.status();
+      EXPECT_EQ(SerializeMatchingRelation(*full), full_bytes);
+      const std::uint64_t bounded = BoundedCounter() - bounded_before;
+      EXPECT_GT(bounded, 0u);
+      EXPECT_LE(bounded, DistanceCounter() - computed_before);
+
+      options.max_pairs = 200;
+      auto sample = BuildMatchingRelation(relation, kWordAttrs, options);
+      ASSERT_TRUE(sample.ok()) << sample.status();
+      EXPECT_EQ(SerializeMatchingRelation(*sample), sampled_bytes);
+      options.max_pairs = 0;
+
+      auto streamed = approx::BuildStreamingGridProvider(
+          relation, RuleSpec{{"text", "tag"}, {"topic"}}, options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status();
+      auto grid = GridMeasureProvider::Create(
+          *full, ResolveRule(*full, RuleSpec{{"text", "tag"}, {"topic"}})
+                     .value());
+      ASSERT_TRUE(grid.ok());
+      for (int x0 = 0; x0 <= dmax; ++x0) {
+        for (int x1 = 0; x1 <= dmax; ++x1) {
+          (*grid)->SetLhs({x0, x1});
+          (*streamed)->SetLhs({x0, x1});
+          ASSERT_EQ((*streamed)->lhs_count(), (*grid)->lhs_count());
+          for (int y = 0; y <= dmax; ++y) {
+            ASSERT_EQ((*streamed)->CountXY({y}), (*grid)->CountXY({y}));
+          }
+        }
+      }
+
+      for (const std::uint64_t target : {std::uint64_t{150}, n * (n - 1) / 2}) {
+        approx::ApproxOptions approx;
+        approx.sample_target = target;
+        auto sampled = approx::SampledMatchingBuilder::Build(
+            relation, kWordAttrs, options, approx);
+        ASSERT_TRUE(sampled.ok()) << sampled.status();
+        for (const MatchingRelation* stratum :
+             {&(*sampled)->near(), &(*sampled)->tail()}) {
+          EXPECT_EQ(SerializeMatchingRelation(*stratum),
+                    SerializeMatchingRelation(NaiveMatching(
+                        relation, kWordAttrs, options, PairsOf(*stratum))));
+        }
+      }
+
+      IncrementalOptions incremental;
+      incremental.matching = options;
+      auto builder = IncrementalMatchingBuilder::Create(
+          relation.schema(), kWordAttrs, incremental);
+      ASSERT_TRUE(builder.ok()) << builder.status();
+      Rng rng(threads * 10 + static_cast<std::uint64_t>(dmax));
+      for (std::size_t next = 0; next < n;) {
+        std::vector<std::vector<std::string>> inserts;
+        for (std::size_t k = 1 + rng.NextBounded(20); k > 0 && next < n; --k) {
+          inserts.push_back(relation.row(next++));
+        }
+        std::vector<std::uint32_t> deletes;
+        for (std::uint32_t id : builder->store().LiveIds()) {
+          if (rng.NextBool(0.1)) deletes.push_back(id);
+        }
+        ASSERT_TRUE(builder->ApplyBatch(inserts, deletes).ok());
+        const std::string expected = SerializeMatchingRelation(NaiveMatching(
+            builder->store().relation(), kWordAttrs, options,
+            AllPairs(builder->store().LiveIds())));
+        MatchingRelation maintained = builder->matching();
+        maintained.SortByPairs();
+        EXPECT_EQ(SerializeMatchingRelation(maintained), expected);
+        EXPECT_EQ(SerializeMatchingRelation(builder->Rebuild()), expected);
+      }
+    }
+  }
+}
+
 // The metric-work counter: table cells plus query calls, added once per
-// producer. Over the same pairs, the one-shot build, the streamed grid
-// and an exhaustive sampled build do the same work.
+// producer; a pair the count sketches settle still counts. Over the same
+// pairs, the one-shot build, the streamed grid and an exhaustive sampled
+// build do the same work.
 TEST(MatchingWorkCounterTest, ProducersCountTheSameWork) {
   const Relation relation = OracleRelation(50, 14);
   const MatchingOptions options = OracleOptions(10);
   const std::uint64_t n = relation.num_rows();
 
-  const std::uint64_t before_build = DistanceCounter();
+  std::uint64_t computed_before = DistanceCounter();
+  std::uint64_t bounded_before = BoundedCounter();
   ASSERT_TRUE(BuildMatchingRelation(relation, kAttrs, options).ok());
-  const std::uint64_t build = DistanceCounter() - before_build;
-  EXPECT_GT(build, 0u);
+  const std::uint64_t build = DistanceCounter() - computed_before;
+  const std::uint64_t bounded = BoundedCounter() - bounded_before;
+  EXPECT_EQ(build, 1871u);
+  EXPECT_GT(bounded, 0u);
+  EXPECT_LE(bounded, build);
 
-  const std::uint64_t before_stream = DistanceCounter();
+  computed_before = DistanceCounter();
+  bounded_before = BoundedCounter();
   ASSERT_TRUE(approx::BuildStreamingGridProvider(
                   relation, RuleSpec{{"rep", "mix"}, {"name", "num"}}, options)
                   .ok());
-  EXPECT_EQ(DistanceCounter() - before_stream, build);
+  EXPECT_EQ(DistanceCounter() - computed_before, build);
+  EXPECT_EQ(BoundedCounter() - bounded_before, bounded);
 
   approx::ApproxOptions approx;
   approx.blocking = false;
   approx.sample_target = n * (n - 1) / 2;
-  const std::uint64_t before_sampled = DistanceCounter();
+  computed_before = DistanceCounter();
+  bounded_before = BoundedCounter();
   auto sampled =
       approx::SampledMatchingBuilder::Build(relation, kAttrs, options, approx);
   ASSERT_TRUE(sampled.ok()) << sampled.status();
   ASSERT_TRUE((*sampled)->exhaustive());
-  EXPECT_EQ(DistanceCounter() - before_sampled, build);
+  EXPECT_EQ(DistanceCounter() - computed_before, build);
+  // Runs of one settle the same pairs as the full build's long runs.
+  EXPECT_EQ(BoundedCounter() - bounded_before, bounded);
 }
 
 // A delta batch over repeated values counts fewer metric evaluations
@@ -264,7 +419,7 @@ TEST(MatchingWorkCounterTest, ApplyBatchCountsBelowPairsTimesAttributes) {
   auto delta = builder->ApplyBatch(rows, {});
   ASSERT_TRUE(delta.ok());
   const std::uint64_t evals = DistanceCounter() - before;
-  EXPECT_GT(evals, 0u);
+  EXPECT_EQ(evals, 4271u);
   EXPECT_LT(evals, delta->num_added() * kAttrs.size());
 }
 

@@ -183,9 +183,9 @@ class ReferenceDpMetric : public DistanceMetric {
 
 // The kernel's oracle at the matching level: Rule 4's attributes on a
 // citeseer slice whose descriptions exceed one 64-byte word. The full
-// build (level tables and runs through BoundedDistanceMany), a sampled
-// build (per-pair BoundedDistance) and builds on the reference DP
-// serialize byte-identically.
+// build (level tables and runs through the prepared column), a sampled
+// build (runs of one) and builds on the reference DP serialize
+// byte-identically.
 TEST(MatchingBuilderTest, CiteseerSliceMatchesReferenceDp) {
   const Status registered = MetricRegistry::Default().Register(
       "reference_dp", [] { return std::make_unique<ReferenceDpMetric>(); });
@@ -238,17 +238,18 @@ TEST(ValueCacheTest, InternedTableMatchesDirectComputation) {
   ASSERT_EQ(index.row_ids.size(), hotel.relation.num_rows());
   // Every row id maps back to its own value.
   for (std::size_t r = 0; r < hotel.relation.num_rows(); ++r) {
-    EXPECT_EQ(*index.values[index.row_ids[r]], hotel.relation.at(r, *region));
+    EXPECT_EQ(index.values[index.row_ids[r]], hotel.relation.at(r, *region));
   }
   LevenshteinMetric lev;
   const int dmax = 10;
-  auto table = ValuePairLevelTable::Build(index, lev, /*scale=*/1.0, dmax,
+  auto table = ValuePairLevelTable::Build(index, *lev.Prepare(index.values),
+                                          /*scale=*/1.0, dmax,
                                           /*pairs_to_compute=*/1u << 20,
                                           /*threads=*/2);
   ASSERT_NE(table, nullptr);
   for (std::uint32_t a = 0; a < index.values.size(); ++a) {
     for (std::uint32_t b = 0; b < index.values.size(); ++b) {
-      const double raw = lev.Distance(*index.values[a], *index.values[b]);
+      const double raw = lev.Distance(index.values[a], index.values[b]);
       EXPECT_EQ(table->LevelOf(a, b), BucketDistance(raw, 1.0, dmax))
           << "ids " << a << "," << b;
     }
@@ -263,8 +264,8 @@ TEST(ValueCacheTest, BuildRespectsCellBudget) {
       hotel.relation, AllRows(hotel.relation.num_rows()), *address);
   LevenshteinMetric lev;
   // Fewer pairs to compute than table cells: caching cannot pay off.
-  EXPECT_EQ(ValuePairLevelTable::Build(index, lev, 1.0, 10,
-                                       /*pairs_to_compute=*/1,
+  EXPECT_EQ(ValuePairLevelTable::Build(index, *lev.Prepare(index.values), 1.0,
+                                       10, /*pairs_to_compute=*/1,
                                        /*threads=*/1),
             nullptr);
   // One distinct value past the kMaxLevelTableCells bound must decline
@@ -278,8 +279,9 @@ TEST(ValueCacheTest, BuildRespectsCellBudget) {
   const AttributeValueIndex wide_index =
       InternColumn(wide, AllRows(wide.num_rows()), 0);
   ASSERT_EQ(wide_index.distinct(), d);
-  EXPECT_EQ(ValuePairLevelTable::Build(wide_index, lev, 1.0, 10,
-                                       /*pairs_to_compute=*/1ull << 40,
+  EXPECT_EQ(ValuePairLevelTable::Build(wide_index,
+                                       *lev.Prepare(wide_index.values), 1.0,
+                                       10, /*pairs_to_compute=*/1ull << 40,
                                        /*threads=*/1),
             nullptr);
 }

@@ -215,16 +215,108 @@ TEST(LevenshteinKernelTest, NanCapActsAsZero) {
   EXPECT_EQ(metric.BoundedDistance("abc", "abc", nan), 0.0);
   EXPECT_EQ(metric.BoundedDistance("abc", "abd", nan), 1.0);
   EXPECT_EQ(metric.BoundedDistance("abc", "abd", -3.0), 1.0);
-  const std::string_view bs[] = {"abc", "abd", std::string_view()};
+  const std::string_view values[] = {"abc", "abd", std::string_view()};
+  const std::uint32_t ids[] = {0, 1, 2};
   double out[3] = {};
-  metric.BoundedDistanceMany("abc", bs, nan, out);
+  metric.Prepare(values)->BoundedDistanceMany(0, ids, nan, out);
   EXPECT_EQ(out[0], 0.0);
   EXPECT_EQ(out[1], 1.0);
   EXPECT_EQ(out[2], 1.0);
 }
 
-// Every registered metric's BoundedDistanceMany (overridden or the
-// default loop) returns exactly what per-call BoundedDistance does.
+// The count sketch's bag-distance bound never exceeds the edit
+// distance: random values over small and full alphabets, runs past the
+// 255 saturation point, bytes that share a class ('a' and '!', and
+// bytes >= 128 with their low-half partners) and empty values.
+TEST(LevenshteinSketchTest, LowerBoundNeverExceedsReferenceDp) {
+  static_assert(lev::ByteClass('a') == lev::ByteClass('!'));
+  static_assert(lev::ByteClass(0xE1) == lev::ByteClass('a'));
+  Rng rng(76);
+  std::vector<std::string> values = {"", "a", "!", "a!", "!!", "aa",
+                                     std::string(300, 'a'),
+                                     std::string(300, '!'),
+                                     std::string(256, 'a') + "b",
+                                     std::string(255, 'a'),
+                                     std::string("\xE1\xE1") + "a",
+                                     "\xFF\x7F?"};
+  for (int k = 0; k < 40; ++k) {
+    const int alphabet = k % 3 == 0 ? 256 : (k % 3 == 1 ? 4 : 64);
+    values.push_back(RandomBytes(rng, rng.NextBounded(150), alphabet));
+    values.push_back(NearBytes(rng, values.back(),
+                               values.back().size() + rng.NextBounded(4),
+                               alphabet));
+  }
+  for (int k = 0; k < 4; ++k) {
+    // Long runs of one byte, so counts saturate on one or both sides.
+    values.push_back(std::string(200 + rng.NextBounded(200), 'x') +
+                     RandomBytes(rng, rng.NextBounded(20), 256));
+  }
+  bool tight = false;
+  for (const std::string& a : values) {
+    const lev::CountSketch sa = lev::Sketch(a);
+    for (const std::string& b : values) {
+      const std::size_t bound =
+          lev::SketchLowerBound(sa, a.size(), lev::Sketch(b), b.size());
+      const std::size_t exact = lev::ReferenceDp(a, b);
+      ASSERT_LE(bound, exact) << a.size() << " vs " << b.size();
+      tight |= bound == exact && bound > 0;
+    }
+  }
+  EXPECT_TRUE(tight);
+  // Disjoint classes of equal length: every byte must be substituted.
+  EXPECT_EQ(lev::SketchLowerBound(lev::Sketch("abc"), 3, lev::Sketch("xyz"), 3),
+            3u);
+  // Classes shared across bytes hide the difference.
+  EXPECT_EQ(lev::SketchLowerBound(lev::Sketch("a"), 1, lev::Sketch("!"), 1),
+            0u);
+}
+
+// The Levenshtein column settles a pair by its sketch only when the
+// pair's distance exceeds the cap, at every cap the matching build uses
+// (0..dmax+1), fractional, huge and NaN caps: each answer equals
+// per-call BoundedDistance, and the sketch does settle pairs.
+TEST(LevenshteinSketchTest, PreparedColumnSettlesOnlyPairsAboveTheCap) {
+  LevenshteinMetric metric;
+  Rng rng(77);
+  std::vector<std::string> values = {"", "a", "!", std::string(300, 'a'),
+                                     std::string(300, '!')};
+  for (int k = 0; k < 30; ++k) {
+    // Word soups over disjoint vocabularies, as in citeseer's
+    // descriptions: similar lengths, different characters.
+    const std::string base = RandomBytes(rng, 20 + rng.NextBounded(120), 256);
+    values.push_back(base);
+    values.push_back(NearBytes(rng, base, base.size() + rng.NextBounded(3),
+                               256));
+  }
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  std::vector<std::uint32_t> ids(views.size());
+  for (std::uint32_t k = 0; k < ids.size(); ++k) ids[k] = k;
+  const auto column = metric.Prepare(views);
+  std::vector<double> caps;
+  for (int cap = 0; cap <= 11; ++cap) caps.push_back(cap);
+  for (const double cap :
+       {2.7, 1e9, 1e30, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    caps.push_back(cap);
+  }
+  std::uint64_t bounded = 0;
+  std::vector<double> out(views.size());
+  for (const double cap : caps) {
+    for (std::uint32_t a = 0; a < views.size(); ++a) {
+      bounded += column->BoundedDistanceMany(a, ids, cap, out);
+      for (std::size_t k = 0; k < views.size(); ++k) {
+        ASSERT_EQ(out[k], metric.BoundedDistance(views[a], views[k], cap))
+            << "cap=" << cap << " a=" << a << " k=" << k;
+      }
+    }
+  }
+  EXPECT_GT(bounded, 0u);
+  EXPECT_EQ(column->MemoryUsageBytes(), views.size() * 64);
+}
+
+// Every registered metric's prepared column (overridden or the default
+// per-pair loop) returns exactly what per-call BoundedDistance does, in
+// runs of many ids and runs of one.
 class BoundedDistanceManyTest : public ::testing::TestWithParam<std::string> {
 };
 
@@ -241,14 +333,29 @@ TEST_P(BoundedDistanceManyTest, EqualsPerCallBoundedDistance) {
     values.push_back(base);
     values.push_back(NearBytes(rng, base, base.size() + rng.NextBounded(3), 4));
   }
-  std::vector<std::string_view> views(values.begin(), values.end());
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  std::vector<std::uint32_t> ids(views.size());
+  for (std::uint32_t k = 0; k < ids.size(); ++k) ids[k] = k;
+  const auto column = (*metric)->Prepare(views);
   std::vector<double> out(views.size());
   for (const double cap : {0.0, 1.0, 2.7, 10.0, 1e9}) {
-    for (const std::string& a : values) {
-      (*metric)->BoundedDistanceMany(a, views, cap, out);
+    for (std::uint32_t a = 0; a < views.size(); ++a) {
+      const std::uint64_t bounded =
+          column->BoundedDistanceMany(a, ids, cap, out);
+      EXPECT_LE(bounded, views.size());
+      if (GetParam() != "levenshtein") {
+        EXPECT_EQ(bounded, 0u);
+      }
       for (std::size_t k = 0; k < views.size(); ++k) {
-        ASSERT_EQ(out[k], (*metric)->BoundedDistance(a, views[k], cap))
+        const double expected =
+            (*metric)->BoundedDistance(views[a], views[k], cap);
+        ASSERT_EQ(out[k], expected)
             << GetParam() << " cap=" << cap << " k=" << k;
+        double one = -1.0;
+        column->BoundedDistanceMany(a, std::span(ids).subspan(k, 1), cap,
+                                    std::span(&one, 1));
+        ASSERT_EQ(one, expected)
+            << GetParam() << " run of one, cap=" << cap << " k=" << k;
       }
     }
   }
@@ -367,12 +474,15 @@ TEST(QGramTest, MatchesHashMapFormula) {
     }
     values.push_back(std::string("#\0$", 3));
     const std::vector<std::string_view> views(values.begin(), values.end());
+    std::vector<std::uint32_t> ids(views.size());
+    for (std::uint32_t k = 0; k < ids.size(); ++k) ids[k] = k;
+    const auto column = metric.Prepare(views);
     std::vector<double> out(views.size());
-    for (const std::string& a : values) {
-      metric.BoundedDistanceMany(a, views, 10.0, out);
+    for (std::uint32_t a = 0; a < values.size(); ++a) {
+      column->BoundedDistanceMany(a, ids, 10.0, out);
       for (std::size_t k = 0; k < values.size(); ++k) {
-        const double expected = HashMapQGramDistance(a, values[k], q);
-        ASSERT_EQ(metric.Distance(a, values[k]), expected) << "q=" << q;
+        const double expected = HashMapQGramDistance(values[a], values[k], q);
+        ASSERT_EQ(metric.Distance(values[a], values[k]), expected) << "q=" << q;
         ASSERT_EQ(out[k], expected) << "q=" << q;
       }
     }
