@@ -1,10 +1,15 @@
 // Micro-benchmarks of matching-relation construction: all-pairs vs
-// sampled builds over the synthetic generators.
+// sampled builds over the synthetic generators, and the pair fill
+// (FillAllPairs) alone.
+
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "data/generators.h"
 #include "matching/builder.h"
+#include "matching/value_cache.h"
 
 namespace {
 
@@ -66,6 +71,53 @@ void BM_BuildMatchingThreads(benchmark::State& state) {
       static_cast<double>(tuples), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BuildMatchingThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// FillAllPairs alone over a prebuilt PairLevelSource, in the shape of
+// one perfbench csv-determine instance: 485 Citeseer rows (117,370
+// pairs) over four attributes, every one on a level table, so the row
+// times the table lookups and the column-wise store of M, not the
+// metric. Arg = worker-pool width; rates are per wall-clock second.
+void BM_FillAllPairs(benchmark::State& state) {
+  constexpr std::size_t kRows = 485;
+  dd::CiteseerOptions gopts;
+  gopts.num_entities = 250;
+  auto relation = dd::GenerateCiteseer(gopts).relation.Slice(0, kRows);
+  if (!relation.ok()) {
+    state.SkipWithError("citeseer slice failed");
+    return;
+  }
+  const std::vector<std::string> attrs = {"address", "affiliation",
+                                          "description", "subject"};
+  dd::MatchingOptions mopts;
+  mopts.dmax = 10;
+  auto resolved =
+      dd::ResolveMatchingMetrics(relation->schema(), attrs, mopts);
+  if (!resolved.ok()) {
+    state.SkipWithError("metric resolution failed");
+    return;
+  }
+  const std::size_t threads = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::uint32_t> rows = dd::AllRows(kRows);
+  const std::uint64_t pairs = kRows * (kRows - 1) / 2;
+  const dd::PairLevelSource source(*relation, rows, *resolved, pairs,
+                                   threads);
+  if (source.tables_built() != attrs.size()) {
+    state.SkipWithError("an attribute has no level table");
+    return;
+  }
+  for (auto _ : state) {
+    dd::MatchingRelation m(attrs, mopts.dmax);
+    dd::FillAllPairs(source, rows, threads, &m);
+    benchmark::DoNotOptimize(m);
+  }
+  state.counters["pairs_per_second"] = benchmark::Counter(
+      static_cast<double>(pairs), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_FillAllPairs)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -69,7 +69,8 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
             [&](std::uint64_t, std::uint32_t i, std::uint32_t j_begin,
                 std::uint32_t j_end) {
               run_levels.resize((j_end - j_begin) * dims);
-              source.Levels(i, j_begin, j_end, run_levels.data(), &work);
+              source.Levels(i, j_begin, j_end, run_levels.data(),
+                            /*attr_stride=*/1, /*pair_stride=*/dims, &work);
               grid::AddLevelRowsToHistograms(
                   run_levels.data(), j_end - j_begin, dims, columns, lhs_dims,
                   base, 1, joint_per_chunk[chunk].data(),

@@ -171,7 +171,8 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
             source.Levels(static_cast<std::uint32_t>(p),
                           static_cast<std::uint32_t>(t - start),
                           static_cast<std::uint32_t>(stop - start),
-                          &delta.added_levels[t * attrs], &work);
+                          &delta.added_levels[t * attrs],
+                          /*attr_stride=*/1, /*pair_stride=*/attrs, &work);
             t = stop;
           }
           std::lock_guard<std::mutex> lock(mu);

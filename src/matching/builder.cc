@@ -48,21 +48,21 @@ void PublishMetricWork(const MetricWork& work) {
 
 void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
                              std::uint32_t j_end, Level* out,
+                             std::size_t attr_stride, std::size_t pair_stride,
                              MetricWork* work) const {
-  const std::size_t num_attrs = attrs_.size();
   const std::size_t run = j_end - j_begin;
   // The metric route's operands; per thread, so concurrent callers
   // never share them and a run allocates nothing once warm.
   thread_local std::vector<std::uint32_t> others;
   thread_local std::vector<double> raw;
-  for (std::size_t a = 0; a < num_attrs; ++a) {
+  for (std::size_t a = 0; a < attrs_.size(); ++a) {
     const AttrLevelSource& attr = attrs_[a];
     const std::uint32_t* ids = attr.index.row_ids.data() + j_begin;
     const std::uint32_t id_i = attr.index.row_ids[i];
-    Level* column = out + a;
+    Level* column = out + a * attr_stride;
     if (attr.table != nullptr) {
       for (std::size_t r = 0; r < run; ++r) {
-        column[r * num_attrs] = attr.table->LevelOf(id_i, ids[r]);
+        column[r * pair_stride] = attr.table->LevelOf(id_i, ids[r]);
       }
       continue;
     }
@@ -78,7 +78,7 @@ void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
     work->computed += others.size();
     work->bounded += attr.column->BoundedDistanceMany(id_i, others, cap, raw);
     for (std::size_t r = 0, k = 0; r < run; ++r) {
-      column[r * num_attrs] =  // d(x, x) = 0, a metric axiom.
+      column[r * pair_stride] =  // d(x, x) = 0, a metric axiom.
           ids[r] == id_i ? 0 : BucketDistance(raw[k++], scale, resolved_.dmax);
     }
   }
@@ -101,11 +101,14 @@ MetricWork FillAllPairs(const PairLevelSource& source,
                     begin, end, n,
                     [&](std::uint64_t k, std::uint32_t i, std::uint32_t j_begin,
                         std::uint32_t j_end) {
-                      levels.resize((j_end - j_begin) * num_attrs);
-                      source.Levels(i, j_begin, j_end, levels.data(), &work);
+                      const std::size_t run = j_end - j_begin;
+                      levels.resize(run * num_attrs);
+                      source.Levels(i, j_begin, j_end, levels.data(),
+                                    /*attr_stride=*/run, /*pair_stride=*/1,
+                                    &work);
+                      out->StoreLevels(k, run, levels.data(), run);
                       for (std::uint32_t j = j_begin; j < j_end; ++j) {
-                        out->SetTuple(k + (j - j_begin), rows[i], rows[j],
-                                      &levels[(j - j_begin) * num_attrs]);
+                        out->SetPair(k + (j - j_begin), rows[i], rows[j]);
                       }
                     });
                 std::lock_guard<std::mutex> lock(mu);
@@ -128,8 +131,10 @@ MetricWork FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
                 MetricWork work;
                 for (std::size_t r = begin; r < end; ++r) {
                   auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source.Levels(i, j, j + 1, levels.data(), &work);
-                  out->SetTuple(offset + r, i, j, levels.data());
+                  source.Levels(i, j, j + 1, levels.data(),
+                                /*attr_stride=*/1, /*pair_stride=*/1, &work);
+                  out->StoreLevels(offset + r, 1, levels.data(), 1);
+                  out->SetPair(offset + r, i, j);
                 }
                 std::lock_guard<std::mutex> lock(mu);
                 total += work;

@@ -121,14 +121,18 @@ class PairLevelSource {
                   const ResolvedMetrics& resolved,
                   std::uint64_t pairs_to_compute, std::size_t threads);
 
-  // Levels of the position pairs (i, j) for j in [j_begin, j_end),
-  // row-major [pair][attribute] into `out`. Per attribute a pair is a
-  // table lookup, level 0 for equal values, or a metric evaluation: one
+  // Levels of the position pairs (i, j) for j in [j_begin, j_end) into
+  // `out`, in the layout the caller names: the level of the r-th pair
+  // on attribute a goes to out[a * attr_stride + r * pair_stride]
+  // (row-major [pair][attribute]: 1, num_attributes; column-major
+  // [attribute][pair]: run length, 1). Per attribute a pair is a table
+  // lookup, level 0 for equal values, or a metric evaluation: one
   // PreparedColumn::BoundedDistanceMany of value i over the run's
   // remaining values. Adds the metric evaluations to *work. Safe to call
   // concurrently.
   void Levels(std::uint32_t i, std::uint32_t j_begin, std::uint32_t j_end,
-              Level* out, MetricWork* work) const;
+              Level* out, std::size_t attr_stride, std::size_t pair_stride,
+              MetricWork* work) const;
 
   // Metric work spent on the level tables.
   const MetricWork& precomputed() const { return precomputed_; }
@@ -157,9 +161,11 @@ class PairLevelSource {
 };
 
 // Fills `out` with every position pair of `source` in row-major
-// triangular order, as tuple pairs (rows[i], rows[j]). Parallel over
-// `threads`; the result is bit-identical at any thread count. Returns
-// the metric work of the queries (table cells not included).
+// triangular order, as tuple pairs (rows[i], rows[j]). Each run of
+// pairs under one i is computed column-major and stored one column at
+// a time (MatchingRelation::StoreLevels). Parallel over `threads`; the
+// result is bit-identical at any thread count. Returns the metric work
+// of the queries (table cells not included).
 MetricWork FillAllPairs(const PairLevelSource& source,
                         std::span<const std::uint32_t> rows,
                         std::size_t threads, MatchingRelation* out);

@@ -1,6 +1,8 @@
 #include "matching/matching_relation.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -29,15 +31,12 @@ void MatchingRelation::ResizeRows(std::size_t rows) {
   pairs_.resize(rows);
 }
 
-void MatchingRelation::SetTuple(std::size_t row, std::uint32_t i,
-                                std::uint32_t j, const Level* levels) {
+void MatchingRelation::StoreLevels(std::size_t row, std::size_t count,
+                                   const Level* levels,
+                                   std::size_t attr_stride) {
   for (std::size_t a = 0; a < columns_.size(); ++a) {
-    // SetShared: parallel builders fill disjoint row ranges, and with
-    // 4-bit packing the two rows sharing a byte may straddle a chunk
-    // boundary (packed_column.h).
-    columns_[a].SetShared(row, levels[a]);
+    columns_[a].StoreRunShared(row, levels + a * attr_stride, count, 1);
   }
-  pairs_[row] = {i, j};
 }
 
 void MatchingRelation::Reserve(std::size_t rows) {
@@ -67,10 +66,7 @@ void MatchingRelation::AppendRows(
   ResizeRows(base + count);
   std::copy(pairs.begin(), pairs.end(), pairs_.begin() + base);
   for (std::size_t a = 0; a < attrs; ++a) {
-    PackedColumn& col = columns_[a];
-    for (std::size_t k = 0; k < count; ++k) {
-      col.Set(base + k, levels[k * attrs + a]);
-    }
+    columns_[a].StoreRun(base, levels + a, count, attrs);
   }
 }
 
@@ -97,21 +93,33 @@ std::size_t MatchingRelation::RemoveRows(std::span<const std::uint64_t> rows) {
 }
 
 void MatchingRelation::SortByPairs() {
+  if (pairs_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    SortByPairsWith<std::uint64_t>();
+  } else {
+    SortByPairsWith<std::uint32_t>();
+  }
+}
+
+template <typename Index>
+void MatchingRelation::SortByPairsWith() {
   const std::size_t m = pairs_.size();
-  std::vector<std::uint32_t> order(m);
-  for (std::size_t r = 0; r < m; ++r) order[r] = static_cast<std::uint32_t>(r);
-  std::sort(order.begin(), order.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return pairs_[a] < pairs_[b];
-            });
+  DD_CHECK(m == 0 || m - 1 <= std::numeric_limits<Index>::max());
+  std::vector<Index> order(m);
+  std::iota(order.begin(), order.end(), Index{0});
+  std::sort(order.begin(), order.end(), [this](Index a, Index b) {
+    return pairs_[a] < pairs_[b];
+  });
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_pairs(m);
   for (std::size_t r = 0; r < m; ++r) sorted_pairs[r] = pairs_[order[r]];
   pairs_ = std::move(sorted_pairs);
   std::vector<Level> sorted_col(m);
   for (auto& col : columns_) {
     for (std::size_t r = 0; r < m; ++r) sorted_col[r] = col.Get(order[r]);
-    for (std::size_t r = 0; r < m; ++r) col.Set(r, sorted_col[r]);
+    col.StoreRun(0, sorted_col.data(), m, 1);
   }
 }
+
+template void MatchingRelation::SortByPairsWith<std::uint32_t>();
+template void MatchingRelation::SortByPairsWith<std::uint64_t>();
 
 }  // namespace dd

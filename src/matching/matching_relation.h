@@ -63,20 +63,29 @@ class MatchingRelation {
                 const std::vector<Level>& levels);
 
   // Direct-write construction for parallel builders: size the relation
-  // once, then fill disjoint row ranges concurrently with SetTuple.
-  // Writing row k with the k-th pair of the enumeration reproduces the
-  // sequential AddTuple layout exactly, whatever the chunking.
+  // once, then fill disjoint row ranges concurrently, SetPair per row
+  // and one StoreLevels per run of rows. Writing row k with the k-th
+  // pair of the enumeration reproduces the sequential AddTuple layout
+  // exactly, whatever the chunking.
   void ResizeRows(std::size_t rows);
-  void SetTuple(std::size_t row, std::uint32_t i, std::uint32_t j,
-                const Level* levels);
+  void SetPair(std::size_t row, std::uint32_t i, std::uint32_t j) {
+    pairs_[row] = {i, j};
+  }
+  // Stores the levels of rows [row, row + count), column-major:
+  // attribute a of row row + k is levels[a * attr_stride + k]. One
+  // PackedColumn::StoreRunShared per attribute, so calls on disjoint
+  // row ranges may run concurrently.
+  void StoreLevels(std::size_t row, std::size_t count, const Level* levels,
+                   std::size_t attr_stride);
 
   // Level vector of matching tuple `row` across all attributes (a
   // gather over the columnar storage; delta capture, not a hot path).
   std::vector<Level> RowLevels(std::size_t row) const;
 
-  // Appends `pairs.size()` matching tuples in one resize, filling one
-  // column at a time from `levels` (row-major, pairs.size() x
-  // num_attributes()). Every level must be <= dmax.
+  // Appends `pairs.size()` matching tuples in one resize, storing one
+  // column at a time as one run (PackedColumn::StoreRun) from `levels`
+  // (row-major, pairs.size() x num_attributes()). Every level must be
+  // <= dmax.
   void AppendRows(
       std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
       const Level* levels);
@@ -93,8 +102,15 @@ class MatchingRelation {
   // Reorders matching tuples into ascending (i, j) pair order — the
   // order a from-scratch full-enumeration build produces. Counting is
   // order-independent; this exists so delta-maintained and rebuilt
-  // relations can be compared for exact equality.
+  // relations can be compared for exact equality. Orders rows through a
+  // 32-bit permutation while every row index fits one, else a 64-bit
+  // one.
   void SortByPairs();
+  // SortByPairs through a permutation of `Index` (std::uint32_t or
+  // std::uint64_t), which must hold every row index. Both widths give
+  // the same relation.
+  template <typename Index>
+  void SortByPairsWith();
 
   void Reserve(std::size_t rows);
 

@@ -112,6 +112,62 @@ void PackedColumn::Reserve(std::size_t rows) {
   EnsureCapacity(packed4_ ? (rows + 1) / 2 : rows);
 }
 
+template <bool kShared>
+void PackedColumn::StoreRunImpl(std::size_t row, const Level* levels,
+                                std::size_t count, std::size_t stride) {
+  DD_CHECK_LE(row + count, size_);
+  if (count == 0) return;
+  if (!packed4_) {
+    std::uint8_t* dst = data_ + row;
+    if (stride == 1) {
+      std::memcpy(dst, levels, count);
+    } else {
+      for (std::size_t k = 0; k < count; ++k) dst[k] = levels[k * stride];
+    }
+    return;
+  }
+  auto store_nibble = [this](std::size_t r, Level v) {
+    if constexpr (kShared) {
+      MergeNibble(r, v);
+    } else {
+      Set(r, v);
+    }
+  };
+  // An odd first row: the high nibble of a byte shared with the row
+  // before the run.
+  std::size_t k = row & 1;
+  if (k == 1) store_nibble(row, levels[0]);
+  // Rows row + k onward start on a byte boundary: whole bytes, two
+  // levels each, owned by this run alone.
+  std::uint8_t* dst = data_ + ((row + k) >> 1);
+  const std::size_t bytes = (count - k) / 2;
+  const Level* src = levels + k * stride;
+  if (stride == 1) {
+    for (std::size_t b = 0; b < bytes; ++b) {
+      dst[b] = static_cast<std::uint8_t>(src[2 * b] | (src[2 * b + 1] << 4));
+    }
+  } else {
+    for (std::size_t b = 0; b < bytes; ++b) {
+      dst[b] = static_cast<std::uint8_t>(src[2 * b * stride] |
+                                         (src[(2 * b + 1) * stride] << 4));
+    }
+  }
+  k += 2 * bytes;
+  // An unpaired last row: the low nibble of a byte shared with the row
+  // after the run.
+  if (k < count) store_nibble(row + k, levels[k * stride]);
+}
+
+void PackedColumn::StoreRun(std::size_t row, const Level* levels,
+                            std::size_t count, std::size_t stride) {
+  StoreRunImpl<false>(row, levels, count, stride);
+}
+
+void PackedColumn::StoreRunShared(std::size_t row, const Level* levels,
+                                  std::size_t count, std::size_t stride) {
+  StoreRunImpl<true>(row, levels, count, stride);
+}
+
 std::vector<Level> PackedColumn::Unpack() const {
   std::vector<Level> out(size_);
   for (std::size_t row = 0; row < size_; ++row) out[row] = Get(row);

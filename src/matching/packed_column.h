@@ -7,7 +7,8 @@
 // and 8 bits otherwise, in 64-byte-aligned slabs sized geometrically —
 // the column acts as its own arena: ResizeRows/Reserve on the owning
 // MatchingRelation sizes every slab once up front, so the hot build
-// paths never reallocate. The packed words are exposed raw (data())
+// paths never reallocate, and they write a run of rows at a time
+// (StoreRun / StoreRunShared). The packed words are exposed raw (data())
 // for the SIMD count kernels in core/simd_count.h, whose AVX2 paths
 // read 32-byte vectors straight out of the slab.
 //
@@ -74,29 +75,20 @@ class PackedColumn {
     }
   }
 
-  // Store for the parallel direct-write build (MatchingRelation::
-  // SetTuple): writers own disjoint row ranges, but with 4-bit packing
-  // the two rows sharing a byte can straddle a chunk boundary, so the
-  // nibble is merged with a relaxed CAS. 8-bit columns store plainly.
+  // Run store: levels[k * stride] into rows [row, row + count), all
+  // below size(). Packed, the run's interior bytes are written whole,
+  // two levels each; only an odd first row and an unpaired last row
+  // share a byte with a row outside the run. StoreRun writes those two
+  // nibbles plainly (single writer: append, sort). StoreRunShared
+  // merges them with a relaxed CAS, so writers of disjoint row ranges
+  // may store concurrently (the parallel builders): a byte straddling
+  // two writers' ranges is only ever touched atomically, and every
+  // other byte has one writer. 8-bit runs are a plain copy either way.
   // The ParallelFor join publishes the writes to the caller.
-  void SetShared(std::size_t row, Level v) {
-    if (!packed4_) {
-      __atomic_store_n(&data_[row], v, __ATOMIC_RELAXED);
-      return;
-    }
-    std::uint8_t* byte = &data_[row >> 1];
-    const int shift = (row & 1) ? 4 : 0;
-    const std::uint8_t keep = static_cast<std::uint8_t>(0x0F << (4 - shift));
-    std::uint8_t old = __atomic_load_n(byte, __ATOMIC_RELAXED);
-    while (true) {
-      const std::uint8_t merged =
-          static_cast<std::uint8_t>((old & keep) | (v << shift));
-      if (__atomic_compare_exchange_n(byte, &old, merged, /*weak=*/true,
-                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
-        return;
-      }
-    }
-  }
+  void StoreRun(std::size_t row, const Level* levels, std::size_t count,
+                std::size_t stride);
+  void StoreRunShared(std::size_t row, const Level* levels,
+                      std::size_t count, std::size_t stride);
 
   void PushBack(Level v);
   // Grows (new rows zero) or shrinks (tail bytes re-zeroed) the column.
@@ -125,6 +117,28 @@ class PackedColumn {
   // Reallocates to hold at least `bytes`, preserving contents and the
   // zero-fill invariant.
   void EnsureCapacity(std::size_t bytes);
+
+  // Packed only: stores `v` in row's nibble with a relaxed CAS, leaving
+  // the other nibble of the byte as its writer left it (the boundary
+  // store of StoreRunShared).
+  void MergeNibble(std::size_t row, Level v) {
+    std::uint8_t* byte = &data_[row >> 1];
+    const int shift = (row & 1) ? 4 : 0;
+    const std::uint8_t keep = static_cast<std::uint8_t>(0x0F << (4 - shift));
+    std::uint8_t old = __atomic_load_n(byte, __ATOMIC_RELAXED);
+    while (true) {
+      const std::uint8_t merged =
+          static_cast<std::uint8_t>((old & keep) | (v << shift));
+      if (__atomic_compare_exchange_n(byte, &old, merged, /*weak=*/true,
+                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
+        return;
+      }
+    }
+  }
+
+  template <bool kShared>
+  void StoreRunImpl(std::size_t row, const Level* levels, std::size_t count,
+                    std::size_t stride);
 
   std::uint8_t* data_ = nullptr;  // 64-byte-aligned slab, zero-filled tail
   std::size_t size_ = 0;          // rows

@@ -114,8 +114,10 @@ std::uint64_t BoundedCounter() {
       .value();
 }
 
-// Full and sampled builds at threads 1/2/4 and dmax 10/14/15 — the last
-// two straddle the 4-/8-bit packing boundary.
+// Full and sampled builds at threads 1/2/3/4/7 and dmax 10/14/15 — the
+// last two straddle the 4-/8-bit packing boundary. Widths 3 and 7 put
+// chunk boundaries at odd rows inside a run, where two writers share a
+// packed byte.
 TEST(MatchingOracleTest, BuildMatchingRelationMatchesNaive) {
   const Relation relation = OracleRelation(70, 11);
   const std::uint64_t n = relation.num_rows();
@@ -132,7 +134,7 @@ TEST(MatchingOracleTest, BuildMatchingRelationMatchesNaive) {
         relation, kAttrs, base, AllPairs(AllRows(n))));
     const std::string sampled_bytes = SerializeMatchingRelation(NaiveMatching(
         relation, kAttrs, base, NaiveSample(n, sampled, base.seed)));
-    for (const std::size_t threads : {1, 2, 4}) {
+    for (const std::size_t threads : {1, 2, 3, 4, 7}) {
       SCOPED_TRACE(::testing::Message()
                    << "dmax=" << dmax << " threads=" << threads);
       MatchingOptions options = base;
@@ -282,7 +284,7 @@ TEST(MatchingOracleTest, DisjointWordSetsMatchNaiveInEveryProducer) {
         relation, kWordAttrs, base, AllPairs(AllRows(n))));
     const std::string sampled_bytes = SerializeMatchingRelation(NaiveMatching(
         relation, kWordAttrs, base, NaiveSample(n, 200, base.seed)));
-    for (const std::size_t threads : {1, 2, 4}) {
+    for (const std::size_t threads : {1, 2, 3, 4, 7}) {
       SCOPED_TRACE(::testing::Message()
                    << "dmax=" << dmax << " threads=" << threads);
       MatchingOptions options = base;

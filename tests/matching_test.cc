@@ -5,6 +5,8 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -300,6 +302,64 @@ TEST(PackedColumnTest, EmptyColumnsCompareEqual) {
   }
 }
 
+// Checks the zero-fill invariant: the padding nibble of an odd packed
+// column and every byte past the live levels, up to capacity, are zero.
+void ExpectZeroTail(const PackedColumn& col) {
+  if (col.packed4() && col.size() % 2 == 1) {
+    EXPECT_EQ(col.data()[col.size() / 2] >> 4, 0);
+  }
+  for (std::size_t b = col.packed_bytes(); b < col.capacity_bytes(); ++b) {
+    ASSERT_EQ(col.data()[b], 0) << "byte " << b;
+  }
+}
+
+// The run store writes what one Set per row writes, at either start
+// parity, every short run length and both packings, in its single-
+// writer and its concurrent form, from contiguous and strided levels.
+// It leaves the rows around the run alone, including a neighbour
+// sharing its first or last byte, and keeps the tail zero when the run
+// ends at the last row.
+TEST(PackedColumnTest, StoreRunMatchesPerRowSet) {
+  for (const int dmax : {PackedColumn::kMaxPacked4Dmax,
+                         PackedColumn::kMaxPacked4Dmax + 1}) {
+    for (const std::size_t start : {std::size_t{2}, std::size_t{3}}) {
+      for (std::size_t count = 0; count <= 9; ++count) {
+        for (const std::size_t after : {std::size_t{0}, std::size_t{1}}) {
+          for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+            for (const bool shared : {false, true}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "dmax=" << dmax << " start=" << start
+                           << " count=" << count << " after=" << after
+                           << " stride=" << stride << " shared=" << shared);
+              Rng rng(count * 100 + start * 10 + after);
+              // Rows hold levels in [1, dmax] and the strided gaps 0, so
+              // a clobbered neighbour or a misread level shows.
+              PackedColumn expected(dmax);
+              for (std::size_t r = 0; r < start + count + after; ++r) {
+                expected.PushBack(static_cast<Level>(1 + rng.NextBounded(dmax)));
+              }
+              PackedColumn stored = expected;
+              std::vector<Level> levels(count * stride, 0);
+              for (std::size_t k = 0; k < count; ++k) {
+                const Level v = static_cast<Level>(1 + rng.NextBounded(dmax));
+                levels[k * stride] = v;
+                expected.Set(start + k, v);
+              }
+              if (shared) {
+                stored.StoreRunShared(start, levels.data(), count, stride);
+              } else {
+                stored.StoreRun(start, levels.data(), count, stride);
+              }
+              EXPECT_EQ(stored, expected);
+              ExpectZeroTail(stored);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(MatchingRelationTest, IndexOf) {
   MatchingRelation m({"a", "b"}, 5);
   auto idx = m.IndexOf("b");
@@ -359,12 +419,8 @@ void ExpectRemoveRows(int dmax, std::size_t size,
     const PackedColumn& col = m.column(a);
     EXPECT_EQ(col.packed4(), dmax <= PackedColumn::kMaxPacked4Dmax);
     ASSERT_EQ(col.size(), m.num_tuples());
-    if (col.packed4() && col.size() % 2 == 1) {
-      EXPECT_EQ(col.data()[col.size() / 2] >> 4, 0) << "column " << a;
-    }
-    for (std::size_t b = col.packed_bytes(); b < col.capacity_bytes(); ++b) {
-      ASSERT_EQ(col.data()[b], 0) << "column " << a << " byte " << b;
-    }
+    SCOPED_TRACE(::testing::Message() << "column " << a);
+    ExpectZeroTail(col);
   }
 }
 
@@ -408,25 +464,70 @@ TEST(MatchingRelationTest, RemoveRowsMovesOnlyTailRows) {
   }
 }
 
-// AppendRows lays out the same relation as one AddTuple per row.
+// AppendRows lays out the same relation as one AddTuple per row, for
+// appends that start at odd and at even rows.
 TEST(MatchingRelationTest, AppendRowsMatchesAddTuple) {
   for (const int dmax : {PackedColumn::kMaxPacked4Dmax,
                          PackedColumn::kMaxPacked4Dmax + 1}) {
     const MatchingRelation source = SeededRelation(dmax, 31);
-    MatchingRelation added = SeededRelation(dmax, 3);
-    MatchingRelation appended = SeededRelation(dmax, 3);
-    std::vector<Level> levels;
-    for (std::size_t r = 0; r < source.num_tuples(); ++r) {
-      const std::vector<Level> row = source.RowLevels(r);
-      added.AddTuple(source.pair(r).first, source.pair(r).second, row);
-      levels.insert(levels.end(), row.begin(), row.end());
+    const std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs =
+        source.pairs();
+    for (const std::size_t base : {std::size_t{2}, std::size_t{3}}) {
+      SCOPED_TRACE(::testing::Message() << "dmax=" << dmax
+                                        << " base=" << base);
+      MatchingRelation added = SeededRelation(dmax, base);
+      MatchingRelation appended = SeededRelation(dmax, base);
+      std::size_t r = 0;
+      for (const std::size_t count : {1, 2, 5, 4, 9, 10}) {
+        std::vector<Level> levels;
+        for (std::size_t k = r; k < r + count; ++k) {
+          const std::vector<Level> row = source.RowLevels(k);
+          added.AddTuple(source.pair(k).first, source.pair(k).second, row);
+          levels.insert(levels.end(), row.begin(), row.end());
+        }
+        appended.AppendRows(pairs.subspan(r, count), levels.data());
+        r += count;
+      }
+      ASSERT_EQ(r, source.num_tuples());
+      appended.AppendRows({}, nullptr);
+      EXPECT_EQ(appended.pairs(), added.pairs());
+      for (std::size_t a = 0; a < added.num_attributes(); ++a) {
+        EXPECT_EQ(appended.column(a), added.column(a)) << "column " << a;
+        ExpectZeroTail(appended.column(a));
+      }
     }
-    appended.AppendRows(source.pairs(), levels.data());
-    appended.AppendRows({}, nullptr);
-    EXPECT_EQ(appended.pairs(), added.pairs());
-    for (std::size_t a = 0; a < added.num_attributes(); ++a) {
-      EXPECT_EQ(appended.column(a), added.column(a)) << "column " << a;
+  }
+}
+
+// SortByPairs orders rows the same through a 32- and a 64-bit
+// permutation (relations past 2^32 rows take the 64-bit one).
+TEST(MatchingRelationTest, SortByPairsIndexWidthsAgree) {
+  for (const int dmax : {PackedColumn::kMaxPacked4Dmax,
+                         PackedColumn::kMaxPacked4Dmax + 1}) {
+    SCOPED_TRACE(::testing::Message() << "dmax=" << dmax);
+    const MatchingRelation sorted = SeededRelation(dmax, 37);
+    std::vector<std::size_t> order(sorted.num_tuples());
+    for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+    Rng rng(5);
+    for (std::size_t r = order.size(); r > 1; --r) {
+      std::swap(order[r - 1], order[rng.NextBounded(r)]);
     }
+    MatchingRelation shuffled(sorted.attribute_names(), dmax);
+    for (const std::size_t r : order) {
+      shuffled.AddTuple(sorted.pair(r).first, sorted.pair(r).second,
+                        sorted.RowLevels(r));
+    }
+    ASSERT_NE(SerializeMatchingRelation(shuffled),
+              SerializeMatchingRelation(sorted));
+    MatchingRelation narrow = shuffled;
+    narrow.SortByPairsWith<std::uint32_t>();
+    MatchingRelation wide = shuffled;
+    wide.SortByPairsWith<std::uint64_t>();
+    shuffled.SortByPairs();
+    const std::string expected = SerializeMatchingRelation(sorted);
+    EXPECT_EQ(SerializeMatchingRelation(narrow), expected);
+    EXPECT_EQ(SerializeMatchingRelation(wide), expected);
+    EXPECT_EQ(SerializeMatchingRelation(shuffled), expected);
   }
 }
 
