@@ -9,8 +9,19 @@
 //               "append_s": T, "rebuild_s": R, "speedup": R/T}
 // — grep '^BENCH_JSON ' to collect them. DD_BENCH_SCALE multiplies the
 // data sizes.
+//
+// One more row drives string attributes in the shape of perfbench's
+// incr-stream: restaurant name, address, city and type over a sliding
+// window of 1500 rows, each batch 16 inserts plus 16 deletes of the
+// oldest rows, timed per batch (the window ignores DD_BENCH_SCALE, so
+// the row keeps that shape at any scale):
+//   BENCH_JSON {"bench": "micro_incremental", "shape": "restaurant_window",
+//               "window": W, "batch": 16, "batches": K,
+//               "batch_ms_p50": P, "batch_ms_mean": M}
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -18,6 +29,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "data/generators.h"
 #include "data/schema.h"
 #include "incr/incremental_builder.h"
 
@@ -29,6 +41,64 @@ namespace {
 std::vector<std::string> MakeRow(dd::Rng* rng) {
   return {dd::StrFormat("%.3f", rng->NextDouble() * 100.0),
           dd::StrFormat("%.3f", rng->NextDouble() * 100.0)};
+}
+
+// The restaurant sliding window: returns false on a failed batch.
+bool RunRestaurantWindow() {
+  constexpr std::size_t kWindow = 1500;
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kBatches = 200;
+  dd::RestaurantOptions restaurant;
+  restaurant.num_entities = 3000;
+  restaurant.seed = 1;
+  dd::GeneratedData data = dd::GenerateRestaurant(restaurant);
+  std::vector<std::vector<std::string>> rows;
+  for (std::size_t r = 0; r < data.relation.num_rows(); ++r) {
+    rows.push_back(data.relation.row(r));
+  }
+  std::shuffle(rows.begin(), rows.end(), std::mt19937_64(1));
+  if (rows.size() < kWindow + kBatch * kBatches) {
+    std::fprintf(stderr, "restaurant window: too few rows\n");
+    return false;
+  }
+  dd::IncrementalOptions options;
+  options.matching.dmax = 10;
+  auto builder = dd::IncrementalMatchingBuilder::Create(
+      data.relation.schema(), {"name", "address", "city", "type"}, options);
+  if (!builder.ok()) {
+    std::fprintf(stderr, "builder: %s\n", builder.status().ToString().c_str());
+    return false;
+  }
+  std::vector<std::vector<std::string>> initial(rows.begin(),
+                                                rows.begin() + kWindow);
+  if (!builder->ApplyBatch(initial, {}).ok()) return false;
+  std::size_t next = kWindow;
+  std::vector<double> batch_ms;
+  for (std::size_t k = 0; k < kBatches; ++k) {
+    std::vector<std::vector<std::string>> inserts(
+        rows.begin() + next, rows.begin() + next + kBatch);
+    next += kBatch;
+    std::vector<std::uint32_t> deletes = builder->store().LiveIds();
+    deletes.resize(kBatch);
+    dd::Stopwatch timer;
+    if (!builder->ApplyBatch(inserts, deletes).ok()) return false;
+    batch_ms.push_back(timer.ElapsedSeconds() * 1e3);
+  }
+  double mean = 0.0;
+  for (const double ms : batch_ms) mean += ms / batch_ms.size();
+  std::sort(batch_ms.begin(), batch_ms.end());
+  const double p50 = batch_ms[batch_ms.size() / 2];
+  std::printf("\nrestaurant window N=%zu: %zu batches of +%zu/-%zu, "
+              "p50 %.3f ms, mean %.3f ms per batch\n",
+              kWindow, kBatches, kBatch, kBatch, p50, mean);
+  std::printf(
+      "BENCH_JSON {\"bench\": \"micro_incremental\", "
+      "\"shape\": \"restaurant_window\", \"window\": %zu, "
+      "\"batch\": %zu, \"batches\": %zu, \"batch_ms_p50\": %.4f, "
+      "\"batch_ms_mean\": %.4f}\n",
+      kWindow, kBatch, kBatches, p50, mean);
+  std::fflush(stdout);
+  return true;
 }
 
 }  // namespace
@@ -102,5 +172,5 @@ int main() {
       std::fflush(stdout);
     }
   }
-  return 0;
+  return RunRestaurantWindow() ? 0 : 1;
 }

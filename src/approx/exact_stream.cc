@@ -44,8 +44,8 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
   const std::uint64_t total_pairs = n * (n - 1) / 2;
   const std::size_t threads =
       matching.threads == 0 ? DefaultThreads() : matching.threads;
-  const PairLevelSource source(relation, AllRows(n), resolved, total_pairs,
-                               threads);
+  const PairLevelSource source(relation, AllRows(n), /*first_query=*/0,
+                               resolved, total_pairs, threads);
 
   const std::size_t chunks = EffectiveChunks(total_pairs, threads);
   std::vector<std::vector<std::uint64_t>> joint_per_chunk(

@@ -46,8 +46,8 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
       near_ks.size() + std::min(approx.sample_target,
                                 builder->total_pairs_ - near_ks.size());
   builder->source_ = std::make_unique<PairLevelSource>(
-      relation, AllRows(n), *builder->resolved_, expected_pairs,
-      builder->threads_);
+      relation, AllRows(n), /*first_query=*/0, *builder->resolved_,
+      expected_pairs, builder->threads_);
 
   {
     obs::TraceSpan near_span("approx_near_build");

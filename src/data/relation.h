@@ -40,6 +40,10 @@ class Relation {
 
   void Reserve(std::size_t rows) { rows_.reserve(rows); }
 
+  // Frees the values of row `r`, which then holds none. For stores that
+  // keep row indices stable after retiring a row (incr/tuple_store.h).
+  void ReleaseRow(std::size_t r) { std::vector<std::string>().swap(rows_[r]); }
+
  private:
   Schema schema_;
   std::vector<std::vector<std::string>> rows_;

@@ -16,26 +16,62 @@ namespace dd {
 
 namespace {
 
-// Ascending rows of `pairs` that touch an id whose `retiring` byte is
-// set, in one branch-free pass: every row index is written to a small
-// block and kept only when one of its ids is marked.
-std::vector<std::uint64_t> RetiredRows(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    const std::vector<std::uint8_t>& retiring, std::uint64_t expected) {
+// The rows of `m` that touch an id whose `retiring` byte is set,
+// ascending, with their pairs and levels stored in `delta`. Parallel
+// over M's rows: each chunk finds its rows in one branch-free pass
+// (every row index is written to a small block and kept only when one
+// of its ids is marked), and the chunks are joined in chunk order, so
+// the result is the same at any width. The pairs and levels are then
+// gathered in parallel straight into the delta, so no chunk holds a
+// copy of them.
+std::vector<std::uint64_t> RetireRows(const MatchingRelation& m,
+                                      const std::vector<std::uint8_t>& retiring,
+                                      std::uint64_t expected,
+                                      std::size_t threads,
+                                      MatchingDelta* delta) {
+  const auto& pairs = m.pairs();
+  const std::size_t attrs = m.num_attributes();
+  if (threads == 0) threads = DefaultThreads();
   std::vector<std::uint64_t> rows;
-  rows.reserve(expected);
-  const std::uint8_t* mask = retiring.data();
-  constexpr std::size_t kBlock = 1024;
-  std::uint64_t block[kBlock];
-  for (std::size_t begin = 0; begin < pairs.size(); begin += kBlock) {
-    const std::size_t end = std::min(pairs.size(), begin + kBlock);
-    std::size_t hits = 0;
-    for (std::size_t row = begin; row < end; ++row) {
-      block[hits] = row;
-      hits += mask[pairs[row].first] | mask[pairs[row].second];
+  {
+    std::vector<std::vector<std::uint64_t>> hits(
+        EffectiveChunks(pairs.size(), threads));
+    // Chunk 0's list becomes the result, so it is sized for every hit.
+    hits[0].reserve(expected);
+    ParallelFor("incr.retire", pairs.size(), threads,
+                [&](std::size_t c, std::size_t begin, std::size_t end) {
+                  const std::uint8_t* mask = retiring.data();
+                  constexpr std::size_t kBlock = 1024;
+                  std::uint64_t block[kBlock];
+                  for (std::size_t b = begin; b < end; b += kBlock) {
+                    const std::size_t e = std::min(end, b + kBlock);
+                    std::size_t n = 0;
+                    for (std::size_t row = b; row < e; ++row) {
+                      block[n] = row;
+                      n += mask[pairs[row].first] | mask[pairs[row].second];
+                    }
+                    hits[c].insert(hits[c].end(), block, block + n);
+                  }
+                });
+    rows = std::move(hits[0]);
+    for (std::size_t c = 1; c < hits.size(); ++c) {
+      rows.insert(rows.end(), hits[c].begin(), hits[c].end());
     }
-    rows.insert(rows.end(), block, block + hits);
   }
+  delta->removed_pairs.resize(rows.size());
+  delta->removed_levels.resize(rows.size() * attrs);
+  ParallelFor("incr.retire_gather", rows.size(), threads,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                for (std::size_t r = begin; r < end; ++r) {
+                  delta->removed_pairs[r] = pairs[rows[r]];
+                }
+                for (std::size_t a = 0; a < attrs; ++a) {
+                  const PackedColumn& col = m.column(a);
+                  for (std::size_t r = begin; r < end; ++r) {
+                    delta->removed_levels[r * attrs + a] = col.Get(rows[r]);
+                  }
+                }
+              });
   return rows;
 }
 
@@ -98,6 +134,7 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
   // that references a retired id out of M (capturing its levels so grid
   // consumers can subtract without re-deriving anything).
   if (!sorted_deletes.empty()) {
+    obs::TraceSpan retire_span("incr/retire");
     // M holds every pair of the live tuples: n·k - k(k+1)/2 of them
     // touch one of the k retiring ids.
     const std::uint64_t n = store_.num_live();
@@ -112,20 +149,9 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
       retiring[id] = 1;
     }
     const std::vector<std::uint64_t> removed_rows =
-        RetiredRows(matching_.pairs(), retiring, expected);
+        RetireRows(matching_, retiring, expected, options_.matching.threads,
+                   &delta);
     DD_CHECK_EQ(removed_rows.size(), expected);
-    const std::size_t removed = removed_rows.size();
-    delta.removed_pairs.resize(removed);
-    delta.removed_levels.resize(removed * attrs);
-    for (std::size_t r = 0; r < removed; ++r) {
-      delta.removed_pairs[r] = matching_.pair(removed_rows[r]);
-    }
-    for (std::size_t a = 0; a < attrs; ++a) {
-      const PackedColumn& col = matching_.column(a);
-      for (std::size_t r = 0; r < removed; ++r) {
-        delta.removed_levels[r * attrs + a] = col.Get(removed_rows[r]);
-      }
-    }
     moved_counter.Add(matching_.RemoveRows(removed_rows));
   }
 
@@ -152,9 +178,16 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
   }
   delta.added_levels.resize(total_new * attrs);
   {
-    // Scoped so its level tables are freed before M grows below.
-    const PairLevelSource source(store_.relation(), rows, resolved_, total_new,
-                                 options_.matching.threads);
+    // Scoped so its level tables and rows are freed before M grows
+    // below. Runs are headed by the new tuples only, so an attribute
+    // whose new values are few gets one level row per new value.
+    const PairLevelSource source = [&] {
+      obs::TraceSpan source_span("incr/delta_source");
+      return PairLevelSource(store_.relation(), rows,
+                             static_cast<std::uint32_t>(old), resolved_,
+                             total_new, options_.matching.threads);
+    }();
+    obs::TraceSpan levels_span("incr/delta_levels");
     std::mutex mu;
     MetricWork total = source.precomputed();
     // New tuple k is one run: positions [0, old + k) against position
@@ -198,8 +231,9 @@ MatchingRelation IncrementalMatchingBuilder::Rebuild() const {
   const std::vector<std::uint32_t> live = store_.LiveIds();
   const std::uint64_t n = live.size();
   // 64-bit pair count (matching/builder.h).
-  const PairLevelSource source(store_.relation(), live, resolved_,
-                               n * (n - 1) / 2, options_.matching.threads);
+  const PairLevelSource source(store_.relation(), live, /*first_query=*/0,
+                               resolved_, n * (n - 1) / 2,
+                               options_.matching.threads);
   MatchingRelation out(attributes_, options_.matching.dmax);
   FillAllPairs(source, live, options_.matching.threads, &out);
   return out;

@@ -8,18 +8,20 @@
 //
 // The levels come from the shared pair-level kernel (PairLevelSource,
 // matching/builder.h), built per batch over the live tuples plus the
-// inserts; each new tuple is one run against every earlier position. A
-// per-batch source is bounded by the live window, so a wrapping stream
-// needs no append path or compaction.
+// inserts; each new tuple is one run against every earlier position, so
+// only the new tuples head runs: an attribute whose new values are few
+// gets one level row per distinct new value instead of a table over the
+// whole window. A per-batch source is bounded by the live window, so a
+// wrapping stream needs no append path or compaction.
 //
 // Complexity per batch of b inserts and k deletes over N live tuples
 // with a matching relation of M tuples:
 //   interning       O((N + b) · attrs)
 //   distance work   O((N + b) · b)       — at most this many metric calls
-//   delete compact  O(M) reads of the pair ids (k > 0 only; one
-//                   branch-free pass against a byte mask of the k ids)
-//                   plus O(removed · attrs) moves, removed < N·k —
-//                   at most one tail row per hole
+//   delete compact  O(M) reads of the pair ids (k > 0 only; a
+//                   branch-free pass against a byte mask of the k ids,
+//                   split across the pool) plus O(removed · attrs)
+//                   moves, removed < N·k — at most one tail row per hole
 // versus O((N+b-k)²/2) distance evaluations for a rebuild.
 
 #ifndef DD_INCR_INCREMENTAL_BUILDER_H_

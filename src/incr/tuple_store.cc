@@ -4,15 +4,24 @@
 
 namespace dd {
 
+namespace {
+
+// Heap bytes of one stored row: its string objects plus the buffers of
+// strings too long for the inline small-string storage.
+std::size_t RowFootprint(const std::vector<std::string>& row) {
+  std::size_t bytes = row.capacity() * sizeof(std::string);
+  for (const std::string& value : row) {
+    if (value.capacity() > sizeof(std::string)) bytes += value.capacity();
+  }
+  return bytes;
+}
+
+}  // namespace
+
 Result<std::uint32_t> TupleStore::Insert(std::vector<std::string> values) {
   const std::uint32_t id = next_id();
   DD_RETURN_IF_ERROR(relation_.AddRow(std::move(values)));
-  const std::vector<std::string>& stored = relation_.row(id);
-  row_bytes_ += stored.capacity() * sizeof(std::string);
-  for (const std::string& value : stored) {
-    // Small strings live inline in the string object counted above.
-    if (value.capacity() > sizeof(std::string)) row_bytes_ += value.capacity();
-  }
+  row_bytes_ += RowFootprint(relation_.row(id));
   live_.push_back(true);
   ++num_live_;
   return id;
@@ -27,6 +36,15 @@ Status TupleStore::Erase(std::uint32_t id) {
   }
   live_[id] = false;
   --num_live_;
+  dead_.push_back(id);
+  // In bulk: freeing each tuple's strings as it dies measured slower.
+  if (dead_.size() >= num_live_ + kReleaseSlack) {
+    for (const std::uint32_t dead : dead_) {
+      row_bytes_ -= RowFootprint(relation_.row(dead));
+      relation_.ReleaseRow(dead);
+    }
+    dead_.clear();
+  }
   return Status::Ok();
 }
 

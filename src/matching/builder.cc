@@ -19,6 +19,7 @@ namespace dd {
 
 PairLevelSource::PairLevelSource(const Relation& relation,
                                  std::span<const std::uint32_t> rows,
+                                 std::uint32_t first_query,
                                  const ResolvedMetrics& resolved,
                                  std::uint64_t pairs_to_compute,
                                  std::size_t threads)
@@ -27,12 +28,27 @@ PairLevelSource::PairLevelSource(const Relation& relation,
     AttrLevelSource& attr = attrs_[a];
     attr.index = InternColumn(relation, rows, resolved.attr_idx[a]);
     attr.column = resolved.metrics[a]->Prepare(attr.index.values);
-    attr.table = ValuePairLevelTable::Build(attr.index, *attr.column,
-                                            resolved.scales[a], resolved.dmax,
-                                            pairs_to_compute, threads);
-    if (attr.table != nullptr) {
-      precomputed_.computed += attr.table->distances_computed();
-      precomputed_.bounded += attr.table->distances_bounded();
+    const std::vector<std::uint32_t> queries = DistinctIds(
+        std::span(attr.index.row_ids).subspan(first_query),
+        attr.index.distinct());
+    switch (ChooseLevelRoute(attr.index.distinct(), queries.size(),
+                             pairs_to_compute)) {
+      case LevelRoute::kTable:
+        attr.table = ValuePairLevelTable::Build(attr.index, *attr.column,
+                                                resolved.scales[a],
+                                                resolved.dmax, threads);
+        precomputed_.computed += attr.table->distances_computed();
+        precomputed_.bounded += attr.table->distances_bounded();
+        break;
+      case LevelRoute::kRows:
+        attr.rows = ValueLevelRows::Build(attr.index, queries, *attr.column,
+                                          resolved.scales[a], resolved.dmax,
+                                          threads);
+        precomputed_.computed += attr.rows->distances_computed();
+        precomputed_.bounded += attr.rows->distances_bounded();
+        break;
+      case LevelRoute::kMetric:
+        break;
     }
   }
 }
@@ -63,6 +79,13 @@ void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
     if (attr.table != nullptr) {
       for (std::size_t r = 0; r < run; ++r) {
         column[r * pair_stride] = attr.table->LevelOf(id_i, ids[r]);
+      }
+      continue;
+    }
+    if (attr.rows != nullptr) {
+      const Level* row = attr.rows->Row(id_i);
+      for (std::size_t r = 0; r < run; ++r) {
+        column[r * pair_stride] = row[ids[r]];
       }
       continue;
     }
@@ -236,8 +259,8 @@ Result<MatchingRelation> BuildMatchingRelation(
   const std::uint64_t pairs_to_compute =
       full ? total_pairs : options.max_pairs;
   const std::vector<std::uint32_t> rows = AllRows(n);
-  const PairLevelSource source(relation, rows, resolved, pairs_to_compute,
-                               threads);
+  const PairLevelSource source(relation, rows, /*first_query=*/0, resolved,
+                               pairs_to_compute, threads);
   MetricWork work = source.precomputed();
   if (full) {
     work += FillAllPairs(source, rows, threads, &out);

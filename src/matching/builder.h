@@ -78,11 +78,12 @@ Result<ResolvedMetrics> ResolveMatchingMetrics(
 
 // Per-attribute state of a PairLevelSource: the interned values, the
 // metric prepared over them and, when it pays off, the distinct-pair
-// level table.
+// level table or the query values' level rows (at most one of the two).
 struct AttrLevelSource {
   AttributeValueIndex index;
   std::unique_ptr<PreparedColumn> column;      // views index.values
   std::unique_ptr<ValuePairLevelTable> table;  // may be null
+  std::unique_ptr<ValueLevelRows> rows;        // may be null
 };
 
 // Metric work of a matching producer: `computed` counts the pairs a
@@ -111,22 +112,25 @@ void PublishMetricWork(const MetricWork& work);
 // construction it reads only its own index, never the relation.
 class PairLevelSource {
  public:
-  // Interns `rows` of `relation`; every position below indexes `rows`
-  // (whole-relation producers pass AllRows(n)). `pairs_to_compute` is
-  // the expected number of pairs queried — the payoff signal deciding
-  // whether an attribute's distinct-pair table is worth precomputing
-  // (matching/value_cache.h).
+  // Interns `rows` of `relation`; every position below indexes `rows`.
+  // Runs are headed only by positions >= `first_query`: whole-relation
+  // producers pass AllRows(n) and 0, a delta build the position of its
+  // first new tuple. `pairs_to_compute` is the expected number of pairs
+  // queried. Per attribute, ChooseLevelRoute (matching/value_cache.h)
+  // weighs it against a distinct-pair table and against one level row
+  // per distinct value at the query positions.
   PairLevelSource(const Relation& relation,
                   std::span<const std::uint32_t> rows,
-                  const ResolvedMetrics& resolved,
+                  std::uint32_t first_query, const ResolvedMetrics& resolved,
                   std::uint64_t pairs_to_compute, std::size_t threads);
 
   // Levels of the position pairs (i, j) for j in [j_begin, j_end) into
   // `out`, in the layout the caller names: the level of the r-th pair
   // on attribute a goes to out[a * attr_stride + r * pair_stride]
   // (row-major [pair][attribute]: 1, num_attributes; column-major
-  // [attribute][pair]: run length, 1). Per attribute a pair is a table
-  // lookup, level 0 for equal values, or a metric evaluation: one
+  // [attribute][pair]: run length, 1). i must be >= first_query. Per
+  // attribute a pair is a table lookup, a lookup in value i's level
+  // row, level 0 for equal values, or a metric evaluation: one
   // PreparedColumn::BoundedDistanceMany of value i over the run's
   // remaining values. Adds the metric evaluations to *work. Safe to call
   // concurrently.
@@ -134,8 +138,14 @@ class PairLevelSource {
               Level* out, std::size_t attr_stride, std::size_t pair_stride,
               MetricWork* work) const;
 
-  // Metric work spent on the level tables.
+  // Metric work spent on the level tables and rows.
   const MetricWork& precomputed() const { return precomputed_; }
+
+  // How attribute `a` is answered.
+  LevelRoute route(std::size_t a) const {
+    if (attrs_[a].table != nullptr) return LevelRoute::kTable;
+    return attrs_[a].rows != nullptr ? LevelRoute::kRows : LevelRoute::kMetric;
+  }
 
   std::size_t tables_built() const {
     std::size_t n = 0;
@@ -143,13 +153,14 @@ class PairLevelSource {
     return n;
   }
 
-  // Heap bytes across the per-attribute level tables and prepared
-  // columns (mem.value_cache).
+  // Heap bytes across the per-attribute level tables, level rows and
+  // prepared columns (mem.value_cache).
   std::size_t cache_bytes() const {
     std::size_t bytes = 0;
     for (const auto& a : attrs_) {
       bytes += a.column->MemoryUsageBytes();
       if (a.table != nullptr) bytes += a.table->MemoryUsageBytes();
+      if (a.rows != nullptr) bytes += a.rows->MemoryUsageBytes();
     }
     return bytes;
   }

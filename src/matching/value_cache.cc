@@ -35,16 +35,39 @@ AttributeValueIndex InternColumn(const Relation& relation,
   return index;
 }
 
+std::vector<std::uint32_t> DistinctIds(std::span<const std::uint32_t> row_ids,
+                                       std::size_t distinct) {
+  std::vector<std::uint8_t> seen(distinct, 0);
+  std::vector<std::uint32_t> ids;
+  for (const std::uint32_t id : row_ids) {
+    if (seen[id] == 0) ids.push_back(id);
+    seen[id] = 1;
+  }
+  return ids;
+}
+
+LevelRoute ChooseLevelRoute(std::uint64_t distinct,
+                            std::uint64_t query_distinct,
+                            std::uint64_t pairs_to_compute) {
+  // One distinct value: every pair takes the equal-value shortcut.
+  if (distinct < 2) return LevelRoute::kMetric;
+  const std::uint64_t table = distinct * (distinct - 1) / 2;
+  const std::uint64_t rows = query_distinct * (distinct - 1);
+  const bool table_fits = table <= kMaxLevelTableCells;
+  const bool rows_fit = query_distinct * distinct <= kMaxLevelTableCells;
+  // Each side pays off only with strictly fewer evaluations than pairs.
+  if (table_fits && table < pairs_to_compute && (!rows_fit || table <= rows)) {
+    return LevelRoute::kTable;
+  }
+  if (rows_fit && rows < pairs_to_compute) return LevelRoute::kRows;
+  return LevelRoute::kMetric;
+}
+
 std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
     const AttributeValueIndex& index, const PreparedColumn& column,
-    double scale, int dmax, std::uint64_t pairs_to_compute,
-    std::size_t threads) {
+    double scale, int dmax, std::size_t threads) {
   const std::uint64_t d = index.distinct();
-  if (d < 2) return nullptr;
-  const std::uint64_t cells = d * (d - 1) / 2;
-  // No payoff unless strictly fewer distinct pairs than row pairs.
-  if (cells >= pairs_to_compute || cells > kMaxLevelTableCells) return nullptr;
-
+  const std::uint64_t cells = d < 2 ? 0 : d * (d - 1) / 2;
   std::unique_ptr<ValuePairLevelTable> table(new ValuePairLevelTable(d));
   table->table_.resize(cells);
   const double cap = static_cast<double>(dmax) / scale;
@@ -74,6 +97,57 @@ std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
               });
   table->bounded_ = bounded.load(std::memory_order_relaxed);
   return table;
+}
+
+std::unique_ptr<ValueLevelRows> ValueLevelRows::Build(
+    const AttributeValueIndex& index, std::span<const std::uint32_t> queries,
+    const PreparedColumn& column, double scale, int dmax,
+    std::size_t threads) {
+  const std::uint64_t d = index.distinct();
+  std::unique_ptr<ValueLevelRows> rows(new ValueLevelRows(d));
+  rows->slot_.assign(d, 0);
+  for (std::size_t s = 0; s < queries.size(); ++s) {
+    rows->slot_[queries[s]] = static_cast<std::uint32_t>(s);
+  }
+  const std::uint64_t cells = queries.size() * d;
+  rows->rows_.resize(cells);
+  rows->computed_ = d == 0 ? 0 : queries.size() * (d - 1);
+  const double cap = static_cast<double>(dmax) / scale;
+  Level* out = rows->rows_.data();
+  std::atomic<std::uint64_t> bounded{0};
+  ParallelFor("value_cache.rows", cells, threads,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                std::vector<std::uint32_t> others;
+                std::vector<double> raw;
+                std::uint64_t chunk_bounded = 0;
+                // A chunk covers the tail of one row, whole rows and the
+                // head of another: one BoundedDistanceMany call each.
+                for (std::uint64_t cell = begin; cell < end;) {
+                  const std::uint64_t slot = cell / d;
+                  const std::uint32_t query = queries[slot];
+                  const std::uint64_t lo = cell - slot * d;
+                  const std::uint64_t hi = std::min(d, lo + (end - cell));
+                  others.clear();
+                  for (std::uint64_t id = lo; id < hi; ++id) {
+                    if (id != query) {
+                      others.push_back(static_cast<std::uint32_t>(id));
+                    }
+                  }
+                  raw.resize(others.size());
+                  chunk_bounded +=
+                      column.BoundedDistanceMany(query, others, cap, raw);
+                  Level* row = out + slot * d;
+                  for (std::size_t k = 0; k < others.size(); ++k) {
+                    row[others[k]] = BucketDistance(raw[k], scale, dmax);
+                  }
+                  // d(x, x) = 0, a metric axiom.
+                  if (query >= lo && query < hi) row[query] = 0;
+                  cell += hi - lo;
+                }
+                bounded.fetch_add(chunk_bounded, std::memory_order_relaxed);
+              });
+  rows->bounded_ = bounded.load(std::memory_order_relaxed);
+  return rows;
 }
 
 }  // namespace dd

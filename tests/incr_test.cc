@@ -254,7 +254,8 @@ TEST(TupleStoreTest, StableIdsAcrossInsertAndErase) {
   EXPECT_FALSE(store.IsLive(1));
   EXPECT_EQ(store.num_live(), 2u);
   EXPECT_EQ(store.LiveIds(), (std::vector<std::uint32_t>{0, 2}));
-  // Dead rows stay addressable; ids are never reused.
+  // A dead row keeps its values until the dead outnumber the live by
+  // kReleaseSlack (ReleasesDeadValuesInBulk); ids are never reused.
   EXPECT_EQ(store.row(1), (std::vector<std::string>{"y"}));
   auto id3 = store.Insert({"w"});
   ASSERT_TRUE(id3.ok());
@@ -293,6 +294,103 @@ TEST(TupleStoreTest, MemoryUsageMatchesFullWalk) {
       }
     }
     ASSERT_EQ(store.MemoryUsageBytes(), walk) << "step " << step;
+  }
+}
+
+// Dead tuples' values are freed together once the dead number
+// num_live() + kReleaseSlack: the byte gauge falls by their footprint
+// and still equals a full walk, live rows keep their values, and ids go
+// on from where they were.
+TEST(TupleStoreTest, ReleasesDeadValuesInBulk) {
+  TupleStore store(Schema({{"a", AttributeType::kString},
+                           {"b", AttributeType::kString}}));
+  auto value = [](std::uint32_t id) {
+    return "a value longer than the inline buffer #" + std::to_string(id);
+  };
+  const std::uint32_t n = 100;
+  std::vector<bool> mirror;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    ASSERT_TRUE(store.Insert({value(id), "x"}).ok());
+    mirror.push_back(true);
+  }
+  auto walk = [&store, &mirror] {
+    std::size_t bytes = mirror.capacity() / 8;
+    for (std::uint32_t id = 0; id < store.next_id(); ++id) {
+      const std::vector<std::string>& values = store.row(id);
+      bytes += values.capacity() * sizeof(std::string);
+      for (const std::string& v : values) {
+        if (v.capacity() > sizeof(std::string)) bytes += v.capacity();
+      }
+    }
+    return bytes;
+  };
+  // The release fires on the erase that makes dead >= live + slack.
+  const std::uint32_t trigger =
+      (n + static_cast<std::uint32_t>(TupleStore::kReleaseSlack) + 1) / 2;
+  for (std::uint32_t id = 0; id + 1 < trigger; ++id) {
+    ASSERT_TRUE(store.Erase(id).ok());
+  }
+  EXPECT_EQ(store.row(0), (std::vector<std::string>{value(0), "x"}));
+  const std::size_t before = store.MemoryUsageBytes();
+  ASSERT_TRUE(store.Erase(trigger - 1).ok());
+  const std::size_t after = store.MemoryUsageBytes();
+  EXPECT_LT(after, before);
+  EXPECT_EQ(after, walk());
+  for (std::uint32_t id = 0; id < trigger; ++id) {
+    EXPECT_TRUE(store.row(id).empty()) << id;
+  }
+  for (std::uint32_t id = trigger; id < n; ++id) {
+    ASSERT_TRUE(store.IsLive(id));
+    EXPECT_EQ(store.row(id), (std::vector<std::string>{value(id), "x"}));
+  }
+  EXPECT_EQ(store.num_live(), n - trigger);
+  auto next = store.Insert({"new", "y"});
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, n);
+}
+
+// The retired-row pass splits M across the pool, and each chunk gathers
+// its rows' pairs and levels; joined in chunk order, a batch's removed
+// (and added) pairs and levels are the same at widths 1 and 3.
+TEST(IncrementalBuilderTest, RemovedPairsAndLevelsEqualAtEveryWidth) {
+  CoraOptions cora;
+  cora.num_entities = 12;
+  cora.seed = 5;
+  GeneratedData data = GenerateCora(cora);
+  std::vector<IncrementalMatchingBuilder> builders;
+  for (const std::size_t threads : {1, 3}) {
+    IncrementalOptions options;
+    options.matching.dmax = 15;
+    options.matching.threads = threads;
+    auto builder = IncrementalMatchingBuilder::Create(
+        data.relation.schema(), {"author", "title", "venue"}, options);
+    ASSERT_TRUE(builder.ok()) << builder.status();
+    builders.push_back(std::move(*builder));
+  }
+  Rng rng(3);
+  std::size_t next = 0;
+  for (int batch = 0; batch < 6; ++batch) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    std::vector<std::vector<std::string>> inserts;
+    for (std::size_t k = batch == 0 ? 30 : 6;
+         k > 0 && next < data.relation.num_rows(); --k) {
+      inserts.push_back(data.relation.row(next++));
+    }
+    std::vector<std::uint32_t> deletes;
+    for (std::uint32_t id : builders[0].store().LiveIds()) {
+      if (rng.NextBool(0.2)) deletes.push_back(id);
+    }
+    auto serial = builders[0].ApplyBatch(inserts, deletes);
+    auto wide = builders[1].ApplyBatch(inserts, deletes);
+    ASSERT_TRUE(serial.ok() && wide.ok());
+    EXPECT_EQ(serial->removed_pairs, wide->removed_pairs);
+    EXPECT_EQ(serial->removed_levels, wide->removed_levels);
+    EXPECT_EQ(serial->added_pairs, wide->added_pairs);
+    EXPECT_EQ(serial->added_levels, wide->added_levels);
+    if (batch > 0) {
+      EXPECT_GT(serial->num_removed(), 0u);
+    }
+    ExpectEqualMatching(builders[0].matching(), builders[1].matching());
   }
 }
 

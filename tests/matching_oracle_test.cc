@@ -2,10 +2,10 @@
 // NaiveMatching: metric->Distance + BucketDistance per pair, no cap, no
 // interning, no level table). The producers share one pair-level kernel
 // (PairLevelSource, matching/builder.h); these tests keep it checked
-// independently on all three of its per-attribute routes — table
-// lookup, equal-value shortcut, and metric evaluation (one-vs-many runs
-// and single pairs) — and pin the metric-work counter every producer
-// reports.
+// independently on all of its per-attribute routes — table lookup,
+// query-row lookup (delta batches), equal-value shortcut, and metric
+// evaluation (one-vs-many runs and single pairs) — and pin the
+// metric-work counter every producer reports.
 
 #include <algorithm>
 #include <cstdint>
@@ -97,8 +97,8 @@ std::size_t TablesBuilt(const Relation& relation, const MatchingOptions& options
                         std::uint64_t pairs_to_compute) {
   const ResolvedMetrics resolved =
       ResolveMatchingMetrics(relation.schema(), kAttrs, options).value();
-  return PairLevelSource(relation, AllRows(relation.num_rows()), resolved,
-                         pairs_to_compute, 1)
+  return PairLevelSource(relation, AllRows(relation.num_rows()),
+                         /*first_query=*/0, resolved, pairs_to_compute, 1)
       .tables_built();
 }
 
@@ -180,6 +180,79 @@ TEST(MatchingOracleTest, IncrementalBuilderMatchesNaive) {
         }
         ASSERT_TRUE(builder->ApplyBatch(inserts, deletes).ok());
 
+        const std::string expected = SerializeMatchingRelation(NaiveMatching(
+            builder->store().relation(), kAttrs, options.matching,
+            AllPairs(builder->store().LiveIds())));
+        MatchingRelation maintained = builder->matching();
+        maintained.SortByPairs();
+        EXPECT_EQ(SerializeMatchingRelation(maintained), expected);
+        EXPECT_EQ(SerializeMatchingRelation(builder->Rebuild()), expected);
+      }
+    }
+  }
+}
+
+// Delta batches whose few new values get level rows (rep's 6 and num's
+// 25 values, where the window-wide source used to table them): repeated
+// new values inside one batch, a one-insert batch and a batch larger
+// than the window, at several widths so the rows' cells split across
+// chunks. After every batch the maintained relation and Rebuild() equal
+// the naive relation over the live tuples.
+TEST(MatchingOracleTest, DeltaBatchesWithQueryRowsMatchNaive) {
+  const Relation source = OracleRelation(160, 17);
+  {
+    // The route a source over a window of 40 with 2 new rows takes.
+    const ResolvedMetrics resolved =
+        ResolveMatchingMetrics(source.schema(), kAttrs, OracleOptions(10))
+            .value();
+    const std::vector<std::uint32_t> rows = AllRows(42);
+    const PairLevelSource window(source, rows, /*first_query=*/40, resolved,
+                                 /*pairs_to_compute=*/2 * 40 + 1, 1);
+    ASSERT_EQ(window.route(0), LevelRoute::kRows);    // rep
+    ASSERT_EQ(window.route(2), LevelRoute::kMetric);  // name
+    ASSERT_EQ(window.route(3), LevelRoute::kRows);    // num
+  }
+  for (const std::size_t threads : {1, 2, 3}) {
+    for (const int dmax : {10, 15}) {
+      IncrementalOptions options;
+      options.matching = OracleOptions(dmax);
+      options.matching.threads = threads;
+      auto builder = IncrementalMatchingBuilder::Create(source.schema(),
+                                                        kAttrs, options);
+      ASSERT_TRUE(builder.ok()) << builder.status();
+      std::size_t next_row = 0;
+      auto take = [&](std::size_t count) {
+        std::vector<std::vector<std::string>> rows;
+        for (std::size_t k = 0; k < count; ++k) {
+          rows.push_back(source.row(next_row++));
+        }
+        return rows;
+      };
+      auto oldest = [&](std::size_t count) {
+        std::vector<std::uint32_t> live = builder->store().LiveIds();
+        live.resize(std::min(count, live.size()));
+        return live;
+      };
+      std::vector<std::vector<std::string>> repeated = take(2);
+      repeated.push_back(repeated[0]);
+      repeated.push_back(repeated[1]);
+      repeated.push_back(repeated[0]);
+      const std::vector<std::pair<std::vector<std::vector<std::string>>,
+                                  std::size_t>>
+          batches = {
+              {take(40), 0},   // the window
+              {repeated, 5},   // three copies and two copies
+              {take(1), 1},    // one insert
+              {take(1), 0},    // one insert, no delete
+              {take(70), 20},  // larger than the window
+              {take(3), 30},
+          };
+      for (std::size_t b = 0; b < batches.size(); ++b) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " dmax=" << dmax << " batch=" << b);
+        ASSERT_TRUE(
+            builder->ApplyBatch(batches[b].first, oldest(batches[b].second))
+                .ok());
         const std::string expected = SerializeMatchingRelation(NaiveMatching(
             builder->store().relation(), kAttrs, options.matching,
             AllPairs(builder->store().LiveIds())));
@@ -423,6 +496,52 @@ TEST(MatchingWorkCounterTest, ApplyBatchCountsBelowPairsTimesAttributes) {
   const std::uint64_t evals = DistanceCounter() - before;
   EXPECT_EQ(evals, 4271u);
   EXPECT_LT(evals, delta->num_added() * kAttrs.size());
+}
+
+// A later batch over attributes with few distinct values answers every
+// attribute from level rows: its metric work is Σ q·(d−1) over the
+// attributes, q distinct new values against d distinct live values,
+// whatever the window size.
+TEST(MatchingWorkCounterTest, SecondBatchCountsQueryRowEvaluations) {
+  const Relation source = OracleRelation(80, 15);
+  const std::vector<std::string> attrs = {"rep", "mix", "num"};
+  IncrementalOptions options;
+  options.matching = OracleOptions(10);
+  auto builder =
+      IncrementalMatchingBuilder::Create(source.schema(), attrs, options);
+  ASSERT_TRUE(builder.ok()) << builder.status();
+  std::vector<std::vector<std::string>> rows;
+  for (std::size_t r = 0; r < 60; ++r) rows.push_back(source.row(r));
+  ASSERT_TRUE(builder->ApplyBatch(rows, {}).ok());
+
+  const std::vector<std::vector<std::string>> inserts = {
+      source.row(60), source.row(61), source.row(60)};
+  const std::uint64_t before = DistanceCounter();
+  auto delta = builder->ApplyBatch(inserts, {0, 7, 30});
+  ASSERT_TRUE(delta.ok());
+  const std::uint64_t evals = DistanceCounter() - before;
+
+  const std::vector<std::uint32_t> live = builder->store().LiveIds();
+  const std::uint64_t old = live.size() - inserts.size();
+  const std::uint64_t pairs = delta->num_added();
+  std::uint64_t expected = 0;
+  for (const std::string& name : attrs) {
+    const std::size_t col = source.schema().IndexOf(name).value();
+    std::unordered_set<std::string> all;
+    std::unordered_set<std::string> fresh;
+    for (std::size_t p = 0; p < live.size(); ++p) {
+      const std::string& value = builder->store().row(live[p])[col];
+      all.insert(value);
+      if (p >= old) fresh.insert(value);
+    }
+    const std::uint64_t d = all.size();
+    const std::uint64_t q = fresh.size();
+    // Rows beat both the table and the metric on this attribute.
+    ASSERT_LT(q * (d - 1), d * (d - 1) / 2) << name;
+    ASSERT_LT(q * (d - 1), pairs) << name;
+    expected += q * (d - 1);
+  }
+  EXPECT_EQ(evals, expected);
 }
 
 }  // namespace

@@ -246,7 +246,6 @@ TEST(ValueCacheTest, InternedTableMatchesDirectComputation) {
   const int dmax = 10;
   auto table = ValuePairLevelTable::Build(index, *lev.Prepare(index.values),
                                           /*scale=*/1.0, dmax,
-                                          /*pairs_to_compute=*/1u << 20,
                                           /*threads=*/2);
   ASSERT_NE(table, nullptr);
   for (std::uint32_t a = 0; a < index.values.size(); ++a) {
@@ -259,33 +258,78 @@ TEST(ValueCacheTest, InternedTableMatchesDirectComputation) {
 }
 
 TEST(ValueCacheTest, BuildRespectsCellBudget) {
+  // Fewer pairs to compute than table cells or row evaluations: neither
+  // can pay off.
+  EXPECT_EQ(ChooseLevelRoute(/*distinct=*/10, /*query_distinct=*/2,
+                             /*pairs_to_compute=*/1),
+            LevelRoute::kMetric);
+  // One distinct value past the kMaxLevelTableCells bound must decline
+  // a table, however many pairs would be computed; rows of every value
+  // are past it too.
+  std::uint64_t d = 2;
+  while (d * (d - 1) / 2 <= kMaxLevelTableCells) ++d;
+  EXPECT_EQ(ChooseLevelRoute(d, d, 1ull << 40), LevelRoute::kMetric);
+  EXPECT_EQ(ChooseLevelRoute(d - 1, d - 1, 1ull << 40), LevelRoute::kTable);
+  // A few query values fit in rows where the table does not.
+  EXPECT_EQ(ChooseLevelRoute(d, 4, 1ull << 40), LevelRoute::kRows);
+  const std::uint64_t q_max = kMaxLevelTableCells / d;
+  EXPECT_EQ(ChooseLevelRoute(d, q_max, 1ull << 40), LevelRoute::kRows);
+  EXPECT_EQ(ChooseLevelRoute(d, q_max + 1, 1ull << 40), LevelRoute::kMetric);
+}
+
+// The route with the fewest metric evaluations wins: a table at
+// d(d-1)/2, rows at q(d-1), the metric at one per pair; ties go to the
+// table, then to the metric. With every value a query (q = d) rows
+// never win, which keeps every whole-relation producer's choice.
+TEST(ValueCacheTest, RouteChoiceTakesFewestEvaluations) {
+  // d = 200: table 19900, rows 199 per query value.
+  EXPECT_EQ(ChooseLevelRoute(200, 16, 24000), LevelRoute::kRows);
+  EXPECT_EQ(ChooseLevelRoute(200, 100, 24000), LevelRoute::kTable);
+  EXPECT_EQ(ChooseLevelRoute(200, 16, 16 * 199), LevelRoute::kMetric);
+  EXPECT_EQ(ChooseLevelRoute(200, 16, 16 * 199 + 1), LevelRoute::kRows);
+  EXPECT_EQ(ChooseLevelRoute(201, 100, 1ull << 40), LevelRoute::kRows);
+  EXPECT_EQ(ChooseLevelRoute(201, 101, 1ull << 40), LevelRoute::kTable);
+  EXPECT_EQ(ChooseLevelRoute(200, 200, 19900), LevelRoute::kMetric);
+  EXPECT_EQ(ChooseLevelRoute(200, 200, 19901), LevelRoute::kTable);
+  // One distinct value: every pair takes the equal-value shortcut.
+  EXPECT_EQ(ChooseLevelRoute(1, 1, 1000), LevelRoute::kMetric);
+  for (std::uint64_t d = 2; d < 300; d += 7) {
+    for (const std::uint64_t pairs : {d, d * d / 3, d * d, d * d * d}) {
+      const LevelRoute route = ChooseLevelRoute(d, d, pairs);
+      EXPECT_NE(route, LevelRoute::kRows) << d << " " << pairs;
+      EXPECT_EQ(route == LevelRoute::kTable, d * (d - 1) / 2 < pairs)
+          << d << " " << pairs;
+    }
+  }
+}
+
+// Level rows agree with a direct metric evaluation for every query value
+// against every value, at any width, and count q(d-1) evaluations.
+TEST(ValueCacheTest, LevelRowsMatchDirectComputation) {
   GeneratedData hotel = HotelExample();
   auto address = hotel.relation.schema().IndexOf("Address");
   ASSERT_TRUE(address.ok());
   const AttributeValueIndex index = InternColumn(
       hotel.relation, AllRows(hotel.relation.num_rows()), *address);
+  const std::uint32_t d = static_cast<std::uint32_t>(index.distinct());
+  ASSERT_GE(d, 4u);
   LevenshteinMetric lev;
-  // Fewer pairs to compute than table cells: caching cannot pay off.
-  EXPECT_EQ(ValuePairLevelTable::Build(index, *lev.Prepare(index.values), 1.0,
-                                       10, /*pairs_to_compute=*/1,
-                                       /*threads=*/1),
-            nullptr);
-  // One distinct value past the kMaxLevelTableCells bound must decline
-  // to build, however many pairs would be computed.
-  Relation wide(Schema({{"v", AttributeType::kString}}));
-  std::uint64_t d = 2;
-  while (d * (d - 1) / 2 <= kMaxLevelTableCells) ++d;
-  for (std::uint64_t v = 0; v < d; ++v) {
-    ASSERT_TRUE(wide.AddRow({std::to_string(v)}).ok());
+  const auto column = lev.Prepare(index.values);
+  const int dmax = 6;
+  const std::vector<std::uint32_t> queries = {d - 1, 0, d / 2};
+  for (const std::size_t threads : {1, 2, 3, 7}) {
+    auto rows = ValueLevelRows::Build(index, queries, *column, /*scale=*/1.0,
+                                      dmax, threads);
+    ASSERT_NE(rows, nullptr);
+    EXPECT_EQ(rows->distances_computed(), queries.size() * (d - 1));
+    for (const std::uint32_t q : queries) {
+      for (std::uint32_t id = 0; id < d; ++id) {
+        const double raw = lev.Distance(index.values[q], index.values[id]);
+        EXPECT_EQ(rows->Row(q)[id], BucketDistance(raw, 1.0, dmax))
+            << "threads " << threads << " ids " << q << "," << id;
+      }
+    }
   }
-  const AttributeValueIndex wide_index =
-      InternColumn(wide, AllRows(wide.num_rows()), 0);
-  ASSERT_EQ(wide_index.distinct(), d);
-  EXPECT_EQ(ValuePairLevelTable::Build(wide_index,
-                                       *lev.Prepare(wide_index.values), 1.0,
-                                       10, /*pairs_to_compute=*/1ull << 40,
-                                       /*threads=*/1),
-            nullptr);
 }
 
 // Empty columns own no buffer; comparing them must not hand memcmp a
