@@ -1,7 +1,11 @@
 // Thread-sweep harness for the parallel hot paths (DESIGN.md §12):
 // matching-relation construction, the DA+PA / DAP+PAP determination
 // searches, and the incremental batch path, each measured at every
-// worker-pool size in the sweep. Every measurement is emitted as
+// worker-pool size in the sweep; then the pool itself (pool_spread):
+// 40M independent sqrt calls through ParallelFor at widths 1, 2 and 4,
+// whose rows also carry distinct_cpus, the number of distinct CPUs the
+// chunks reported from sched_getcpu() (Linux only; the field is left
+// out elsewhere). Every measurement is emitted as
 //   BENCH_JSON {"bench": "micro_parallel", "phase": "...",
 //               "threads": T, "pairs": M, "elapsed_s": W,
 //               "speedup_vs_1": S, "host_cores": C, "run_id": "..."}
@@ -18,17 +22,22 @@
 // the setup work outside the sweep).
 
 #include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "benchmarks/bench_util.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/determiner.h"
@@ -45,6 +54,7 @@ struct Row {
   std::size_t threads = 0;
   std::size_t pairs = 0;
   double elapsed_s = 0.0;
+  int distinct_cpus = -1;  // pool_spread only; -1 leaves the field out
 };
 
 // Best-of-kRepetitions wall time of `fn`.
@@ -89,12 +99,16 @@ void Emit(const std::vector<Row>& rows) {
     }
     const double speedup =
         base > 0.0 && row.elapsed_s > 0.0 ? base / row.elapsed_s : 0.0;
+    const std::string cpus =
+        row.distinct_cpus < 0
+            ? ""
+            : dd::StrFormat(", \"distinct_cpus\": %d", row.distinct_cpus);
     std::printf(
         "BENCH_JSON {\"bench\": \"micro_parallel\", \"phase\": \"%s\", "
         "\"threads\": %zu, \"pairs\": %zu, \"elapsed_s\": %.6f, "
-        "\"speedup_vs_1\": %.3f, \"host_cores\": %u, \"run_id\": \"%s\"}\n",
+        "\"speedup_vs_1\": %.3f%s, \"host_cores\": %u, \"run_id\": \"%s\"}\n",
         row.phase.c_str(), row.threads, row.pairs, row.elapsed_s, speedup,
-        host_cores, run_id.c_str());
+        cpus.c_str(), host_cores, run_id.c_str());
   }
   std::fflush(stdout);
 }
@@ -191,6 +205,41 @@ int main(int argc, char** argv) {
     });
     rows.push_back({"incr_batches", t, pairs, s});
     std::printf("  incr_batches     threads=%zu  %.4fs\n", t, s);
+    std::fflush(stdout);
+  }
+
+  // Phase 5: the pool alone. Independent compute-bound work with no
+  // shared memory traffic, so its wall time should halve from width 1
+  // to 2 whenever the workers run on CPUs of their own.
+  constexpr std::size_t kSqrts = 40'000'000;
+  for (const std::size_t t : {1, 2, 4}) {
+    std::set<int> cpus;
+    const double s = TimeBest([&] {
+      std::vector<double> sums(dd::EffectiveChunks(kSqrts, t));
+      std::vector<int> chunk_cpu(sums.size(), -1);
+      dd::ParallelFor("bench.pool_spread", kSqrts, t,
+                      [&](std::size_t c, std::size_t begin, std::size_t end) {
+#if defined(__linux__)
+                        chunk_cpu[c] = ::sched_getcpu();
+#endif
+                        double sum = 0.0;
+                        for (std::size_t i = begin; i < end; ++i) {
+                          sum += std::sqrt(static_cast<double>(i));
+                        }
+                        sums[c] = sum;
+                      });
+      double total = 0.0;
+      for (const double sum : sums) total += sum;
+      if (!(total > 0.0)) std::abort();
+      for (const int cpu : chunk_cpu) {
+        if (cpu >= 0) cpus.insert(cpu);
+      }
+    });
+    // No CPU was reported off Linux: leave the field out there.
+    rows.push_back({"pool_spread", t, kSqrts, s,
+                    cpus.empty() ? -1 : static_cast<int>(cpus.size())});
+    std::printf("  pool_spread      threads=%zu  %.4fs  cpus=%zu\n", t, s,
+                cpus.size());
     std::fflush(stdout);
   }
 

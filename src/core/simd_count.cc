@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 #include <mutex>
 
@@ -12,6 +11,17 @@
 namespace dd::simd {
 
 namespace {
+
+// Population count of one word in plain ALU operations. This
+// translation unit is built without -mpopcnt, so that it runs on every
+// x86-64 host, and there std::popcount calls libgcc's __popcountdi2
+// once per word; the SWAR reduction inlines instead.
+inline std::uint64_t Popcount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
 
 // The row predicate of the scalar MaskLeq. The result is
 // order-independent, so the vector kernel (no early exit) masks
@@ -38,7 +48,7 @@ std::uint64_t MaskLeqScalar(const ColumnView* views,
       }
     }
     words[w] = word;
-    count += static_cast<std::uint64_t>(std::popcount(word));
+    count += Popcount(word);
   }
   return count;
 }
@@ -51,7 +61,7 @@ std::uint64_t AndCountScalar(const std::uint64_t* const* inputs,
     std::uint64_t word = inputs[0][w];
     for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
     if (out != nullptr) out[w] = word;
-    count += static_cast<std::uint64_t>(std::popcount(word));
+    count += Popcount(word);
   }
   return count;
 }
@@ -64,7 +74,7 @@ std::uint64_t AndCountWordsScalar(const std::uint64_t* const* inputs,
     const std::uint32_t w = word_idx[k];
     std::uint64_t word = inputs[0][w];
     for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
-    total += static_cast<std::uint64_t>(std::popcount(word));
+    total += Popcount(word);
   }
   return total;
 }

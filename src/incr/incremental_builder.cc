@@ -16,9 +16,10 @@ namespace dd {
 
 namespace {
 
-// The rows of `m` that touch an id whose `retiring` byte is set,
-// ascending, with their pairs and levels stored in `delta`. Parallel
-// over M's rows: each chunk finds its rows in one branch-free pass
+// The rows of `m` that touch an id whose `retiring` byte is set
+// (retiring[id - oldest]; every id in `m` is >= oldest), ascending,
+// with their pairs and levels stored in `delta`. Parallel over M's
+// rows: each chunk finds its rows in one branch-free pass
 // (every row index is written to a small block and kept only when one
 // of its ids is marked), and the chunks are joined in chunk order, so
 // the result is the same at any width. The pairs and levels are then
@@ -26,6 +27,7 @@ namespace {
 // copy of them.
 std::vector<std::uint64_t> RetireRows(const MatchingRelation& m,
                                       const std::vector<std::uint8_t>& retiring,
+                                      std::uint32_t oldest,
                                       std::uint64_t expected,
                                       std::size_t threads,
                                       MatchingDelta* delta) {
@@ -48,7 +50,8 @@ std::vector<std::uint64_t> RetireRows(const MatchingRelation& m,
                     std::size_t n = 0;
                     for (std::size_t row = b; row < e; ++row) {
                       block[n] = row;
-                      n += mask[pairs[row].first] | mask[pairs[row].second];
+                      n += mask[pairs[row].first - oldest] |
+                           mask[pairs[row].second - oldest];
                     }
                     hits[c].insert(hits[c].end(), block, block + n);
                   }
@@ -103,6 +106,8 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_removed");
   static obs::Counter& moved_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_moved");
+  static obs::Counter& interned_counter =
+      obs::MetricsRegistry::Global().GetCounter("incr.values_interned");
 
   // Validate the whole batch before mutating anything.
   const std::size_t arity = store_.schema().num_attributes();
@@ -140,17 +145,19 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
     const std::uint64_t n = store_.num_live();
     const std::uint64_t k = sorted_deletes.size();
     const std::uint64_t expected = n * k - k * (k + 1) / 2;
-    // Only this batch's ids need a mask byte: M holds no pair with an id
+    // Only this batch's ids need a mask byte, and the mask spans only
+    // the ids from the oldest live one up: M holds no pair with an id
     // retired by an earlier batch.
-    std::vector<std::uint8_t> retiring(store_.next_id(), 0);
+    const std::uint32_t oldest = live_ids_.front();
+    std::vector<std::uint8_t> retiring(store_.next_id() - oldest, 0);
     for (std::uint32_t id : sorted_deletes) {
       Status erased = store_.Erase(id);
       DD_CHECK(erased.ok());
-      retiring[id] = 1;
+      retiring[id - oldest] = 1;
     }
     const std::vector<std::uint64_t> removed_rows =
-        RetireRows(matching_, retiring, expected, options_.matching.threads,
-                   &delta);
+        RetireRows(matching_, retiring, oldest, expected,
+                   options_.matching.threads, &delta);
     DD_CHECK_EQ(removed_rows.size(), expected);
     moved_counter.Add(matching_.RemoveRows(removed_rows));
   }
@@ -158,13 +165,14 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
   // Inserts: new ids are larger than every existing id, so each new
   // tuple j pairs with all live i < j — the surviving old tuples plus
   // the batch's earlier inserts.
-  std::vector<std::uint32_t> rows = store_.LiveIds();
-  const std::uint64_t old = rows.size();
+  const std::uint32_t first_id = store_.next_id();
   for (const auto& values : inserts) {
     Result<std::uint32_t> id = store_.Insert(values);
     DD_CHECK(id.ok());  // Arity was validated above.
-    rows.push_back(*id);
   }
+  interned_counter.Add(UpdateLiveList(inserts, sorted_deletes, first_id));
+  const std::vector<std::uint32_t>& rows = live_ids_;
+  const std::uint64_t old = rows.size() - inserts.size();
 
   // Pair counts are 64-bit BY CONTRACT (matching/builder.h): b(b-1)/2
   // overflows 32-bit size types near b ≈ 93k.
@@ -183,7 +191,12 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
     // whose new values are few gets one level row per new value.
     const PairLevelSource source = [&] {
       obs::TraceSpan source_span("incr/delta_source");
-      return PairLevelSource(store_.relation(), rows,
+      std::vector<AttributeValueIndex> indexes;
+      indexes.reserve(attrs);
+      for (std::size_t a = 0; a < attrs; ++a) {
+        indexes.push_back(dicts_[a].Index(live_values_[a]));
+      }
+      return PairLevelSource(std::move(indexes),
                              static_cast<std::uint32_t>(old), resolved_,
                              total_new, options_.matching.threads);
     }();
@@ -224,6 +237,52 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
              << delta.num_removed() << " matching rows removed, |M|="
              << matching_.num_tuples();
   return delta;
+}
+
+std::uint64_t IncrementalMatchingBuilder::UpdateLiveList(
+    const std::vector<std::vector<std::string>>& inserts,
+    const std::vector<std::uint32_t>& sorted_deletes, std::uint32_t first_id) {
+  const std::size_t attrs = attributes_.size();
+  const std::size_t b = inserts.size();
+  std::uint64_t created = 0;
+  std::vector<std::uint32_t> acquired(b * attrs);
+  for (std::size_t k = 0; k < b; ++k) {
+    for (std::size_t a = 0; a < attrs; ++a) {
+      const std::uint32_t id =
+          dicts_[a].Acquire(inserts[k][resolved_.attr_idx[a]]);
+      created += dicts_[a].refs(id) == 1 ? 1 : 0;
+      acquired[k * attrs + a] = id;
+    }
+  }
+  if (!sorted_deletes.empty()) {
+    // Both lists ascend, so one merge pass finds every deleted position.
+    std::size_t kept = 0;
+    std::size_t d = 0;
+    for (std::size_t p = 0; p < live_ids_.size(); ++p) {
+      if (d < sorted_deletes.size() && live_ids_[p] == sorted_deletes[d]) {
+        for (std::size_t a = 0; a < attrs; ++a) {
+          dicts_[a].Release(live_values_[a][p]);
+        }
+        ++d;
+        continue;
+      }
+      live_ids_[kept] = live_ids_[p];
+      for (std::size_t a = 0; a < attrs; ++a) {
+        live_values_[a][kept] = live_values_[a][p];
+      }
+      ++kept;
+    }
+    DD_CHECK_EQ(d, sorted_deletes.size());
+    live_ids_.resize(kept);
+    for (auto& values : live_values_) values.resize(kept);
+  }
+  for (std::size_t k = 0; k < b; ++k) {
+    live_ids_.push_back(first_id + static_cast<std::uint32_t>(k));
+    for (std::size_t a = 0; a < attrs; ++a) {
+      live_values_[a].push_back(acquired[k * attrs + a]);
+    }
+  }
+  return created;
 }
 
 MatchingRelation IncrementalMatchingBuilder::Rebuild() const {

@@ -14,15 +14,25 @@
 // whole window. A per-batch source is bounded by the live window, so a
 // wrapping stream needs no append path or compaction.
 //
+// The values themselves persist across batches: one ValueDictionary
+// per attribute holds the distinct live values with reference counts,
+// and a live list holds the ascending live ids with each position's
+// dictionary ids. A batch acquires its inserts' values, releases its
+// deletes', and builds the source's indexes from the live list by one
+// integer pass (ValueDictionary::Index), equal to interning the window.
+//
 // Complexity per batch of b inserts and k deletes over N live tuples
 // with a matching relation of M tuples:
-//   interning       O((N + b) · attrs)
+//   interning       O((b + k) · attrs) hash lookups, plus one
+//                   O((N + b) · attrs) integer pass over the live list
 //   distance work   O((N + b) · b)       — at most this many metric calls
 //   delete compact  O(M) reads of the pair ids (k > 0 only; a
-//                   branch-free pass against a byte mask of the k ids,
-//                   split across the pool) plus O(removed · attrs)
-//                   moves, removed < N·k — at most one tail row per hole
-// versus O((N+b-k)²/2) distance evaluations for a rebuild.
+//                   branch-free pass against a byte mask over the ids
+//                   from the oldest live one, split across the pool) plus
+//                   O(removed · attrs) moves, removed < N·k — at most
+//                   one tail row per hole
+// and no walk over every id the stream has assigned, versus
+// O((N+b-k)²/2) distance evaluations for a rebuild.
 
 #ifndef DD_INCR_INCREMENTAL_BUILDER_H_
 #define DD_INCR_INCREMENTAL_BUILDER_H_
@@ -33,6 +43,7 @@
 
 #include "common/result.h"
 #include "incr/tuple_store.h"
+#include "incr/value_dictionary.h"
 #include "matching/builder.h"
 #include "matching/delta.h"
 #include "matching/matching_relation.h"
@@ -66,6 +77,11 @@ class IncrementalMatchingBuilder {
   // The delta-maintained matching relation over the live instance.
   const MatchingRelation& matching() const { return matching_; }
   const TupleStore& store() const { return store_; }
+  // The persistent dictionary of attribute `a` (attributes()[a]): the
+  // distinct values of the live tuples, each counted once per tuple.
+  const ValueDictionary& dictionary(std::size_t a) const {
+    return dicts_[a];
+  }
   const std::vector<std::string>& attributes() const { return attributes_; }
   int dmax() const { return options_.matching.dmax; }
 
@@ -85,13 +101,31 @@ class IncrementalMatchingBuilder {
         attributes_(std::move(attributes)),
         options_(std::move(options)),
         resolved_(std::move(resolved)),
-        matching_(attributes_, options_.matching.dmax) {}
+        matching_(attributes_, options_.matching.dmax),
+        dicts_(attributes_.size()),
+        live_values_(attributes_.size()) {}
+
+  // Drops `sorted_deletes` from the live list and appends the inserts,
+  // which the store has just given the ids first_id, first_id + 1, ...
+  // The inserts' values are acquired before the deletes' are released,
+  // so a value that leaves and returns in one batch keeps its entry.
+  // Returns the number of dictionary entries created.
+  std::uint64_t UpdateLiveList(
+      const std::vector<std::vector<std::string>>& inserts,
+      const std::vector<std::uint32_t>& sorted_deletes,
+      std::uint32_t first_id);
 
   TupleStore store_;
   std::vector<std::string> attributes_;
   IncrementalOptions options_;
   ResolvedMetrics resolved_;
   MatchingRelation matching_;
+  std::vector<ValueDictionary> dicts_;  // one per attribute
+  // The live list: ascending live ids, and per attribute each position's
+  // dictionary id. Maintained per batch, so no batch walks every id the
+  // stream has assigned (TupleStore::LiveIds is O(next_id)).
+  std::vector<std::uint32_t> live_ids_;
+  std::vector<std::vector<std::uint32_t>> live_values_;
 };
 
 }  // namespace dd

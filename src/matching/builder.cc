@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "matching/pair_sampler.h"
@@ -17,16 +18,40 @@
 
 namespace dd {
 
+namespace {
+
+std::vector<AttributeValueIndex> InternRows(
+    const Relation& relation, std::span<const std::uint32_t> rows,
+    const ResolvedMetrics& resolved) {
+  std::vector<AttributeValueIndex> indexes;
+  indexes.reserve(resolved.num_attributes());
+  for (const std::size_t col : resolved.attr_idx) {
+    indexes.push_back(InternColumn(relation, rows, col));
+  }
+  return indexes;
+}
+
+}  // namespace
+
 PairLevelSource::PairLevelSource(const Relation& relation,
                                  std::span<const std::uint32_t> rows,
                                  std::uint32_t first_query,
                                  const ResolvedMetrics& resolved,
                                  std::uint64_t pairs_to_compute,
                                  std::size_t threads)
+    : PairLevelSource(InternRows(relation, rows, resolved), first_query,
+                      resolved, pairs_to_compute, threads) {}
+
+PairLevelSource::PairLevelSource(std::vector<AttributeValueIndex> indexes,
+                                 std::uint32_t first_query,
+                                 const ResolvedMetrics& resolved,
+                                 std::uint64_t pairs_to_compute,
+                                 std::size_t threads)
     : resolved_(resolved), attrs_(resolved.num_attributes()) {
+  DD_CHECK_EQ(indexes.size(), attrs_.size());
   for (std::size_t a = 0; a < attrs_.size(); ++a) {
     AttrLevelSource& attr = attrs_[a];
-    attr.index = InternColumn(relation, rows, resolved.attr_idx[a]);
+    attr.index = std::move(indexes[a]);
     attr.column = resolved.metrics[a]->Prepare(attr.index.values);
     const std::vector<std::uint32_t> queries = DistinctIds(
         std::span(attr.index.row_ids).subspan(first_query),

@@ -112,13 +112,22 @@ void PublishMetricWork(const MetricWork& work);
 // construction it reads only its own index, never the relation.
 class PairLevelSource {
  public:
-  // Interns `rows` of `relation`; every position below indexes `rows`.
-  // Runs are headed only by positions >= `first_query`: whole-relation
-  // producers pass AllRows(n) and 0, a delta build the position of its
-  // first new tuple. `pairs_to_compute` is the expected number of pairs
-  // queried. Per attribute, ChooseLevelRoute (matching/value_cache.h)
-  // weighs it against a distinct-pair table and against one level row
-  // per distinct value at the query positions.
+  // From one index per attribute: indexes[a] interns attribute a at
+  // every position, and every position below indexes them. Runs are
+  // headed only by positions >= `first_query`: whole-relation producers
+  // pass 0, a delta build the position of its first new tuple.
+  // `pairs_to_compute` is the expected number of pairs queried. Per
+  // attribute, ChooseLevelRoute (matching/value_cache.h) weighs it
+  // against a distinct-pair table and against one level row per
+  // distinct value at the query positions. The indexes' values must
+  // outlive the source.
+  PairLevelSource(std::vector<AttributeValueIndex> indexes,
+                  std::uint32_t first_query, const ResolvedMetrics& resolved,
+                  std::uint64_t pairs_to_compute, std::size_t threads);
+
+  // Interns `rows` of `relation` (InternColumn) and builds the source
+  // from those indexes: position p is rows[p]. One-shot producers pass
+  // AllRows(n).
   PairLevelSource(const Relation& relation,
                   std::span<const std::uint32_t> rows,
                   std::uint32_t first_query, const ResolvedMetrics& resolved,

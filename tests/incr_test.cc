@@ -10,8 +10,11 @@
 // previous batch inserted, whose rows sit at M's tail, where delete
 // compaction takes the rows it fills holes with.
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +26,9 @@
 #include "incr/incremental_builder.h"
 #include "incr/maintenance.h"
 #include "incr/tuple_store.h"
+#include "incr/value_dictionary.h"
+#include "matching/value_cache.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -412,17 +418,34 @@ TEST(IncrementalBuilderTest, FailedBatchLeavesStateUntouched) {
   std::vector<std::vector<std::string>> rows;
   for (std::size_t r = 0; r < 6; ++r) rows.push_back(hotel.relation.row(r));
   ASSERT_TRUE(builder->ApplyBatch(rows, {}).ok());
-  const std::size_t tuples_before = builder->matching().num_tuples();
+  const MatchingRelation matching_before = builder->matching();
   const std::size_t live_before = builder->store().num_live();
+  auto dictionaries = [&builder] {
+    std::vector<std::map<std::string, std::uint32_t>> dicts;
+    for (std::size_t a = 0; a < builder->attributes().size(); ++a) {
+      dicts.emplace_back();
+      for (const auto& [value, refs] : builder->dictionary(a).Counts()) {
+        dicts.back().emplace(value, refs);
+      }
+    }
+    return dicts;
+  };
+  const auto dicts_before = dictionaries();
 
   // Bad arity, duplicate delete, and dead-id delete must all fail
-  // without mutating anything.
+  // without mutating anything, the dictionaries included, even when
+  // the batch also carries valid inserts and deletes.
   EXPECT_FALSE(builder->ApplyBatch({{"too", "few?"}}, {}).ok());
   EXPECT_FALSE(builder->ApplyBatch({}, {0, 0}).ok());
   EXPECT_FALSE(builder->ApplyBatch({}, {42}).ok());
   EXPECT_FALSE(builder->ApplyBatch({rows[0]}, {1, 1}).ok());
-  EXPECT_EQ(builder->matching().num_tuples(), tuples_before);
+  const std::vector<std::string> valid = {"new", "valid", "row"};
+  EXPECT_FALSE(builder->ApplyBatch({valid, {"x"}}, {2}).ok());
+  EXPECT_FALSE(builder->ApplyBatch({valid}, {2, 42}).ok());
+  ExpectEqualMatching(builder->matching(), matching_before);
   EXPECT_EQ(builder->store().num_live(), live_before);
+  EXPECT_EQ(dictionaries(), dicts_before);
+  EXPECT_TRUE(testutil::DictionariesHoldLiveValues(*builder));
 }
 
 TEST(IncrementalBuilderTest, DeleteEverythingEmptiesTheMatching) {
@@ -455,6 +478,211 @@ TEST(IncrementalBuilderTest, DeleteEverythingEmptiesTheMatching) {
   // The instance keeps working after a full wipe.
   ASSERT_TRUE(builder->ApplyBatch({rows[0], rows[1]}, {}).ok());
   EXPECT_EQ(builder->matching().num_tuples(), 1u);
+}
+
+// The dictionaries persist across batches: a wrapping stream of 200
+// batches over a window of 20 keeps each one equal to the distinct live
+// values, and its id space stops growing once the stream has wrapped,
+// because freed ids are reused. Entries created are bounded by the
+// values inserted.
+TEST(IncrementalBuilderTest, DictionaryStaysBoundedOverAWrappingStream) {
+  CoraOptions cora;
+  cora.num_entities = 12;
+  cora.seed = 9;
+  GeneratedData data = GenerateCora(cora);
+  const Relation& pool = data.relation;
+  ASSERT_LT(pool.num_rows(), 100u);  // the stream wraps before batch 100
+  IncrementalOptions options;
+  options.matching.dmax = 10;
+  const std::vector<std::string> attrs = {"author", "title", "venue"};
+  auto builder =
+      IncrementalMatchingBuilder::Create(pool.schema(), attrs, options);
+  ASSERT_TRUE(builder.ok()) << builder.status();
+  obs::Counter& interned =
+      obs::MetricsRegistry::Global().GetCounter("incr.values_interned");
+  const std::uint64_t interned_before = interned.value();
+
+  constexpr std::size_t kWindow = 20;
+  constexpr std::size_t kBatch = 4;
+  std::size_t next_row = 0;
+  std::uint32_t next_delete = 0;
+  std::uint64_t inserted = 0;
+  std::vector<std::size_t> bound_at_100(attrs.size());
+  for (int batch = 0; batch < 200; ++batch) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    std::vector<std::vector<std::string>> inserts;
+    std::vector<std::uint32_t> deletes;
+    for (std::size_t k = 0; k < (batch == 0 ? kWindow : kBatch); ++k) {
+      inserts.push_back(pool.row(next_row++ % pool.num_rows()));
+    }
+    if (batch > 0) {
+      for (std::size_t k = 0; k < kBatch; ++k) deletes.push_back(next_delete++);
+    }
+    ASSERT_TRUE(builder->ApplyBatch(inserts, deletes).ok());
+    inserted += inserts.size();
+    ASSERT_TRUE(testutil::DictionariesHoldLiveValues(*builder));
+    for (std::size_t a = 0; a < attrs.size(); ++a) {
+      ASSERT_LE(builder->dictionary(a).size(), kWindow);
+      if (batch == 100) bound_at_100[a] = builder->dictionary(a).id_bound();
+      if (batch > 100) {
+        ASSERT_EQ(builder->dictionary(a).id_bound(), bound_at_100[a]) << a;
+      }
+    }
+  }
+  const std::uint64_t created = interned.value() - interned_before;
+  EXPECT_GT(created, 0u);
+  EXPECT_LE(created, inserted * attrs.size());
+  MatchingRelation sorted = builder->matching();
+  sorted.SortByPairs();
+  ExpectEqualMatching(sorted, builder->Rebuild());
+}
+
+// The retire mask spans the ids from the oldest live one, so its index
+// is id - oldest. Two streams: a FIFO window, whose span stays near the
+// window, and one that keeps tuple 0 live throughout, whose span is the
+// whole stream. Each batch's removed pairs are exactly the previous
+// relation's pairs that touch a deleted id, at widths 1 and 3, and M
+// equals Rebuild().
+TEST(IncrementalBuilderTest, RetireMaskSpansTheLiveIds) {
+  CoraOptions cora;
+  cora.num_entities = 12;
+  cora.seed = 6;
+  GeneratedData data = GenerateCora(cora);
+  const Relation& pool = data.relation;
+  for (const bool keep_first : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "keep_first " << keep_first);
+    std::vector<IncrementalMatchingBuilder> builders;
+    for (const std::size_t threads : {1, 3}) {
+      IncrementalOptions options;
+      options.matching.dmax = 15;
+      options.matching.threads = threads;
+      auto builder = IncrementalMatchingBuilder::Create(
+          pool.schema(), {"author", "title", "venue"}, options);
+      ASSERT_TRUE(builder.ok()) << builder.status();
+      builders.push_back(std::move(*builder));
+    }
+    std::size_t next_row = 0;
+    for (int batch = 0; batch < 30; ++batch) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch);
+      std::vector<std::vector<std::string>> inserts;
+      for (std::size_t k = 0; k < (batch == 0 ? 12 : 3); ++k) {
+        inserts.push_back(pool.row(next_row++ % pool.num_rows()));
+      }
+      std::vector<std::uint32_t> deletes;
+      const std::vector<std::uint32_t> live = builders[0].store().LiveIds();
+      for (std::size_t p = keep_first ? 1 : 0;
+           p < live.size() && deletes.size() < (batch == 0 ? 0 : 3); ++p) {
+        deletes.push_back(live[p]);
+      }
+      MatchingRelation before = builders[0].Rebuild();
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> expected;
+      for (const auto& pair : before.pairs()) {
+        for (const std::uint32_t id : deletes) {
+          if (pair.first == id || pair.second == id) {
+            expected.push_back(pair);
+            break;
+          }
+        }
+      }
+      auto serial = builders[0].ApplyBatch(inserts, deletes);
+      auto wide = builders[1].ApplyBatch(inserts, deletes);
+      ASSERT_TRUE(serial.ok() && wide.ok());
+      EXPECT_EQ(serial->removed_pairs, wide->removed_pairs);
+      EXPECT_EQ(serial->removed_levels, wide->removed_levels);
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> removed =
+          serial->removed_pairs;
+      std::sort(removed.begin(), removed.end());
+      EXPECT_EQ(removed, expected);
+      for (const IncrementalMatchingBuilder& builder : builders) {
+        MatchingRelation sorted = builder.matching();
+        sorted.SortByPairs();
+        ExpectEqualMatching(sorted, builder.Rebuild());
+      }
+    }
+    EXPECT_EQ(builders[0].store().IsLive(0), keep_first);
+  }
+}
+
+// A value whose last tuple is deleted and re-inserted in one batch
+// keeps its dictionary entry: the batch creates none.
+TEST(IncrementalBuilderTest, ValueLeavingAndReturningKeepsItsEntry) {
+  GeneratedData hotel = HotelExample();
+  IncrementalOptions options;
+  options.matching.dmax = 8;
+  auto builder = IncrementalMatchingBuilder::Create(
+      hotel.relation.schema(), {"Name", "Region"}, options);
+  ASSERT_TRUE(builder.ok()) << builder.status();
+  std::vector<std::vector<std::string>> rows;
+  for (std::size_t r = 0; r < 4; ++r) rows.push_back(hotel.relation.row(r));
+  ASSERT_TRUE(builder->ApplyBatch(rows, {}).ok());
+  obs::Counter& interned =
+      obs::MetricsRegistry::Global().GetCounter("incr.values_interned");
+  const std::uint64_t before = interned.value();
+  ASSERT_TRUE(builder->ApplyBatch({rows[0]}, {0}).ok());
+  EXPECT_EQ(interned.value(), before);
+  EXPECT_TRUE(testutil::DictionariesHoldLiveValues(*builder));
+  MatchingRelation sorted = builder->matching();
+  sorted.SortByPairs();
+  ExpectEqualMatching(sorted, builder->Rebuild());
+}
+
+TEST(ValueDictionaryTest, CountsReferencesAndReusesFreedIds) {
+  ValueDictionary dict;
+  const std::uint32_t a = dict.Acquire("alpha");
+  const std::uint32_t b = dict.Acquire("beta");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(dict.Acquire("alpha"), a);
+  EXPECT_EQ(dict.refs(a), 2u);
+  EXPECT_EQ(dict.size(), 2u);
+  dict.Release(a);
+  EXPECT_EQ(dict.size(), 2u);
+  dict.Release(a);
+  EXPECT_EQ(dict.size(), 1u);
+  // The freed id goes to the next new value; the id space stays put.
+  EXPECT_EQ(dict.Acquire("gamma"), a);
+  EXPECT_EQ(dict.id_bound(), 2u);
+  // A value freed and acquired again is a new entry.
+  dict.Release(b);
+  EXPECT_EQ(dict.Acquire("beta"), b);
+  EXPECT_EQ(dict.refs(b), 1u);
+  std::map<std::string, std::uint32_t> counts;
+  for (const auto& [value, refs] : dict.Counts()) counts.emplace(value, refs);
+  EXPECT_EQ(counts, (std::map<std::string, std::uint32_t>{{"beta", 1},
+                                                          {"gamma", 1}}));
+}
+
+// The views an index hands out survive the dictionary growing, short
+// (inline) values included, and the index equals InternColumn's over
+// the same values: first-occurrence ids and the same bytes per id.
+TEST(ValueDictionaryTest, IndexEqualsInternColumnAfterGrowth) {
+  Relation relation(Schema({{"v", AttributeType::kString}}));
+  Rng rng(4);
+  for (int r = 0; r < 300; ++r) {
+    std::string value = "v";
+    value += std::to_string(rng.NextBounded(40));
+    if (rng.NextBool(0.3)) value += std::string(30, 'x');
+    ASSERT_TRUE(relation.AddRow({value}).ok());
+  }
+  ValueDictionary dict;
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t r = 0; r < 150; ++r) {
+    ids.push_back(dict.Acquire(relation.at(r, 0)));
+  }
+  const AttributeValueIndex early = dict.Index(ids);
+  const std::vector<std::string> early_values(early.values.begin(),
+                                              early.values.end());
+  for (std::uint32_t r = 150; r < 300; ++r) {
+    ids.push_back(dict.Acquire(relation.at(r, 0)));
+  }
+  for (int i = 0; i < 1000; ++i) dict.Release(dict.Acquire(std::to_string(i)));
+  EXPECT_EQ(std::vector<std::string>(early.values.begin(), early.values.end()),
+            early_values);
+
+  const AttributeValueIndex index = dict.Index(ids);
+  const AttributeValueIndex interned =
+      InternColumn(relation, AllRows(relation.num_rows()), 0);
+  EXPECT_EQ(index.row_ids, interned.row_ids);
+  EXPECT_EQ(index.values, interned.values);
 }
 
 // The engine with a negative drift fraction re-determines every batch,

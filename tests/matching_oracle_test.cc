@@ -265,6 +265,95 @@ TEST(MatchingOracleTest, DeltaBatchesWithQueryRowsMatchNaive) {
   }
 }
 
+// Random batches drawn with replacement from a 10-row pool, so every
+// attribute's values repeat heavily and the persistent dictionaries
+// keep acquiring and releasing shared entries. Scripted batches cover
+// duplicate values inside one batch, a value whose last tuples are
+// deleted and re-inserted in one batch, delete-only, insert-only and
+// empty batches, and deleting every tuple, then refilling. After every
+// batch the maintained relation and Rebuild() equal the naive relation
+// over the live tuples, and each dictionary holds exactly the distinct
+// live values.
+TEST(MatchingOracleTest, PersistentDictionaryBatchesMatchNaive) {
+  const Relation source = OracleRelation(10, 18);
+  for (const std::size_t threads : {1, 3}) {
+    for (const int dmax : {10, 15}) {
+      IncrementalOptions options;
+      options.matching = OracleOptions(dmax);
+      options.matching.threads = threads;
+      auto builder = IncrementalMatchingBuilder::Create(source.schema(),
+                                                        kAttrs, options);
+      ASSERT_TRUE(builder.ok()) << builder.status();
+      Rng rng(threads * 10 + static_cast<std::uint64_t>(dmax));
+      std::vector<std::size_t> pool_row;  // by tuple id
+      auto rows_of = [&](const std::vector<std::size_t>& picks) {
+        std::vector<std::vector<std::string>> rows;
+        for (const std::size_t r : picks) rows.push_back(source.row(r));
+        return rows;
+      };
+      auto live_of_row = [&](std::size_t r) {
+        std::vector<std::uint32_t> ids;
+        for (const std::uint32_t id : builder->store().LiveIds()) {
+          if (pool_row[id] == r) ids.push_back(id);
+        }
+        return ids;
+      };
+      for (int batch = 0; batch < 24; ++batch) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " dmax=" << dmax
+                                          << " batch=" << batch);
+        std::vector<std::size_t> picks;
+        std::vector<std::uint32_t> deletes;
+        switch (batch) {
+          case 0:  // duplicates inside one batch, insert-only
+            picks = {0, 1, 2, 0, 0, 3, 1, 4, 5, 2, 6, 0};
+            break;
+          case 1:  // row 0's last tuples leave and one returns
+            picks = {0, 7};
+            deletes = live_of_row(0);
+            break;
+          case 2:  // delete-only
+            deletes = {builder->store().LiveIds()[1],
+                       builder->store().LiveIds()[4]};
+            break;
+          case 3:  // empty
+            break;
+          case 4:  // insert-only
+            picks = {8, 9, 8};
+            break;
+          case 5:  // every tuple
+            deletes = builder->store().LiveIds();
+            break;
+          case 6:  // refill
+            picks = {3, 3, 9, 1, 0, 2, 3};
+            break;
+          default: {
+            const std::size_t b = rng.NextBounded(7);
+            for (std::size_t k = 0; k < b; ++k) {
+              picks.push_back(rng.NextBounded(source.num_rows()));
+            }
+            for (const std::uint32_t id : builder->store().LiveIds()) {
+              if (rng.NextBool(0.3)) deletes.push_back(id);
+            }
+          }
+        }
+        ASSERT_TRUE(builder->ApplyBatch(rows_of(picks), deletes).ok());
+        pool_row.insert(pool_row.end(), picks.begin(), picks.end());
+
+        const std::string expected = SerializeMatchingRelation(NaiveMatching(
+            builder->store().relation(), kAttrs, options.matching,
+            AllPairs(builder->store().LiveIds())));
+        MatchingRelation maintained = builder->matching();
+        maintained.SortByPairs();
+        EXPECT_EQ(SerializeMatchingRelation(maintained), expected);
+        EXPECT_EQ(SerializeMatchingRelation(builder->Rebuild()), expected);
+        EXPECT_TRUE(testutil::DictionariesHoldLiveValues(*builder));
+      }
+      EXPECT_GT(builder->store().num_live(), 0u);
+    }
+  }
+}
+
 // The streamed grid counts equal a grid over the naive relation.
 TEST(MatchingOracleTest, StreamingGridMatchesNaive) {
   const Relation relation = OracleRelation(60, 13);

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,6 +231,28 @@ inline std::vector<std::pair<std::uint32_t, std::uint32_t>> AllPairs(
     }
   }
   return pairs;
+}
+
+// True when every dictionary of the incremental builder `builder`
+// (incr/incremental_builder.h) holds exactly the distinct values of its
+// live tuples, each with one reference per tuple that carries it.
+template <typename Builder>
+bool DictionariesHoldLiveValues(const Builder& builder) {
+  const std::vector<std::uint32_t> live = builder.store().LiveIds();
+  for (std::size_t a = 0; a < builder.attributes().size(); ++a) {
+    const std::size_t column =
+        builder.store().schema().IndexOf(builder.attributes()[a]).value();
+    std::map<std::string, std::uint32_t> expected;
+    for (const std::uint32_t id : live) {
+      ++expected[builder.store().row(id)[column]];
+    }
+    std::map<std::string, std::uint32_t> held;
+    for (const auto& [value, refs] : builder.dictionary(a).Counts()) {
+      held.emplace(value, refs);
+    }
+    if (held != expected) return false;
+  }
+  return true;
 }
 
 // Minimal JSON well-formedness checker (objects, arrays, strings,
