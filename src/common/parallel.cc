@@ -61,15 +61,6 @@ std::atomic<PoolObserver*> g_pool_observer{nullptr};
 // the collector can join them back to their invocation.
 std::atomic<std::uint64_t> g_invocation_seq{0};
 
-// Watchdog heartbeat hook (SetPoolHeartbeatFn). Trivially destructible
-// on purpose; fired only around top-level chunks.
-std::atomic<PoolHeartbeatFn> g_pool_heartbeat{nullptr};
-
-inline void PoolHeartbeat(bool begin) {
-  const PoolHeartbeatFn fn = g_pool_heartbeat.load(std::memory_order_acquire);
-  if (fn != nullptr) fn(begin);
-}
-
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -95,11 +86,10 @@ struct PoolTask {
 };
 
 // Runs fn over chunk `c` = [begin, end) with the bookkeeping every
-// chunk shares, pooled or inline: t_in_chunk for the duration, the
-// heartbeat and t_phase around a top-level chunk only (a nested chunk
-// runs inside its enclosing one and leaves both alone), and, when
-// `observer` is set, the timed chunk event. No clock is read without
-// an observer.
+// chunk shares, pooled or inline: t_in_chunk for the duration, t_phase
+// around a top-level chunk only (a nested chunk runs inside its
+// enclosing one and leaves it alone), and, when `observer` is set, the
+// timed chunk event. No clock is read without an observer.
 void RunChunk(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
     const char* phase, std::uint64_t invocation, PoolObserver* observer,
@@ -107,20 +97,14 @@ void RunChunk(
   PoolChunkEvent event{phase, invocation, c, begin, end, 0, 0, caller};
   const bool was_in_chunk = t_in_chunk;
   t_in_chunk = true;
-  if (!was_in_chunk) {
-    PoolHeartbeat(/*begin=*/true);
-    t_phase = phase;
-  }
+  if (!was_in_chunk) t_phase = phase;
   if (observer != nullptr) event.start_ns = NowNs();
   fn(c, begin, end);
   if (observer != nullptr) {
     event.end_ns = NowNs();
     observer->OnChunk(event);
   }
-  if (!was_in_chunk) {
-    t_phase = nullptr;
-    PoolHeartbeat(/*begin=*/false);
-  }
+  if (!was_in_chunk) t_phase = nullptr;
   t_in_chunk = was_in_chunk;
 }
 
@@ -237,10 +221,6 @@ PoolObserver* SetPoolObserver(PoolObserver* observer) {
 
 PoolObserver* GetPoolObserver() {
   return g_pool_observer.load(std::memory_order_acquire);
-}
-
-PoolHeartbeatFn SetPoolHeartbeatFn(PoolHeartbeatFn fn) {
-  return g_pool_heartbeat.exchange(fn, std::memory_order_acq_rel);
 }
 
 void ParallelFor(const char* phase, std::size_t count, std::size_t threads,

@@ -136,19 +136,6 @@ PoolObserver* SetPoolObserver(PoolObserver* observer);
 // The currently installed observer (nullptr when observation is off).
 PoolObserver* GetPoolObserver();
 
-// ---------------------------------------------------------------------
-// Watchdog heartbeat hook. Same layering story as the observer: the
-// diag layer (src/obs/diag) installs a function that arms/beats a
-// "pool.chunk" heartbeat around top-level chunk executions, so a wedged
-// chunk is detected as a stall. begin=true fires right before a chunk
-// body runs, begin=false right after. Nested (inline) chunks do not
-// fire — the enclosing chunk's heartbeat already covers them. With no
-// hook installed the cost is one relaxed load per chunk.
-using PoolHeartbeatFn = void (*)(bool begin);
-
-// Installs `fn` (nullptr uninstalls) and returns the previous hook.
-PoolHeartbeatFn SetPoolHeartbeatFn(PoolHeartbeatFn fn);
-
 }  // namespace dd
 
 #endif  // DD_COMMON_PARALLEL_H_

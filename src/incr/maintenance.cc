@@ -7,8 +7,8 @@
 #include "common/logging.h"
 #include "core/expected_utility.h"
 #include "core/measures.h"
+#include "obs/diag/crash_dump.h"
 #include "obs/diag/flight_recorder.h"
-#include "obs/diag/watchdog.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -46,11 +46,12 @@ Result<BatchOutcome> MaintenanceEngine::ApplyBatch(
     const std::vector<std::vector<std::string>>& inserts,
     const std::vector<std::uint32_t>& deletes) {
   obs::TraceSpan span("incr/maintain");
-  // Watchdog coverage: an ApplyBatch that wedges (matching rebuild,
-  // re-determination) past the stall timeout trips a stall dump.
-  static obs::diag::Heartbeat* heartbeat =
-      obs::diag::RegisterHeartbeat("incr.apply_batch");
-  obs::diag::ScopedHeartbeat scoped_heartbeat(heartbeat);
+  // Re-renders the crash dump's metrics preamble on every way out, so a
+  // dump carries the metrics as of the last applied batch. A no-op
+  // unless diagnostics are enabled.
+  struct RefreshPreambleOnReturn {
+    ~RefreshPreambleOnReturn() { obs::diag::RefreshPreamble(); }
+  } refresh_preamble;
   static obs::Counter& skipped_counter =
       obs::MetricsRegistry::Global().GetCounter(
           "incr.redeterminations_skipped");

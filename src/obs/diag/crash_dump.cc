@@ -13,11 +13,9 @@
 #include <mutex>
 #include <string>
 
-#include "common/parallel.h"
 #include "obs/diag/flight_recorder.h"
 #include "obs/diag/sigsafe.h"
 #include "obs/diag/stack_capture.h"
-#include "obs/diag/watchdog.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -48,9 +46,7 @@ const char* SignalName(int sig) {
 std::atomic<bool> g_enabled{false};
 std::atomic<int> g_crash_fd{-1};
 char g_crash_path[512] = {0};
-char g_dir[448] = {0};
 std::uint64_t g_start_ns = 0;
-std::atomic<std::uint64_t> g_dump_counter{0};
 // First crashing thread wins; a second fault (other thread, or a crash
 // inside the handler itself) goes straight to the default disposition.
 std::atomic<bool> g_crashing{false};
@@ -87,13 +83,6 @@ void SinkEventLine(DumpSink& sink, const FlightEvent& ev) {
   SinkChar(sink, '\n');
 }
 
-void SinkHeader(DumpSink& sink, const char* reason) {
-  SinkStr(sink, "DDDIAG 1\n");
-  SinkStr(sink, "reason: ");
-  SinkStr(sink, reason);
-  SinkChar(sink, '\n');
-}
-
 void SinkProcessLines(DumpSink& sink) {
   SinkStr(sink, "pid: ");
   SinkDec(sink, static_cast<std::uint64_t>(::getpid()));
@@ -121,30 +110,8 @@ void SinkBacktrace(DumpSink& sink, int tid, void* const* frames,
   }
 }
 
-void SinkHeartbeats(DumpSink& sink) {
-  SinkStr(sink, "--- heartbeats\n");
-  const Heartbeat* beats[64];
-  const std::size_t n = RawHeartbeats(beats, 64);
-  const std::uint64_t now = SigsafeNowNs();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Heartbeat* hb = beats[i];
-    const std::uint64_t last = hb->last_beat_ns.load(std::memory_order_relaxed);
-    SinkStr(sink, hb->name);
-    SinkStr(sink, " armed=");
-    SinkSignedDec(sink, hb->armed.load(std::memory_order_relaxed));
-    SinkStr(sink, " beats=");
-    SinkDec(sink, hb->beats.load(std::memory_order_relaxed));
-    SinkStr(sink, " age_ns=");
-    SinkDec(sink, (last != 0 && now > last) ? now - last : 0);
-    SinkStr(sink, " in_stall=");
-    SinkChar(sink, hb->in_stall.load(std::memory_order_relaxed) ? '1' : '0');
-    SinkChar(sink, '\n');
-  }
-}
-
-// Lock-free ring walk through Ring::Read — the handler path. Live
-// dumps go through FlightRecorder::Snapshot(), which reads the same
-// way, so both emit identical line grammar.
+// Lock-free ring walk through Ring::Read, which touches only
+// preallocated memory and atomics.
 void SinkFlightRingsRaw(DumpSink& sink) {
   const internal::FlightRingTable& rings = internal::g_flight_rings;
   const std::size_t n = rings.size();
@@ -176,8 +143,7 @@ void SinkPreamble(DumpSink& sink) {
 // and the test hook.
 void WriteCrashDumpToFd(int fd, int sig, void* fault_addr) {
   FdSink sink(fd);
-  SinkHeader(sink, "crash");
-  SinkStr(sink, "signal: ");
+  SinkStr(sink, "DDDIAG 1\nreason: crash\nsignal: ");
   SinkDec(sink, static_cast<std::uint64_t>(sig));
   SinkChar(sink, ' ');
   SinkStr(sink, SignalName(sig));
@@ -191,7 +157,6 @@ void WriteCrashDumpToFd(int fd, int sig, void* fault_addr) {
   const std::size_t count = CaptureOwnStack(frames, kMaxStackFrames);
   SinkBacktrace(sink, SigsafeTid(), frames, count);
 
-  SinkHeartbeats(sink);
   SinkFlightRingsRaw(sink);
   SinkModules(sink);
   SinkPreamble(sink);
@@ -217,23 +182,6 @@ void FatalSignalHandler(int sig, siginfo_t* info, void* /*ucontext*/) {
   ::raise(sig);
 }
 
-void OnDemandSignalHandler(int /*sig*/) { RequestOnDemandDump(); }
-
-// Worker-pool bridge (dd::SetPoolHeartbeatFn): every top-level chunk
-// arms the shared "pool.chunk" heartbeat for its duration, so a chunk
-// that wedges past the stall timeout trips the watchdog.
-Heartbeat* g_pool_heartbeat = nullptr;
-
-void PoolHeartbeatShim(bool begin) {
-  Heartbeat* hb = g_pool_heartbeat;
-  if (hb == nullptr) return;
-  if (begin) {
-    hb->Arm();
-  } else {
-    hb->Disarm();
-  }
-}
-
 void RenderPreambleLocked() {
   // Render into the inactive buffer, then flip.
   const int active = g_preamble_active.load(std::memory_order_relaxed);
@@ -251,18 +199,6 @@ void RenderPreambleLocked() {
   g_preamble_active.store(next, std::memory_order_release);
 }
 
-std::string DumpFileName(const char* kind) {
-  const std::uint64_t n =
-      g_dump_counter.fetch_add(1, std::memory_order_relaxed);
-  std::string name = kind;
-  name += '.';
-  name += std::to_string(::getpid());
-  name += '.';
-  name += std::to_string(n);
-  name += ".dddump";
-  return name;
-}
-
 }  // namespace
 
 bool EnableDiagnostics(const DiagOptions& options) {
@@ -272,8 +208,6 @@ bool EnableDiagnostics(const DiagOptions& options) {
   g_start_ns = SigsafeNowNs();
   FlightRecorder::Enable(options.flight_ring_capacity);
   InitStackCapture();
-  g_pool_heartbeat = RegisterHeartbeat("pool.chunk");
-  dd::SetPoolHeartbeatFn(&PoolHeartbeatShim);
 
   if (!options.dir.empty()) {
     std::error_code ec;
@@ -284,7 +218,6 @@ bool EnableDiagnostics(const DiagOptions& options) {
       g_enabled.store(false);
       return false;
     }
-    std::strncpy(g_dir, options.dir.c_str(), sizeof(g_dir) - 1);
 
     std::string path = options.dir;
     if (!path.empty() && path.back() != '/') path += '/';
@@ -319,22 +252,10 @@ bool EnableDiagnostics(const DiagOptions& options) {
          i < sizeof(kFatalSignals) / sizeof(kFatalSignals[0]); ++i) {
       sigaction(kFatalSignals[i], &sa, &g_old_actions[i]);
     }
-
-    struct sigaction usr2;
-    std::memset(&usr2, 0, sizeof(usr2));
-    usr2.sa_handler = &OnDemandSignalHandler;
-    sigemptyset(&usr2.sa_mask);
-    usr2.sa_flags = SA_RESTART;
-    sigaction(SIGUSR2, &usr2, nullptr);
   }
 
-  if (options.start_watchdog) {
-    Watchdog::Start(options.watchdog_interval_ms, options.stall_timeout_ms);
-  }
-
-  // Clean exits tear down the watchdog and unlink the (still empty)
-  // pre-opened crash file, so a directory of dumps only ever holds
-  // runs that actually crashed or stalled.
+  // Clean exits unlink the (still empty) pre-opened crash file, so a
+  // directory of dumps only ever holds runs that actually crashed.
   static const bool atexit_registered = [] {
     std::atexit(&DisableDiagnostics);
     return true;
@@ -342,21 +263,17 @@ bool EnableDiagnostics(const DiagOptions& options) {
   (void)atexit_registered;
 
   DD_LOG(INFO) << "diag: enabled (dir="
-                << (options.dir.empty() ? "<none>" : options.dir)
-                << ", stall_timeout_ms=" << options.stall_timeout_ms << ")";
+                << (options.dir.empty() ? "<none>" : options.dir) << ")";
   return true;
 }
 
 void DisableDiagnostics() {
   if (!g_enabled.exchange(false)) return;
-  dd::SetPoolHeartbeatFn(nullptr);
-  Watchdog::Stop();
   FlightRecorder::Disable();
   for (std::size_t i = 0;
        i < sizeof(kFatalSignals) / sizeof(kFatalSignals[0]); ++i) {
     signal(kFatalSignals[i], SIG_DFL);
   }
-  signal(SIGUSR2, SIG_DFL);
   const int fd = g_crash_fd.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) {
     struct stat st;
@@ -366,75 +283,14 @@ void DisableDiagnostics() {
     if (empty && g_crash_path[0] != '\0') ::unlink(g_crash_path);
   }
   g_crash_path[0] = '\0';
-  g_dir[0] = '\0';
 }
 
 bool DiagnosticsEnabled() { return g_enabled.load(std::memory_order_acquire); }
 
-std::string DiagDir() { return std::string(g_dir); }
-
 void RefreshPreamble() {
+  if (!DiagnosticsEnabled()) return;
   std::lock_guard<std::mutex> lock(g_preamble_mutex);
   RenderPreambleLocked();
-}
-
-std::string CaptureLiveDump(const char* reason) {
-  std::string out;
-  out.reserve(32 * 1024);
-  StringSink sink(&out);
-  SinkHeader(sink, reason);
-  SinkProcessLines(sink);
-
-  static ThreadStack stacks[kMaxCapturedThreads];
-  static std::mutex stacks_mutex;
-  {
-    std::lock_guard<std::mutex> lock(stacks_mutex);
-    const std::size_t n = CaptureAllThreadStacks(stacks, /*deadline_ms=*/500);
-    for (std::size_t i = 0; i < n; ++i) {
-      SinkBacktrace(sink, stacks[i].tid, stacks[i].frames,
-                    stacks[i].frame_count);
-      if (!stacks[i].complete) SinkStr(sink, "(thread did not respond)\n");
-    }
-  }
-
-  SinkHeartbeats(sink);
-  for (const auto& thread : FlightRecorder::Snapshot()) {
-    SinkStr(sink, "--- flightrec tid ");
-    SinkDec(sink, static_cast<std::uint64_t>(thread.tid));
-    SinkChar(sink, '\n');
-    for (const FlightEvent& ev : thread.events) SinkEventLine(sink, ev);
-  }
-  SinkModules(sink);
-
-  // Live dumps can afford a fresh render instead of the preamble.
-  RefreshPreamble();
-  SinkPreamble(sink);
-  SinkStr(sink, "--- end\n");
-  return out;
-}
-
-std::string WriteLiveDumpFile(const char* kind, const char* reason) {
-  if (g_dir[0] == '\0') return "";
-  std::string path = g_dir;
-  if (path.back() != '/') path += '/';
-  path += DumpFileName(kind);
-  const std::string dump = CaptureLiveDump(reason);
-  const int fd =
-      ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return "";
-  FdSink sink(fd);
-  sink.Append(dump.data(), dump.size());
-  ::close(fd);
-  return path;
-}
-
-void WriteStallDump(const char* heartbeat_name, std::uint64_t silent_ns) {
-  std::string reason = "stall";
-  const std::string path = WriteLiveDumpFile("stall", reason.c_str());
-  if (!path.empty()) {
-    DD_LOG(WARN) << "diag: stall dump for heartbeat '" << heartbeat_name
-                  << "' (silent " << silent_ns / 1000000 << " ms): " << path;
-  }
 }
 
 namespace internal {

@@ -78,7 +78,6 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
   enum class Section {
     kHeader,
     kBacktrace,
-    kHeartbeats,
     kFlightrec,
     kModules,
     kMetrics,
@@ -96,8 +95,6 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
         DiagBacktrace bt;
         bt.tid = std::atoi(rest.c_str() + 14);
         out->backtraces.push_back(bt);
-      } else if (rest == "heartbeats") {
-        section = Section::kHeartbeats;
       } else if (StartsWith(rest, "flightrec tid ")) {
         section = Section::kFlightrec;
         current_tid = std::atoi(rest.c_str() + 14);
@@ -107,8 +104,8 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
         section = Section::kMetrics;
       } else {
         // A section this reader does not know (say, one a newer writer
-        // added or an older one wrote) must not be parsed as the one
-        // before it.
+        // added, or the `--- heartbeats` an older one wrote) must not
+        // be parsed as the one before it.
         if (rest == "end") out->complete = true;
         section = Section::kSkip;
       }
@@ -142,34 +139,11 @@ bool ParseDiagDump(const std::string& text, DiagDump* out,
       }
       case Section::kBacktrace: {
         if (out->backtraces.empty()) break;
-        if (line == "(thread did not respond)") {
-          out->backtraces.back().responded = false;
-          break;
-        }
         if (StartsWith(line, "0x")) {
           DiagFrame frame;
           frame.pc = ParseHex(line);
           out->backtraces.back().frames.push_back(frame);
         }
-        break;
-      }
-      case Section::kHeartbeats: {
-        const auto toks = SplitWs(line);
-        if (toks.size() < 5) break;
-        DiagHeartbeatLine hb;
-        hb.name = toks[0];
-        for (std::size_t t = 1; t < toks.size(); ++t) {
-          if (StartsWith(toks[t], "armed=")) {
-            hb.armed = std::atoll(toks[t].c_str() + 6);
-          } else if (StartsWith(toks[t], "beats=")) {
-            hb.beats = ParseU64(toks[t].substr(6));
-          } else if (StartsWith(toks[t], "age_ns=")) {
-            hb.age_ns = ParseU64(toks[t].substr(7));
-          } else if (StartsWith(toks[t], "in_stall=")) {
-            hb.in_stall = toks[t].substr(9) == "1";
-          }
-        }
-        out->heartbeats.push_back(hb);
         break;
       }
       case Section::kFlightrec: {
@@ -230,9 +204,7 @@ std::string DiagDumpToText(const DiagDump& dump) {
                        : "status: TRUNCATED (no --- end marker)\n";
 
   for (const DiagBacktrace& bt : dump.backtraces) {
-    out += "\nthread " + std::to_string(bt.tid);
-    if (!bt.responded) out += " (did not respond)";
-    out += ":\n";
+    out += "\nthread " + std::to_string(bt.tid) + ":\n";
     int idx = 0;
     for (const DiagFrame& frame : bt.frames) {
       out += "  #" + std::to_string(idx++) + " " + FormatHex(frame.pc);
@@ -241,16 +213,6 @@ std::string DiagDumpToText(const DiagDump& dump) {
       }
       if (!frame.symbol.empty()) out += " " + frame.symbol;
       out += "\n";
-    }
-  }
-
-  if (!dump.heartbeats.empty()) {
-    out += "\nheartbeats:\n";
-    for (const DiagHeartbeatLine& hb : dump.heartbeats) {
-      out += "  " + hb.name + " armed=" + std::to_string(hb.armed) +
-             " beats=" + std::to_string(hb.beats) +
-             " age_ms=" + std::to_string(hb.age_ns / 1000000ULL) +
-             (hb.in_stall ? " IN_STALL" : "") + "\n";
     }
   }
 
@@ -302,9 +264,7 @@ std::string DiagDumpToJson(const DiagDump& dump) {
   for (std::size_t b = 0; b < dump.backtraces.size(); ++b) {
     const DiagBacktrace& bt = dump.backtraces[b];
     if (b != 0) out += ",";
-    out += "{\"tid\":" + std::to_string(bt.tid) +
-           ",\"responded\":" + (bt.responded ? "true" : "false") +
-           ",\"frames\":[";
+    out += "{\"tid\":" + std::to_string(bt.tid) + ",\"frames\":[";
     for (std::size_t f = 0; f < bt.frames.size(); ++f) {
       const DiagFrame& frame = bt.frames[f];
       if (f != 0) out += ",";
@@ -323,19 +283,6 @@ std::string DiagDumpToJson(const DiagDump& dump) {
       out += "}";
     }
     out += "]}";
-  }
-  out += "]";
-
-  out += ",\"heartbeats\":[";
-  for (std::size_t i = 0; i < dump.heartbeats.size(); ++i) {
-    const DiagHeartbeatLine& hb = dump.heartbeats[i];
-    if (i != 0) out += ",";
-    out += "{\"name\":\"";
-    out += JsonEscape(hb.name);
-    out += "\",\"armed\":" + std::to_string(hb.armed) +
-           ",\"beats\":" + std::to_string(hb.beats) +
-           ",\"age_ns\":" + std::to_string(hb.age_ns) +
-           ",\"in_stall\":" + (hb.in_stall ? "true" : "false") + "}";
   }
   out += "]";
 

@@ -28,16 +28,7 @@ struct DiagFrame {
 
 struct DiagBacktrace {
   int tid = 0;
-  bool responded = true;
   std::vector<DiagFrame> frames;
-};
-
-struct DiagHeartbeatLine {
-  std::string name;
-  std::int64_t armed = 0;
-  std::uint64_t beats = 0;
-  std::uint64_t age_ns = 0;
-  bool in_stall = false;
 };
 
 struct DiagFlightEvent {
@@ -61,7 +52,6 @@ struct DiagDump {
   std::uint64_t uptime_ns = 0;
   std::uint64_t rss_kb = 0;
   std::vector<DiagBacktrace> backtraces;
-  std::vector<DiagHeartbeatLine> heartbeats;
   std::vector<DiagFlightEvent> flight_events;
   std::vector<DiagModule> modules;
   std::string metrics_text;  // MetricsSnapshotToJson line

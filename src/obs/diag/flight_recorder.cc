@@ -22,12 +22,8 @@ const char* EventTypeName(EventType type) {
       return "determined";
     case EventType::kApproxRound:
       return "approx_round";
-    case EventType::kHeartbeat:
-      return "heartbeat";
     case EventType::kServe:
       return "serve";
-    case EventType::kStall:
-      return "stall";
     case EventType::kCustom:
       return "custom";
   }
@@ -38,7 +34,8 @@ EventType EventTypeFromName(const std::string& name) {
   for (std::uint16_t i = 0;
        i <= static_cast<std::uint16_t>(EventType::kCustom); ++i) {
     const auto type = static_cast<EventType>(i);
-    if (name == EventTypeName(type)) return type;
+    // The retired values 6 and 8 are named "unknown" and never match.
+    if (name != "unknown" && name == EventTypeName(type)) return type;
   }
   return EventType::kNone;
 }

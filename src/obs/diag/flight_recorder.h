@@ -7,9 +7,9 @@
 // sites cost ~nothing until diagnostics are enabled.
 //
 // Readers never block writers. The in-process Snapshot() copies every
-// ring for live dumps and tests; the crash handler walks the same rings
-// through the same Ring::Read, which touches only preallocated memory
-// and atomics (async-signal-safe). Event names are captured by value
+// ring for tests; the crash handler walks the same rings through the
+// same Ring::Read, which touches only preallocated memory and atomics
+// (async-signal-safe). Event names are captured by value
 // (15 chars + NUL) rather than by pointer so a corrupted heap cannot
 // turn the crash dump into a second crash.
 //
@@ -36,9 +36,9 @@ enum class EventType : std::uint16_t {
   kBatch = 3,        // incr batch applied (arg0 = batch seq, arg1 = inserts)
   kDetermined = 4,   // determination finished (arg0 = patterns, arg1 = f64 bits)
   kApproxRound = 5,  // approx refinement round (arg0 = round, arg1 = pairs)
-  kHeartbeat = 6,    // watchdog heartbeat transitions
+  // 6 and 8 were watchdog heartbeat and stall events; they stay unused
+  // so every other value keeps its number.
   kServe = 7,        // serve/watch loop progress (arg0 = rows/seq)
-  kStall = 8,        // watchdog detected / cleared a stall
   kCustom = 9,
 };
 

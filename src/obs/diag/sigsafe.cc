@@ -53,16 +53,6 @@ void SinkDec(DumpSink& sink, std::uint64_t value) {
   sink.Append(buf, FormatDec(buf, value));
 }
 
-void SinkSignedDec(DumpSink& sink, std::int64_t value) {
-  if (value < 0) {
-    SinkChar(sink, '-');
-    // Negate via unsigned arithmetic so INT64_MIN stays defined.
-    SinkDec(sink, ~static_cast<std::uint64_t>(value) + 1);
-  } else {
-    SinkDec(sink, static_cast<std::uint64_t>(value));
-  }
-}
-
 void SinkHex(DumpSink& sink, std::uint64_t value) {
   char buf[18];
   buf[0] = '0';

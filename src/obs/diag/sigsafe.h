@@ -1,9 +1,7 @@
 // Async-signal-safe building blocks for the crash-dump path. Everything
 // declared here is callable from a fatal-signal handler: no allocation,
 // no locks, no stdio, no C++ exceptions — only raw syscalls
-// (write/open/read/close/clock_gettime) and stack buffers. The normal
-// (non-handler) diagnostics paths reuse the same primitives through
-// DumpSink so the crash dump and the live dump share one format.
+// (write/open/read/close/clock_gettime) and stack buffers.
 
 #ifndef DD_OBS_DIAG_SIGSAFE_H_
 #define DD_OBS_DIAG_SIGSAFE_H_
@@ -16,7 +14,7 @@ namespace dd::obs::diag {
 
 // Byte sink for dump composition. Implementations must not allocate
 // when used from a signal handler (FdSink qualifies; StringSink is for
-// the live-dump path only).
+// tests only).
 class DumpSink {
  public:
   virtual ~DumpSink() = default;
@@ -34,7 +32,7 @@ class FdSink : public DumpSink {
   int fd_;
 };
 
-// Accumulates into a std::string (live dumps, tests). NOT for handlers.
+// Accumulates into a std::string (tests). NOT for handlers.
 class StringSink : public DumpSink {
  public:
   explicit StringSink(std::string* out) : out_(out) {}
@@ -51,7 +49,6 @@ class StringSink : public DumpSink {
 void SinkStr(DumpSink& sink, const char* s);
 void SinkChar(DumpSink& sink, char c);
 void SinkDec(DumpSink& sink, std::uint64_t value);
-void SinkSignedDec(DumpSink& sink, std::int64_t value);
 void SinkHex(DumpSink& sink, std::uint64_t value);  // "0x" prefixed
 
 // Streams the contents of `path` (a /proc file in practice) into the

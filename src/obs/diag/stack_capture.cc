@@ -1,71 +1,10 @@
 #include "obs/diag/stack_capture.h"
 
-#include <dirent.h>
 #include <execinfo.h>
-#include <semaphore.h>
-#include <signal.h>
-#include <sys/syscall.h>
-#include <time.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-
-#include "obs/diag/sigsafe.h"
 
 namespace dd::obs::diag {
-
-namespace {
-
-// Dedicated real-time signal so we never collide with application use
-// of SIGUSR1/SIGUSR2 (SIGUSR2 is the on-demand dump trigger).
-int CaptureSignal() { return SIGRTMIN; }
-
-// One capture slot: the handler fills `stack` then publishes with a
-// release store on `done`; the coordinator reads `done` with acquire
-// before touching `stack`, so the copy is race-free even when a round
-// times out mid-write.
-struct Slot {
-  std::atomic<bool> done{false};
-  ThreadStack stack;
-};
-
-// Shared state between the coordinator and the per-thread handlers of
-// one capture round. All fields are preallocated; the handler only
-// touches atomics, its claimed slot, and sem_post.
-struct CaptureRound {
-  std::atomic<std::size_t> next_slot{0};
-  Slot slots[kMaxCapturedThreads];
-  sem_t done_sem;
-  std::atomic<bool> active{false};
-};
-
-CaptureRound g_round;
-std::mutex g_capture_mutex;  // one capture round at a time
-std::atomic<bool> g_initialized{false};
-
-void CaptureSignalHandler(int /*sig*/) {
-  const int saved_errno = errno;
-  if (g_round.active.load(std::memory_order_acquire)) {
-    const std::size_t slot_idx =
-        g_round.next_slot.fetch_add(1, std::memory_order_acq_rel);
-    if (slot_idx < kMaxCapturedThreads) {
-      Slot& slot = g_round.slots[slot_idx];
-      slot.stack.tid = SigsafeTid();
-      slot.stack.frame_count = static_cast<std::uint32_t>(
-          CaptureOwnStack(slot.stack.frames, kMaxStackFrames));
-      slot.stack.complete = true;
-      slot.done.store(true, std::memory_order_release);
-      sem_post(&g_round.done_sem);
-    }
-  }
-  errno = saved_errno;
-}
-
-}  // namespace
 
 std::size_t CaptureOwnStack(void** frames, std::size_t max) {
   const int n = ::backtrace(frames, static_cast<int>(max));
@@ -73,107 +12,12 @@ std::size_t CaptureOwnStack(void** frames, std::size_t max) {
 }
 
 void InitStackCapture() {
-  bool expected = false;
-  if (!g_initialized.compare_exchange_strong(expected, true)) return;
-
+  static std::atomic<bool> initialized{false};
+  if (initialized.exchange(true)) return;
   // Force libgcc's unwinder to load now; the first backtrace() call
   // dlopens it, which must not happen inside a signal handler.
   void* warmup[4];
   ::backtrace(warmup, 4);
-
-  sem_init(&g_round.done_sem, 0, 0);
-
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = &CaptureSignalHandler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART;
-  sigaction(CaptureSignal(), &sa, nullptr);
-}
-
-std::size_t CaptureAllThreadStacks(ThreadStack* out, int deadline_ms) {
-  if (!g_initialized.load(std::memory_order_acquire)) InitStackCapture();
-  std::lock_guard<std::mutex> lock(g_capture_mutex);
-
-  // Drain any stale posts from a previous timed-out round.
-  while (sem_trywait(&g_round.done_sem) == 0) {
-  }
-  g_round.next_slot.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kMaxCapturedThreads; ++i) {
-    g_round.slots[i].done.store(false, std::memory_order_relaxed);
-    g_round.slots[i].stack = ThreadStack{};
-  }
-  g_round.active.store(true, std::memory_order_release);
-
-  // Enumerate threads and signal each. New threads spawned mid-capture
-  // are simply missed — acceptable for a diagnostic snapshot.
-  int tids[kMaxCapturedThreads];
-  std::size_t tid_count = 0;
-  const pid_t pid = ::getpid();
-  DIR* dir = ::opendir("/proc/self/task");
-  if (dir != nullptr) {
-    while (struct dirent* ent = ::readdir(dir)) {
-      if (ent->d_name[0] < '0' || ent->d_name[0] > '9') continue;
-      if (tid_count >= kMaxCapturedThreads) break;
-      const int tid = std::atoi(ent->d_name);
-      tids[tid_count++] = tid;
-      ::syscall(SYS_tgkill, pid, tid, CaptureSignal());
-    }
-    ::closedir(dir);
-  } else {
-    // Fallback: at least the calling thread.
-    const int tid = SigsafeTid();
-    tids[tid_count++] = tid;
-    ::syscall(SYS_tgkill, pid, tid, CaptureSignal());
-  }
-
-  // Wait for every signaled thread, bounded by the deadline.
-  timespec deadline{};
-  clock_gettime(CLOCK_REALTIME, &deadline);
-  deadline.tv_sec += deadline_ms / 1000;
-  deadline.tv_nsec += static_cast<long>(deadline_ms % 1000) * 1000000L;
-  if (deadline.tv_nsec >= 1000000000L) {
-    deadline.tv_sec += 1;
-    deadline.tv_nsec -= 1000000000L;
-  }
-  std::size_t responded = 0;
-  while (responded < tid_count) {
-    const int rc = sem_timedwait(&g_round.done_sem, &deadline);
-    if (rc == 0) {
-      ++responded;
-      continue;
-    }
-    if (errno == EINTR) continue;
-    break;  // ETIMEDOUT: report what we have
-  }
-  g_round.active.store(false, std::memory_order_release);
-
-  // Copy published slots out, then append complete=false entries for
-  // threads that never ran the handler.
-  std::size_t out_count = 0;
-  const std::size_t filled = g_round.next_slot.load(std::memory_order_acquire);
-  const std::size_t usable =
-      filled < kMaxCapturedThreads ? filled : kMaxCapturedThreads;
-  for (std::size_t i = 0; i < usable && out_count < kMaxCapturedThreads; ++i) {
-    if (!g_round.slots[i].done.load(std::memory_order_acquire)) continue;
-    out[out_count++] = g_round.slots[i].stack;
-  }
-  for (std::size_t t = 0; t < tid_count; ++t) {
-    bool found = false;
-    for (std::size_t i = 0; i < out_count; ++i) {
-      if (out[i].tid == tids[t]) {
-        found = true;
-        break;
-      }
-    }
-    if (!found && out_count < kMaxCapturedThreads) {
-      ThreadStack missing;
-      missing.tid = tids[t];
-      missing.complete = false;
-      out[out_count++] = missing;
-    }
-  }
-  return out_count;
 }
 
 }  // namespace dd::obs::diag

@@ -1,44 +1,21 @@
-// All-thread stack capture for stall dumps and live dumps. A capture
-// signal (SIGRTMIN, reserved for diagnostics) is sent to every thread
-// listed in /proc/self/task; each thread's handler writes raw
-// backtrace() addresses into a preassigned slot and posts a semaphore
-// (sem_post is async-signal-safe). The coordinator waits with a
-// deadline so a thread wedged in uninterruptible sleep cannot wedge the
-// dump too — missing threads are reported as incomplete rather than
-// blocking forever.
-//
-// Addresses are raw; symbolization happens offline in `ddtool diag`
-// (dump_reader) against the module map embedded in the same dump.
+// Own-thread stack capture for the fatal-signal handler and the
+// sampling profiler. Addresses are raw; symbolization happens offline
+// in `ddtool diag` (dump_reader) against the module map embedded in
+// the same dump.
 
 #ifndef DD_OBS_DIAG_STACK_CAPTURE_H_
 #define DD_OBS_DIAG_STACK_CAPTURE_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace dd::obs::diag {
 
 inline constexpr std::size_t kMaxStackFrames = 64;
-inline constexpr std::size_t kMaxCapturedThreads = 256;
 
-struct ThreadStack {
-  int tid = 0;
-  bool complete = false;  // handler ran and filled the frames
-  std::uint32_t frame_count = 0;
-  void* frames[kMaxStackFrames] = {nullptr};
-};
-
-// Installs the capture-signal handler and warms up backtrace() (libgcc
-// lazily loads its unwinder on first use, which is not signal-safe, so
-// we force that load now). Idempotent; called from EnableDiagnostics.
+// Warms up backtrace(): libgcc lazily loads its unwinder on first use,
+// which is not signal-safe, so we force that load now. Idempotent;
+// called from EnableDiagnostics and Profiler::Start.
 void InitStackCapture();
-
-// Captures the stacks of every thread in the process (including the
-// caller) into `out[0..kMaxCapturedThreads)`. Returns the number of
-// entries written. Threads that did not respond within `deadline_ms`
-// appear with complete=false. Safe from normal (non-handler) context
-// only — the fatal-signal path records just its own stack instead.
-std::size_t CaptureAllThreadStacks(ThreadStack* out, int deadline_ms);
 
 // Fills `frames` with up to `max` raw return addresses of the calling
 // thread via backtrace(). Async-signal-safe once InitStackCapture has

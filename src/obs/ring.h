@@ -15,12 +15,12 @@
 // atomic, which makes Read race-free under TSan and async-signal-safe
 // for the crash handler.
 //
-// RingTable<T, N> is the publish-once registration table the rings (and
-// the watchdog's heartbeats) are listed in: entries are created under a
-// mutex, published with a release store on the count, never removed,
-// and iterated lock-free — from a signal handler too. An entry's index
-// is its dense slot number. A full table still hands out entries; they
-// work but are not listed.
+// RingTable<T, N> is the publish-once registration table the rings are
+// listed in: entries are created under a mutex, published with a
+// release store on the count, never removed, and iterated lock-free —
+// from a signal handler too. An entry's index is its dense slot
+// number. A full table still hands out entries; they work but are not
+// listed.
 
 #ifndef DD_OBS_RING_H_
 #define DD_OBS_RING_H_

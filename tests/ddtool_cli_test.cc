@@ -316,9 +316,6 @@ TEST_F(DdtoolCliTest, OutOfRangeIntegerFlagsAreRefused) {
       {"explain " + Rest() + " --explain_sample 0", "--explain_sample"},
       {"explain " + Rest() + " --ring_capacity 16777217", "--ring_capacity"},
       {"determine " + Rest() + " --threads -1", "--threads"},
-      {"determine " + Rest() + " --diag_dir " + Path("diag") +
-           " --stall_timeout_ms 0",
-       "--stall_timeout_ms"},
       {"prof --top 0 " + Path("none.folded"), "--top"},
   };
   for (const Case& c : cases) {

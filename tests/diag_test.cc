@@ -1,8 +1,8 @@
-// Tests for the crash/stall diagnostics subsystem (src/obs/diag,
-// DESIGN.md §15): flight-recorder semantics, watchdog stall detection
-// with all-thread stack capture, crash-dump writing and the offline
-// reader, and the overriding contract that enabling diagnostics never
-// changes determination results.
+// Tests for the crash diagnostics subsystem (src/obs/diag, DESIGN.md
+// §15): flight-recorder semantics, crash-dump writing and its
+// batch-boundary metrics, the offline reader, and the overriding
+// contract that enabling diagnostics never changes determination
+// results.
 
 #include <signal.h>
 #include <sys/types.h>
@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -26,12 +25,12 @@
 #include "common/build_info.h"
 #include "common/parallel.h"
 #include "core/determiner.h"
+#include "data/generators.h"
+#include "incr/maintenance.h"
 #include "obs/diag/crash_dump.h"
 #include "obs/diag/dump_reader.h"
 #include "obs/diag/flight_recorder.h"
 #include "obs/diag/sigsafe.h"
-#include "obs/diag/stack_capture.h"
-#include "obs/diag/watchdog.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
@@ -58,7 +57,7 @@ std::string ReadFileOrEmpty(const std::string& path) {
 }
 
 // A unique scratch directory per test; removed on destruction so crash
-// stubs and stall dumps never leak between tests.
+// stubs and dumps never leak between tests.
 class ScratchDir {
  public:
   explicit ScratchDir(const char* tag) {
@@ -95,13 +94,8 @@ TEST(SigsafeTest, DecimalHexAndSignedFormatting) {
   SinkChar(sink, ' ');
   SinkDec(sink, 18446744073709551615ULL);
   SinkChar(sink, ' ');
-  SinkSignedDec(sink, -42);
-  SinkChar(sink, ' ');
-  SinkSignedDec(sink, INT64_MIN);
-  SinkChar(sink, ' ');
   SinkHex(sink, 0xdeadbeefULL);
-  EXPECT_EQ(out,
-            "0 18446744073709551615 -42 -9223372036854775808 0xdeadbeef");
+  EXPECT_EQ(out, "0 18446744073709551615 0xdeadbeef");
 }
 
 TEST(SigsafeTest, ClockAndRssAreLive) {
@@ -225,62 +219,12 @@ TEST(FlightRecorderTest, SnapshotWhileRecordingNeverTorn) {
 TEST(FlightRecorderTest, EventTypeNamesRoundTrip) {
   for (EventType type :
        {EventType::kSpanBegin, EventType::kSpanEnd, EventType::kBatch,
-        EventType::kDetermined, EventType::kApproxRound, EventType::kHeartbeat,
-        EventType::kServe, EventType::kStall, EventType::kCustom}) {
+        EventType::kDetermined, EventType::kApproxRound, EventType::kServe,
+        EventType::kCustom}) {
     EXPECT_EQ(EventTypeFromName(EventTypeName(type)), type);
   }
   EXPECT_EQ(EventTypeFromName("no-such-type"), EventType::kNone);
-}
-
-// ---------------------------------------------------------------------------
-// Heartbeats.
-
-TEST(HeartbeatTest, ArmNestsAndBeatClearsStallFlag) {
-  Heartbeat* hb = RegisterHeartbeat("test.nesting");
-  ASSERT_NE(hb, nullptr);
-  EXPECT_EQ(RegisterHeartbeat("test.nesting"), hb);  // Find, not create.
-  EXPECT_EQ(hb->armed.load(), 0);
-  {
-    ScopedHeartbeat outer(hb);
-    EXPECT_EQ(hb->armed.load(), 1);
-    {
-      ScopedHeartbeat inner(hb);
-      EXPECT_EQ(hb->armed.load(), 2);
-    }
-    EXPECT_EQ(hb->armed.load(), 1);
-    hb->in_stall.store(true);
-    outer.Beat();
-    EXPECT_FALSE(hb->in_stall.load());  // A beat ends the episode.
-  }
-  EXPECT_EQ(hb->armed.load(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Stack capture.
-
-TEST(StackCaptureTest, CapturesEveryRunningThread) {
-  InitStackCapture();
-  std::atomic<bool> stop{false};
-  std::thread busy([&] {
-    while (!stop.load()) std::this_thread::yield();
-  });
-
-  static ThreadStack stacks[kMaxCapturedThreads];
-  const std::size_t n = CaptureAllThreadStacks(stacks, /*deadline_ms=*/2000);
-  stop.store(true);
-  busy.join();
-
-  EXPECT_GE(n, 2u);  // At least this thread and the busy thread.
-  const int self = SigsafeTid();
-  bool saw_self = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (stacks[i].tid == self) {
-      saw_self = true;
-      EXPECT_TRUE(stacks[i].complete);
-      EXPECT_GT(stacks[i].frame_count, 0u);
-    }
-  }
-  EXPECT_TRUE(saw_self);
+  EXPECT_EQ(EventTypeFromName("unknown"), EventType::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +234,6 @@ TEST(CrashDumpTest, TestHookWritesParsableDump) {
   ScratchDir dir("crash");
   DiagOptions options;
   options.dir = dir.str();
-  options.start_watchdog = false;
   options.install_signal_handlers = false;
   ASSERT_TRUE(EnableDiagnostics(options));
   MetricsRegistry::Global().GetCounter("diag.test_counter").Add(3);
@@ -326,11 +269,6 @@ TEST(CrashDumpTest, TestHookWritesParsableDump) {
     }
   }
   EXPECT_TRUE(saw_event);
-  bool saw_pool_heartbeat = false;
-  for (const auto& hb : dump.heartbeats) {
-    if (hb.name == "pool.chunk") saw_pool_heartbeat = true;
-  }
-  EXPECT_TRUE(saw_pool_heartbeat);
 
   SymbolizeDump(&dump);
   const std::string pretty = DiagDumpToText(dump);
@@ -350,11 +288,9 @@ TEST(CrashDumpTest, RealFatalSignalInForkedChild) {
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // In the child: arm diagnostics (no watchdog thread — forked
-    // children must stay single-threaded) and die for real.
+    // In the child: arm diagnostics and die for real.
     DiagOptions options;
     options.dir = dir.str();
-    options.start_watchdog = false;
     EnableDiagnostics(options);
     FlightRecord(EventType::kCustom, "child-event", 1, 0);
     ::raise(SIGSEGV);
@@ -387,7 +323,6 @@ TEST(CrashDumpTest, CleanDisableRemovesEmptyCrashStub) {
   ScratchDir dir("stub");
   DiagOptions options;
   options.dir = dir.str();
-  options.start_watchdog = false;
   options.install_signal_handlers = false;
   ASSERT_TRUE(EnableDiagnostics(options));
   ASSERT_EQ(dir.Files("crash.").size(), 1u);  // Pre-opened stub.
@@ -395,30 +330,80 @@ TEST(CrashDumpTest, CleanDisableRemovesEmptyCrashStub) {
   EXPECT_TRUE(dir.Files("crash.").empty());
 }
 
-TEST(LiveDumpTest, CaptureCarriesAllThreadStacks) {
-  ScratchDir dir("live");
+// The threads of this process, as /proc/self/task lists them.
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// The handler `sig` is delivered to (SIG_DFL, SIG_IGN or a function).
+void* Disposition(int sig) {
+  struct sigaction current;
+  if (sigaction(sig, nullptr, &current) != 0) return nullptr;
+  return reinterpret_cast<void*>(current.sa_handler);
+}
+
+TEST(CrashDumpTest, EnableStartsNoThreadAndNoStallSignals) {
+  ScratchDir dir("threads");
   DiagOptions options;
   options.dir = dir.str();
-  options.start_watchdog = false;
+  const std::size_t threads = ThreadCount();
+  void* const usr2 = Disposition(SIGUSR2);
+  void* const rtmin = Disposition(SIGRTMIN);
+  void* const segv = Disposition(SIGSEGV);
+  ASSERT_TRUE(EnableDiagnostics(options));
+  EXPECT_EQ(ThreadCount(), threads);
+  EXPECT_EQ(Disposition(SIGUSR2), usr2);
+  EXPECT_EQ(Disposition(SIGRTMIN), rtmin);
+  EXPECT_NE(Disposition(SIGSEGV), segv);  // The crash handler.
+  DisableDiagnostics();
+}
+
+// Nothing renders the metrics preamble in the background: an applied
+// incremental batch re-renders it, so a crash right after the batch
+// reports the batch's own gauges.
+TEST(CrashDumpTest, AppliedBatchRefreshesDumpMetrics) {
+  ScratchDir dir("batch");
+  DiagOptions options;
+  options.dir = dir.str();
   options.install_signal_handlers = false;
+  // A value no batch sets, rendered into the preamble at enable time.
+  MetricsRegistry::Global().GetGauge("incr.batch_seq").Set(-7.0);
   ASSERT_TRUE(EnableDiagnostics(options));
 
-  std::atomic<bool> stop{false};
-  std::thread busy([&] {
-    while (!stop.load()) std::this_thread::yield();
-  });
-  const std::string text = CaptureLiveDump("live");
-  stop.store(true);
-  busy.join();
+  CoraOptions cora;
+  cora.num_entities = 10;
+  cora.seed = 7;
+  const GeneratedData data = GenerateCora(cora);
+  MaintenanceOptions engine_options;
+  engine_options.incremental.matching.dmax = 6;
+  auto engine = MaintenanceEngine::Create(
+      data.relation.schema(), RuleSpec{{"author", "title"}, {"venue"}},
+      engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  std::vector<std::vector<std::string>> inserts;
+  for (std::size_t r = 0; r < 12; ++r) inserts.push_back(data.relation.row(r));
+  auto outcome = engine->ApplyBatch(inserts, {});
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_EQ(outcome->batch_seq, 1u);
 
+  internal::WriteCrashDumpForTest(SIGSEGV);
+  DisableDiagnostics();
+  const auto files = dir.Files("crash.");
+  ASSERT_EQ(files.size(), 1u);
   DiagDump dump;
   std::string error;
-  ASSERT_TRUE(ParseDiagDump(text, &dump, &error)) << error;
+  ASSERT_TRUE(ParseDiagDump(ReadFileOrEmpty(files[0]), &dump, &error))
+      << error;
   EXPECT_TRUE(dump.complete);
-  EXPECT_EQ(dump.reason, "live");
-  EXPECT_GE(dump.backtraces.size(), 2u);  // Main + busy thread.
-  EXPECT_GT(dump.TotalFrames(), 0u);
-  DisableDiagnostics();
+  EXPECT_NE(dump.metrics_text.find("\"incr.batch_seq\":1.000000"),
+            std::string::npos)
+      << dump.metrics_text;
 }
 
 TEST(DumpReaderTest, RejectsTextWithoutMagic) {
@@ -433,10 +418,12 @@ TEST(DumpReaderTest, TruncatedDumpParsesButIsIncomplete) {
   ScratchDir dir("trunc");
   DiagOptions options;
   options.dir = dir.str();
-  options.start_watchdog = false;
   options.install_signal_handlers = false;
   ASSERT_TRUE(EnableDiagnostics(options));
-  std::string text = CaptureLiveDump("live");
+  internal::WriteCrashDumpForTest(SIGSEGV);
+  const auto files = dir.Files("crash.");
+  ASSERT_EQ(files.size(), 1u);
+  std::string text = ReadFileOrEmpty(files[0]);
   DisableDiagnostics();
 
   // Chop mid-file, as a crash during dump writing would: everything
@@ -452,8 +439,8 @@ TEST(DumpReaderTest, TruncatedDumpParsesButIsIncomplete) {
 }
 
 // A section header the reader does not know (one a newer writer added,
-// or the `--- ftdc` section older writers emitted) must not be parsed
-// as the section before it.
+// or the `--- heartbeats` and `--- ftdc` sections older writers
+// emitted) must not be parsed as the section before it.
 TEST(DumpReaderTest, UnknownSectionsAreSkipped) {
   const std::string metrics = "{\"counters\":{\"serve.rows\":3}}";
   const std::string text =
@@ -472,88 +459,12 @@ TEST(DumpReaderTest, UnknownSectionsAreSkipped) {
   DiagDump dump;
   std::string error;
   ASSERT_TRUE(ParseDiagDump(text, &dump, &error)) << error;
-  ASSERT_EQ(dump.heartbeats.size(), 1u);
-  EXPECT_EQ(dump.heartbeats[0].name, "feed.loop");
-  EXPECT_EQ(dump.heartbeats[0].beats, 3u);
+  EXPECT_TRUE(dump.backtraces.empty());
+  EXPECT_TRUE(dump.flight_events.empty());
+  EXPECT_TRUE(dump.modules.empty());
+  EXPECT_EQ(DiagDumpToJson(dump).find("feed.loop"), std::string::npos);
   EXPECT_EQ(dump.metrics_text, metrics + "\n");
   EXPECT_TRUE(dump.complete);
-}
-
-// ---------------------------------------------------------------------------
-// Watchdog stall detection.
-
-TEST(WatchdogTest, DetectsInjectedTwoSecondStallWithAllThreadStacks) {
-  ScratchDir dir("stall");
-  DiagOptions options;
-  options.dir = dir.str();
-  options.install_signal_handlers = false;
-  options.watchdog_interval_ms = 100;
-  options.stall_timeout_ms = 2000;
-  ASSERT_TRUE(EnableDiagnostics(options));
-  ASSERT_TRUE(Watchdog::Running());
-  const std::uint64_t stalls_before = Watchdog::StallsDetected();
-
-  Heartbeat* hb = RegisterHeartbeat("test.stall");
-  {
-    // Armed, then silent past the timeout: the injected stall.
-    ScopedHeartbeat armed(hb);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(8);
-    while (Watchdog::StallsDetected() == stalls_before &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  EXPECT_GT(Watchdog::StallsDetected(), stalls_before);
-
-  const auto files = dir.Files("stall.");
-  ASSERT_FALSE(files.empty());
-  DiagDump dump;
-  std::string error;
-  ASSERT_TRUE(ParseDiagDump(ReadFileOrEmpty(files[0]), &dump, &error))
-      << error;
-  EXPECT_TRUE(dump.complete);
-  EXPECT_EQ(dump.reason, "stall");
-  // All-thread capture: at least the test thread and the watchdog.
-  EXPECT_GE(dump.backtraces.size(), 2u);
-  EXPECT_GT(dump.TotalFrames(), 0u);
-  bool saw_stalled = false;
-  for (const auto& line : dump.heartbeats) {
-    if (line.name == "test.stall") {
-      saw_stalled = true;
-      EXPECT_GE(line.armed, 1);
-    }
-  }
-  EXPECT_TRUE(saw_stalled);
-  // One dump per silent episode, not one per tick: the stall lasted
-  // many intervals but must not have produced a dump flood.
-  EXPECT_LE(dir.Files("stall.").size(), 2u);
-  DisableDiagnostics();
-}
-
-TEST(WatchdogTest, OnDemandDumpRequestIsServicedByNextTick) {
-  ScratchDir dir("ondemand");
-  DiagOptions options;
-  options.dir = dir.str();
-  options.install_signal_handlers = false;
-  options.watchdog_interval_ms = 50;
-  ASSERT_TRUE(EnableDiagnostics(options));
-  RequestOnDemandDump();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (dir.Files("ondemand.").empty() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  const auto files = dir.Files("ondemand.");
-  ASSERT_FALSE(files.empty());
-  DiagDump dump;
-  std::string error;
-  ASSERT_TRUE(ParseDiagDump(ReadFileOrEmpty(files[0]), &dump, &error))
-      << error;
-  EXPECT_EQ(dump.reason, "on_demand");
-  EXPECT_TRUE(dump.complete);
-  DisableDiagnostics();
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +489,6 @@ TEST(DiagDeterminismTest, ResultsIdenticalWithDiagnosticsOnAndOff) {
     DiagOptions diag;
     diag.dir = dir.str();
     diag.install_signal_handlers = false;
-    diag.watchdog_interval_ms = 20;  // Aggressive ticking on purpose.
     ASSERT_TRUE(EnableDiagnostics(diag));
     auto instrumented = DetermineThresholds(m, rule, opts);
     DisableDiagnostics();

@@ -107,8 +107,8 @@
 // --top >= 1 (discover: >= 0, 0 = every rule; prof: >= 1);
 // --max-lhs >= 0; --sample_target >= 1; --entities 0..2^32-1;
 // --batch >= 1; --retire >= 0; --explain_sample >= 1;
-// --ring_capacity 1..2^24; --threads >= 0; --stall_timeout_ms
-// 1..2^31-1; --profile_hz 1..10000; --seed any int64.
+// --ring_capacity 1..2^24; --threads >= 0; --profile_hz 1..10000;
+// --seed any int64.
 //
 // A flag no subcommand reads (a typo, or a flag that was removed) is
 // refused with exit status 1.
@@ -147,7 +147,6 @@
 #include "obs/diag/crash_dump.h"
 #include "obs/diag/dump_reader.h"
 #include "obs/diag/flight_recorder.h"
-#include "obs/diag/watchdog.h"
 #include "obs/explain/audit.h"
 #include "obs/explain/recorder.h"
 #include "obs/log.h"
@@ -170,8 +169,8 @@ const std::vector<std::string> kKnownFlags = {
     "metric", "no_blocking", "no_symbolize", "order", "out", "pattern",
     "print_stats", "profile", "profile_hz", "profile_out", "provider",
     "retire", "rhs", "ring_capacity", "rows", "run_id", "sample_target",
-    "save-matching", "seed", "simd", "stall_timeout_ms", "threads", "top",
-    "trace_json", "truth-out",
+    "save-matching", "seed", "simd", "threads", "top", "trace_json",
+    "truth-out",
 };
 
 // Rows as MaintenanceEngine::ApplyBatch takes them.
@@ -483,7 +482,8 @@ struct Determination {
 // search the matching relation (built from --input or read from
 // --load-matching, and written to --save-matching when given). --approx
 // runs refine over a stratified sample of the --input CSV and never
-// materialize the relation.
+// materialize the relation. With --diag_dir, the crash dump's metrics
+// are re-rendered once the determination is done.
 dd::Result<Determination> Determine(const dd::ArgParser& args) {
   Determination run;
   DD_ASSIGN_OR_RETURN(run.rule, RuleFromFlags(args));
@@ -501,6 +501,7 @@ dd::Result<Determination> Determine(const dd::ArgParser& args) {
     DD_ASSIGN_OR_RETURN(run.outcome.determine,
                         dd::DetermineThresholds(matching, run.rule,
                                                 run.options));
+    dd::obs::diag::RefreshPreamble();
     return run;
   }
   if (args.Has("save-matching") || args.Has("load-matching")) {
@@ -518,6 +519,7 @@ dd::Result<Determination> Determine(const dd::ArgParser& args) {
   DD_ASSIGN_OR_RETURN(options.approx, ApproxFromFlags(args));
   DD_ASSIGN_OR_RETURN(run.outcome, dd::approx::ApproxDetermineThresholds(
                                        relation, run.rule, moptions, options));
+  dd::obs::diag::RefreshPreamble();
   return run;
 }
 
@@ -910,12 +912,11 @@ dd::Status FeedStdin(std::size_t columns, std::size_t batch_rows,
 }
 
 // The feed driver of append (prints the final state), watch (streams
-// one change-feed line per batch) and serve (the same feed lines;
-// SIGUSR2 with --diag_dir dumps its state on demand). Feeds the base
-// instance (--input) as the first batch, then either --rows in
-// --batch-row chunks, where --retire k deletes the k oldest live tuples
-// with every chunk to exercise the delete path (append / watch), or
-// the rows read from stdin (serve).
+// one change-feed line per batch) and serve (the same feed lines).
+// Feeds the base instance (--input) as the first batch, then either
+// --rows in --batch-row chunks, where --retire k deletes the k oldest
+// live tuples with every chunk to exercise the delete path (append /
+// watch), or the rows read from stdin (serve).
 dd::Status RunFeed(const dd::ArgParser& args, const std::string& command) {
   const bool serve = command == "serve";
   const bool watch = command != "append";
@@ -960,15 +961,8 @@ dd::Status RunFeed(const dd::ArgParser& args, const std::string& command) {
 
   const bool json = args.Has("json");
   FeedPrinter printer(json, run_id);
-  // The heartbeat is armed only while a batch is being applied: the
-  // loop legitimately idles between batches (serve blocks on stdin
-  // indefinitely), and an armed-but-idle heartbeat would read as a
-  // stall to the watchdog.
-  dd::obs::diag::Heartbeat* heartbeat =
-      dd::obs::diag::RegisterHeartbeat(serve ? "serve.loop" : "feed.loop");
   auto apply = [&](const Rows& inserts,
                    const std::vector<std::uint32_t>& deletes) -> dd::Status {
-    dd::obs::diag::ScopedHeartbeat scoped_heartbeat(heartbeat);
     DD_ASSIGN_OR_RETURN(const dd::BatchOutcome outcome,
                         engine.ApplyBatch(inserts, deletes));
     dd::obs::diag::FlightRecord(dd::obs::diag::EventType::kServe,
@@ -1001,8 +995,8 @@ dd::Status RunFeed(const dd::ArgParser& args, const std::string& command) {
   return dd::Status::Ok();
 }
 
-// Offline reader for .dddump files (crash, stall, on-demand, or live
-// dumps — they share one format). Parses, symbolizes against the
+// Offline reader for .dddump crash dumps (an older dump's
+// `--- heartbeats` section is skipped). Parses, symbolizes against the
 // modules loaded in this process, and pretty-prints. Succeeds only when
 // the dump is complete and carries at least one backtrace frame — the
 // contract the crash-injection smoke test asserts.
@@ -1157,18 +1151,15 @@ int main(int argc, char** argv) {
   if (args.Has("trace_json")) {
     dd::obs::PoolStatsCollector::Global().Enable();
   }
-  // --diag_dir arms crash/stall diagnostics for any subcommand: fatal
-  // signal handlers, the watchdog, the flight recorder, and SIGUSR2
-  // on-demand dumps, all writing .dddump files into the directory.
+  // --diag_dir arms crash diagnostics for any subcommand: fatal signal
+  // handlers and the flight recorder, writing a .dddump crash dump into
+  // the directory.
   if (args.Has("diag_dir")) {
     dd::obs::diag::DiagOptions diag_options;
     diag_options.dir = args.GetString("diag_dir");
     if (diag_options.dir.empty()) {
       return Fail(dd::Status::InvalidArgument("--diag_dir needs a directory"));
     }
-    auto stall = args.GetInt("stall_timeout_ms", 30000, 1, INT32_MAX);
-    if (!stall.ok()) return Fail(stall.status());
-    diag_options.stall_timeout_ms = static_cast<int>(*stall);
     if (!dd::obs::diag::EnableDiagnostics(diag_options)) {
       return Fail(dd::Status::IoError("cannot enable diagnostics in " +
                                       diag_options.dir));
