@@ -2,6 +2,9 @@
 // sampled builds over the synthetic generators, and the pair fill
 // (FillAllPairs) alone.
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,6 +54,106 @@ void BM_BuildMatchingSampled(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BuildMatchingSampled)->Arg(5000)->Arg(20000)->Arg(50000);
+
+// A sampled build against the full build of the same relation, one
+// thread. Arg = max_pairs; 0 is the full build, and a negative arg
+// leaves that many pairs out of the total. Each row reports the wall
+// time per built pair of its fastest iteration (ns_per_pair) and that
+// cost over the full build's (ratio_to_full: the fastest of three
+// untimed full builds and of the Arg(0) row's iterations). Fastest
+// against fastest keeps a noisy host's slow phases out of the ratio.
+struct SampledShape {
+  dd::Relation relation;
+  std::vector<std::string> attrs;
+  dd::MatchingOptions options;
+};
+
+double BuildNsPerPair(const SampledShape& shape,
+                      const dd::MatchingOptions& options,
+                      std::size_t* pairs) {
+  const auto start = std::chrono::steady_clock::now();
+  auto m = dd::BuildMatchingRelation(shape.relation, shape.attrs, options);
+  const auto stop = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(m);
+  *pairs = m.ok() ? m->num_tuples() : 0;
+  return std::chrono::duration<double, std::nano>(stop - start).count() /
+         static_cast<double>(std::max<std::size_t>(*pairs, 1));
+}
+
+void RunSampledVsFull(benchmark::State& state, const SampledShape& shape,
+                      double* full_ns_per_pair) {
+  dd::MatchingOptions options = shape.options;
+  std::size_t pairs = 0;
+  if (*full_ns_per_pair == 0) {
+    *full_ns_per_pair = BuildNsPerPair(shape, options, &pairs);
+    for (int rep = 0; rep < 2; ++rep) {
+      *full_ns_per_pair =
+          std::min(*full_ns_per_pair, BuildNsPerPair(shape, options, &pairs));
+    }
+  }
+  const std::uint64_t n = shape.relation.num_rows();
+  const std::int64_t arg = state.range(0);
+  options.max_pairs = arg >= 0 ? static_cast<std::size_t>(arg)
+                               : n * (n - 1) / 2 - static_cast<std::size_t>(
+                                                       -arg);
+  double ns_per_pair = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    ns_per_pair =
+        std::min(ns_per_pair, BuildNsPerPair(shape, options, &pairs));
+  }
+  if (arg == 0) *full_ns_per_pair = std::min(*full_ns_per_pair, ns_per_pair);
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["ns_per_pair"] = ns_per_pair;
+  state.counters["ratio_to_full"] = ns_per_pair / *full_ns_per_pair;
+}
+
+// scan-search's set-up (perfbench): about 700 Cora rows, the rule's four
+// attributes with qgram2 on year, 200k of about 245k pairs.
+void BM_SampledVsFullScanSearchShape(benchmark::State& state) {
+  static const SampledShape shape = [] {
+    dd::CoraOptions gopts;
+    gopts.num_entities = 200;
+    SampledShape s{dd::GenerateCora(gopts).relation,
+                   {"author", "title", "venue", "year"},
+                   {}};
+    s.options.dmax = 10;
+    s.options.threads = 1;
+    s.options.metric_overrides["year"] = "qgram2";
+    return s;
+  }();
+  static double full_ns_per_pair = 0;
+  RunSampledVsFull(state, shape, &full_ns_per_pair);
+}
+BENCHMARK(BM_SampledVsFullScanSearchShape)
+    ->Arg(0)
+    ->Arg(200000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// A larger relation, one attribute: 1373 Cora rows (941,878 pairs) at
+// 200k, 600k and all but 376 pairs, the near-total sample that pays the
+// rejection draws' coupon-collector tail.
+void BM_SampledVsFullCora1373(benchmark::State& state) {
+  static const SampledShape shape = [] {
+    dd::CoraOptions gopts;
+    gopts.num_entities = 400;
+    SampledShape s{dd::GenerateCora(gopts).relation.Slice(0, 1373).value(),
+                   {"title"},
+                   {}};
+    s.options.dmax = 10;
+    s.options.threads = 1;
+    return s;
+  }();
+  static double full_ns_per_pair = 0;
+  RunSampledVsFull(state, shape, &full_ns_per_pair);
+}
+BENCHMARK(BM_SampledVsFullCora1373)
+    ->Arg(0)
+    ->Arg(200000)
+    ->Arg(600000)
+    ->Arg(-376)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Thread sweep of the parallel triangular build (arg = worker-pool
 // size); compare against Arg(1) for the speedup.

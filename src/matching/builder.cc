@@ -91,44 +91,65 @@ void PairLevelSource::Levels(std::uint32_t i, std::uint32_t j_begin,
                              std::uint32_t j_end, Level* out,
                              std::size_t attr_stride, std::size_t pair_stride,
                              MetricWork* work) const {
-  const std::size_t run = j_end - j_begin;
+  for (std::size_t a = 0; a < attrs_.size(); ++a) {
+    const std::vector<std::uint32_t>& row_ids = attrs_[a].index.row_ids;
+    AttrLevels(a, row_ids[i], row_ids.data() + j_begin, j_end - j_begin,
+               out + a * attr_stride, pair_stride, work);
+  }
+}
+
+void PairLevelSource::Levels(std::uint32_t i,
+                             std::span<const std::uint32_t> js, Level* out,
+                             std::size_t attr_stride, std::size_t pair_stride,
+                             MetricWork* work) const {
+  // The listed positions' value ids; per thread, like AttrLevels'
+  // operands.
+  thread_local std::vector<std::uint32_t> ids;
+  ids.resize(js.size());
+  for (std::size_t a = 0; a < attrs_.size(); ++a) {
+    const std::vector<std::uint32_t>& row_ids = attrs_[a].index.row_ids;
+    for (std::size_t r = 0; r < js.size(); ++r) ids[r] = row_ids[js[r]];
+    AttrLevels(a, row_ids[i], ids.data(), js.size(), out + a * attr_stride,
+               pair_stride, work);
+  }
+}
+
+void PairLevelSource::AttrLevels(std::size_t a, std::uint32_t id_i,
+                                 const std::uint32_t* ids, std::size_t run,
+                                 Level* column, std::size_t pair_stride,
+                                 MetricWork* work) const {
+  const AttrLevelSource& attr = attrs_[a];
+  if (attr.table != nullptr) {
+    for (std::size_t r = 0; r < run; ++r) {
+      column[r * pair_stride] = attr.table->LevelOf(id_i, ids[r]);
+    }
+    return;
+  }
+  if (attr.rows != nullptr) {
+    const Level* row = attr.rows->Row(id_i);
+    for (std::size_t r = 0; r < run; ++r) {
+      column[r * pair_stride] = row[ids[r]];
+    }
+    return;
+  }
   // The metric route's operands; per thread, so concurrent callers
   // never share them and a run allocates nothing once warm.
   thread_local std::vector<std::uint32_t> others;
   thread_local std::vector<double> raw;
-  for (std::size_t a = 0; a < attrs_.size(); ++a) {
-    const AttrLevelSource& attr = attrs_[a];
-    const std::uint32_t* ids = attr.index.row_ids.data() + j_begin;
-    const std::uint32_t id_i = attr.index.row_ids[i];
-    Level* column = out + a * attr_stride;
-    if (attr.table != nullptr) {
-      for (std::size_t r = 0; r < run; ++r) {
-        column[r * pair_stride] = attr.table->LevelOf(id_i, ids[r]);
-      }
-      continue;
-    }
-    if (attr.rows != nullptr) {
-      const Level* row = attr.rows->Row(id_i);
-      for (std::size_t r = 0; r < run; ++r) {
-        column[r * pair_stride] = row[ids[r]];
-      }
-      continue;
-    }
-    others.clear();
-    for (std::size_t r = 0; r < run; ++r) {
-      if (ids[r] != id_i) others.push_back(ids[r]);
-    }
-    const double scale = resolved_.scales[a];
-    // Any raw distance mapping to >= dmax is equivalent, so the metric
-    // may stop early at raw cap = dmax / scale.
-    const double cap = static_cast<double>(resolved_.dmax) / scale;
-    raw.resize(others.size());
-    work->computed += others.size();
-    work->bounded += attr.column->BoundedDistanceMany(id_i, others, cap, raw);
-    for (std::size_t r = 0, k = 0; r < run; ++r) {
-      column[r * pair_stride] =  // d(x, x) = 0, a metric axiom.
-          ids[r] == id_i ? 0 : BucketDistance(raw[k++], scale, resolved_.dmax);
-    }
+  others.clear();
+  for (std::size_t r = 0; r < run; ++r) {
+    if (ids[r] != id_i) others.push_back(ids[r]);
+  }
+  const double scale = resolved_.scales[a];
+  // Any raw distance mapping to >= dmax is equivalent, so the metric
+  // may stop early at raw cap = dmax / scale.
+  const double cap = static_cast<double>(resolved_.dmax) / scale;
+  raw.resize(others.size());
+  work->computed += others.size();
+  work->bounded += attr.column->BoundedDistanceMany(id_i, others, cap, raw);
+  for (std::size_t r = 0, k = 0; r < run; ++r) {
+    column[r * pair_stride] =  // d(x, x) = 0, a metric axiom.
+        ids[r] == id_i ? 0 : BucketDistance(raw[k++], scale, resolved_.dmax);
   }
 }
 
@@ -175,14 +196,30 @@ MetricWork FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
   MetricWork total;
   ParallelFor("matching_build.sampled", ks.size(), threads,
               [&](std::size_t, std::size_t begin, std::size_t end) {
-                std::vector<Level> levels(num_attrs);
+                std::vector<std::uint32_t> js;
+                std::vector<Level> levels;
                 MetricWork work;
-                for (std::size_t r = begin; r < end; ++r) {
-                  auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source.Levels(i, j, j + 1, levels.data(),
-                                /*attr_stride=*/1, /*pair_stride=*/1, &work);
-                  out->StoreLevels(offset + r, 1, levels.data(), 1);
-                  out->SetPair(offset + r, i, j);
+                // One run per row i: the chunk's sampled partners of i,
+                // which are adjacent in the sorted ks.
+                for (std::size_t r = begin; r < end;) {
+                  const std::uint32_t i = DecodeTriangularPair(ks[r], n).first;
+                  // Pair (i, j) has index start + (j - i - 1).
+                  const std::uint64_t start = EncodeTriangularPair(i, i + 1, n);
+                  const std::uint64_t stop = start + (n - 1 - i);
+                  js.clear();
+                  for (; r < end && ks[r] < stop; ++r) {
+                    js.push_back(
+                        static_cast<std::uint32_t>(i + 1 + (ks[r] - start)));
+                  }
+                  const std::size_t run = js.size();
+                  const std::size_t first = offset + r - run;
+                  levels.resize(run * num_attrs);
+                  source.Levels(i, js, levels.data(), /*attr_stride=*/run,
+                                /*pair_stride=*/1, &work);
+                  out->StoreLevels(first, run, levels.data(), run);
+                  for (std::size_t p = 0; p < run; ++p) {
+                    out->SetPair(first + p, i, js[p]);
+                  }
                 }
                 std::lock_guard<std::mutex> lock(mu);
                 total += work;

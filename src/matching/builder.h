@@ -147,6 +147,12 @@ class PairLevelSource {
               Level* out, std::size_t attr_stride, std::size_t pair_stride,
               MetricWork* work) const;
 
+  // The same for the listed positions: the r-th pair is (i, js[r]), and
+  // the listed pairs form one run.
+  void Levels(std::uint32_t i, std::span<const std::uint32_t> js, Level* out,
+              std::size_t attr_stride, std::size_t pair_stride,
+              MetricWork* work) const;
+
   // Metric work spent on the level tables and rows.
   const MetricWork& precomputed() const { return precomputed_; }
 
@@ -175,6 +181,12 @@ class PairLevelSource {
   }
 
  private:
+  // Both forms of Levels for attribute `a`: the levels of value id_i
+  // against ids[0, run) into column[r * pair_stride].
+  void AttrLevels(std::size_t a, std::uint32_t id_i, const std::uint32_t* ids,
+                  std::size_t run, Level* column, std::size_t pair_stride,
+                  MetricWork* work) const;
+
   const ResolvedMetrics& resolved_;
   std::vector<AttrLevelSource> attrs_;
   MetricWork precomputed_;
@@ -191,8 +203,11 @@ MetricWork FillAllPairs(const PairLevelSource& source,
                         std::size_t threads, MatchingRelation* out);
 
 // Appends to `out` the pairs at the sorted triangular indices `ks` over
-// `n` positions, which equal tuple ids (a whole-relation source). Each
-// pair is a run of one. Returns the metric work of the queries.
+// `n` positions, which equal tuple ids (a whole-relation source). The
+// sampled partners of one row i are one run of the listed-positions
+// Levels, stored one column at a time. Parallel over `threads`; a chunk
+// boundary may split a row's run, and the result is bit-identical at
+// any thread count. Returns the metric work of the queries.
 MetricWork FillSampledPairs(const PairLevelSource& source, std::uint64_t n,
                             std::span<const std::uint64_t> ks,
                             std::size_t threads, MatchingRelation* out);

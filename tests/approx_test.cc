@@ -173,6 +173,113 @@ TEST(PairSamplerTest, SameSeedSameSample) {
   EXPECT_NE(a.GrowTo(1000), c.GrowTo(1000));
 }
 
+// The sample by its definition: the first `target` distinct seeded
+// draws that are not excluded, sorted.
+std::vector<std::uint64_t> NaiveDraws(
+    std::uint64_t total, std::uint64_t seed,
+    const std::vector<std::uint64_t>& excluded, std::uint64_t target) {
+  Rng rng(seed);
+  std::set<std::uint64_t> chosen;
+  while (chosen.size() < target) {
+    const std::uint64_t k = rng.NextBounded(total);
+    if (!std::binary_search(excluded.begin(), excluded.end(), k)) {
+      chosen.insert(k);
+    }
+  }
+  return {chosen.begin(), chosen.end()};
+}
+
+// 300 and 900 of 100,000 stay in the hash set (the bitmap takes over at
+// 1,563); 9,000 moves the set into the bitmap. The grown sample equals
+// one GrowTo(9000), which draws into the bitmap from the start.
+TEST(PairSamplerTest, GrowthAcrossTheSwitchPointKeepsThePrefix) {
+  PairSampler grown(100000, 99, {});
+  std::vector<std::uint64_t> acc = grown.GrowTo(300);
+  EXPECT_FALSE(grown.uses_bitmap());
+  std::vector<std::uint64_t> step = grown.GrowTo(900);
+  EXPECT_FALSE(grown.uses_bitmap());
+  acc.insert(acc.end(), step.begin(), step.end());
+  step = grown.GrowTo(9000);
+  EXPECT_TRUE(grown.uses_bitmap());
+  EXPECT_TRUE(std::is_sorted(step.begin(), step.end()));
+  acc.insert(acc.end(), step.begin(), step.end());
+  std::sort(acc.begin(), acc.end());
+
+  PairSampler once(100000, 99, {});
+  EXPECT_EQ(acc, once.GrowTo(9000));
+  EXPECT_TRUE(once.uses_bitmap());
+  EXPECT_EQ(grown.sampled(), 9000u);
+}
+
+TEST(PairSamplerTest, BothFormsDrawTheNaiveSample) {
+  std::vector<std::uint64_t> excluded;
+  for (std::uint64_t k = 3; k < 100000; k += 11) excluded.push_back(k);
+  PairSampler set_form(100000, 5, excluded);
+  EXPECT_EQ(set_form.GrowTo(1000), NaiveDraws(100000, 5, excluded, 1000));
+  EXPECT_FALSE(set_form.uses_bitmap());
+
+  excluded.resize(100);
+  PairSampler bitmap_form(10000, 6, excluded);
+  EXPECT_EQ(bitmap_form.GrowTo(3000), NaiveDraws(10000, 6, excluded, 3000));
+  EXPECT_TRUE(bitmap_form.uses_bitmap());
+}
+
+// No draw lands on an exclusion, and asking for the whole population
+// enumerates the rest, ascending.
+void ExpectExclusionsAndEnumeration(std::uint64_t total,
+                                    const std::vector<std::uint64_t>& excluded,
+                                    bool bitmap) {
+  PairSampler sampler(total, 3, excluded);
+  std::vector<std::uint64_t> all = sampler.GrowTo(sampler.population() / 2);
+  EXPECT_EQ(sampler.uses_bitmap(), bitmap);
+  for (const std::uint64_t k : all) {
+    ASSERT_FALSE(std::binary_search(excluded.begin(), excluded.end(), k));
+  }
+  const std::vector<std::uint64_t> rest = sampler.GrowTo(total);
+  EXPECT_TRUE(std::is_sorted(rest.begin(), rest.end()));
+  EXPECT_TRUE(sampler.exhausted());
+  EXPECT_TRUE(sampler.GrowTo(total).empty());
+  all.insert(all.end(), rest.begin(), rest.end());
+  std::sort(all.begin(), all.end());
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t k = 0; k < total; ++k) {
+    if (!std::binary_search(excluded.begin(), excluded.end(), k)) {
+      expected.push_back(k);
+    }
+  }
+  EXPECT_EQ(all, expected);
+}
+
+// Bitmap form: every 7th of 5,000 pairs excluded, a population that
+// does not fill the bitmap's last word. Set form: 50 of 6,400 pairs left
+// after the exclusions, below the bitmap's 100.
+TEST(PairSamplerTest, ExclusionsAndEnumerationInBothForms) {
+  std::vector<std::uint64_t> excluded;
+  for (std::uint64_t k = 0; k < 5000; k += 7) excluded.push_back(k);
+  ExpectExclusionsAndEnumeration(5000, excluded, /*bitmap=*/true);
+  excluded.clear();
+  for (std::uint64_t k = 0; k < 6400; ++k) {
+    if (k % 128 != 0) excluded.push_back(k);
+  }
+  ExpectExclusionsAndEnumeration(6400, excluded, /*bitmap=*/false);
+}
+
+// 1,000 of the 4,999,950,000 pairs of 100k rows stay in the hash set: a
+// bitmap would take 625 MB. At the switch point the bitmap holds 8 B per
+// sampled pair.
+TEST(PairSamplerTest, MemoryFollowsTheForm) {
+  PairSampler sparse(4999950000ull, 1, {});
+  EXPECT_EQ(sparse.GrowTo(1000).size(), 1000u);
+  EXPECT_FALSE(sparse.uses_bitmap());
+  EXPECT_GE(sparse.MemoryUsageBytes(), 1000u * 2 * sizeof(std::uint64_t));
+  EXPECT_LT(sparse.MemoryUsageBytes(), std::size_t{1} << 20);
+
+  PairSampler dense(10000, 1, {});
+  dense.GrowTo(157);
+  EXPECT_TRUE(dense.uses_bitmap());
+  EXPECT_LE(dense.MemoryUsageBytes(), 157u * 8);
+}
+
 // ---------------------------------------------------------------------
 // LSH blocking
 

@@ -76,20 +76,29 @@ MatchingOptions OracleOptions(int dmax) {
   return options;
 }
 
-// The max_pairs sample by its definition: seeded rejection draws over
-// the triangular index, sorted.
+// The max_pairs sample by its definition: the first `count` distinct
+// seeded draws over the triangular index that are not `excluded`,
+// sorted.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> NaiveSample(
-    std::uint64_t n, std::uint64_t count, std::uint64_t seed) {
+    std::uint64_t n, std::uint64_t count, std::uint64_t seed,
+    const std::unordered_set<std::uint64_t>& excluded = {}) {
   Rng rng(seed);
   std::unordered_set<std::uint64_t> chosen;
   std::vector<std::uint64_t> ks;
   while (ks.size() < count) {
     const std::uint64_t k = rng.NextBounded(n * (n - 1) / 2);
-    if (chosen.insert(k).second) ks.push_back(k);
+    if (excluded.count(k) == 0 && chosen.insert(k).second) ks.push_back(k);
   }
   std::sort(ks.begin(), ks.end());
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   for (std::uint64_t k : ks) pairs.push_back(DecodeTriangularPair(k, n));
+  return pairs;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> PairsOf(
+    const MatchingRelation& m) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::size_t r = 0; r < m.num_tuples(); ++r) pairs.push_back(m.pair(r));
   return pairs;
 }
 
@@ -146,6 +155,99 @@ TEST(MatchingOracleTest, BuildMatchingRelationMatchesNaive) {
       auto sample = BuildMatchingRelation(relation, kAttrs, options);
       ASSERT_TRUE(sample.ok()) << sample.status();
       EXPECT_EQ(SerializeMatchingRelation(*sample), sampled_bytes);
+    }
+  }
+}
+
+// Dense samples, where a row's sampled partners are long runs: all
+// pairs but one, and half of them, at widths 1/3/7 so that chunk
+// boundaries fall inside a row's run. Both samples hold a row with a
+// single sampled partner, and the first holds the last pair
+// (n-2, n-1). M equals the naive relation over the sample's definition,
+// and the metric work is pinned.
+TEST(MatchingOracleTest, DenseSamplesMatchNaive) {
+  const Relation relation = OracleRelation(70, 11);
+  const std::uint64_t n = relation.num_rows();
+  const std::uint64_t total = n * (n - 1) / 2;
+  const MatchingOptions base = OracleOptions(10);
+  struct Case {
+    std::uint64_t max_pairs;
+    std::uint64_t computed;
+    std::uint64_t bounded;
+  };
+  for (const Case& c : {Case{total - 1, 3305, 379},
+                        Case{total / 2, 2098, 189}}) {
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs =
+        NaiveSample(n, c.max_pairs, base.seed);
+    std::vector<std::size_t> partners(n, 0);
+    for (const auto& [i, j] : pairs) ++partners[i];
+    EXPECT_NE(std::find(partners.begin(), partners.end(), 1u), partners.end());
+    if (c.max_pairs == total - 1) {
+      const std::pair<std::uint32_t, std::uint32_t> last(n - 2, n - 1);
+      EXPECT_EQ(pairs.back(), last);
+    }
+    const std::string expected =
+        SerializeMatchingRelation(NaiveMatching(relation, kAttrs, base, pairs));
+    for (const std::size_t threads : {1, 3, 7}) {
+      SCOPED_TRACE(::testing::Message() << "max_pairs=" << c.max_pairs
+                                        << " threads=" << threads);
+      MatchingOptions options = base;
+      options.threads = threads;
+      options.max_pairs = c.max_pairs;
+      const std::uint64_t computed_before = DistanceCounter();
+      const std::uint64_t bounded_before = BoundedCounter();
+      auto sample = BuildMatchingRelation(relation, kAttrs, options);
+      ASSERT_TRUE(sample.ok()) << sample.status();
+      EXPECT_EQ(SerializeMatchingRelation(*sample), expected);
+      EXPECT_EQ(DistanceCounter() - computed_before, c.computed);
+      EXPECT_EQ(BoundedCounter() - bounded_before, c.bounded);
+    }
+  }
+}
+
+// The approx tail grown three times, with the LSH near stratum excluded
+// from it: first in the sampler's hash-set form, then past the point
+// where it switches to a bitmap. The tail holds the sampler's
+// definition over the non-near pairs, both strata equal the naive
+// relation over their pairs, and the metric work is pinned.
+TEST(MatchingOracleTest, ApproxBitmapTailMatchesNaive) {
+  const Relation relation = OracleRelation(70, 11);
+  const std::uint64_t n = relation.num_rows();
+  approx::ApproxOptions approx;
+  approx.sample_target = 0;
+  for (const std::size_t threads : {1, 3, 7}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    MatchingOptions options = OracleOptions(10);
+    options.threads = threads;
+    const std::uint64_t computed_before = DistanceCounter();
+    const std::uint64_t bounded_before = BoundedCounter();
+    auto sampled = approx::SampledMatchingBuilder::Build(relation, kAttrs,
+                                                         options, approx);
+    ASSERT_TRUE(sampled.ok()) << sampled.status();
+    // The bitmap takes over at 1/64 of the 2415 pairs, 38 draws.
+    const std::uint64_t population = (*sampled)->tail_population();
+    ASSERT_GT(population / 3, 38u);
+    (*sampled)->GrowTo(20);
+    (*sampled)->GrowTo(population / 3);
+    (*sampled)->GrowTo(population * 2 / 3);
+    EXPECT_EQ(DistanceCounter() - computed_before, 3154u);
+    EXPECT_EQ(BoundedCounter() - bounded_before, 359u);
+
+    const MatchingRelation& near = (*sampled)->near();
+    ASSERT_GT(near.num_tuples(), 0u);
+    std::unordered_set<std::uint64_t> near_ks;
+    for (const auto& [i, j] : PairsOf(near)) {
+      near_ks.insert(EncodeTriangularPair(i, j, n));
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> tail_pairs =
+        PairsOf((*sampled)->tail());
+    std::sort(tail_pairs.begin(), tail_pairs.end());
+    EXPECT_EQ(tail_pairs,
+              NaiveSample(n, population * 2 / 3, approx.seed, near_ks));
+    for (const MatchingRelation* stratum : {&near, &(*sampled)->tail()}) {
+      EXPECT_EQ(SerializeMatchingRelation(*stratum),
+                SerializeMatchingRelation(NaiveMatching(
+                    relation, kAttrs, options, PairsOf(*stratum))));
     }
   }
 }
@@ -425,13 +527,6 @@ Relation DisjointWordsRelation(std::size_t n, std::uint64_t seed) {
   return relation;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> PairsOf(
-    const MatchingRelation& m) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  for (std::size_t r = 0; r < m.num_tuples(); ++r) pairs.push_back(m.pair(r));
-  return pairs;
-}
-
 // Every producer over the disjoint-vocabulary family: the full and
 // sampled builds, the incremental builder and its Rebuild(), the
 // streamed grid and both strata of the sampled builder equal the naive
@@ -562,7 +657,8 @@ TEST(MatchingWorkCounterTest, ProducersCountTheSameWork) {
   ASSERT_TRUE(sampled.ok()) << sampled.status();
   ASSERT_TRUE((*sampled)->exhaustive());
   EXPECT_EQ(DistanceCounter() - computed_before, build);
-  // Runs of one settle the same pairs as the full build's long runs.
+  // The sampled build's runs, split where its chunks and the full
+  // build's differ, settle the same pairs.
   EXPECT_EQ(BoundedCounter() - bounded_before, bounded);
 }
 

@@ -186,8 +186,8 @@ class ReferenceDpMetric : public DistanceMetric {
 // The kernel's oracle at the matching level: Rule 4's attributes on a
 // citeseer slice whose descriptions exceed one 64-byte word. The full
 // build (level tables and runs through the prepared column), a sampled
-// build (runs of one) and builds on the reference DP serialize
-// byte-identically.
+// build (each row's sampled partners as one run) and builds on the
+// reference DP serialize byte-identically.
 TEST(MatchingBuilderTest, CiteseerSliceMatchesReferenceDp) {
   const Status registered = MetricRegistry::Default().Register(
       "reference_dp", [] { return std::make_unique<ReferenceDpMetric>(); });
@@ -209,7 +209,8 @@ TEST(MatchingBuilderTest, CiteseerSliceMatchesReferenceDp) {
   EXPECT_GT(long_values, 0u);
 
   // All pairs (level tables and one-vs-many runs), then a sample small
-  // enough that no table pays off (one BoundedDistance per pair).
+  // enough that no table pays off (the metric over each row's sampled
+  // partners).
   for (const std::size_t max_pairs : {std::size_t{0}, std::size_t{1500}}) {
     MatchingOptions options;
     options.threads = 2;
