@@ -32,6 +32,9 @@
 //               "provider_scan_x2_r100000", "rows": N,
 //               "lhs_count": L, "sweeps": K, "elapsed_s": W,
 //               "host_cores": C, "run_id": "..."}
+// Last, a serial DA sweep on the grid provider times the per-LHS C_Y
+// search alone (search_grid_{pap,pa}_x2_y2_d10: ns_per_lhs next to
+// evaluated_per_lhs; see EmitSearchSweep).
 // elapsed_s is the best-of-3 time of K back-to-back sweeps (or kernel
 // passes). AVX2 rows appear only on
 // hosts that pass the CPUID dispatch check; tools/benchcmp reports
@@ -55,6 +58,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/candidate_lattice.h"
+#include "core/da.h"
 #include "core/expected_utility.h"
 #include "core/measure_provider.h"
 #include "core/simd_count.h"
@@ -161,17 +165,28 @@ void BM_ExpectedUtilityIntegration(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpectedUtilityIntegration)->Arg(100)->Arg(100000);
 
+// One ϕ[X]'s prune work on a reused lattice, as PAP does it: revive the
+// lattice, S0 at Q <= 0.5 under the all-dmax pattern, then an S1-shaped
+// prune under a mid-lattice dominator.
 void BM_LatticePrune(benchmark::State& state) {
   const std::size_t dims = static_cast<std::size_t>(state.range(0));
+  dd::CandidateLattice lat(dims, 10);
+  const dd::Levels top(dims, 10);
+  const dd::Levels mid(dims, 6);
+  std::size_t killed = 0;
   for (auto _ : state) {
-    dd::CandidateLattice lat(dims, 10);
-    dd::Levels top(dims, 10);
-    lat.Prune(top, 0.5);
+    lat.Reset();
+    killed = lat.Prune(top, 0.5);
+    killed += lat.Prune(mid, 0.8);
     benchmark::DoNotOptimize(lat.alive_count());
   }
+  state.counters["cells"] = static_cast<double>(lat.size());
+  state.counters["killed"] = static_cast<double>(killed);
 }
 BENCHMARK(BM_LatticePrune)->Arg(1)->Arg(2)->Arg(3);
 
+// The C_Y visit order, built once per determination; BM_LatticeReset is
+// what each further ϕ[X] pays for its search state instead.
 void BM_MakeOrder(benchmark::State& state) {
   const std::size_t dims = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -180,7 +195,17 @@ void BM_MakeOrder(benchmark::State& state) {
     benchmark::DoNotOptimize(order);
   }
 }
-BENCHMARK(BM_MakeOrder)->Arg(2)->Arg(3);
+BENCHMARK(BM_MakeOrder)->Arg(1)->Arg(2)->Arg(3);
+
+void BM_LatticeReset(benchmark::State& state) {
+  const std::size_t dims = static_cast<std::size_t>(state.range(0));
+  dd::CandidateLattice lat(dims, 10);
+  for (auto _ : state) {
+    lat.Reset();
+    benchmark::DoNotOptimize(lat.alive_count());
+  }
+}
+BENCHMARK(BM_LatticeReset)->Arg(1)->Arg(2)->Arg(3);
 
 // ---------------------------------------------------------------------
 // SIMD kernel matrix.
@@ -467,11 +492,60 @@ void EmitProviderSweep() {
   std::fflush(stdout);
 }
 
+// The per-LHS C_Y search layer alone: a serial DA sweep over all 121
+// ϕ[X] of a 2+2-attribute rule at dmax 10 on the grid provider, whose
+// O(1) counts leave the search's own work (visit order, lattice,
+// prunes, top-l) as the cost. PAP and PA rows:
+//   BENCH_JSON {"bench": "micro_counting", "phase":
+//               "search_grid_pap_x2_y2_d10", "lhs": 121,
+//               "evaluated_per_lhs": E, "ns_per_lhs": T, "sweeps": K,
+//               "elapsed_s": W, "host_cores": C, "run_id": "..."}
+// elapsed_s is the best-of-3 time of K sweeps; ns_per_lhs divides it
+// by K × 121.
+void EmitSearchSweep() {
+  const unsigned host_cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  const std::string run_id = BenchRunId();
+  const dd::MatchingRelation m = RandomMatching(4, 10, 100000, 1);
+  auto provider = dd::GridMeasureProvider::Create(m, {{0, 1}, {2, 3}});
+  if (!provider.ok()) {
+    std::fprintf(stderr, "grid creation failed\n");
+    return;
+  }
+  for (bool prune : {true, false}) {
+    dd::DaOptions options;
+    options.pa.prune = prune;
+    options.threads = 1;
+    dd::DaStats stats;
+    dd::DetermineBestPatterns(provider->get(), 2, 2, 10, options, &stats);
+    const int sweeps = 20;
+    std::size_t answers = 0;
+    const double s = TimeBest(sweeps, [&] {
+      answers += dd::DetermineBestPatterns(provider->get(), 2, 2, 10,
+                                           options, nullptr)
+                     .size();
+    });
+    if (answers == 0) std::fprintf(stderr, "no answers\n");
+    const double lhs = static_cast<double>(stats.lhs_evaluated);
+    std::printf(
+        "BENCH_JSON {\"bench\": \"micro_counting\", \"phase\": "
+        "\"search_grid_%s_x2_y2_d10\", \"lhs\": %zu, "
+        "\"evaluated_per_lhs\": %.3f, \"ns_per_lhs\": %.1f, "
+        "\"sweeps\": %d, \"elapsed_s\": %.6f, \"host_cores\": %u, "
+        "\"run_id\": \"%s\"}\n",
+        prune ? "pap" : "pa", stats.lhs_evaluated,
+        static_cast<double>(stats.rhs.evaluated) / lhs,
+        s * 1e9 / (sweeps * lhs), sweeps, s, host_cores, run_id.c_str());
+  }
+  std::fflush(stdout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   EmitKernelMatrix();
   EmitProviderSweep();
+  EmitSearchSweep();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

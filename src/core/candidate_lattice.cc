@@ -35,13 +35,24 @@ std::size_t LatticeSize(std::size_t dims, int dmax) {
 }  // namespace
 
 CandidateLattice::CandidateLattice(std::size_t dims, int dmax)
-    : dims_(dims), dmax_(dmax) {
+    : dims_(dims), dmax_(dmax), cursor_(dims, 0), reach_(dims, 0) {
   DD_CHECK_GE(dims, 1u);
   DD_CHECK_GE(dmax, 1);
   const std::size_t size = LatticeSize(dims, dmax);
   DD_CHECK_LE(size, std::size_t{1} << 28);  // Guard runaway lattices.
+  strides_.resize(dims);
+  std::size_t stride = 1;
+  for (std::size_t d = 0; d < dims; ++d) {
+    strides_[d] = stride;
+    stride *= static_cast<std::size_t>(dmax) + 1;
+  }
   alive_.assign(size, 1);
   alive_count_ = size;
+}
+
+void CandidateLattice::Reset() {
+  std::fill(alive_.begin(), alive_.end(), 1);
+  alive_count_ = alive_.size();
 }
 
 bool CandidateLattice::Kill(std::size_t idx) {
@@ -53,65 +64,48 @@ bool CandidateLattice::Kill(std::size_t idx) {
 }
 
 Levels CandidateLattice::LevelsOf(std::size_t idx) const {
-  Levels levels(dims_);
+  Levels levels;
+  DecodeInto(idx, &levels);
+  return levels;
+}
+
+void CandidateLattice::DecodeInto(std::size_t idx, Levels* out) const {
+  out->resize(dims_);
   const std::size_t base = static_cast<std::size_t>(dmax_) + 1;
   for (std::size_t d = 0; d < dims_; ++d) {
-    levels[d] = static_cast<int>(idx % base);
+    (*out)[d] = static_cast<int>(idx % base);
     idx /= base;
   }
-  return levels;
 }
 
 std::size_t CandidateLattice::IndexOf(const Levels& levels) const {
   DD_CHECK_EQ(levels.size(), dims_);
-  const std::size_t base = static_cast<std::size_t>(dmax_) + 1;
   std::size_t idx = 0;
-  for (std::size_t d = dims_; d-- > 0;) {
+  for (std::size_t d = 0; d < dims_; ++d) {
     DD_CHECK_GE(levels[d], 0);
     DD_CHECK_LE(levels[d], dmax_);
-    idx = idx * base + static_cast<std::size_t>(levels[d]);
+    idx += static_cast<std::size_t>(levels[d]) * strides_[d];
   }
   return idx;
 }
 
-std::size_t CandidateLattice::Prune(const Levels& dominator,
-                                    double max_quality) {
-  return Prune(dominator, max_quality, nullptr);
-}
-
-std::size_t CandidateLattice::Prune(
-    const Levels& dominator, double max_quality,
-    const std::function<void(std::size_t)>& on_kill) {
+long CandidateLattice::MinPruneSum(const Levels& dominator,
+                                   double max_quality) const {
   DD_CHECK_EQ(dominator.size(), dims_);
+  for (int level : dominator) {
+    DD_CHECK_GE(level, 0);
+    DD_CHECK_LE(level, dmax_);
+  }
   // Q(ϕ) <= q  <=>  LevelSum(ϕ) >= dims * dmax * (1 - q).
   const double min_sum_d =
       static_cast<double>(dims_) * dmax_ * (1.0 - max_quality);
   // Guard against floating-point jitter at the boundary: Q is a ratio of
   // small integers, so nudge by an epsilon before taking the ceiling.
-  const long min_sum = static_cast<long>(std::ceil(min_sum_d - 1e-9));
-
-  // Walk the dominated sub-box [0, dominator] with an odometer.
-  std::size_t killed = 0;
-  Levels cursor(dims_, 0);
-  for (;;) {
-    const long sum = LevelSum(cursor);
-    if (sum >= min_sum) {
-      const std::size_t idx = IndexOf(cursor);
-      if (Kill(idx)) {
-        ++killed;
-        if (on_kill) on_kill(idx);
-      }
-    }
-    // Advance the odometer.
-    std::size_t d = 0;
-    while (d < dims_ && cursor[d] == dominator[d]) {
-      cursor[d] = 0;
-      ++d;
-    }
-    if (d == dims_) break;
-    ++cursor[d];
-  }
-  return killed;
+  // The clamp keeps a huge q (Vmax over a tiny confidence) in range of
+  // the cast without changing which cells it selects.
+  const double max_sum = static_cast<double>(dims_) * dmax_;
+  return static_cast<long>(
+      std::ceil(std::clamp(min_sum_d, -1.0, max_sum + 1.0) - 1e-9));
 }
 
 std::vector<std::uint32_t> CandidateLattice::MakeOrder(std::size_t dims,

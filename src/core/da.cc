@@ -77,20 +77,19 @@ DeterminedPattern MakeDeterminedPattern(Levels lhs, Levels rhs,
 
 std::vector<DeterminedPattern> DetermineForLhs(MeasureProvider* provider,
                                                const Levels& lhs,
-                                               std::size_t rhs_dims, int dmax,
-                                               double bound,
-                                               const PaOptions& options,
+                                               RhsSearch* search, double bound,
+                                               obs::ExplainBound bound_kind,
                                                const UtilityOptions& utility,
                                                PaStats* stats) {
   const std::uint64_t n = provider->lhs_count();
   std::vector<RhsCandidate> best =
-      FindBestRhs(provider, rhs_dims, dmax, bound, options, stats);
+      search->Run(provider, bound, bound_kind, stats);
   std::vector<DeterminedPattern> patterns;
   patterns.reserve(best.size());
   for (RhsCandidate& c : best) {
     patterns.push_back(MakeDeterminedPattern(lhs, std::move(c.rhs),
                                              provider->total(), n, c.xy_count,
-                                             dmax, utility));
+                                             search->dmax(), utility));
   }
   return patterns;
 }
@@ -131,7 +130,9 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
   }
 
   TopL<DeterminedPattern, &DeterminedPattern::utility> top(options.pa.top_l);
-  PaOptions pa_options = options.pa;
+  // One C_Y search state for the whole sweep (each parallel chunk copies
+  // it): the visit order is built here once, the lattice revived per ϕ[X].
+  RhsSearch search(rhs_dims, dmax, options.pa);
 
   // Stats contract: accumulate into *stats, never reset (see da.h).
   DaStats unused;
@@ -160,10 +161,11 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
   // document's event order is reproducible.
   if (threads > 1 && !options.advanced_bound && rec == nullptr &&
       !InParallelChunk() && lhs_order.size() > 1) {
-    // One clone per ParallelFor chunk.
+    // One clone and one search state per ParallelFor chunk.
     std::vector<std::unique_ptr<MeasureProvider>> clones(
         EffectiveChunks(lhs_order.size(), threads));
     for (auto& clone : clones) clone = provider->CloneForThread();
+    std::vector<RhsSearch> searches(clones.size(), search);
     std::vector<LhsOutcome> outcomes(lhs_order.size());
     ParallelFor("da.lhs_search", lhs_order.size(), threads,
                 [&](std::size_t chunk, std::size_t begin, std::size_t end) {
@@ -172,10 +174,10 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                     obs::TraceSpan lhs_span("lhs_search");
                     const Levels lhs = lhs_lattice.LevelsOf(lhs_order[pos]);
                     p->SetLhs(lhs);
-                    outcomes[pos].patterns =
-                        DetermineForLhs(p, lhs, rhs_dims, dmax, /*bound=*/0.0,
-                                        pa_options, options.utility,
-                                        &outcomes[pos].pa);
+                    outcomes[pos].patterns = DetermineForLhs(
+                        p, lhs, &searches[chunk], /*bound=*/0.0,
+                        obs::ExplainBound::kInitial, options.utility,
+                        &outcomes[pos].pa);
                   }
                 });
     for (LhsOutcome& out : outcomes) merge(out);
@@ -185,7 +187,7 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
 
   // The C_Y cells a skipped ϕ[X] adds to rhs.lattice_size and
   // rhs.pruned, so the pruning rate stays a fraction of C_X × C_Y.
-  const std::size_t rhs_cells = CandidateLattice(rhs_dims, dmax).size();
+  const std::size_t rhs_cells = search.lattice_size();
   for (std::uint32_t idx : lhs_order) {
     DapSeed seed;
     if (options.advanced_bound && top.Full()) {
@@ -210,10 +212,9 @@ std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                << ": count=" << provider->lhs_count()
                << " initial_bound=" << seed.bound;
 
-    pa_options.initial_bound_kind = seed.kind;
     LhsOutcome out;
-    out.patterns = DetermineForLhs(provider, lhs, rhs_dims, dmax, seed.bound,
-                                   pa_options, options.utility, &out.pa);
+    out.patterns = DetermineForLhs(provider, lhs, &search, seed.bound,
+                                   seed.kind, options.utility, &out.pa);
     if (rec != nullptr && out.patterns.empty()) rec->NoteLhsBoundedOut();
     merge(out);
   }

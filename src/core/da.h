@@ -93,14 +93,13 @@ DeterminedPattern MakeDeterminedPattern(Levels lhs, Levels rhs,
                                         const UtilityOptions& utility);
 
 // The per-LHS step of DA, DAP and MFD: with the provider's ϕ[X] already
-// set to `lhs`, runs FindBestRhs from `bound` and returns its answers
-// as determined patterns, in FindBestRhs order (descending C·Q).
-// `stats` accumulates as in FindBestRhs.
+// set to `lhs`, runs `search` from `bound` (of provenance `bound_kind`)
+// and returns its answers as determined patterns, in RhsSearch order
+// (descending C·Q). `stats` accumulates as in RhsSearch::Run.
 std::vector<DeterminedPattern> DetermineForLhs(MeasureProvider* provider,
                                                const Levels& lhs,
-                                               std::size_t rhs_dims, int dmax,
-                                               double bound,
-                                               const PaOptions& options,
+                                               RhsSearch* search, double bound,
+                                               obs::ExplainBound bound_kind,
                                                const UtilityOptions& utility,
                                                PaStats* stats);
 
@@ -110,9 +109,9 @@ std::vector<DeterminedPattern> DetermineForLhs(MeasureProvider* provider,
 // bound (e.g. all-zero confidence rules).
 //
 // Stats contract: `stats`, when non-null, is ACCUMULATED into (never
-// reset), matching FindBestRhs — callers that want per-run numbers pass
-// a freshly zero-initialized DaStats. Provider stats follow the same
-// convention (see core/measure_provider.h).
+// reset), matching RhsSearch::Run — callers that want per-run numbers
+// pass a freshly zero-initialized DaStats. Provider stats follow the
+// same convention (see core/measure_provider.h).
 std::vector<DeterminedPattern> DetermineBestPatterns(MeasureProvider* provider,
                                                      std::size_t lhs_dims,
                                                      std::size_t rhs_dims,

@@ -78,15 +78,17 @@ void SearchDd(MeasureProvider* provider, std::size_t lhs_dims,
 }
 
 // MFD: the per-LHS step at ϕ[X] = <0,...,0>, one PA/PAP pass over C_Y.
-// The answers stay in FindBestRhs order.
+// The answers stay in RhsSearch order (descending C·Q).
 void SearchMfd(MeasureProvider* provider, std::size_t lhs_dims,
                std::size_t rhs_dims, int dmax, const DetermineOptions& options,
                const UtilityOptions& utility, DetermineResult* result) {
   const Levels lhs(lhs_dims, 0);
   provider->SetLhs(lhs);
+  RhsSearch search(rhs_dims, dmax, PaOptionsOf(options));
   result->patterns =
-      DetermineForLhs(provider, lhs, rhs_dims, dmax, /*bound=*/0.0,
-                      PaOptionsOf(options), utility, &result->stats.rhs);
+      DetermineForLhs(provider, lhs, &search, /*bound=*/0.0,
+                      obs::ExplainBound::kInitial, utility,
+                      &result->stats.rhs);
   result->stats.lhs_total += 1;
   result->stats.lhs_evaluated += 1;
 }

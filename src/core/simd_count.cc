@@ -57,10 +57,18 @@ std::uint64_t AndCountScalar(const std::uint64_t* const* inputs,
                              std::size_t n, std::size_t words,
                              std::uint64_t* out) {
   std::uint64_t count = 0;
+  if (out == nullptr) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t word = inputs[0][w];
+      for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
+      count += Popcount(word);
+    }
+    return count;
+  }
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t word = inputs[0][w];
     for (std::size_t i = 1; i < n; ++i) word &= inputs[i][w];
-    if (out != nullptr) out[w] = word;
+    out[w] = word;
     count += Popcount(word);
   }
   return count;

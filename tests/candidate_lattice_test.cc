@@ -1,9 +1,13 @@
 #include "core/candidate_lattice.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace dd {
 namespace {
@@ -119,6 +123,114 @@ TEST(OrderTest, MidFirstStartsNearMiddleSum) {
 TEST(OrderTest, ProcessingOrderNames) {
   EXPECT_STREQ(ProcessingOrderName(ProcessingOrder::kMidFirst), "mid-first");
   EXPECT_STREQ(ProcessingOrderName(ProcessingOrder::kTopFirst), "top-first");
+}
+
+TEST(CandidateLatticeTest, ResetRevivesEveryCell) {
+  CandidateLattice lat(2, 4);
+  lat.Kill(3);
+  lat.Prune({4, 4}, 0.5);
+  lat.Reset();
+  EXPECT_EQ(lat.alive_count(), lat.size());
+  for (std::size_t idx = 0; idx < lat.size(); ++idx) {
+    EXPECT_TRUE(lat.IsAlive(idx)) << idx;
+  }
+}
+
+// The cells prune(dominator, q) must kill, ascending: every alive cell
+// dominated by `dominator` whose Q is <= q, checked cell by cell.
+std::vector<std::size_t> NaivePrune(const CandidateLattice& lat,
+                                    const Levels& dominator, double q) {
+  std::vector<std::size_t> kills;
+  for (std::size_t idx = 0; idx < lat.size(); ++idx) {
+    if (!lat.IsAlive(idx)) continue;
+    const Levels levels = lat.LevelsOf(idx);
+    bool dominated = true;
+    for (std::size_t d = 0; d < levels.size(); ++d) {
+      dominated = dominated && levels[d] <= dominator[d];
+    }
+    if (dominated && DependentQuality(levels, lat.dmax()) <= q) {
+      kills.push_back(idx);
+    }
+  }
+  return kills;
+}
+
+TEST(CandidateLatticeTest, PruneMatchesNaiveReference) {
+  struct Shape {
+    std::size_t dims;
+    int dmax;
+  };
+  std::vector<Shape> shapes;
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (int dmax : {1, 2, 15, 16}) shapes.push_back({dims, dmax});
+  }
+  shapes.push_back({1, 255});
+  Rng rng(20260);
+  for (const Shape& shape : shapes) {
+    CandidateLattice lat(shape.dims, shape.dmax);
+    const long max_sum = static_cast<long>(shape.dims) * shape.dmax;
+    for (int round = 0; round < 6; ++round) {
+      lat.Reset();
+      // Kill a random few cells first, so some dominated cells are dead.
+      for (int k = 0; k < 3; ++k) lat.Kill(rng.NextBounded(lat.size()));
+      // A few prunes per round, each against the naive reference.
+      for (int call = 0; call < 8; ++call) {
+        Levels dominator(shape.dims);
+        for (int& level : dominator) {
+          level = static_cast<int>(
+              rng.NextBounded(static_cast<std::uint64_t>(shape.dmax) + 1));
+        }
+        if (call == 0) dominator.assign(shape.dims, shape.dmax);  // S0
+        double q;
+        switch (call % 4) {
+          case 0:
+          case 1: {
+            // Exactly at a level-sum boundary: Q of the cells with that
+            // sum, computed as DependentQuality computes it.
+            const long sum = static_cast<long>(
+                rng.NextBounded(static_cast<std::uint64_t>(max_sum) + 1));
+            q = 1.0 - static_cast<double>(sum) / static_cast<double>(max_sum);
+            break;
+          }
+          case 2:
+            q = call < 4 ? 0.0 : 1.0;
+            break;
+          default:
+            q = rng.NextDouble();
+            break;
+        }
+        const std::vector<std::size_t> expected =
+            NaivePrune(lat, dominator, q);
+        const std::size_t alive_before = lat.alive_count();
+        std::vector<std::size_t> kills;
+        const std::size_t killed = lat.Prune(
+            dominator, q, [&](std::size_t idx) { kills.push_back(idx); });
+        ASSERT_EQ(kills, expected)
+            << "dims=" << shape.dims << " dmax=" << shape.dmax
+            << " dominator=" << LevelsToString(dominator) << " q=" << q;
+        EXPECT_EQ(killed, expected.size());
+        EXPECT_EQ(lat.alive_count(), alive_before - killed);
+        for (std::size_t idx : expected) EXPECT_FALSE(lat.IsAlive(idx));
+      }
+    }
+  }
+}
+
+TEST(CandidateLatticeTest, PruneOverloadsAgree) {
+  // The two-argument form kills what the callback form kills; a q far
+  // above 1 (Vmax over a tiny confidence) kills the whole box.
+  CandidateLattice with_callback(3, 15);
+  CandidateLattice plain(3, 15);
+  std::size_t calls = 0;
+  const std::size_t a =
+      with_callback.Prune({9, 15, 4}, 1e30, [&](std::size_t) { ++calls; });
+  const std::size_t b = plain.Prune({9, 15, 4}, 1e30);
+  EXPECT_EQ(a, 10u * 16u * 5u);
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(calls, a);
+  for (std::size_t idx = 0; idx < plain.size(); ++idx) {
+    EXPECT_EQ(plain.IsAlive(idx), with_callback.IsAlive(idx)) << idx;
+  }
 }
 
 TEST(CandidateLatticeTest, ThreeDimensionalEncoding) {

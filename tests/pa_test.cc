@@ -1,7 +1,10 @@
 #include "core/pa.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "obs/explain/recorder.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -176,6 +179,124 @@ TEST(PapTest, PrunesAggressivelyUnderZeroConfidence) {
   // one evaluation suffices.
   EXPECT_EQ(stats.evaluated, 1u);
   EXPECT_EQ(stats.pruned, 4u);
+}
+
+// Every field of a recorded event except the sampled eval latency, which
+// is a wall-clock reading.
+void ExpectSameEvents(const std::vector<obs::ExplainEvent>& a,
+                      const std::vector<obs::ExplainEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].seq, b[i].seq);
+    EXPECT_EQ(a[i].lhs_seq, b[i].lhs_seq);
+    EXPECT_EQ(a[i].rhs_index, b[i].rhs_index);
+    EXPECT_EQ(a[i].rank, b[i].rank);
+    EXPECT_EQ(a[i].outcome, b[i].outcome);
+    EXPECT_EQ(a[i].bound_kind, b[i].bound_kind);
+    EXPECT_EQ(a[i].offered, b[i].offered);
+    EXPECT_EQ(a[i].forced, b[i].forced);
+    EXPECT_EQ(a[i].xy_count, b[i].xy_count);
+    EXPECT_EQ(a[i].confidence, b[i].confidence);
+    EXPECT_EQ(a[i].quality, b[i].quality);
+    EXPECT_EQ(a[i].cq, b[i].cq);
+    EXPECT_EQ(a[i].bound, b[i].bound);
+  }
+}
+
+TEST(PapTest, ReusedSearchStateMatchesFreshSearches) {
+  // RHS levels are never 0 in the first RHS column, so every cell with
+  // level 0 there has zero confidence; x = 0 satisfies no row at all.
+  std::vector<std::vector<Level>> rows;
+  Rng rng(77);
+  for (int t = 0; t < 300; ++t) {
+    const Level x = static_cast<Level>(1 + rng.NextBounded(6));
+    const Level y0 = static_cast<Level>(1 + rng.NextBounded(6));
+    const Level y1 = static_cast<Level>(
+        rng.NextBool(0.6) ? x : rng.NextBounded(7));
+    rows.push_back({x, y0, y1});
+  }
+  MatchingRelation m = MakeMatching({"x", "y0", "y1"}, 6, rows);
+  ResolvedRule rule{{0}, {1, 2}};
+  ScanMeasureProvider provider(m, rule);
+  const std::vector<int> lhs_sequence = {3, 0, 6, 1, 4, 2};
+
+  for (ProcessingOrder order :
+       {ProcessingOrder::kMidFirst, ProcessingOrder::kTopFirst,
+        ProcessingOrder::kBottomFirst, ProcessingOrder::kLexicographic}) {
+    for (std::size_t top_l : {1u, 2u, 3u}) {
+      for (double bound : {0.0, 0.3}) {
+        SCOPED_TRACE(testing::Message()
+                     << ProcessingOrderName(order) << " top_l=" << top_l
+                     << " bound=" << bound);
+        PaOptions pap;
+        pap.prune = true;
+        pap.order = order;
+        pap.top_l = top_l;
+
+        std::vector<std::vector<RhsCandidate>> reused_best;
+        std::vector<PaStats> reused_stats;
+        obs::ExplainRecorder::Global().Enable(obs::ExplainConfig{});
+        RhsSearch search(2, 6, pap);
+        for (int x : lhs_sequence) {
+          provider.SetLhs({x});
+          reused_stats.emplace_back();
+          reused_best.push_back(search.Run(&provider, bound,
+                                           obs::ExplainBound::kInitial,
+                                           &reused_stats.back()));
+        }
+        const obs::ExplainSnapshot reused_events =
+            obs::ExplainRecorder::Global().Snapshot();
+
+        obs::ExplainRecorder::Global().Enable(obs::ExplainConfig{});
+        for (std::size_t i = 0; i < lhs_sequence.size(); ++i) {
+          provider.SetLhs({lhs_sequence[i]});
+          PaStats stats;
+          const std::vector<RhsCandidate> best =
+              FindBestRhs(&provider, 2, 6, bound, pap, &stats);
+          ASSERT_EQ(best.size(), reused_best[i].size()) << "x=" << i;
+          for (std::size_t k = 0; k < best.size(); ++k) {
+            EXPECT_EQ(best[k].rhs, reused_best[i][k].rhs);
+            EXPECT_EQ(best[k].xy_count, reused_best[i][k].xy_count);
+            EXPECT_EQ(best[k].confidence, reused_best[i][k].confidence);
+            EXPECT_EQ(best[k].quality, reused_best[i][k].quality);
+            EXPECT_EQ(best[k].cq, reused_best[i][k].cq);
+          }
+          EXPECT_EQ(stats.lattice_size, reused_stats[i].lattice_size);
+          EXPECT_EQ(stats.evaluated, reused_stats[i].evaluated);
+          EXPECT_EQ(stats.pruned, reused_stats[i].pruned);
+        }
+        const obs::ExplainSnapshot fresh_events =
+            obs::ExplainRecorder::Global().Snapshot();
+        obs::ExplainRecorder::Global().Disable();
+
+        const obs::ExplainWaterfall& fw = fresh_events.waterfall;
+        const obs::ExplainWaterfall& rw = reused_events.waterfall;
+        EXPECT_EQ(fw.lhs_seen, rw.lhs_seen);
+        EXPECT_EQ(fw.candidates, rw.candidates);
+        EXPECT_EQ(fw.evaluated, rw.evaluated);
+        EXPECT_EQ(fw.pruned_s0, rw.pruned_s0);
+        EXPECT_EQ(fw.pruned_s1, rw.pruned_s1);
+        EXPECT_EQ(fw.pruned_zero_conf, rw.pruned_zero_conf);
+        EXPECT_EQ(fw.offered, rw.offered);
+        EXPECT_TRUE(rw.Accounted());
+        // The sequence does evaluate zero-confidence candidates.
+        EXPECT_TRUE(std::any_of(
+            reused_events.events.begin(), reused_events.events.end(),
+            [](const obs::ExplainEvent& e) {
+              return e.outcome == obs::ExplainOutcome::kEvaluated &&
+                     e.confidence == 0.0;
+            }));
+        ASSERT_EQ(fresh_events.lhs.size(), reused_events.lhs.size());
+        for (std::size_t i = 0; i < fresh_events.lhs.size(); ++i) {
+          EXPECT_EQ(fresh_events.lhs[i].levels, reused_events.lhs[i].levels);
+          EXPECT_EQ(fresh_events.lhs[i].lhs_count,
+                    reused_events.lhs[i].lhs_count);
+        }
+        ExpectSameEvents(fresh_events.events, reused_events.events);
+      }
+    }
+  }
 }
 
 }  // namespace
