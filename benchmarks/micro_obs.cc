@@ -168,7 +168,7 @@ void BM_ExplainDisabledActiveCheck(benchmark::State& state) {
 BENCHMARK(BM_ExplainDisabledActiveCheck)->Threads(1)->Threads(4);
 
 // Per-candidate cost of an enabled recorder at the CI sampling rate:
-// exact waterfall atomics every call, ring retention for every 64th
+// exact waterfall counters every call, ring retention for every 64th
 // event plus the forced keeps.
 void BM_ExplainRecordEvaluated(benchmark::State& state) {
   dd::obs::ExplainRecorder& recorder = dd::obs::ExplainRecorder::Global();
@@ -195,9 +195,10 @@ void BM_ExplainRecordEvaluated(benchmark::State& state) {
 BENCHMARK(BM_ExplainRecordEvaluated);
 
 // End-to-end recorder overhead on a real determination (Rule 3,
-// restaurant) at --explain_sample=64 — the acceptance gate is < 5%
-// determiner slowdown. Reported as a BENCH_JSON line so CI can collect
-// it alongside the google-benchmark table.
+// restaurant) at --explain_sample=64 — the budget is < 5% determiner
+// slowdown. Reported with its budget as a BENCH_JSON line so CI can
+// collect it alongside the google-benchmark table. The exit does not
+// gate it yet: the recorder still costs about +30% (DESIGN.md §11).
 int ReportExplainOverhead() {
   const std::size_t pairs = dd::bench::BenchPairs(8000);
   dd::bench::RuleWorkload w = dd::bench::MakeRuleWorkload(3, pairs);
@@ -243,7 +244,7 @@ int ReportExplainOverhead() {
   std::printf(
       "BENCH_JSON {\"bench\": \"micro_obs_explain\", \"pairs\": %zu, "
       "\"sample_every\": 64, \"off_s\": %.6f, \"on_s\": %.6f, "
-      "\"overhead\": %.4f}\n",
+      "\"overhead\": %.4f, \"overhead_budget\": 0.05}\n",
       w.matching.num_tuples(), off_s, on_s, overhead);
   std::fflush(stdout);
   return 0;

@@ -8,20 +8,25 @@
 // killed this candidate?" are answerable from a recorded run instead of
 // a debugger session.
 //
+// Threading: one recording belongs to the thread that called Enable.
+// Enable, every recording call (BeginLhs, Record*, Note*, Set*,
+// AddCandidates), Snapshot and Disable run on that thread; BeginLhs
+// checks it. Only Active() may be called from any thread. Recorder-
+// active determinations are sequential by design (DESIGN.md §12), so
+// the recording needs no locks or atomics of its own.
+//
 // Cost contract:
 //  * Disabled (the default): ExplainRecorder::Active() returns nullptr
-//    — one relaxed load and a branch per call site, no events
-//    allocated, no per-thread state created.
-//  * Enabled: exact waterfall totals are always maintained (a few
-//    relaxed atomic increments per candidate), while full per-event
-//    records go through a sampling gate (keep every `sample_every`-th
-//    event) into a per-thread obs::Ring (DESIGN.md §8.1) — one
-//    lock-free push per kept event, so concurrent determinations never
-//    contend on event storage. Events that explain the outcome are
-//    always kept regardless of the sampling rate: candidates that
-//    entered the top-l heap (they advanced the pruning bound — the
-//    winner is among them) and candidates on the running Pareto
-//    skyline of (support, confidence, quality).
+//    — one acquire load and a branch per call site, no events
+//    allocated.
+//  * Enabled: exact waterfall totals are plain counters, while full
+//    per-event records go through a sampling gate (keep every
+//    `sample_every`-th event) into one obs::Ring (DESIGN.md §8.1).
+//    Events that explain the outcome are always kept regardless of the
+//    sampling rate: candidates that entered the top-l heap (they
+//    advanced the pruning bound — the winner is among them) and
+//    candidates on the running Pareto skyline of (support, confidence,
+//    quality).
 //
 // This header deliberately depends on nothing from core/ (obs sits
 // below core in the dependency order); candidates are identified by
@@ -31,10 +36,12 @@
 #ifndef DD_OBS_EXPLAIN_RECORDER_H_
 #define DD_OBS_EXPLAIN_RECORDER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/ring.h"
@@ -70,10 +77,9 @@ struct ExplainConfig {
   // Keep every K-th event in the ring (1 = full fidelity). Outcome-
   // explaining events (offered / skyline) are kept regardless.
   std::size_t sample_every = 1;
-  // Per-thread ring capacity: each thread keeps its newest
-  // `ring_capacity` kept events, older ones are overwritten and counted
-  // as dropped. Waterfall totals stay exact regardless. Enable() clamps
-  // it to [1, kMaxRingCapacity].
+  // The newest `ring_capacity` kept events are reported; older ones
+  // are counted as dropped. Waterfall totals stay exact regardless.
+  // Enable() clamps it to [1, kMaxRingCapacity].
   std::size_t ring_capacity = std::size_t{1} << 16;
 };
 
@@ -81,7 +87,7 @@ struct ExplainConfig {
 // its lattice cell index (decode with the snapshot's rhs_dims / dmax),
 // ϕ[X] by lhs_seq into ExplainSnapshot::lhs.
 struct ExplainEvent {
-  std::uint64_t seq = 0;        // global decision order across threads
+  std::uint64_t seq = 0;        // decision order within the recording
   std::uint32_t lhs_seq = 0;    // index into ExplainSnapshot::lhs
   std::uint32_t rhs_index = 0;  // lattice cell index of ϕ[Y]
   // Processing-order rank: for evaluated candidates, the number of
@@ -145,11 +151,11 @@ struct ExplainSnapshot {
   std::size_t rhs_dims = 0;  // geometry for decoding ExplainEvent::rhs_index
   int dmax = 0;
   ExplainWaterfall waterfall;
-  std::uint64_t recorded = 0;     // events kept in rings
+  std::uint64_t recorded = 0;     // events kept in the ring
   std::uint64_t sampled_out = 0;  // events skipped by the sampling gate
   std::uint64_t dropped = 0;      // ring overwrites (oldest evicted)
   std::vector<ExplainLhsInfo> lhs;     // indexed by ExplainEvent::lhs_seq
-  std::vector<ExplainEvent> events;    // merged across threads, by seq
+  std::vector<ExplainEvent> events;    // in seq order
 };
 
 class ExplainRecorder {
@@ -183,15 +189,16 @@ class ExplainRecorder {
   void AddCandidates(std::uint64_t n);
 
   // Registers the ϕ[X] whose RHS search is about to run; returns the
-  // lhs_seq to stamp on its events. Also fixes the current thread's
-  // D(ϕ[X]) used for skyline tracking.
+  // lhs_seq to stamp on its events. Also fixes the D(ϕ[X]) used for
+  // skyline tracking. Aborts unless called on the thread that called
+  // Enable.
   std::uint32_t BeginLhs(const ExplainLevels& levels, std::uint64_t lhs_count,
                          std::uint64_t total, double initial_bound,
                          ExplainBound initial_kind);
 
-  // True when the next event on this thread passes the sampling gate —
-  // callers use it to decide whether to time the evaluation (so latency
-  // measurement and event retention cover the same candidates).
+  // True when the next event passes the sampling gate — callers use it
+  // to decide whether to time the evaluation (so latency measurement
+  // and event retention cover the same candidates).
   bool WillSampleNextEvent();
 
   void RecordEvaluated(std::uint32_t lhs_seq, std::uint32_t rhs_index,
@@ -212,57 +219,44 @@ class ExplainRecorder {
   // possible Ū cannot beat the l-th best answer).
   void NoteLhsSkipped();
 
-  // Merged view of the current recording. Safe to call while enabled;
-  // the audit consumers call it after the run completes.
+  // The current recording: its newest `ring_capacity` kept events, in
+  // seq order. The audit consumers call it after the run completes.
   ExplainSnapshot Snapshot() const;
 
  private:
-  struct ThreadBuffer;
-
   ExplainRecorder() = default;
 
-  ThreadBuffer& LocalBuffer();
-  // Lazily resets the buffer when a new recording started (epoch
-  // changed); called on every hot-path entry, no lock on the fast path.
-  ThreadBuffer& EnsureFresh(ThreadBuffer& tb);
-  // Pushes through the sampling gate; `skyline_support` < 0 disables
-  // skyline consideration (pruned events).
-  void Push(ExplainEvent event, double skyline_support);
-  // Adds the current recording's retained events (unsorted) and its
-  // sampled-out and dropped counts across every thread buffer.
-  void ReadBuffers(std::vector<ExplainEvent>* events,
-                   std::uint64_t* sampled_out, std::uint64_t* dropped) const;
+  // Advances the sampling countdown; true when the event goes to the
+  // ring (sampled, or `forced` past the gate). Events are built only
+  // once kept: building every sampled-out one cost more than the rest
+  // of the recording (EXPERIMENTS.md "Sequential EXPLAIN recorder").
+  bool Keep(bool forced);
+  // The seq of the decision just counted: the decisions before it.
+  std::uint64_t Seq() const;
+  // True when (D·C, C, Q) is on the running Pareto front, which it
+  // then joins.
+  bool JoinsSkyline(double confidence, double quality);
 
+  // Read by Active() on any thread; everything else belongs to the
+  // thread that called Enable (`owner_`).
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> next_seq_{0};
+  std::thread::id owner_;
 
-  std::atomic<bool> estimated_{false};
-
-  // Config mirrors readable without the mutex (hot path).
-  std::atomic<std::size_t> sample_every_{1};
-  std::atomic<std::size_t> ring_capacity_{std::size_t{1} << 16};
-
-  // Exact waterfall totals (relaxed increments).
-  std::atomic<std::uint64_t> lhs_seen_{0};
-  std::atomic<std::uint64_t> lhs_bounded_out_{0};
-  std::atomic<std::uint64_t> lhs_skipped_{0};
-  std::atomic<std::uint64_t> candidates_{0};
-  std::atomic<std::uint64_t> evaluated_{0};
-  std::atomic<std::uint64_t> pruned_s0_{0};
-  std::atomic<std::uint64_t> pruned_s1_{0};
-  std::atomic<std::uint64_t> pruned_zero_conf_{0};
-  std::atomic<std::uint64_t> offered_{0};
-
-  mutable std::mutex mu_;  // guards the fields below
-  ExplainConfig config_;
-  std::string run_label_;
-  std::size_t rhs_dims_ = 0;
-  int dmax_ = 0;
-  std::vector<ExplainLhsInfo> lhs_;
-
-  // Every recording thread's buffer, listed on its first event.
-  RingTable<ThreadBuffer, 512> buffers_;
+  // The recording so far, all but what Snapshot() reads off the ring:
+  // events, recorded and dropped.
+  ExplainSnapshot run_;
+  // Events until the next sampled one (0 = the next event is kept); a
+  // countdown instead of seq % sample_every keeps the per-event path
+  // free of integer division.
+  std::uint64_t until_sample_ = 0;
+  // D(ϕ[X]) of the last BeginLhs and the Pareto front over (support,
+  // confidence, quality) of the evaluated events so far.
+  double current_d_ = 0.0;
+  std::vector<std::array<double, 3>> front_;
+  // Replaced only when a recording asks for more capacity than it has;
+  // cleared (base = head) otherwise. Snapshot() reports the newest
+  // ring_capacity events, so a larger ring gives the same answers.
+  std::unique_ptr<Ring<ExplainEvent>> ring_;
 };
 
 }  // namespace dd::obs

@@ -1,26 +1,28 @@
-// The one per-thread event ring behind every recorder in src/obs
-// (DESIGN.md §8.1): the flight recorder, pool stats, the sampling
-// profiler and EXPLAIN each keep only their own slot struct and their
-// own aggregation on top of it.
+// The one event ring behind every recorder in src/obs (DESIGN.md
+// §8.1): the flight recorder, pool stats and the sampling profiler keep
+// one ring per thread, EXPLAIN one ring for its single recording thread.
+// Each keeps only its own slot struct and its own aggregation on top of
+// it.
 //
-// Ring<Slot> is single-writer, overwrite-oldest and never freed by its
-// users. Sequence s lives in slot s & (capacity − 1) as one sequence
-// word followed by the Slot's payload words. The writer follows
-// Boehm's seqlock recipe ("Can seqlocks get along with programming
-// language memory models?", MSPC 2012): an odd sequence word, a release
-// fence, relaxed payload stores, then the even word with release. A
-// reader loads the word with acquire, copies the payload with relaxed
-// loads, runs an acquire fence and re-checks the word, so a copy that
-// overlaps a rewrite is dropped on any memory model. Every access is
-// atomic, which makes Read race-free under TSan and async-signal-safe
-// for the crash handler.
+// Ring<Slot> is single-writer and overwrite-oldest. A ring other
+// threads read is never freed; EXPLAIN, whose ring no other thread
+// reads, frees one it replaces. Sequence s lives in slot
+// s & (capacity − 1) as one sequence word followed by the Slot's
+// payload words. The writer follows Boehm's seqlock recipe ("Can
+// seqlocks get along with programming language memory models?", MSPC
+// 2012): an odd sequence word, a release fence, relaxed payload stores,
+// then the even word with release. A reader loads the word with
+// acquire, copies the payload with relaxed loads, runs an acquire fence
+// and re-checks the word, so a copy that overlaps a rewrite is dropped
+// on any memory model. Every access is atomic, which makes Read
+// race-free under TSan and async-signal-safe for the crash handler.
 //
-// RingTable<T, N> is the publish-once registration table the rings are
-// listed in: entries are created under a mutex, published with a
-// release store on the count, never removed, and iterated lock-free —
-// from a signal handler too. An entry's index is its dense slot
-// number. A full table still hands out entries; they work but are not
-// listed.
+// RingTable<T, N> is the publish-once registration table the
+// per-thread rings are listed in: entries are created under a mutex,
+// published with a release store on the count, never removed, and
+// iterated lock-free — from a signal handler too. An entry's index is
+// its dense slot number. A full table still hands out entries; they
+// work but are not listed.
 
 #ifndef DD_OBS_RING_H_
 #define DD_OBS_RING_H_

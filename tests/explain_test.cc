@@ -1,9 +1,14 @@
 // Tests for the Determination EXPLAIN layer (DESIGN.md §11): recorder
-// accounting identity, sampling invariance, audit/landscape formatting,
-// and the metrics-registry integration.
+// accounting identity, sampling invariance, ring retention, the
+// one-thread contract, audit/landscape formatting, and the
+// metrics-registry integration.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,11 +195,192 @@ TEST(ExplainInvarianceTest, RecorderNeverChangesResults) {
     SCOPED_TRACE(StrFormat("sample_every=%zu", sample_every));
     ExpectSamePatterns(baseline->patterns, explained.result.patterns);
     EXPECT_TRUE(explained.snapshot.waterfall.Accounted());
-    // The ring kept at most its capacity per thread, but exact totals
-    // survived regardless.
+    // The ring kept at most its capacity, but exact totals survived
+    // regardless.
     EXPECT_EQ(explained.snapshot.waterfall.candidates,
               baseline->stats.rhs.lattice_size);
   }
+}
+
+// Every field of a recorded event except the sampled eval latency, which
+// is a wall-clock reading.
+void ExpectSameEvents(const std::vector<obs::ExplainEvent>& a,
+                      const std::vector<obs::ExplainEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].seq, b[i].seq);
+    EXPECT_EQ(a[i].lhs_seq, b[i].lhs_seq);
+    EXPECT_EQ(a[i].rhs_index, b[i].rhs_index);
+    EXPECT_EQ(a[i].rank, b[i].rank);
+    EXPECT_EQ(a[i].outcome, b[i].outcome);
+    EXPECT_EQ(a[i].bound_kind, b[i].bound_kind);
+    EXPECT_EQ(a[i].offered, b[i].offered);
+    EXPECT_EQ(a[i].forced, b[i].forced);
+    EXPECT_EQ(a[i].xy_count, b[i].xy_count);
+    EXPECT_EQ(a[i].confidence, b[i].confidence);
+    EXPECT_EQ(a[i].quality, b[i].quality);
+    EXPECT_EQ(a[i].cq, b[i].cq);
+    EXPECT_EQ(a[i].bound, b[i].bound);
+  }
+}
+
+// What a fresh recording with an `n`-event ring reports for the run
+// `full` recorded without overwrites: its newest n events, the rest
+// counted as dropped, every total unchanged.
+obs::ExplainSnapshot NewestEvents(const obs::ExplainSnapshot& full,
+                                  std::size_t n) {
+  obs::ExplainSnapshot expected = full;
+  expected.config.ring_capacity = n;
+  if (expected.events.size() > n) {
+    expected.events.erase(expected.events.begin(),
+                          expected.events.end() - static_cast<long>(n));
+  }
+  expected.recorded = expected.events.size();
+  expected.dropped = full.recorded - expected.recorded;
+  return expected;
+}
+
+void ExpectSameSnapshot(const obs::ExplainSnapshot& a,
+                        const obs::ExplainSnapshot& b) {
+  EXPECT_EQ(a.config.sample_every, b.config.sample_every);
+  EXPECT_EQ(a.config.ring_capacity, b.config.ring_capacity);
+  EXPECT_EQ(a.run_label, b.run_label);
+  EXPECT_EQ(a.rhs_dims, b.rhs_dims);
+  EXPECT_EQ(a.dmax, b.dmax);
+  const obs::ExplainWaterfall& aw = a.waterfall;
+  const obs::ExplainWaterfall& bw = b.waterfall;
+  EXPECT_EQ(aw.lhs_seen, bw.lhs_seen);
+  EXPECT_EQ(aw.lhs_bounded_out, bw.lhs_bounded_out);
+  EXPECT_EQ(aw.lhs_skipped, bw.lhs_skipped);
+  EXPECT_EQ(aw.candidates, bw.candidates);
+  EXPECT_EQ(aw.evaluated, bw.evaluated);
+  EXPECT_EQ(aw.pruned_s0, bw.pruned_s0);
+  EXPECT_EQ(aw.pruned_s1, bw.pruned_s1);
+  EXPECT_EQ(aw.pruned_zero_conf, bw.pruned_zero_conf);
+  EXPECT_EQ(aw.offered, bw.offered);
+  EXPECT_EQ(a.recorded, b.recorded);
+  EXPECT_EQ(a.sampled_out, b.sampled_out);
+  EXPECT_EQ(a.dropped, b.dropped);
+  ASSERT_EQ(a.lhs.size(), b.lhs.size());
+  for (std::size_t i = 0; i < a.lhs.size(); ++i) {
+    EXPECT_EQ(a.lhs[i].levels, b.lhs[i].levels);
+    EXPECT_EQ(a.lhs[i].lhs_count, b.lhs[i].lhs_count);
+    EXPECT_EQ(a.lhs[i].initial_bound, b.lhs[i].initial_bound);
+    EXPECT_EQ(a.lhs[i].initial_kind, b.lhs[i].initial_kind);
+  }
+  ExpectSameEvents(a.events, b.events);
+}
+
+// An 8-event ring keeps exactly the newest 8 kept events of the run, in
+// seq order; every candidate is recorded, sampled out or dropped.
+TEST(ExplainRetentionTest, SmallRingKeepsTheNewestEventsOfTheFullRun) {
+  const MatchingRelation matching = CoraMatching();
+  const RuleSpec rule{{"author", "title"}, {"venue", "year"}};
+  const DetermineOptions options =
+      Combo(LhsAlgorithm::kDap, RhsAlgorithm::kPap);
+  obs::ExplainConfig config;
+  config.sample_every = 4;
+  const ExplainedRun full =
+      DetermineWithExplain(matching, rule, options, config);
+  config.ring_capacity = 8;
+  const ExplainedRun small =
+      DetermineWithExplain(matching, rule, options, config);
+
+  ASSERT_GT(full.snapshot.recorded, 8u);
+  EXPECT_EQ(full.snapshot.dropped, 0u);
+  for (std::size_t i = 1; i < full.snapshot.events.size(); ++i) {
+    ASSERT_LT(full.snapshot.events[i - 1].seq, full.snapshot.events[i].seq);
+  }
+  ExpectSameSnapshot(small.snapshot, NewestEvents(full.snapshot, 8));
+  EXPECT_EQ(small.snapshot.recorded, 8u);
+  EXPECT_EQ(small.snapshot.dropped, full.snapshot.recorded - 8);
+  EXPECT_EQ(small.snapshot.recorded + small.snapshot.sampled_out +
+                small.snapshot.dropped,
+            small.snapshot.waterfall.candidates);
+}
+
+// The ring is replaced only when a recording asks for more capacity, and
+// cleared otherwise: shrinking and regrowing it between recordings must
+// leave nothing of an earlier run behind.
+TEST(ExplainRetentionTest, EveryEnableMatchesAFreshRecording) {
+  const MatchingRelation matching = CoraMatching();
+  const RuleSpec rule{{"author", "title"}, {"venue", "year"}};
+  const DetermineOptions options =
+      Combo(LhsAlgorithm::kDa, RhsAlgorithm::kPap);
+  obs::ExplainConfig large;
+  large.sample_every = 4;
+  large.ring_capacity = std::size_t{1} << 16;
+  obs::ExplainConfig small = large;
+  small.ring_capacity = 8;
+
+  const ExplainedRun first =
+      DetermineWithExplain(matching, rule, options, large);
+  const ExplainedRun shrunk =
+      DetermineWithExplain(matching, rule, options, small);
+  const ExplainedRun regrown =
+      DetermineWithExplain(matching, rule, options, large);
+  ASSERT_EQ(first.snapshot.dropped, 0u);
+  {
+    SCOPED_TRACE("ring_capacity 8");
+    ExpectSameSnapshot(shrunk.snapshot, NewestEvents(first.snapshot, 8));
+  }
+  {
+    SCOPED_TRACE("ring_capacity 2^16 again");
+    ExpectSameSnapshot(regrown.snapshot, first.snapshot);
+  }
+}
+
+// Forced events come from the recording's own offers and skyline: an
+// evaluated candidate is forced exactly when it was offered or no
+// earlier evaluated candidate of the same recording dominates its
+// (D·C, C, Q). A front left over from an earlier recording (Hotel's,
+// for the Cora run) would unforce some of them.
+TEST(ExplainEventsTest, ForcedEventsComeFromTheRecordingsOwnSkyline) {
+  const MatchingRelation hotel = testutil::HotelMatching();
+  const MatchingRelation cora = CoraMatching();
+  const RuleSpec hotel_rule{{"Address"}, {"Region"}};
+  const RuleSpec cora_rule{{"author", "title"}, {"venue", "year"}};
+  const DetermineOptions options =
+      Combo(LhsAlgorithm::kDa, RhsAlgorithm::kPap);
+  for (const auto& [matching, rule] :
+       {std::pair{&hotel, &hotel_rule}, std::pair{&cora, &cora_rule}}) {
+    const ExplainedRun run =
+        DetermineWithExplain(*matching, *rule, options, obs::ExplainConfig{});
+    ASSERT_EQ(run.snapshot.sampled_out + run.snapshot.dropped, 0u);
+    std::vector<std::array<double, 3>> earlier;
+    for (const obs::ExplainEvent& e : run.snapshot.events) {
+      if (e.outcome != obs::ExplainOutcome::kEvaluated) continue;
+      const obs::ExplainLhsInfo& lhs = run.snapshot.lhs[e.lhs_seq];
+      const double d = static_cast<double>(lhs.lhs_count) /
+                       static_cast<double>(lhs.total);
+      const std::array<double, 3> point = {d * e.confidence, e.confidence,
+                                           e.quality};
+      const bool dominated = std::any_of(
+          earlier.begin(), earlier.end(), [&](const std::array<double, 3>& f) {
+            return f[0] >= point[0] && f[1] >= point[1] &&
+                   f[2] >= point[2] && f != point;
+          });
+      ASSERT_EQ(e.forced, e.offered || !dominated) << "seq " << e.seq;
+      earlier.push_back(point);
+    }
+  }
+}
+
+// A recording belongs to the thread that enabled it (recorder.h): an
+// LHS begun on any other thread aborts instead of interleaving events.
+TEST(ExplainRecorderDeathTest, BeginLhsOffTheEnablingThreadAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        obs::ExplainRecorder::Global().Enable(obs::ExplainConfig{});
+        std::thread other([] {
+          obs::ExplainRecorder::Global().BeginLhs(
+              {1}, 1, 2, 0.0, obs::ExplainBound::kInitial);
+        });
+        other.join();
+      },
+      "CHECK failed");
 }
 
 TEST(ExplainAuditTest, DecodeRhsLevelsRoundTrips) {

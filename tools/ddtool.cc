@@ -31,7 +31,7 @@
 //                    [--explain_sample K] keep every K-th event
 //                     (winner / bound-advancing / skyline events are
 //                     always kept; waterfall totals stay exact)
-//                    [--ring_capacity N] per-thread event ring size
+//                    [--ring_capacity N] event ring size
 //                     (1 .. 2^24)
 //                    [--audit_json audit.json] write the JSON audit doc
 //                    [--landscape surface.csv|.jsonl] utility landscape
